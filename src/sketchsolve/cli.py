@@ -104,9 +104,18 @@ def _worker_count() -> int:
     return workers
 
 
-def _run_task(task):
-    system, config = task
-    return run(system, config)[1]
+# The system a pool worker solves, set once per worker by _init_worker so
+# that each task ships only its config.
+_worker_system = None
+
+
+def _init_worker(system):
+    global _worker_system
+    _worker_system = system
+
+
+def _run_task(config):
+    return run(_worker_system, config)[1]
 
 
 def _run_all(system, configs):
@@ -114,8 +123,8 @@ def _run_all(system, configs):
     workers = min(_worker_count(), len(configs))
     if workers == 1:
         return [run(system, config)[1] for config in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, [(system, config) for config in configs]))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(system,)) as pool:
+        return list(pool.map(_run_task, configs))
 
 
 def _trace_csv_rows(method, s, trial, trace):

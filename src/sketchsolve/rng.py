@@ -9,7 +9,10 @@ Stream-consumption conventions (they matter for replay):
   * matrix fills consume entries in row-major order;
   * a weighted or uniform index draw consumes exactly one variate;
   * sketch construction draws its block index first, then the Gaussian
-    factor entries (see sketch.py).
+    factor entries (see sketch.py);
+  * a gsm solver step draws, per attempt, s normals u first (the winner
+    is argmax u^2), then m normals g for the winning sketch column; it
+    never draws the m-by-s sketch (see sketch.py).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A sketch compresses the m-row system (A, b) to an s-row system
   * block:    S selects s contiguous rows, so M is a zero-copy view of
               A and building it costs no floating-point multiplies;
   * gaussian: S has iid N(0, 1) entries, costing Theta(m*s*n) multiplies
-              per sketch;
+              per sketch (gaussian_sketch, the materialized reference);
   * sparse:   S is zero outside one s-row block, where it holds an
               s-by-s Gaussian factor X; then M = X^T A_block costs only
               Theta(s^2*n) multiplies while still mixing rows.
@@ -17,10 +17,17 @@ When s does not divide m the trailing m mod s rows are never sampled.
 
 Draw order per sketch: block index first (when the kind has one and it
 is not pinned), then the Gaussian factor entries in row-major order.
+
+A max-residual step on a Gaussian sketch only ever uses the winning
+column of S, so the solver draws that column alone from its conditional
+law (_gaussian_winner_raw): Theta(m*n + m + s) per step instead of
+Theta(m*s*n).  Its draw order per attempt is u (s normals), then g
+(m normals).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,7 +36,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import DenseMatrix, RealVector, _own
-from .rng import RngState, sample_gaussian_matrix, sample_uniform_index
+from .rng import RngState
 
 __all__ = [
     "SKETCH_KINDS",
@@ -135,9 +142,6 @@ def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
         z = int(gen.integers(m // s))
         shift = s * z
         return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
-    if kind == "gaussian":
-        S = gen.standard_normal((m, s))
-        return _mm(S.T, Aa), _mm(S.T, ba), None, None, S
     # sparse
     if fixed_block is None:
         z = int(gen.integers(m // s))
@@ -146,6 +150,34 @@ def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
     shift = s * z
     X = gen.standard_normal((s, s))
     return _mm(X.T, Aa[shift:shift + s]), _mm(X.T, ba[shift:shift + s]), z, shift, X
+
+
+def _gaussian_winner_raw(Aa, ba, res, s, gen):
+    """The max-residual row of a fresh m-by-s N(0, 1) sketch S, without S.
+
+    With res = A x - b and rhat = res / ||res||, column j of S splits as
+    S_j = u_j rhat + P g_j, where P projects onto the complement of rhat,
+    u_j ~ N(0, 1) and P g_j is independent of u_j.  The sketched residual
+    of row j is (S^T res)_j = u_j ||res||, so the winner is
+    j* = argmax u_j^2 and depends on u alone.  Drawing u (s normals), then
+    one g (m normals), and forming S_j* = u_j* rhat + P g gives the
+    winning column the same law as in the materialized sketch.  When res
+    is zero every column is N(0, I) and S_j* = g.
+
+    Returns (raw, t): raw is a one-row sketch (Ma, ra, None, None, F) with
+    F the m-by-1 winning column, Ma = F^T A and ra = F^T b; t is the
+    winner's sketched residual u_j* ||res||.
+    """
+    u = gen.standard_normal(s)
+    u_star = float(u[int(np.argmax(u * u))])
+    g = gen.standard_normal(Aa.shape[0])
+    res_sq = float(res @ res)
+    t = 0.0
+    if res_sq > 0.0:
+        t = u_star * math.sqrt(res_sq)
+        g += ((t - float(g @ res)) / res_sq) * res
+    F = g[:, None]
+    return (_mm(F.T, Aa), _mm(F.T, ba), None, None, F), t
 
 
 def _wrap(kind, raw) -> SketchedSystem:
@@ -175,11 +207,14 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """Dense Gaussian sketch: fresh m-by-s iid N(0, 1) S, M = S^T A, r = S^T b.
 
-    s may exceed the row count; the sketch is then overcomplete.
+    s may exceed the row count; the sketch is then overcomplete.  This is
+    the Theta(m*s*n) materialized reference; the gsm solver step draws
+    only the winning column of S (see _gaussian_winner_raw).
     """
     if s < 1:
         raise InputError(f"sketch size must be at least 1, got {s}")
-    return _wrap("gaussian", _build_raw(system.A.a, system.b.a, "gaussian", s, rng.gen))
+    S = rng.gen.standard_normal((system.A.rows, s))
+    return _wrap("gaussian", (_mm(S.T, system.A.a), _mm(S.T, system.b.a), None, None, S))
 
 
 def sparse_gaussian_sketch(system, s: int, rng: RngState, fixed_block: int | None = None) -> SketchedSystem:

@@ -7,7 +7,11 @@ They differ only in how the row is chosen:
   * kaczmarz: random row, probability proportional to ||a_i||^2;
   * motzkin:  the row with the largest squared residual (deterministic);
   * skm:      max-residual row within a random aligned block of A;
-  * gsm:      max-residual row of a fresh dense Gaussian sketch S^T A;
+  * gsm:      max-residual row of a fresh dense Gaussian sketch S^T A,
+              drawn without materializing S: each attempt draws s
+              normals u (the sketched residuals over ||A x - b||) first,
+              then m normals g for the winning column alone, so a step
+              costs Theta(m*n + m + s) (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
               Gaussian mix of one random aligned block).
 
@@ -30,7 +34,7 @@ import numpy as np
 from .errors import InputError, ZeroRowError
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
-from .sketch import SketchSpec, SketchedSystem, _build_raw, _wrap
+from .sketch import SketchSpec, SketchedSystem, _build_raw, _gaussian_winner_raw, _wrap
 
 __all__ = [
     "METHODS",
@@ -279,18 +283,27 @@ def _sketched_core(Aa, ba, kind, s, gen, xa, fixed_block):
     sketches of degenerate data) triggers exactly one resample; a second
     failure is an error.  A zero selected residual means the iterate
     already solves the sketched system: x is returned unchanged.
+
+    gsm never builds its m-by-s sketch: each attempt draws only the
+    winning column (see sketch._gaussian_winner_raw), so its raw sketch
+    has one row and the chosen index is 0.
     """
+    res = Aa @ xa - ba if kind == "gaussian" else None
     for _ in range(2):
-        raw = _build_raw(Aa, ba, kind, s, gen, fixed_block)
-        Ma, ra = raw[0], raw[1]
-        t = Ma @ xa - ra
-        i = int(np.argmax(t * t))
-        if t[i] == 0.0:
+        if res is None:
+            raw = _build_raw(Aa, ba, kind, s, gen, fixed_block)
+            t = raw[0] @ xa - raw[1]
+            i = int(np.argmax(t * t))
+            t_i = t[i]
+        else:
+            raw, t_i = _gaussian_winner_raw(Aa, ba, res, s, gen)
+            i = 0
+        if t_i == 0.0:
             return xa, raw, i
-        row = Ma[i]
+        row = raw[0][i]
         row_sq = float(row @ row)
         if not _zero_gate(row_sq, float(xa @ xa)):
-            return _project_raw(xa, row, ra[i], row_sq), raw, i
+            return _project_raw(xa, row, raw[1][i], row_sq), raw, i
     raise ZeroRowError(f"selected sketched row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 

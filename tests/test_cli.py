@@ -214,12 +214,29 @@ def test_compare_explicit_flag_beats_plan(tmp_path):
 def test_compare_workers_env_matches_serial(tmp_path, monkeypatch):
     system_path = make_binary(tmp_path, m=30, n=5, seed=21)
     serial, fanned = tmp_path / "serial.csv", tmp_path / "fanned.csv"
-    argv = ["compare", "--system", system_path, "--methods", "kaczmarz,sgsm:3",
+    argv = ["compare", "--system", system_path, "--methods", "kaczmarz,sgsm:3,gsm:3",
             "--trials", "2", "--max-iters", "40", "--tol", "0"]
     assert main(argv + ["--out", str(serial)]) == 0
     monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
     assert main(argv + ["--out", str(fanned)]) == 0
     assert without_elapsed(read_csv(serial)) == without_elapsed(read_csv(fanned))
+
+
+def test_compare_workers_receive_the_system_once(tmp_path, monkeypatch):
+    # Pool tasks carry only their config; the system reaches each worker
+    # once, through the pool initializer.
+    system_path = make_binary(tmp_path, m=30, n=5, seed=21)
+    pickled = []
+
+    def counting_reduce(self, protocol):
+        pickled.append(self)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(LinearSystem, "__reduce_ex__", counting_reduce)
+    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
+    assert main(["compare", "--system", system_path, "--methods", "kaczmarz,gsm:3", "--trials", "4",
+                 "--max-iters", "20", "--tol", "0", "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(pickled) <= 2
 
 
 def test_compare_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ the arithmetic is exact, so unchanged iterates can be compared bitwise).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sketchsolve import (
     TraceRecord,
     ZeroRowError,
     contraction_summary,
+    gaussian_sketch,
     kaczmarz_step,
     motzkin_step,
     project_row,
@@ -291,6 +293,78 @@ def test_sketched_provenance_is_replayable():
     assert np.array_equal(sk.M.a, sk.provenance.factor.a.T @ sy.A.a)
     replay = project_row(x, sk.M.row(prov.chosen), float(sk.r.a[prov.chosen]))
     assert np.array_equal(got.a, replay.a)
+
+
+def test_gsm_step_matches_materialized_oracle_in_law():
+    # The gsm step draws only the winning sketch column, from its law given
+    # the residual.  At a fixed x, its one-step squared-error drops must
+    # follow the law of the materialized path (full m-by-s sketch, then
+    # max-residual row, then projection).  Two-sample Kolmogorov-Smirnov
+    # statistic over 10^4 draws a side, against the 0.1% critical value
+    # 1.95 * sqrt(2 / 10^4) = 0.028.
+    sy = make_system(30, 5, seed=81)
+    x = RealVector(np.random.default_rng(4).standard_normal(5))
+    e0 = x.a - sy.x_star.a
+    draws = 10_000
+
+    def drop(x1):
+        e1 = x1.a - sy.x_star.a
+        return float(e0 @ e0 - e1 @ e1)
+
+    rng = RngState(5)
+    conditional = [drop(sketched_motzkin_step(sy, SketchSpec("gaussian", 4), x, rng)[0]) for _ in range(draws)]
+    rng = RngState(6)
+    materialized = []
+    for _ in range(draws):
+        sk = gaussian_sketch(sy, 4, rng)
+        i = select_max_residual(sk.M, sk.r, x)
+        materialized.append(drop(project_row(x, sk.M.row(i), float(sk.r.a[i]))))
+    a, b = np.sort(conditional), np.sort(materialized)
+    grid = np.concatenate([a, b])
+    ks = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
+    assert ks <= 0.028
+
+
+def test_gsm_step_never_materializes_the_sketch():
+    # At m = 1000, s = 2000 a materialized m-by-s sketch alone is 16 MB.
+    m, s = 1000, 2000
+    sy = make_system(m, 20, seed=82)
+    x = RealVector(np.zeros(20))
+    tracemalloc.start()
+    try:
+        sketched_motzkin_step(sy, SketchSpec("gaussian", s), x, RngState(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * m * s
+
+
+def test_gsm_step_draws_u_then_the_winning_column():
+    # Per attempt: s normals u pick the winner j* = argmax u_j^2, then m
+    # normals g give its column u_j* rhat + (g - (g . rhat) rhat).
+    sy = make_system(12, 3, seed=83)
+    x = RealVector(np.random.default_rng(5).standard_normal(3))
+    _, prov = sketched_motzkin_step(sy, SketchSpec("gaussian", 6), x, RngState(17))
+    gen = RngState(17).gen
+    u = gen.standard_normal(6)
+    g = gen.standard_normal(12)
+    res = sy.A.a @ x.a - sy.b.a
+    rhat = res / np.linalg.norm(res)
+    want = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
+    column = prov.sketched.provenance.factor.a
+    assert column.shape == (12, 1) and prov.chosen == 0
+    assert np.allclose(column[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_gsm_step_zero_residual_and_zero_rows():
+    # A zero residual leaves x untouched; a zero sketched row is resampled
+    # once and then raises.
+    x_star = INTEGER_SYSTEM.x_star
+    x1, _ = sketched_motzkin_step(INTEGER_SYSTEM, SketchSpec("gaussian", 3), x_star, RngState(3))
+    assert np.array_equal(x1.a, x_star.a)
+    zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0, 1.0, 1.0]))
+    with pytest.raises(ZeroRowError, match="resample"):
+        sketched_motzkin_step(zero, SketchSpec("gaussian", 3), RealVector(np.zeros(2)), RngState(0))
 
 
 def test_sketched_fixed_block_pins_sparse_sampling():
