@@ -21,8 +21,6 @@ from .linalg import (
     condition_kappa_tilde,
     dynamic_range,
     frobenius_norm_sq,
-    matvec,
-    row_norm_sq,
     smallest_singular_value,
 )
 from .problems import (
@@ -35,14 +33,7 @@ from .problems import (
     plant_solution,
     save_system,
 )
-from .rng import (
-    RngState,
-    sample_gaussian_matrix,
-    sample_standard_normal,
-    sample_uniform_index,
-    sample_uniform_real,
-    sample_weighted_index,
-)
+from .rng import RngState
 from .sketch import (
     SKETCH_KINDS,
     SketchProvenance,
@@ -50,7 +41,6 @@ from .sketch import (
     SketchedSystem,
     apply_sparse_block,
     block_sketch,
-    count_multiplies,
     gaussian_sketch,
     sparse_gaussian_sketch,
 )
@@ -83,18 +73,11 @@ __all__ = [
     "DenseMatrix",
     "RealVector",
     "ConditionStats",
-    "matvec",
-    "row_norm_sq",
     "frobenius_norm_sq",
     "smallest_singular_value",
     "condition_kappa_tilde",
     "dynamic_range",
     "RngState",
-    "sample_standard_normal",
-    "sample_gaussian_matrix",
-    "sample_weighted_index",
-    "sample_uniform_index",
-    "sample_uniform_real",
     "SKETCH_KINDS",
     "SketchSpec",
     "SketchProvenance",
@@ -103,7 +86,6 @@ __all__ = [
     "gaussian_sketch",
     "sparse_gaussian_sketch",
     "apply_sparse_block",
-    "count_multiplies",
     "METHODS",
     "CONVERGED",
     "MAX_ITERS",

@@ -12,7 +12,8 @@ left empty for the unsketched methods.  Reruns with identical arguments
 are byte-identical except the elapsed_ns / time_to_threshold_ns columns.
 
 Trials run serially by default; set SKETCHSOLVE_WORKERS=<k> to fan
-trials out over k processes (output order is unaffected).
+trials out over k processes (output order is unaffected).  A per-time
+compare refuses k > 1, since parallel trials share cores.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import FormatError, InputError, RankDeficientError, ZeroRowError
 from .linalg import condition_kappa_tilde, dynamic_range
 from .problems import ModelSpec, generate_system, load_csv_matrix, load_system, save_system
 from .solvers import (
+    _METHOD_KIND,
     CONVERGED,
     METHODS,
     LinearSystem,
@@ -51,7 +53,7 @@ __all__ = [
 TRACE_HEADER = ("method", "s", "trial", "iter", "error_sq", "residual_norm", "elapsed_ns")
 SWEEP_HEADER = ("s", "trial", "iters_to_threshold", "time_to_threshold_ns")
 
-_SKETCHED = ("skm", "gsm", "sgsm")
+_SKETCHED = tuple(_METHOD_KIND)
 
 WORKERS_ENV = "SKETCHSOLVE_WORKERS"
 
@@ -62,18 +64,14 @@ class ExperimentPlan:
 
     cells lists (method, s) pairs; s is None for kaczmarz and motzkin.
     mode picks the summary emphasis: per-iteration or per-time.
-    threshold (sweeps) is relative: to the initial squared error when
-    the system has a planted solution, else to 1 + ||b||.
     """
 
-    source: str | ModelSpec | None
     cells: tuple[tuple[str, int | None], ...]
     trials: int = 1
     tol: float = 1e-8
     max_iters: int = 10_000
     seed: int = 0
     mode: str = "per-iteration"
-    threshold: float | None = None
     record_dense_limit: int = 10_000
     record_stride: int = 10
 
@@ -89,8 +87,6 @@ class ExperimentPlan:
             raise InputError(f"trials must be at least 1, got {self.trials}")
         if self.mode not in ("per-iteration", "per-time"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.threshold is not None and not self.threshold > 0.0:
-            raise InputError(f"threshold must be positive, got {self.threshold}")
 
 
 def _worker_count() -> int:
@@ -161,7 +157,11 @@ def run_compare(system: LinearSystem, plan: ExperimentPlan):
 
     Returns (csv_rows, summary_lines); trial t of every cell uses seed
     plan.seed + t, so cells see identical selection randomness.
+    Per-time mode refuses parallel workers, whose trials share cores.
     """
+    if plan.mode == "per-time" and _worker_count() > 1:
+        raise InputError(f"--mode per-time needs serial trials, since parallel ones share cores and "
+                         f"their times do not compare; unset {WORKERS_ENV} or set it to 1")
     record_error = system.x_star is not None
     tasks = []
     for method, s in plan.cells:
@@ -373,6 +373,22 @@ def _add_csv_input_flags(parser):
     parser.add_argument("--plant-seed", type=int, default=0, help="seed for the planted solution of a CSV matrix")
 
 
+def _add_campaign_flags(parser):
+    """Flags shared by compare and sweep; each unset one falls back to the plan file."""
+    parser.add_argument("--system", default=None)
+    parser.add_argument("--model", default=None, choices=("gaussian", "coherent"))
+    parser.add_argument("--rows", type=int, default=None)
+    parser.add_argument("--cols", type=int, default=None)
+    parser.add_argument("--model-seed", type=int, default=None)
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--max-iters", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--record-dense", type=int, default=None)
+    parser.add_argument("--record-stride", type=int, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--plan", default=None, help="key = value file supplying defaults for any flag")
+
+
 def _print_condition(system):
     stats = condition_kappa_tilde(system.A)
     print(f"rows: {system.A.rows}")
@@ -434,7 +450,6 @@ def cmd_compare(args) -> int:
         raise InputError("no output path: use --out or a plan file")
     system = _resolve_system(args, plan_options)
     plan = ExperimentPlan(
-        source=args.system or args.model,
         cells=_parse_methods(methods_text),
         trials=_resolve(args.trials, plan_options, "trials", 1, int),
         tol=_resolve(args.tol, plan_options, "tol", 1e-8, float),
@@ -525,39 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="run several methods on one system, emit trace CSV")
-    p.add_argument("--system", default=None)
-    p.add_argument("--model", default=None, choices=("gaussian", "coherent"))
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--model-seed", type=int, default=None)
+    _add_campaign_flags(p)
     p.add_argument("--methods", default=None, help="comma list, sketched methods take :s (e.g. kaczmarz,gsm:25)")
-    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", default=None, choices=("per-iteration", "per-time"))
-    p.add_argument("--record-dense", type=int, default=None)
-    p.add_argument("--record-stride", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--plan", default=None, help="key = value file supplying defaults for any flag")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="iterations/time to an error threshold across sketch sizes")
-    p.add_argument("--system", default=None)
-    p.add_argument("--model", default=None, choices=("gaussian", "coherent"))
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--model-seed", type=int, default=None)
+    _add_campaign_flags(p)
     p.add_argument("--method", default=None, choices=_SKETCHED)
     p.add_argument("--s-list", default=None, help="comma list of sketch sizes")
     p.add_argument("--threshold", type=float, default=None, help="relative error (or residual) threshold")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--record-dense", type=int, default=None)
-    p.add_argument("--record-stride", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--plan", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("diagnose", help="condition diagnostics of a stored system")

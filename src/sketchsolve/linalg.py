@@ -22,8 +22,6 @@ __all__ = [
     "ConditionStats",
     "as_matrix",
     "as_vector",
-    "matvec",
-    "row_norm_sq",
     "frobenius_norm_sq",
     "smallest_singular_value",
     "condition_kappa_tilde",
@@ -78,11 +76,6 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    @property
-    def data(self) -> np.ndarray:
-        """Entries as a flat row-major view of length rows*cols."""
-        return self.a.reshape(-1)
-
     def row(self, i: int) -> np.ndarray:
         if not 0 <= i < self.rows:
             raise InputError(f"row index {i} out of range [0, {self.rows})")
@@ -103,10 +96,6 @@ class RealVector:
 
     def __len__(self):
         return self.a.shape[0]
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.a
 
     def __repr__(self):
         return f"RealVector(len={len(self)})"
@@ -131,21 +120,6 @@ class ConditionStats:
     frobenius_sq: float
     s_min: float
     kappa_tilde: float
-
-
-def matvec(A, x) -> RealVector:
-    """Product A @ x."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    if len(x) != A.cols:
-        raise InputError(f"matvec shape mismatch: matrix is {A.rows}x{A.cols}, vector has length {len(x)}")
-    return RealVector(_own(A.a @ x.a))
-
-
-def row_norm_sq(A, i: int) -> float:
-    """Squared Euclidean norm of row i of A."""
-    r = as_matrix(A).row(i)
-    return float(r @ r)
 
 
 def frobenius_norm_sq(A) -> float:

@@ -28,8 +28,6 @@ Theta(m*s*n).  Its draw order per attempt is u (s normals), then g
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,41 +45,32 @@ __all__ = [
     "gaussian_sketch",
     "sparse_gaussian_sketch",
     "apply_sparse_block",
-    "count_multiplies",
 ]
 
 SKETCH_KINDS = ("block", "gaussian", "sparse")
 
-_counter_slot = threading.local()
 
+def _check_sketch(kind: str, s: int, m: int | None = None, fixed_block: int | None = None):
+    """The one rule for which sketches are valid.
 
-class MultiplyCounter:
-    """Tally of floating-point multiplies spent building sketches."""
-
-    def __init__(self):
-        self.count = 0
-
-
-@contextmanager
-def count_multiplies():
-    """Context manager that counts sketch-building multiplies on this thread.
-
-    Only products routed through this module are tallied; a block sketch
-    performs none (its outputs are views into A and b).
+    kind must be a sketch family and s at least 1; fixed_block (pinning
+    the block index) applies only to sparse sketches and must be
+    nonnegative.  Once the row count m is known, block and sparse sketches
+    also need s <= m (their s rows come from A) and fixed_block < m // s
+    (the number of aligned blocks); a Gaussian sketch may exceed m.
     """
-    counter = MultiplyCounter()
-    _counter_slot.counter = counter
-    try:
-        yield counter
-    finally:
-        _counter_slot.counter = None
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    counter = getattr(_counter_slot, "counter", None)
-    if counter is not None:
-        counter.count += a.shape[0] * a.shape[1] * (b.shape[1] if b.ndim == 2 else 1)
-    return a @ b
+    if kind not in SKETCH_KINDS:
+        raise InputError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
+    if s < 1:
+        raise InputError(f"sketch size must be at least 1, got {s}")
+    if fixed_block is not None and kind != "sparse":
+        raise InputError("fixed_block applies only to sparse sketches")
+    if m is not None and kind != "gaussian" and s > m:
+        raise InputError(f"sketch size {s} exceeds row count {m}")
+    if fixed_block is not None:
+        blocks = "m // s" if m is None else m // s
+        if fixed_block < 0 or (m is not None and fixed_block >= blocks):
+            raise InputError(f"fixed_block {fixed_block} out of range [0, {blocks})")
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,7 @@ class SketchSpec:
     s: int
 
     def __post_init__(self):
-        if self.kind not in SKETCH_KINDS:
-            raise InputError(f"unknown sketch kind {self.kind!r}, expected one of {SKETCH_KINDS}")
-        if self.s < 1:
-            raise InputError(f"sketch size must be at least 1, got {self.s}")
+        _check_sketch(self.kind, self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +110,6 @@ class SketchedSystem:
             raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
 
 
-def _check_block_size(s: int, m: int):
-    if s < 1:
-        raise InputError(f"sketch size must be at least 1, got {s}")
-    if s > m:
-        raise InputError(f"block sketch size {s} exceeds row count {m}")
-
-
 def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
     """One sketch as raw arrays: (Ma, ra, z, shift, factor).
 
@@ -149,7 +128,7 @@ def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
         z = fixed_block
     shift = s * z
     X = gen.standard_normal((s, s))
-    return _mm(X.T, Aa[shift:shift + s]), _mm(X.T, ba[shift:shift + s]), z, shift, X
+    return X.T @ Aa[shift:shift + s], X.T @ ba[shift:shift + s], z, shift, X
 
 
 def _gaussian_winner_raw(Aa, ba, res, s, gen):
@@ -177,7 +156,7 @@ def _gaussian_winner_raw(Aa, ba, res, s, gen):
         t = u_star * math.sqrt(res_sq)
         g += ((t - float(g @ res)) / res_sq) * res
     F = g[:, None]
-    return (_mm(F.T, Aa), _mm(F.T, ba), None, None, F), t
+    return (F.T @ Aa, F.T @ ba, None, None, F), t
 
 
 def _wrap(kind, raw) -> SketchedSystem:
@@ -200,7 +179,7 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     The returned rows are views of A and b: bit-identical, zero copies,
     zero multiplies.
     """
-    _check_block_size(s, system.A.rows)
+    _check_sketch("block", s, system.A.rows)
     return _wrap("block", _build_raw(system.A.a, system.b.a, "block", s, rng.gen))
 
 
@@ -211,10 +190,9 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     the Theta(m*s*n) materialized reference; the gsm solver step draws
     only the winning column of S (see _gaussian_winner_raw).
     """
-    if s < 1:
-        raise InputError(f"sketch size must be at least 1, got {s}")
+    _check_sketch("gaussian", s)
     S = rng.gen.standard_normal((system.A.rows, s))
-    return _wrap("gaussian", (_mm(S.T, system.A.a), _mm(S.T, system.b.a), None, None, S))
+    return _wrap("gaussian", (S.T @ system.A.a, S.T @ system.b.a, None, None, S))
 
 
 def sparse_gaussian_sketch(system, s: int, rng: RngState, fixed_block: int | None = None) -> SketchedSystem:
@@ -224,10 +202,7 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState, fixed_block: int | Non
     Theta(s^2*n) multiplies instead of Theta(m*s*n).  Pass fixed_block to
     pin the block index z (no index draw is consumed then).
     """
-    m = system.A.rows
-    _check_block_size(s, m)
-    if fixed_block is not None and not 0 <= fixed_block < m // s:
-        raise InputError(f"fixed_block {fixed_block} out of range [0, {m // s})")
+    _check_sketch("sparse", s, system.A.rows, fixed_block)
     return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen, fixed_block))
 
 
@@ -239,10 +214,10 @@ def apply_sparse_block(system, x_factor, shift: int) -> SketchedSystem:
         raise InputError(f"factor must be square, got {X.rows}x{X.cols}")
     s = X.rows
     m = system.A.rows
-    _check_block_size(s, m)
+    _check_sketch("sparse", s, m)
     if shift % s != 0 or not 0 <= shift <= m - s:
         raise InputError(f"shift {shift} is not an aligned block start for s={s}, m={m}")
-    Ma = _mm(X.a.T, system.A.a[shift:shift + s])
-    ra = _mm(X.a.T, system.b.a[shift:shift + s])
+    Ma = X.a.T @ system.A.a[shift:shift + s]
+    ra = X.a.T @ system.b.a[shift:shift + s]
     prov = SketchProvenance("sparse", z=shift // s, shift=shift, factor=X)
     return SketchedSystem(DenseMatrix(_own(Ma)), RealVector(_own(ra)), prov)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError, ZeroRowError
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
-from .sketch import SketchSpec, SketchedSystem, _build_raw, _gaussian_winner_raw, _wrap
+from .sketch import SketchSpec, SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
 
 __all__ = [
     "METHODS",
@@ -108,7 +108,11 @@ class LinearSystem:
 
     @cached_property
     def cum_row_weights(self) -> np.ndarray:
-        return _own(np.cumsum(self.row_norms_sq))
+        """Cumulative squared row norms, the Kaczmarz sampling table."""
+        cum = np.cumsum(self.row_norms_sq)
+        if cum[-1] <= 0.0:
+            raise InputError("all rows of A are zero; cannot sample a row")
+        return _own(cum)
 
     @cached_property
     def b_norm(self) -> float:
@@ -145,17 +149,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.s < 1:
-            raise InputError(f"sketch size must be at least 1, got {self.s}")
+        # kaczmarz and motzkin take s (ignored) and no fixed_block, as a block sketch does.
+        _check_sketch(_METHOD_KIND.get(self.method, "block"), self.s, fixed_block=self.fixed_block)
         if self.max_iters < 1:
             raise InputError(f"max_iters must be at least 1, got {self.max_iters}")
         if not np.isfinite(self.tol) or self.tol < 0.0:
             raise InputError(f"tol must be a nonnegative real, got {self.tol}")
-        if self.fixed_block is not None:
-            if self.method != "sgsm":
-                raise InputError("fixed_block applies only to method 'sgsm'")
-            if self.fixed_block < 0:
-                raise InputError(f"fixed_block must be nonnegative, got {self.fixed_block}")
         if self.record_dense_limit < 0 or self.record_stride < 1:
             raise InputError("record_dense_limit must be >= 0 and record_stride >= 1")
         if self.error_stop is not None:
@@ -313,10 +312,7 @@ def kaczmarz_step(system: LinearSystem, x, rng: RngState):
     x = as_vector(x)
     if len(x) != system.A.cols:
         raise InputError(f"x has length {len(x)}, expected {system.A.cols}")
-    cum = system.cum_row_weights
-    if cum[-1] <= 0.0:
-        raise InputError("all rows of A are zero; cannot sample a row")
-    xa, i = _kaczmarz_core(system.A.a, system.b.a, cum, rng.gen, x.a)
+    xa, i = _kaczmarz_core(system.A.a, system.b.a, system.cum_row_weights, rng.gen, x.a)
     return RealVector(_own(xa)), i
 
 
@@ -339,14 +335,7 @@ def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngSta
     x = as_vector(x)
     if len(x) != system.A.cols:
         raise InputError(f"x has length {len(x)}, expected {system.A.cols}")
-    m = system.A.rows
-    if spec.kind in ("block", "sparse") and spec.s > m:
-        raise InputError(f"sketch size {spec.s} exceeds row count {m}")
-    if fixed_block is not None:
-        if spec.kind != "sparse":
-            raise InputError("fixed_block applies only to sparse sketches")
-        if not 0 <= fixed_block < m // spec.s:
-            raise InputError(f"fixed_block {fixed_block} out of range [0, {m // spec.s})")
+    _check_sketch(spec.kind, spec.s, system.A.rows, fixed_block)
     xa, raw, i = _sketched_core(system.A.a, system.b.a, spec.kind, spec.s, rng.gen, x.a, fixed_block)
     prov = StepProvenance(_wrap(spec.kind, raw), i)
     return RealVector(xa if not xa.flags.writeable else _own(xa)), prov
@@ -356,8 +345,6 @@ def _make_stepper(system: LinearSystem, config: SolverConfig, gen):
     Aa, ba = system.A.a, system.b.a
     if config.method == "kaczmarz":
         cum = system.cum_row_weights
-        if cum[-1] <= 0.0:
-            raise InputError("all rows of A are zero; cannot sample a row")
 
         def step(xa):
             return _kaczmarz_core(Aa, ba, cum, gen, xa)[0]
@@ -379,11 +366,8 @@ def _make_stepper(system: LinearSystem, config: SolverConfig, gen):
 
 
 def _validate_run(system: LinearSystem, config: SolverConfig):
-    m = system.A.rows
-    if config.method in ("skm", "sgsm") and config.s > m:
-        raise InputError(f"sketch size {config.s} exceeds row count {m}")
-    if config.fixed_block is not None and config.fixed_block >= m // config.s:
-        raise InputError(f"fixed_block {config.fixed_block} out of range [0, {m // config.s})")
+    if config.method in _METHOD_KIND:
+        _check_sketch(_METHOD_KIND[config.method], config.s, system.A.rows, config.fixed_block)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
 

@@ -248,6 +248,20 @@ def test_compare_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "SKETCHSOLVE_WORKERS" in capsys.readouterr().err
 
 
+def test_compare_per_time_refuses_parallel_workers(tmp_path, monkeypatch, capsys):
+    # Parallel trials share cores, so their times do not compare with serial ones.
+    out_path = tmp_path / "t.csv"
+    argv = ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4", "--mode", "per-time",
+            "--max-iters", "20", "--tol", "0", "--out", str(out_path)]
+    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
+    assert main(argv) == 2
+    assert "per-time" in capsys.readouterr().err
+    assert not out_path.exists()
+    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "1")
+    assert main(argv) == 0
+    assert "median_time_s=" in capsys.readouterr().out
+
+
 def test_compare_requires_methods(tmp_path, capsys):
     code = main(["compare", *GAUSS_ARGS, "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()

@@ -1,45 +1,33 @@
-"""Random stream tests.
+"""Random stream tests: seeding, replay, seed validation and the
+weighted index draw behind Kaczmarz row sampling.
 
 Statistical checks use wide, seeded windows so they are deterministic in
-practice; distribution-shape checks lean on scipy (KS and chi-square).
+practice.  The sampling laws of the solver steps themselves are checked
+in tests/test_solvers.py and by c09 in tests/test_acceptance.py.
 """
 
 import numpy as np
 import pytest
-import scipy.stats
 
-from sketchsolve import (
-    InputError,
-    RngState,
-    sample_gaussian_matrix,
-    sample_standard_normal,
-    sample_uniform_index,
-    sample_uniform_real,
-    sample_weighted_index,
-)
+from sketchsolve import InputError, RngState
+from sketchsolve.rng import _pick_from_cumulative
 
 
 # ------------------------------------------------------------ determinism
 
 def test_same_seed_identical_streams():
-    a, b = RngState(42), RngState(42)
+    a, b = RngState(42).gen, RngState(42).gen
     for _ in range(200):
-        assert sample_standard_normal(a) == sample_standard_normal(b)
-    assert np.array_equal(
-        sample_gaussian_matrix(a, 7, 3).a, sample_gaussian_matrix(b, 7, 3).a
-    )
-    weights = [1.0, 2.0, 3.0]
+        assert a.standard_normal() == b.standard_normal()
+    assert np.array_equal(a.standard_normal((7, 3)), b.standard_normal((7, 3)))
     for _ in range(100):
-        assert sample_weighted_index(a, weights) == sample_weighted_index(b, weights)
-        assert sample_uniform_index(a, 9) == sample_uniform_index(b, 9)
-        assert sample_uniform_real(a, -1.0, 4.0) == sample_uniform_real(b, -1.0, 4.0)
+        assert a.integers(9) == b.integers(9)
+        assert a.random() == b.random()
 
 
 def test_different_seeds_diverge():
-    a, b = RngState(1), RngState(2)
-    draws_a = [sample_standard_normal(a) for _ in range(16)]
-    draws_b = [sample_standard_normal(b) for _ in range(16)]
-    assert draws_a != draws_b
+    a, b = RngState(1).gen, RngState(2).gen
+    assert a.standard_normal(16).tolist() != b.standard_normal(16).tolist()
 
 
 def test_seed_validation():
@@ -51,64 +39,32 @@ def test_seed_validation():
         RngState(2**64)
 
 
-# ----------------------------------------------------------- normal draws
-
-def test_standard_normal_moments_and_shape():
-    rng = RngState(1)
-    draws = np.array([sample_standard_normal(rng) for _ in range(100_000)])
-    assert -0.02 < draws.mean() < 0.02
-    assert 0.98 < draws.var() < 1.02
-    stat = scipy.stats.kstest(draws, "norm").statistic
-    assert stat < 0.01
-
-
-def test_gaussian_matrix_single_cell_is_one_normal_draw():
-    m = sample_gaussian_matrix(RngState(5), 1, 1)
-    assert (m.rows, m.cols) == (1, 1)
-    assert float(m.a[0, 0]) == sample_standard_normal(RngState(5))
-
-
-def test_gaussian_matrix_shape_and_energy():
-    rng = RngState(3)
-    m = sample_gaussian_matrix(rng, 100, 100)
-    assert (m.rows, m.cols) == (100, 100)
-    energy = float((m.a * m.a).sum())
-    assert 9600.0 < energy < 10400.0
-
-
-def test_gaussian_matrix_fresh_per_call():
-    rng = RngState(5)
-    first = sample_gaussian_matrix(rng, 4, 4)
-    second = sample_gaussian_matrix(rng, 4, 4)
-    assert not np.array_equal(first.a, second.a)
-
-
-def test_gaussian_matrix_validates_shape():
-    rng = RngState(0)
-    with pytest.raises(InputError):
-        sample_gaussian_matrix(rng, 0, 3)
-    with pytest.raises(InputError):
-        sample_gaussian_matrix(rng, 3, -1)
-
-
 # --------------------------------------------------------- weighted index
+
+def weighted_index(rng, weights):
+    return _pick_from_cumulative(rng.gen, np.cumsum(np.asarray(weights, dtype=float)))
+
+
+# Upper 0.001 quantiles of the chi-square law, by degrees of freedom.
+CHI2_999 = {2: 13.8155, 3: 16.2662, 4: 18.4668, 5: 20.5150, 6: 22.4577, 7: 24.3219}
+
 
 def test_weighted_index_degenerate_mass():
     rng = RngState(11)
     for _ in range(20):
-        assert sample_weighted_index(rng, [0.0, 7.0, 0.0]) == 1
+        assert weighted_index(rng, [0.0, 7.0, 0.0]) == 1
 
 
 def test_weighted_index_even_split_frequency():
     rng = RngState(13)
-    zeros = sum(sample_weighted_index(rng, [1.0, 1.0]) == 0 for _ in range(100_000))
+    zeros = sum(weighted_index(rng, [1.0, 1.0]) == 0 for _ in range(100_000))
     assert 0.49 < zeros / 100_000 < 0.51
 
 
 def test_weighted_index_two_to_one_frequency():
     rng = RngState(13)
     weights = [1.0, 3.0]
-    hits = sum(sample_weighted_index(rng, weights) for _ in range(100_000))
+    hits = sum(weighted_index(rng, weights) for _ in range(100_000))
     assert 0.74 < hits / 100_000 < 0.76
 
 
@@ -119,68 +75,11 @@ def test_weighted_index_chi_square_fit():
     for _ in range(10):
         k = int(gen.integers(3, 9))
         weights = gen.uniform(0.1, 2.0, size=k)
+        cum = np.cumsum(weights)
         n = 100_000
         counts = np.zeros(k)
         for _ in range(n):
-            counts[sample_weighted_index(rng, weights)] += 1
+            counts[_pick_from_cumulative(rng.gen, cum)] += 1
         expected = n * weights / weights.sum()
         stat = float(((counts - expected) ** 2 / expected).sum())
-        assert stat < scipy.stats.chi2.ppf(0.999, k - 1)
-
-
-def test_weighted_index_rejects_bad_weights():
-    rng = RngState(0)
-    with pytest.raises(InputError):
-        sample_weighted_index(rng, [0.0, 0.0])
-    with pytest.raises(InputError):
-        sample_weighted_index(rng, [1.0, -0.5])
-    with pytest.raises(InputError):
-        sample_weighted_index(rng, [1.0, np.nan])
-    with pytest.raises(InputError):
-        sample_weighted_index(rng, [])
-
-
-# ---------------------------------------------------------- uniform draws
-
-def test_uniform_index_single_outcome():
-    rng = RngState(2)
-    assert all(sample_uniform_index(rng, 1) == 0 for _ in range(10))
-
-
-def test_uniform_index_balanced():
-    rng = RngState(29)
-    counts = np.zeros(4)
-    for _ in range(100_000):
-        counts[sample_uniform_index(rng, 4)] += 1
-    freqs = counts / 100_000
-    assert np.all(freqs > 0.24) and np.all(freqs < 0.26)
-
-
-def test_uniform_index_validation():
-    rng = RngState(0)
-    with pytest.raises(InputError):
-        sample_uniform_index(rng, 0)
-    with pytest.raises(InputError):
-        sample_uniform_index(rng, -3)
-
-
-def test_uniform_real_bounds_and_mean():
-    rng = RngState(31)
-    draws = np.array([sample_uniform_real(rng, 2.0, 6.0) for _ in range(50_000)])
-    assert draws.min() >= 2.0 and draws.max() < 6.0
-    assert 3.97 < draws.mean() < 4.03
-
-
-def test_uniform_real_narrow_band_stays_in_range():
-    rng = RngState(8)
-    for _ in range(5_000):
-        v = sample_uniform_real(rng, 0.8, 1.0)
-        assert 0.8 <= v < 1.0
-
-
-def test_uniform_real_validation():
-    rng = RngState(0)
-    with pytest.raises(InputError):
-        sample_uniform_real(rng, 5.0, 5.0)
-    with pytest.raises(InputError):
-        sample_uniform_real(rng, 2.0, -1.0)
+        assert stat < CHI2_999[k - 1]

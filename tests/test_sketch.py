@@ -2,8 +2,7 @@
 
 The sparse sketch is checked against a dense-materialization oracle: embed
 the small factor into a full m-by-s sketch matrix of zeros and multiply
-through. Costs are checked with the multiply counter, which the block
-sketch must leave at zero.
+through. The block sketch must return views of A and b, not copies.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from sketchsolve import (
     SketchSpec,
     apply_sparse_block,
     block_sketch,
-    count_multiplies,
     frobenius_norm_sq,
     gaussian_sketch,
     sparse_gaussian_sketch,
@@ -98,13 +96,6 @@ def test_block_shift_coverage_and_trailing_rows_unsampled():
     assert seen == {0, 1, 2}
 
 
-def test_block_costs_no_multiplies():
-    sy = make_system(20, 5, seed=4)
-    with count_multiplies() as counter:
-        block_sketch(sy, 4, RngState(1))
-    assert counter.count == 0
-
-
 def test_block_size_validation():
     sy = make_system(5, 2, seed=5)
     with pytest.raises(InputError):
@@ -170,13 +161,6 @@ def test_gaussian_row_energy_matches_frobenius():
     assert abs(mean - target) <= 0.05 * target
 
 
-def test_gaussian_costs_counted_exactly():
-    sy = make_system(40, 5, seed=11)
-    with count_multiplies() as counter:
-        gaussian_sketch(sy, 8, RngState(3))
-    assert counter.count == 8 * 40 * 5 + 8 * 40
-
-
 # ----------------------------------------------------------------- sparse
 
 def test_sparse_matches_dense_materialization_oracle():
@@ -216,10 +200,8 @@ def test_sparse_fixed_block_pins_shift_and_skips_index_draw():
     got = sparse_gaussian_sketch(sy, 5, RngState(33), fixed_block=2)
     assert got.provenance.z == 2 and got.provenance.shift == 10
     # With the block pinned, the factor is the first thing drawn.
-    from sketchsolve import sample_gaussian_matrix
-
-    expect = sample_gaussian_matrix(RngState(33), 5, 5)
-    assert np.array_equal(got.provenance.factor.a, expect.a)
+    expect = RngState(33).gen.standard_normal((5, 5))
+    assert np.array_equal(got.provenance.factor.a, expect)
 
 
 def test_sparse_fixed_block_range_check():
@@ -234,22 +216,6 @@ def test_sparse_size_validation():
     sy = make_system(4, 2, seed=18)
     with pytest.raises(InputError):
         sparse_gaussian_sketch(sy, 5, RngState(0))
-
-
-def test_sparse_costs_counted_exactly():
-    sy = make_system(40, 5, seed=19)
-    with count_multiplies() as counter:
-        sparse_gaussian_sketch(sy, 8, RngState(3))
-    assert counter.count == 8 * 8 * 5 + 8 * 8
-
-
-def test_sparse_much_cheaper_than_gaussian_at_same_size():
-    sy = make_system(200, 10, seed=20)
-    with count_multiplies() as sparse_cost:
-        sparse_gaussian_sketch(sy, 10, RngState(1))
-    with count_multiplies() as gaussian_cost:
-        gaussian_sketch(sy, 10, RngState(1))
-    assert sparse_cost.count * 10 < gaussian_cost.count
 
 
 def test_apply_sparse_block_validates_alignment():

@@ -205,6 +205,20 @@ def test_kaczmarz_selection_tracks_row_weights():
     assert np.max(np.abs(counts / 20_000 - probs)) <= 0.03
 
 
+def test_kaczmarz_never_samples_zero_rows():
+    # A zero row carries no sampling mass: its cumulative weight equals
+    # the previous row's, so no uniform draw lands on it.
+    a = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [0.5, 0.5]])
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ np.array([1.0, -2.0])))
+    rng = RngState(11)
+    x = RealVector(np.zeros(2))
+    picked = set()
+    for _ in range(10_000):
+        x, i = kaczmarz_step(sy, x, rng)
+        picked.add(i)
+    assert picked == {1, 3, 4}
+
+
 def test_kaczmarz_all_zero_rows_rejected():
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
     with pytest.raises(InputError):
