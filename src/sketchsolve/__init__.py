@@ -26,11 +26,9 @@ from .linalg import (
 from .problems import (
     MODEL_KINDS,
     ModelSpec,
-    export_csv,
     generate_system,
     load_csv_matrix,
     load_system,
-    plant_solution,
     save_system,
 )
 from .rng import RngState
@@ -39,7 +37,6 @@ from .sketch import (
     SketchProvenance,
     SketchSpec,
     SketchedSystem,
-    apply_sparse_block,
     block_sketch,
     gaussian_sketch,
     sparse_gaussian_sketch,
@@ -85,7 +82,6 @@ __all__ = [
     "block_sketch",
     "gaussian_sketch",
     "sparse_gaussian_sketch",
-    "apply_sparse_block",
     "METHODS",
     "CONVERGED",
     "MAX_ITERS",
@@ -104,9 +100,7 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "generate_system",
-    "plant_solution",
     "load_csv_matrix",
-    "export_csv",
     "save_system",
     "load_system",
 ]

@@ -12,8 +12,9 @@ left empty for the unsketched methods.  Reruns with identical arguments
 are byte-identical except the elapsed_ns / time_to_threshold_ns columns.
 
 Trials run serially by default; set SKETCHSOLVE_WORKERS=<k> to fan
-trials out over k processes (output order is unaffected).  A per-time
-compare refuses k > 1, since parallel trials share cores.
+trials out over k processes (output order is unaffected).  A campaign
+that reports times (sweep, compare --mode per-time) refuses k > 1,
+since parallel trials share cores.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,8 @@ from .solvers import (
 )
 
 __all__ = [
-    "ExperimentPlan",
     "TRACE_HEADER",
     "SWEEP_HEADER",
-    "run_compare",
     "run_sweep",
     "main",
 ]
@@ -56,37 +54,6 @@ SWEEP_HEADER = ("s", "trial", "iters_to_threshold", "time_to_threshold_ns")
 _SKETCHED = tuple(_METHOD_KIND)
 
 WORKERS_ENV = "SKETCHSOLVE_WORKERS"
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """A comparison or sweep campaign over one system.
-
-    cells lists (method, s) pairs; s is None for kaczmarz and motzkin.
-    mode picks the summary emphasis: per-iteration or per-time.
-    """
-
-    cells: tuple[tuple[str, int | None], ...]
-    trials: int = 1
-    tol: float = 1e-8
-    max_iters: int = 10_000
-    seed: int = 0
-    mode: str = "per-iteration"
-    record_dense_limit: int = 10_000
-    record_stride: int = 10
-
-    def __post_init__(self):
-        if not self.cells:
-            raise InputError("plan has no (method, s) cells")
-        for method, s in self.cells:
-            if method not in METHODS:
-                raise InputError(f"unknown method {method!r}, expected one of {METHODS}")
-            if method in _SKETCHED and (s is None or s < 1):
-                raise InputError(f"method {method} needs a sketch size, write {method}:<s>")
-        if self.trials < 1:
-            raise InputError(f"trials must be at least 1, got {self.trials}")
-        if self.mode not in ("per-iteration", "per-time"):
-            raise InputError(f"unknown mode {self.mode!r}")
 
 
 def _worker_count() -> int:
@@ -123,6 +90,25 @@ def _run_all(system, configs):
         return list(pool.map(_run_task, configs))
 
 
+def _run_cells(system, cells, trials, seed, timed, **fields):
+    """The one campaign runner: every (method, s) cell for `trials` trials.
+
+    Trial t of every cell uses seed + t, so cells see identical selection
+    randomness; fields are the SolverConfig controls the cells share.
+    Returns one list of traces per cell.  A timed campaign refuses
+    parallel workers, whose trials share cores.
+    """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+    if timed and _worker_count() > 1:
+        raise InputError(f"per-time results need serial trials, since parallel ones share cores and "
+                         f"their times do not compare; unset {WORKERS_ENV} or set it to 1")
+    configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial, **fields)
+               for method, s in cells for trial in range(trials)]
+    traces = _run_all(system, configs)
+    return [traces[i:i + trials] for i in range(0, len(traces), trials)]
+
+
 def _trace_csv_rows(method, s, trial, trace):
     s_text = str(s) if method in _SKETCHED else ""
     for rec in trace.records:
@@ -152,40 +138,18 @@ def _median_text(values, as_int=False):
     return str(int(round(med))) if as_int else f"{med:.6e}"
 
 
-def run_compare(system: LinearSystem, plan: ExperimentPlan):
-    """Run every (method, s) cell for plan.trials trials.
+def run_compare(system: LinearSystem, cells, trials: int, mode: str, seed: int = 0, **fields):
+    """Run every (method, s) cell (s is None for kaczmarz and motzkin) for
+    `trials` trials; fields are the shared SolverConfig controls.
 
-    Returns (csv_rows, summary_lines); trial t of every cell uses seed
-    plan.seed + t, so cells see identical selection randomness.
-    Per-time mode refuses parallel workers, whose trials share cores.
+    Returns (csv_rows, summary_lines); mode picks the summary emphasis,
+    per-iteration or per-time.
     """
-    if plan.mode == "per-time" and _worker_count() > 1:
-        raise InputError(f"--mode per-time needs serial trials, since parallel ones share cores and "
-                         f"their times do not compare; unset {WORKERS_ENV} or set it to 1")
-    record_error = system.x_star is not None
-    tasks = []
-    for method, s in plan.cells:
-        for trial in range(plan.trials):
-            tasks.append(
-                SolverConfig(
-                    method=method,
-                    s=s if s is not None else 1,
-                    max_iters=plan.max_iters,
-                    tol=plan.tol,
-                    seed=plan.seed + trial,
-                    record_error=record_error,
-                    record_dense_limit=plan.record_dense_limit,
-                    record_stride=plan.record_stride,
-                )
-            )
-    traces = _run_all(system, tasks)
-
+    per_time = mode == "per-time"
+    by_cell = _run_cells(system, cells, trials, seed, per_time, record_error=system.x_star is not None, **fields)
     rows = []
     summaries = []
-    index = 0
-    for method, s in plan.cells:
-        cell = traces[index:index + plan.trials]
-        index += plan.trials
+    for (method, s), cell in zip(cells, by_cell):
         for trial, trace in enumerate(cell):
             rows.extend(_trace_csv_rows(method, s, trial, trace))
         iters = [t.final.iter if t.status == CONVERGED else math.inf for t in cell]
@@ -201,10 +165,10 @@ def run_compare(system: LinearSystem, plan: ExperimentPlan):
         parts = [
             f"method={method}",
             f"s={s if s is not None else '-'}",
-            f"trials={plan.trials}",
-            f"converged={converged}/{plan.trials}",
+            f"trials={trials}",
+            f"converged={converged}/{trials}",
         ]
-        if plan.mode == "per-time":
+        if per_time:
             parts.append(f"median_time_s={_median_text(times)}")
         else:
             parts.append(f"median_iters={_median_text(iters, as_int=True)}")
@@ -232,35 +196,16 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
         raise InputError("sweep needs at least one sketch size")
     if not threshold > 0.0:
         raise InputError(f"threshold must be positive, got {threshold}")
-    has_error = system.x_star is not None
-    if has_error:
+    if system.x_star is not None:
         xs = system.x_star.a
-        error_stop = threshold * float(xs @ xs)
-
-    tasks = []
-    for s in s_values:
-        for trial in range(trials):
-            if has_error:
-                config = SolverConfig(
-                    method=method, s=s, max_iters=max_iters, tol=0.0,
-                    seed=seed + trial, record_error=True, error_stop=error_stop,
-                    record_dense_limit=record_dense_limit, record_stride=record_stride,
-                )
-            else:
-                config = SolverConfig(
-                    method=method, s=s, max_iters=max_iters, tol=threshold,
-                    seed=seed + trial,
-                    record_dense_limit=record_dense_limit, record_stride=record_stride,
-                )
-            tasks.append(config)
-    traces = _run_all(system, tasks)
-
+        stop = dict(tol=0.0, record_error=True, error_stop=threshold * float(xs @ xs))
+    else:
+        stop = dict(tol=threshold)
+    by_cell = _run_cells(system, [(method, s) for s in s_values], trials, seed, True, max_iters=max_iters,
+                         record_dense_limit=record_dense_limit, record_stride=record_stride, **stop)
     rows = []
-    index = 0
-    for s in s_values:
-        for trial in range(trials):
-            trace = traces[index]
-            index += 1
+    for s, cell in zip(s_values, by_cell):
+        for trial, trace in enumerate(cell):
             if trace.status == CONVERGED:
                 rows.append((str(s), str(trial), str(trace.final.iter), str(trace.final.elapsed_ns)))
             else:
@@ -272,30 +217,28 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
 # argument plumbing
 
 
-def _load_plan_file(path):
-    options = {}
+def _apply_plan(parser, path):
+    """Make a plan file's `key = value` lines the parser's defaults.
+
+    Explicit flags still win, and argparse converts each value as it
+    would the flag's.  Every key must name a flag of the subcommand, and
+    a flag with choices must get one of them (argparse checks choices
+    only for given flags).
+    """
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            key, eq, value = text.partition("=")
+            key, eq, value = (part.strip() for part in text.partition("="))
             if not eq:
                 raise FormatError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            options[key.strip()] = value.strip()
-    return options
-
-
-def _resolve(cli_value, plan_options, key, default, parse=str):
-    if cli_value is not None:
-        return cli_value
-    if key in plan_options:
-        raw = plan_options[key]
-        try:
-            return parse(raw)
-        except ValueError:
-            raise InputError(f"plan key {key!r}: cannot parse {raw!r}") from None
-    return default
+            action = parser._option_string_actions.get(f"--{key}")
+            if action is None or key in ("help", "plan"):
+                raise InputError(f"{path}:{lineno}: plan key {key!r} names no flag of {parser.prog}")
+            if action.choices is not None and value not in action.choices:
+                raise InputError(f"{path}:{lineno}: plan key {key!r}: {value!r} is not one of {action.choices}")
+            action.default = value
 
 
 def _parse_methods(text):
@@ -315,6 +258,8 @@ def _parse_methods(text):
                 raise InputError(f"bad sketch size in {token!r}") from None
             if name not in _SKETCHED:
                 raise InputError(f"method {name} takes no sketch size")
+        elif name in _SKETCHED:
+            raise InputError(f"method {name} needs a sketch size, write {name}:<s>")
         else:
             s = None
         cells.append((name, s))
@@ -348,21 +293,16 @@ def _load_input_system(args) -> LinearSystem:
     return load_system(args.system)
 
 
-def _resolve_system(args, plan_options) -> LinearSystem:
-    source = _resolve(args.system, plan_options, "system", None)
-    model = _resolve(args.model, plan_options, "model", None)
-    if source is not None and model is not None:
+def _campaign_system(args) -> LinearSystem:
+    if args.system is not None and args.model is not None:
         raise InputError("give either --system or --model, not both")
-    if source is not None:
-        return load_system(source)
-    if model is None:
+    if args.system is not None:
+        return load_system(args.system)
+    if args.model is None:
         raise InputError("no input system: give --system FILE or --model with --rows/--cols")
-    rows = _resolve(args.rows, plan_options, "rows", None, int)
-    cols = _resolve(args.cols, plan_options, "cols", None, int)
-    if rows is None or cols is None:
+    if args.rows is None or args.cols is None:
         raise InputError("--model needs --rows and --cols")
-    model_seed = _resolve(args.model_seed, plan_options, "model-seed", 0, int)
-    return generate_system(ModelSpec(model, rows, cols, model_seed))
+    return generate_system(ModelSpec(args.model, args.rows, args.cols, args.model_seed))
 
 
 def _add_csv_input_flags(parser):
@@ -373,20 +313,22 @@ def _add_csv_input_flags(parser):
     parser.add_argument("--plant-seed", type=int, default=0, help="seed for the planted solution of a CSV matrix")
 
 
-def _add_campaign_flags(parser):
-    """Flags shared by compare and sweep; each unset one falls back to the plan file."""
+def _add_campaign_flags(parser, max_iters, record_dense, record_stride):
+    """Flags shared by compare and sweep, with the subcommand's run-length
+    defaults; a --plan file replaces the defaults of the flags it names."""
     parser.add_argument("--system", default=None)
     parser.add_argument("--model", default=None, choices=("gaussian", "coherent"))
     parser.add_argument("--rows", type=int, default=None)
     parser.add_argument("--cols", type=int, default=None)
-    parser.add_argument("--model-seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--record-dense", type=int, default=None)
-    parser.add_argument("--record-stride", type=int, default=None)
+    parser.add_argument("--model-seed", type=int, default=0)
+    parser.add_argument("--trials", type=int, default=1)
+    parser.add_argument("--max-iters", type=int, default=max_iters)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--record-dense", type=int, default=record_dense)
+    parser.add_argument("--record-stride", type=int, default=record_stride)
     parser.add_argument("--out", default=None)
     parser.add_argument("--plan", default=None, help="key = value file supplying defaults for any flag")
+    parser.set_defaults(campaign_parser=parser)
 
 
 def _print_condition(system):
@@ -441,59 +383,39 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    plan_options = _load_plan_file(args.plan) if args.plan else {}
-    methods_text = _resolve(args.methods, plan_options, "methods", None)
-    if methods_text is None:
+    if args.methods is None:
         raise InputError("no methods given: use --methods or a plan file")
-    out = _resolve(args.out, plan_options, "out", None)
-    if out is None:
+    if args.out is None:
         raise InputError("no output path: use --out or a plan file")
-    system = _resolve_system(args, plan_options)
-    plan = ExperimentPlan(
-        cells=_parse_methods(methods_text),
-        trials=_resolve(args.trials, plan_options, "trials", 1, int),
-        tol=_resolve(args.tol, plan_options, "tol", 1e-8, float),
-        max_iters=_resolve(args.max_iters, plan_options, "max-iters", 10_000, int),
-        seed=_resolve(args.seed, plan_options, "seed", 0, int),
-        mode=_resolve(args.mode, plan_options, "mode", "per-iteration"),
-        record_dense_limit=_resolve(args.record_dense, plan_options, "record-dense", 10_000, int),
-        record_stride=_resolve(args.record_stride, plan_options, "record-stride", 10, int),
+    system = _campaign_system(args)
+    rows, summaries = run_compare(
+        system, _parse_methods(args.methods), args.trials, args.mode, args.seed,
+        max_iters=args.max_iters, tol=args.tol,
+        record_dense_limit=args.record_dense, record_stride=args.record_stride,
     )
-    rows, summaries = run_compare(system, plan)
-    _write_csv(out, TRACE_HEADER, rows)
+    _write_csv(args.out, TRACE_HEADER, rows)
     for line in summaries:
         print(line)
-    print(f"saved: {out}")
+    print(f"saved: {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    plan_options = _load_plan_file(args.plan) if args.plan else {}
-    method = _resolve(args.method, plan_options, "method", None)
-    s_text = _resolve(args.s_list, plan_options, "s-list", None)
-    threshold = _resolve(args.threshold, plan_options, "threshold", None, float)
-    out = _resolve(args.out, plan_options, "out", None)
-    if method is None or s_text is None or threshold is None or out is None:
+    if args.method is None or args.s_list is None or args.threshold is None or args.out is None:
         raise InputError("sweep needs --method, --s-list, --threshold, and --out (flags or plan file)")
-    system = _resolve_system(args, plan_options)
+    system = _campaign_system(args)
     rows = run_sweep(
-        system,
-        method,
-        _parse_s_list(s_text) if isinstance(s_text, str) else s_text,
-        threshold,
-        trials=_resolve(args.trials, plan_options, "trials", 1, int),
-        max_iters=_resolve(args.max_iters, plan_options, "max-iters", 100_000, int),
-        seed=_resolve(args.seed, plan_options, "seed", 0, int),
-        record_dense_limit=_resolve(args.record_dense, plan_options, "record-dense", 2000, int),
-        record_stride=_resolve(args.record_stride, plan_options, "record-stride", 20, int),
+        system, args.method, _parse_s_list(args.s_list), args.threshold,
+        trials=args.trials, max_iters=args.max_iters, seed=args.seed,
+        record_dense_limit=args.record_dense, record_stride=args.record_stride,
     )
-    _write_csv(out, SWEEP_HEADER, rows)
+    _write_csv(args.out, SWEEP_HEADER, rows)
     by_s = {}
     for s, _, iters, _ in rows:
         by_s.setdefault(s, []).append(math.inf if iters == "DNF" else int(iters))
     for s, iters in by_s.items():
         print(f"s={s} trials={len(iters)} median_iters_to_threshold={_median_text(iters, as_int=True)}")
-    print(f"saved: {out}")
+    print(f"saved: {args.out}")
     return 0
 
 
@@ -540,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="run several methods on one system, emit trace CSV")
-    _add_campaign_flags(p)
+    _add_campaign_flags(p, max_iters=10_000, record_dense=10_000, record_stride=10)
     p.add_argument("--methods", default=None, help="comma list, sketched methods take :s (e.g. kaczmarz,gsm:25)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--mode", default=None, choices=("per-iteration", "per-time"))
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--mode", default="per-iteration", choices=("per-iteration", "per-time"))
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="iterations/time to an error threshold across sketch sizes")
-    _add_campaign_flags(p)
+    _add_campaign_flags(p, max_iters=100_000, record_dense=2000, record_stride=20)
     p.add_argument("--method", default=None, choices=_SKETCHED)
     p.add_argument("--s-list", default=None, help="comma list of sketch sizes")
     p.add_argument("--threshold", type=float, default=None, help="relative error (or residual) threshold")
@@ -565,10 +487,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "plan", None):
+            _apply_plan(args.campaign_parser, args.plan)
+            args = parser.parse_args(argv)
+        return int(args.func(args) or 0)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return int(args.func(args) or 0)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

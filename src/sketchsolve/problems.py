@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InputError
-from .linalg import DenseMatrix, RealVector, _own, as_matrix
+from .linalg import DenseMatrix, RealVector, _own
 from .rng import RngState
 from .solvers import LinearSystem
 
@@ -30,9 +30,7 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "generate_system",
-    "plant_solution",
     "load_csv_matrix",
-    "export_csv",
     "save_system",
     "load_system",
 ]
@@ -85,12 +83,6 @@ def generate_system(spec: ModelSpec) -> LinearSystem:
     A = DenseMatrix(_own(arr))
     b, xs = _plant(A, rng)
     return LinearSystem(A, b, xs)
-
-
-def plant_solution(A, seed: int):
-    """Draw x* ~ N(0, I) from the given seed and return (b, x_star) with
-    b = A x* (exactly consistent up to the matvec roundoff)."""
-    return _plant(as_matrix(A), RngState(seed))
 
 
 def load_csv_matrix(
@@ -153,17 +145,6 @@ def load_csv_matrix(
     A = DenseMatrix(_own(full))
     b, xs = _plant(A, RngState(plant_seed))
     return LinearSystem(A, b, xs)
-
-
-def export_csv(system: LinearSystem, path, delimiter: str = ","):
-    """Write [A | b] as delimited text, b last.  Reload with
-    target_column = cols(A).  A planted solution is not representable
-    here; use save_system to keep it."""
-    A, b = system.A.a, system.b.a
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        for i in range(A.shape[0]):
-            writer.writerow([repr(float(v)) for v in A[i]] + [repr(float(b[i]))])
 
 
 def _le_bytes(arr: np.ndarray) -> bytes:

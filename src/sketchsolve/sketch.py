@@ -44,7 +44,6 @@ __all__ = [
     "block_sketch",
     "gaussian_sketch",
     "sparse_gaussian_sketch",
-    "apply_sparse_block",
 ]
 
 SKETCH_KINDS = ("block", "gaussian", "sparse")
@@ -205,19 +204,3 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState, fixed_block: int | Non
     _check_sketch("sparse", s, system.A.rows, fixed_block)
     return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen, fixed_block))
 
-
-def apply_sparse_block(system, x_factor, shift: int) -> SketchedSystem:
-    """Sketch the s-row block of (A, b) starting at `shift` with a given
-    s-by-s factor.  Used for injecting deterministic factors."""
-    X = x_factor if isinstance(x_factor, DenseMatrix) else DenseMatrix(x_factor)
-    if X.rows != X.cols:
-        raise InputError(f"factor must be square, got {X.rows}x{X.cols}")
-    s = X.rows
-    m = system.A.rows
-    _check_sketch("sparse", s, m)
-    if shift % s != 0 or not 0 <= shift <= m - s:
-        raise InputError(f"shift {shift} is not an aligned block start for s={s}, m={m}")
-    Ma = X.a.T @ system.A.a[shift:shift + s]
-    ra = X.a.T @ system.b.a[shift:shift + s]
-    prov = SketchProvenance("sparse", z=shift // s, shift=shift, factor=X)
-    return SketchedSystem(DenseMatrix(_own(Ma)), RealVector(_own(ra)), prov)

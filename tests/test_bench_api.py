@@ -5,6 +5,7 @@ the BLAS thread variables and changes sys.path for the whole session.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import sketchsolve
@@ -13,8 +14,12 @@ import sketchsolve.cli
 MEASURE = Path(__file__).resolve().parents[1] / "bench" / "measure.py"
 
 
+def measure_tree():
+    return ast.parse(MEASURE.read_text(), filename=str(MEASURE))
+
+
 def test_bench_imports_exist():
-    tree = ast.parse(MEASURE.read_text(), filename=str(MEASURE))
+    tree = measure_tree()
     imported = [
         alias.name
         for node in ast.walk(tree)
@@ -26,3 +31,16 @@ def test_bench_imports_exist():
     assert not missing, f"bench/measure.py imports names sketchsolve lacks: {missing}"
     for name in ("run", "run_sweep", "load_system", "main"):
         assert callable(getattr(sketchsolve.cli, name, None)), f"sketchsolve.cli.{name} is missing"
+
+
+def test_bench_run_sweep_calls_bind():
+    calls = [
+        node for node in ast.walk(measure_tree())
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "run_sweep"
+    ]
+    assert calls, "bench/measure.py no longer calls run_sweep"
+    signature = inspect.signature(sketchsolve.cli.run_sweep)
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

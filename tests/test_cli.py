@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import sketchsolve.cli
 from sketchsolve import (
     DenseMatrix,
     LinearSystem,
@@ -20,12 +21,18 @@ from sketchsolve import (
     SolverConfig,
     condition_kappa_tilde,
     generate_system,
+    load_system,
     run,
     save_system,
 )
 from sketchsolve.cli import TRACE_HEADER, main
 
 GAUSS_ARGS = ["--model", "gaussian", "--rows", "40", "--cols", "8", "--model-seed", "3"]
+# What each campaign needs beyond a system and an output path.
+CAMPAIGNS = {
+    "compare": ["--methods", "motzkin"],
+    "sweep": ["--method", "sgsm", "--s-list", "2,8", "--threshold", "1e-4"],
+}
 
 
 def read_csv(path):
@@ -42,6 +49,19 @@ def stdout_value(out, key):
         if line.startswith(key + ":"):
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"no {key!r} line in output:\n{out}")
+
+
+def record_runs(monkeypatch):
+    """Stand in for sketchsolve.cli.run; returns the (system, config) pairs it solved."""
+    seen = []
+    real_run = sketchsolve.cli.run
+
+    def recording(system, config, x0=None):
+        seen.append((system, config))
+        return real_run(system, config, x0)
+
+    monkeypatch.setattr(sketchsolve.cli, "run", recording)
+    return seen
 
 
 def make_binary(tmp_path, name="sys.bin", m=40, n=8, seed=3, kind="gaussian"):
@@ -275,6 +295,83 @@ def test_compare_rejects_sketch_size_on_plain_method(tmp_path, capsys):
     assert code == 2
 
 
+def test_compare_needs_sketch_size_on_sketched_method(tmp_path, capsys):
+    code = main(["compare", *GAUSS_ARGS, "--methods", "kaczmarz,gsm", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "write gsm:<s>" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- compare and sweep
+
+def test_compare_defaults_are_pinned(tmp_path, monkeypatch, capsys):
+    seen = record_runs(monkeypatch)
+    assert main(["compare", "--model", "gaussian", "--rows", "40", "--cols", "8",
+                 "--methods", "motzkin", "--out", str(tmp_path / "c.csv")]) == 0
+    assert "median_iters=" in capsys.readouterr().out  # per-iteration mode
+    [(system, config)] = seen
+    assert np.array_equal(system.A.a, generate_system(ModelSpec("gaussian", 40, 8, 0)).A.a)
+    assert config == SolverConfig("motzkin", s=1, max_iters=10_000, tol=1e-8, seed=0, record_error=True,
+                                  record_dense_limit=10_000, record_stride=10)
+
+
+def test_sweep_defaults_are_pinned(tmp_path, monkeypatch, capsys):
+    seen = record_runs(monkeypatch)
+    assert main(["sweep", "--model", "gaussian", "--rows", "40", "--cols", "8", "--method", "sgsm",
+                 "--s-list", "4", "--threshold", "1e-6", "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    [(system, config)] = seen
+    x_star = generate_system(ModelSpec("gaussian", 40, 8, 0)).x_star.a
+    assert np.array_equal(system.x_star.a, x_star)
+    assert config == SolverConfig("sgsm", s=4, max_iters=100_000, tol=0.0, seed=0, record_error=True,
+                                  error_stop=1e-6 * float(x_star @ x_star),
+                                  record_dense_limit=2000, record_stride=20)
+
+
+def test_campaigns_solve_through_cli_run(tmp_path, monkeypatch, capsys):
+    # The benchmark records every solve by replacing these two module globals.
+    seen = record_runs(monkeypatch)
+    loaded = []
+    monkeypatch.setattr(sketchsolve.cli, "load_system", lambda path: loaded.append(path) or load_system(path))
+    system_path = make_binary(tmp_path)
+    assert main(["compare", "--system", system_path, "--methods", "kaczmarz,skm:4,sgsm:4", "--trials", "2",
+                 "--max-iters", "30", "--tol", "0", "--out", str(tmp_path / "c.csv")]) == 0
+    assert [(c.method, c.seed) for _, c in seen] == [(m, t) for m in ("kaczmarz", "skm", "sgsm") for t in (0, 1)]
+    seen.clear()
+    assert main(["sweep", "--system", system_path, "--method", "sgsm", "--s-list", "2,4", "--threshold", "1e-6",
+                 "--trials", "3", "--seed", "7", "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert [(c.s, c.seed) for _, c in seen] == [(s, 7 + t) for s in (2, 4) for t in range(3)]
+    assert loaded == [system_path, system_path]
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials):
+    out_path = tmp_path / "o.csv"
+    assert main([command, *GAUSS_ARGS, *CAMPAIGNS[command], "--trials", trials, "--out", str(out_path)]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+@pytest.mark.parametrize("line, key", [
+    ("max_iters = 3", "max_iters"),  # the flag is max-iters
+    ("trials = x", "trials"),
+    ("mode = bogus", "mode"),  # a bad choice for compare, no flag of sweep
+    ("method = kaczmarz", "method"),  # a bad choice for sweep, no flag of compare
+])
+def test_plan_bad_key_or_value_is_usage_error(tmp_path, capsys, command, line, key):
+    out_path = tmp_path / "o.csv"
+    flags = CAMPAIGNS[command]
+    plan = tmp_path / "plan.txt"
+    plan.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(flags[::2], flags[1::2]))
+                    + f"model = gaussian\nrows = 40\ncols = 8\nout = {out_path}\n{line}\n")
+    assert main([command, "--plan", str(plan)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key!r}" in err or f"--{key}:" in err  # the plan key, or argparse naming its flag
+    assert not out_path.exists()
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_full_block_equals_max_residual_run(tmp_path, capsys):
@@ -323,6 +420,40 @@ def test_sweep_reports_dnf_when_capped(tmp_path, capsys):
     body = read_csv(out_path)[1:]
     assert all(row[2] == "DNF" and row[3] == "DNF" for row in body)
     assert "median_iters_to_threshold=DNF" in out
+
+
+def test_sweep_plan_file_equals_flags(tmp_path):
+    by_flags, by_plan = tmp_path / "f.csv", tmp_path / "p.csv"
+    assert main(["sweep", *GAUSS_ARGS, "--method", "sgsm", "--s-list", "2,4", "--threshold", "1e-6",
+                 "--trials", "2", "--seed", "5", "--max-iters", "5000", "--record-dense", "100",
+                 "--record-stride", "7", "--out", str(by_flags)]) == 0
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "# sweep defaults\n"
+        "model = gaussian\nrows = 40\ncols = 8\nmodel-seed = 3\n"
+        "method = sgsm\ns-list = 2,4\nthreshold = 1e-6\n"
+        "trials = 2\nseed = 5\nmax-iters = 5000\nrecord-dense = 100\nrecord-stride = 7\n"
+        f"out = {by_plan}\n"
+    )
+    assert main(["sweep", "--plan", str(plan)]) == 0
+    rows = without_elapsed(read_csv(by_flags))
+    assert len(rows) == 5 and all(row[2] != "DNF" for row in rows[1:])
+    assert rows == without_elapsed(read_csv(by_plan))
+
+
+def test_sweep_refuses_parallel_workers(tmp_path, monkeypatch, capsys):
+    # A sweep reports times, so it follows the per-time compare rule.
+    out_path = tmp_path / "s.csv"
+    argv = ["sweep", *GAUSS_ARGS, *CAMPAIGNS["sweep"], "--trials", "2", "--out", str(out_path)]
+    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
+    assert main(argv) == 2
+    sweep_err = capsys.readouterr().err
+    assert not out_path.exists()
+    assert main(["compare", *GAUSS_ARGS, "--methods", "motzkin", "--mode", "per-time",
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == sweep_err
+    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "1")
+    assert main(argv) == 0
 
 
 def test_sweep_rejects_plain_methods(capsys):

@@ -1,8 +1,8 @@
 """Problem generation and persistence tests.
 
 Round-trip checks are bitwise: the binary format stores little-endian
-float64 payloads exactly, and CSV export writes repr() floats, which
-round-trip through Python's parser.
+float64 payloads exactly, and the CSV files written here hold repr()
+floats, which round-trip through Python's parser.
 """
 
 import time
@@ -18,13 +18,15 @@ from sketchsolve import (
     ModelSpec,
     RealVector,
     condition_kappa_tilde,
-    export_csv,
     generate_system,
     load_csv_matrix,
     load_system,
-    plant_solution,
     save_system,
 )
+
+
+def write_csv(path, rows):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
 
 # ------------------------------------------------------------------ models
@@ -80,18 +82,23 @@ def test_coherent_model_is_much_worse_conditioned():
     assert np.median(ratios) > 10.0
 
 
-def test_plant_solution_identity_carries_x_star_to_b():
-    b, x_star = plant_solution(DenseMatrix(np.eye(4)), seed=5)
-    assert np.array_equal(b.a, x_star.a)
+def test_plant_solution_identity_carries_x_star_to_b(tmp_path):
+    path = tmp_path / "eye.csv"
+    write_csv(path, np.eye(4))
+    sy = load_csv_matrix(path, plant_seed=5)
+    assert np.array_equal(sy.b.a, sy.x_star.a)
 
 
-def test_plant_solution_deterministic_and_consistent():
-    a = DenseMatrix(np.random.default_rng(0).standard_normal((100, 20)))
-    b1, x1 = plant_solution(a, seed=3)
-    b2, x2 = plant_solution(a, seed=3)
-    assert np.array_equal(x1.a, x2.a)
-    gap = float(np.linalg.norm(a.a @ x1.a - b1.a))
-    assert gap <= 1e-12 * float(np.linalg.norm(b1.a))
+def test_plant_solution_deterministic_and_consistent(tmp_path):
+    a = np.random.default_rng(0).standard_normal((100, 20))
+    path = tmp_path / "a.csv"
+    write_csv(path, a)
+    first = load_csv_matrix(path, plant_seed=3)
+    second = load_csv_matrix(path, plant_seed=3)
+    assert np.array_equal(first.A.a, a)
+    assert np.array_equal(first.x_star.a, second.x_star.a)
+    gap = float(np.linalg.norm(a @ first.x_star.a - first.b.a))
+    assert gap <= 1e-12 * float(np.linalg.norm(first.b.a))
 
 
 # --------------------------------------------------------------------- csv
@@ -184,7 +191,7 @@ def test_csv_underdetermined_rejected(tmp_path):
 def test_csv_export_reload_round_trip(tmp_path):
     sy = generate_system(ModelSpec("gaussian", 15, 4, seed=8))
     path = tmp_path / "out.csv"
-    export_csv(sy, path)
+    write_csv(path, np.column_stack([sy.A.a, sy.b.a]))
     back = load_csv_matrix(path, target_column=4)
     assert np.array_equal(back.A.a, sy.A.a)
     assert np.array_equal(back.b.a, sy.b.a)

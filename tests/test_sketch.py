@@ -5,6 +5,8 @@ the small factor into a full m-by-s sketch matrix of zeros and multiply
 through. The block sketch must return views of A and b, not copies.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from sketchsolve import (
     RealVector,
     RngState,
     SketchSpec,
-    apply_sparse_block,
     block_sketch,
     frobenius_norm_sq,
     gaussian_sketch,
@@ -180,8 +181,10 @@ def test_sparse_matches_dense_materialization_oracle():
 
 
 def test_sparse_identity_factor_reproduces_block():
+    # A generator whose factor draw is the identity: the sketch is the block itself.
+    identity = SimpleNamespace(gen=SimpleNamespace(standard_normal=lambda shape: np.eye(shape[0])))
     sy = make_system(12, 3, seed=14)
-    got = apply_sparse_block(sy, np.eye(4), shift=8)
+    got = sparse_gaussian_sketch(sy, 4, identity, fixed_block=2)
     assert np.array_equal(got.M.a, sy.A.a[8:12])
     assert np.array_equal(got.r.a, sy.b.a[8:12])
     assert got.provenance.z == 2
@@ -216,11 +219,3 @@ def test_sparse_size_validation():
     sy = make_system(4, 2, seed=18)
     with pytest.raises(InputError):
         sparse_gaussian_sketch(sy, 5, RngState(0))
-
-
-def test_apply_sparse_block_validates_alignment():
-    sy = make_system(12, 3, seed=21)
-    with pytest.raises(InputError):
-        apply_sparse_block(sy, np.eye(4), shift=6)
-    with pytest.raises(InputError):
-        apply_sparse_block(sy, np.ones((2, 3)), shift=0)
