@@ -11,10 +11,8 @@ with error_sq left empty when the system has no planted solution, and s
 left empty for the unsketched methods.  Reruns with identical arguments
 are byte-identical except the elapsed_ns / time_to_threshold_ns columns.
 
-Trials run serially by default; set SKETCHSOLVE_WORKERS=<k> to fan
-trials out over k processes (output order is unaffected).  A campaign
-that reports times (sweep, compare --mode per-time) refuses k > 1,
-since parallel trials share cores.
+Trials run serially in one process, so the times of any two campaigns
+can be compared.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -53,59 +49,20 @@ SWEEP_HEADER = ("s", "trial", "iters_to_threshold", "time_to_threshold_ns")
 
 _SKETCHED = tuple(_METHOD_KIND)
 
-WORKERS_ENV = "SKETCHSOLVE_WORKERS"
 
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InputError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
-
-
-# The system a pool worker solves, set once per worker by _init_worker so
-# that each task ships only its config.
-_worker_system = None
-
-
-def _init_worker(system):
-    global _worker_system
-    _worker_system = system
-
-
-def _run_task(config):
-    return run(_worker_system, config)[1]
-
-
-def _run_all(system, configs):
-    """One trace per config, in order; fans out when workers allow it."""
-    workers = min(_worker_count(), len(configs))
-    if workers == 1:
-        return [run(system, config)[1] for config in configs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(system,)) as pool:
-        return list(pool.map(_run_task, configs))
-
-
-def _run_cells(system, cells, trials, seed, timed, **fields):
+def _run_cells(system, cells, trials, seed, **fields):
     """The one campaign runner: every (method, s) cell for `trials` trials.
 
     Trial t of every cell uses seed + t, so cells see identical selection
     randomness; fields are the SolverConfig controls the cells share.
-    Returns one list of traces per cell.  A timed campaign refuses
-    parallel workers, whose trials share cores.
+    Every config is built before the first solve, so a bad cell fails
+    before any work is done.  Returns one list of traces per cell.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
-    if timed and _worker_count() > 1:
-        raise InputError(f"per-time results need serial trials, since parallel ones share cores and "
-                         f"their times do not compare; unset {WORKERS_ENV} or set it to 1")
     configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial, **fields)
                for method, s in cells for trial in range(trials)]
-    traces = _run_all(system, configs)
+    traces = [run(system, config)[1] for config in configs]
     return [traces[i:i + trials] for i in range(0, len(traces), trials)]
 
 
@@ -146,7 +103,7 @@ def run_compare(system: LinearSystem, cells, trials: int, mode: str, seed: int =
     per-iteration or per-time.
     """
     per_time = mode == "per-time"
-    by_cell = _run_cells(system, cells, trials, seed, per_time, record_error=system.x_star is not None, **fields)
+    by_cell = _run_cells(system, cells, trials, seed, record_error=system.x_star is not None, **fields)
     rows = []
     summaries = []
     for (method, s), cell in zip(cells, by_cell):
@@ -201,7 +158,7 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
         stop = dict(tol=0.0, record_error=True, error_stop=threshold * float(xs @ xs))
     else:
         stop = dict(tol=threshold)
-    by_cell = _run_cells(system, [(method, s) for s in s_values], trials, seed, True, max_iters=max_iters,
+    by_cell = _run_cells(system, [(method, s) for s in s_values], trials, seed, max_iters=max_iters,
                          record_dense_limit=record_dense_limit, record_stride=record_stride, **stop)
     rows = []
     for s, cell in zip(s_values, by_cell):

@@ -62,7 +62,8 @@ _METHOD_KIND = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 
-# A row is unusable for projection when ||row||^2 <= gate * max(1, ||x||^2).
+# A row is unusable for projection when ||row||^2 <= gate * max_i ||a_i||^2,
+# a threshold in the units of A alone (see LinearSystem.zero_row_gate).
 ZERO_ROW_GATE = 1e-14
 
 # Consistency slack for a planted solution: ||A x* - b|| <= slack * (1 + ||b||).
@@ -105,6 +106,11 @@ class LinearSystem:
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
         return _own(np.einsum("ij,ij->i", self.A.a, self.A.a))
+
+    @cached_property
+    def zero_row_gate(self) -> float:
+        """Squared norm at or below which a (sketched) row is treated as zero."""
+        return ZERO_ROW_GATE * float(self.row_norms_sq.max())
 
     @cached_property
     def cum_row_weights(self) -> np.ndarray:
@@ -221,17 +227,13 @@ class StepProvenance:
     chosen: int
 
 
-def _zero_gate(row_sq: float, x_sq: float) -> bool:
-    return row_sq <= ZERO_ROW_GATE * max(1.0, x_sq)
-
-
 def _project_raw(xa, row, beta, row_sq):
     return xa + ((beta - float(row @ xa)) / row_sq) * row
 
 
-def _project(xa, row, beta):
+def _project(xa, row, beta, gate):
     row_sq = float(row @ row)
-    if _zero_gate(row_sq, float(xa @ xa)):
+    if row_sq <= gate:
         raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
     return _project_raw(xa, row, beta, row_sq)
 
@@ -247,7 +249,8 @@ def project_row(x, a, beta: float) -> RealVector:
         raise InputError(f"x and a must have equal length, got {len(x)} and {len(a)}")
     if not np.isfinite(beta):
         raise InputError("beta must be finite")
-    return RealVector(_own(_project(x.a, a.a, float(beta))))
+    gate = ZERO_ROW_GATE * max(1.0, float(x.a @ x.a))
+    return RealVector(_own(_project(x.a, a.a, float(beta), gate)))
 
 
 def select_max_residual(M, r, x) -> int:
@@ -262,23 +265,23 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _motzkin_core(Aa, ba, xa):
+def _motzkin_core(Aa, ba, xa, gate):
     t = Aa @ xa - ba
     i = int(np.argmax(t * t))
     if t[i] == 0.0:
         return xa, i
-    return _project(xa, Aa[i], ba[i]), i
+    return _project(xa, Aa[i], ba[i], gate), i
 
 
-def _kaczmarz_core(Aa, ba, cum, gen, xa):
+def _kaczmarz_core(Aa, ba, cum, gen, xa, gate):
     i = _pick_from_cumulative(gen, cum)
-    return _project(xa, Aa[i], ba[i]), i
+    return _project(xa, Aa[i], ba[i], gate), i
 
 
-def _sketched_core(Aa, ba, kind, s, gen, xa, fixed_block):
+def _sketched_core(Aa, ba, kind, s, gen, xa, fixed_block, gate):
     """One sketched max-residual step on raw arrays.
 
-    A selected row that fails the zero-norm gate (possible for block
+    A selected row whose squared norm is at most gate (possible for block
     sketches of degenerate data) triggers exactly one resample; a second
     failure is an error.  A zero selected residual means the iterate
     already solves the sketched system: x is returned unchanged.
@@ -301,29 +304,32 @@ def _sketched_core(Aa, ba, kind, s, gen, xa, fixed_block):
             return xa, raw, i
         row = raw[0][i]
         row_sq = float(row @ row)
-        if not _zero_gate(row_sq, float(xa @ xa)):
+        if row_sq > gate:
             return _project_raw(xa, row, raw[1][i], row_sq), raw, i
     raise ZeroRowError(f"selected sketched row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
+
+
+def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
+    """The raw array of an iterate for system, checked for length."""
+    x = as_vector(x)
+    if len(x) != system.A.cols:
+        raise InputError(f"{name} has length {len(x)}, expected {system.A.cols}")
+    return x.a
 
 
 def kaczmarz_step(system: LinearSystem, x, rng: RngState):
     """One randomized-Kaczmarz step: sample row i with probability
     ||a_i||^2 / ||A||_F^2, project onto it.  Returns (x_next, i)."""
-    x = as_vector(x)
-    if len(x) != system.A.cols:
-        raise InputError(f"x has length {len(x)}, expected {system.A.cols}")
-    xa, i = _kaczmarz_core(system.A.a, system.b.a, system.cum_row_weights, rng.gen, x.a)
+    xa, i = _kaczmarz_core(system.A.a, system.b.a, system.cum_row_weights, rng.gen, _iterate(system, x),
+                           system.zero_row_gate)
     return RealVector(_own(xa)), i
 
 
 def motzkin_step(system: LinearSystem, x):
     """One max-residual step over all rows (deterministic).  Returns
     (x_next, i); x is returned unchanged when the residual is zero."""
-    x = as_vector(x)
-    if len(x) != system.A.cols:
-        raise InputError(f"x has length {len(x)}, expected {system.A.cols}")
-    xa, i = _motzkin_core(system.A.a, system.b.a, x.a)
-    return RealVector(xa if not xa.flags.writeable else _own(xa)), i
+    xa, i = _motzkin_core(system.A.a, system.b.a, _iterate(system, x), system.zero_row_gate)
+    return RealVector(_own(xa)), i
 
 
 def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngState, fixed_block: int | None = None):
@@ -332,35 +338,34 @@ def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngSta
     Returns (x_next, StepProvenance); the provenance carries the full
     sketched system, so the step can be replayed or audited exactly.
     """
-    x = as_vector(x)
-    if len(x) != system.A.cols:
-        raise InputError(f"x has length {len(x)}, expected {system.A.cols}")
+    xa = _iterate(system, x)
     _check_sketch(spec.kind, spec.s, system.A.rows, fixed_block)
-    xa, raw, i = _sketched_core(system.A.a, system.b.a, spec.kind, spec.s, rng.gen, x.a, fixed_block)
+    xa, raw, i = _sketched_core(system.A.a, system.b.a, spec.kind, spec.s, rng.gen, xa, fixed_block,
+                                system.zero_row_gate)
     prov = StepProvenance(_wrap(spec.kind, raw), i)
-    return RealVector(xa if not xa.flags.writeable else _own(xa)), prov
+    return RealVector(_own(xa)), prov
 
 
 def _make_stepper(system: LinearSystem, config: SolverConfig, gen):
-    Aa, ba = system.A.a, system.b.a
+    Aa, ba, gate = system.A.a, system.b.a, system.zero_row_gate
     if config.method == "kaczmarz":
         cum = system.cum_row_weights
 
         def step(xa):
-            return _kaczmarz_core(Aa, ba, cum, gen, xa)[0]
+            return _kaczmarz_core(Aa, ba, cum, gen, xa, gate)[0]
 
         return step
     if config.method == "motzkin":
 
         def step(xa):
-            return _motzkin_core(Aa, ba, xa)[0]
+            return _motzkin_core(Aa, ba, xa, gate)[0]
 
         return step
     kind = _METHOD_KIND[config.method]
     s, fixed = config.s, config.fixed_block
 
     def step(xa):
-        return _sketched_core(Aa, ba, kind, s, gen, xa, fixed)[0]
+        return _sketched_core(Aa, ba, kind, s, gen, xa, fixed, gate)[0]
 
     return step
 
@@ -387,13 +392,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     """
     _validate_run(system, config)
     Aa, ba = system.A.a, system.b.a
-    if x0 is None:
-        xa = np.zeros(system.A.cols)
-    else:
-        x0 = as_vector(x0)
-        if len(x0) != system.A.cols:
-            raise InputError(f"x0 has length {len(x0)}, expected {system.A.cols}")
-        xa = x0.a
+    xa = np.zeros(system.A.cols) if x0 is None else _iterate(system, x0, "x0")
     xs = system.x_star.a if config.record_error else None
 
     threshold = config.tol * (1.0 + system.b_norm)
@@ -429,8 +428,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 if snapshot(k, xa):
                     status = CONVERGED
                     break
-    x = RealVector(xa if not xa.flags.writeable else _own(xa))
-    return x, RunTrace(tuple(records), status)
+    return RealVector(_own(xa)), RunTrace(tuple(records), status)
 
 
 def contraction_summary(trace: RunTrace) -> float:

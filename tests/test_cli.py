@@ -231,57 +231,6 @@ def test_compare_explicit_flag_beats_plan(tmp_path):
     assert trials == {"0"}
 
 
-def test_compare_workers_env_matches_serial(tmp_path, monkeypatch):
-    system_path = make_binary(tmp_path, m=30, n=5, seed=21)
-    serial, fanned = tmp_path / "serial.csv", tmp_path / "fanned.csv"
-    argv = ["compare", "--system", system_path, "--methods", "kaczmarz,sgsm:3,gsm:3",
-            "--trials", "2", "--max-iters", "40", "--tol", "0"]
-    assert main(argv + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
-    assert main(argv + ["--out", str(fanned)]) == 0
-    assert without_elapsed(read_csv(serial)) == without_elapsed(read_csv(fanned))
-
-
-def test_compare_workers_receive_the_system_once(tmp_path, monkeypatch):
-    # Pool tasks carry only their config; the system reaches each worker
-    # once, through the pool initializer.
-    system_path = make_binary(tmp_path, m=30, n=5, seed=21)
-    pickled = []
-
-    def counting_reduce(self, protocol):
-        pickled.append(self)
-        return object.__reduce_ex__(self, protocol)
-
-    monkeypatch.setattr(LinearSystem, "__reduce_ex__", counting_reduce)
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
-    assert main(["compare", "--system", system_path, "--methods", "kaczmarz,gsm:3", "--trials", "4",
-                 "--max-iters", "20", "--tol", "0", "--out", str(tmp_path / "c.csv")]) == 0
-    assert len(pickled) <= 2
-
-
-def test_compare_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
-    system_path = make_binary(tmp_path)
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "zero")
-    code = main(["compare", "--system", system_path, "--methods", "motzkin",
-                 "--max-iters", "5", "--tol", "0", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "SKETCHSOLVE_WORKERS" in capsys.readouterr().err
-
-
-def test_compare_per_time_refuses_parallel_workers(tmp_path, monkeypatch, capsys):
-    # Parallel trials share cores, so their times do not compare with serial ones.
-    out_path = tmp_path / "t.csv"
-    argv = ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4", "--mode", "per-time",
-            "--max-iters", "20", "--tol", "0", "--out", str(out_path)]
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
-    assert main(argv) == 2
-    assert "per-time" in capsys.readouterr().err
-    assert not out_path.exists()
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "1")
-    assert main(argv) == 0
-    assert "median_time_s=" in capsys.readouterr().out
-
-
 def test_compare_requires_methods(tmp_path, capsys):
     code = main(["compare", *GAUSS_ARGS, "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()
@@ -342,6 +291,35 @@ def test_campaigns_solve_through_cli_run(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert [(c.s, c.seed) for _, c in seen] == [(s, 7 + t) for s in (2, 4) for t in range(3)]
     assert loaded == [system_path, system_path]
+
+
+def test_campaign_checks_every_cell_before_solving(tmp_path, monkeypatch, capsys):
+    seen = record_runs(monkeypatch)
+    out_path = tmp_path / "c.csv"
+    assert main(["compare", *GAUSS_ARGS, "--methods", "kaczmarz,gsm:0", "--out", str(out_path)]) == 2
+    assert "sketch size must be at least 1" in capsys.readouterr().err
+    assert seen == []  # the valid kaczmarz cell comes first, yet nothing was solved
+    assert not out_path.exists()
+
+
+def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys):
+    # Campaigns run serially whatever SKETCHSOLVE_WORKERS says, and report times.
+    timed = {
+        "compare": ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4", "--mode", "per-time",
+                    "--trials", "2", "--max-iters", "20", "--tol", "0"],
+        "sweep": ["sweep", *GAUSS_ARGS, *CAMPAIGNS["sweep"], "--trials", "2"],
+    }
+    for command, argv in timed.items():
+        serial, env_set = tmp_path / f"{command}-serial.csv", tmp_path / f"{command}-env.csv"
+        monkeypatch.delenv("SKETCHSOLVE_WORKERS", raising=False)
+        assert main(argv + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
+        assert main(argv + ["--out", str(env_set)]) == 0
+        out = capsys.readouterr().out
+        assert without_elapsed(read_csv(env_set)) == without_elapsed(read_csv(serial))
+        if command == "compare":
+            assert "median_time_s=" in out
 
 
 @pytest.mark.parametrize("command", sorted(CAMPAIGNS))
@@ -439,21 +417,6 @@ def test_sweep_plan_file_equals_flags(tmp_path):
     rows = without_elapsed(read_csv(by_flags))
     assert len(rows) == 5 and all(row[2] != "DNF" for row in rows[1:])
     assert rows == without_elapsed(read_csv(by_plan))
-
-
-def test_sweep_refuses_parallel_workers(tmp_path, monkeypatch, capsys):
-    # A sweep reports times, so it follows the per-time compare rule.
-    out_path = tmp_path / "s.csv"
-    argv = ["sweep", *GAUSS_ARGS, *CAMPAIGNS["sweep"], "--trials", "2", "--out", str(out_path)]
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "2")
-    assert main(argv) == 2
-    sweep_err = capsys.readouterr().err
-    assert not out_path.exists()
-    assert main(["compare", *GAUSS_ARGS, "--methods", "motzkin", "--mode", "per-time",
-                 "--out", str(tmp_path / "c.csv")]) == 2
-    assert capsys.readouterr().err == sweep_err
-    monkeypatch.setenv("SKETCHSOLVE_WORKERS", "1")
-    assert main(argv) == 0
 
 
 def test_sweep_rejects_plain_methods(capsys):

@@ -18,6 +18,7 @@ from sketchsolve import (
     DenseMatrix,
     InputError,
     LinearSystem,
+    ModelSpec,
     RealVector,
     RngState,
     RunTrace,
@@ -27,6 +28,7 @@ from sketchsolve import (
     ZeroRowError,
     contraction_summary,
     gaussian_sketch,
+    generate_system,
     kaczmarz_step,
     motzkin_step,
     project_row,
@@ -622,6 +624,21 @@ def test_run_zero_row_error_names_iteration():
     seed = next(s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 0])
     with pytest.raises(ZeroRowError, match="iteration 1"):
         run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=10, seed=seed))
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_run_is_invariant_under_power_of_two_scaling(method):
+    # Scaling (A, b) by 2^k is exact in floating point and leaves x* fixed,
+    # so any difference in the iterates is a threshold in the wrong units.
+    base = generate_system(ModelSpec("gaussian", 200, 20, 0))
+    config = SolverConfig(method, s=10, tol=0.0, max_iters=300, record_error=True)
+    x_base, t_base = run(base, config)
+    for k in (-30, -10, 10, 30):
+        scale = 2.0 ** k
+        scaled = LinearSystem(DenseMatrix(scale * base.A.a), RealVector(scale * base.b.a), base.x_star)
+        x, trace = run(scaled, config)
+        assert np.array_equal(x.a, x_base.a), k
+        assert [r.error_sq for r in trace.records] == [r.error_sq for r in t_base.records], k
 
 
 def test_run_validation_errors():
