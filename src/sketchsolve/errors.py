@@ -5,6 +5,8 @@ and the categories disjoint: bad caller input, bad file content, and
 numerical breakdown are different failures.
 """
 
+__all__ = ["SketchsolveError", "InputError", "FormatError", "RankDeficientError", "ZeroRowError"]
+
 
 class SketchsolveError(Exception):
     """Base class for all errors raised by this package."""

@@ -20,8 +20,6 @@ __all__ = [
     "DenseMatrix",
     "RealVector",
     "ConditionStats",
-    "as_matrix",
-    "as_vector",
     "frobenius_norm_sq",
     "smallest_singular_value",
     "condition_kappa_tilde",

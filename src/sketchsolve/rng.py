@@ -12,7 +12,11 @@ Stream-consumption conventions (they matter for replay):
     factor entries (see sketch.py);
   * a gsm solver step draws, per attempt, s normals u first (the winner
     is argmax u^2), then m normals g for the winning sketch column; it
-    never draws the m-by-s sketch (see sketch.py).
+    never draws the m-by-s sketch (see sketch.py);
+  * a solver step whose selected row has (near-)zero norm reselects once,
+    and the reselection takes a second selection draw (one more uniform
+    for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
+    nothing).
 """
 
 from __future__ import annotations

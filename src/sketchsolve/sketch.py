@@ -12,8 +12,9 @@ A sketch compresses the m-row system (A, b) to an s-row system
               Theta(s^2*n) multiplies while still mixing rows.
 
 Block placement is aligned: the block index z is uniform on
-{0, ..., floor(m/s) - 1} and the block covers rows [s*z, s*z + s).
-When s does not divide m the trailing m mod s rows are never sampled.
+{0, ..., ceil(m/s) - 1} and the block covers rows [shift, shift + s)
+with shift = min(s*z, m - s).  When s does not divide m the last block
+is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 
 Draw order per sketch: block index first (when the kind has one and it
 is not pinned), then the Gaussian factor entries in row-major order.
@@ -55,8 +56,8 @@ def _check_sketch(kind: str, s: int, m: int | None = None, fixed_block: int | No
     kind must be a sketch family and s at least 1; fixed_block (pinning
     the block index) applies only to sparse sketches and must be
     nonnegative.  Once the row count m is known, block and sparse sketches
-    also need s <= m (their s rows come from A) and fixed_block < m // s
-    (the number of aligned blocks); a Gaussian sketch may exceed m.
+    also need s <= m (their s rows come from A) and fixed_block < ceil(m / s)
+    (the number of blocks); a Gaussian sketch may exceed m.
     """
     if kind not in SKETCH_KINDS:
         raise InputError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
@@ -67,7 +68,7 @@ def _check_sketch(kind: str, s: int, m: int | None = None, fixed_block: int | No
     if m is not None and kind != "gaussian" and s > m:
         raise InputError(f"sketch size {s} exceeds row count {m}")
     if fixed_block is not None:
-        blocks = "m // s" if m is None else m // s
+        blocks = "ceil(m / s)" if m is None else -(-m // s)
         if fixed_block < 0 or (m is not None and fixed_block >= blocks):
             raise InputError(f"fixed_block {fixed_block} out of range [0, {blocks})")
 
@@ -87,8 +88,9 @@ class SketchSpec:
 @dataclass(frozen=True, eq=False)
 class SketchProvenance:
     """What randomness produced a sketch: the block index z and row shift
-    s*z (block and sparse kinds), and the Gaussian factor (S for gaussian,
-    X for sparse).  Enough to rematerialize the sketch exactly."""
+    min(s*z, m - s) (block and sparse kinds), and the Gaussian factor (S
+    for gaussian, X for sparse).  Enough to rematerialize the sketch
+    exactly."""
 
     kind: str
     z: int | None = None
@@ -116,16 +118,10 @@ def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
     consume the random stream identically.
     """
     m = Aa.shape[0]
+    z = int(gen.integers(-(-m // s))) if fixed_block is None else fixed_block
+    shift = min(s * z, m - s)
     if kind == "block":
-        z = int(gen.integers(m // s))
-        shift = s * z
         return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
-    # sparse
-    if fixed_block is None:
-        z = int(gen.integers(m // s))
-    else:
-        z = fixed_block
-    shift = s * z
     X = gen.standard_normal((s, s))
     return X.T @ Aa[shift:shift + s], X.T @ ba[shift:shift + s], z, shift, X
 
@@ -142,9 +138,10 @@ def _gaussian_winner_raw(Aa, ba, res, s, gen):
     winning column the same law as in the materialized sketch.  When res
     is zero every column is N(0, I) and S_j* = g.
 
-    Returns (raw, t): raw is a one-row sketch (Ma, ra, None, None, F) with
-    F the m-by-1 winning column, Ma = F^T A and ra = F^T b; t is the
-    winner's sketched residual u_j* ||res||.
+    Returns (t, raw, 0) in the solver's select(x) shape: t is the
+    winner's sketched residual u_j* ||res||, and raw is a one-row sketch
+    (Ma, ra, None, None, F) with F the m-by-1 winning column, Ma = F^T A
+    and ra = F^T b.
     """
     u = gen.standard_normal(s)
     u_star = float(u[int(np.argmax(u * u))])
@@ -155,7 +152,7 @@ def _gaussian_winner_raw(Aa, ba, res, s, gen):
         t = u_star * math.sqrt(res_sq)
         g += ((t - float(g @ res)) / res_sq) * res
     F = g[:, None]
-    return (F.T @ Aa, F.T @ ba, None, None, F), t
+    return t, (F.T @ Aa, F.T @ ba, None, None, F), 0
 
 
 def _wrap(kind, raw) -> SketchedSystem:

@@ -1,19 +1,27 @@
 """Row-projection solvers for consistent overdetermined linear systems.
 
-All five methods share one primitive: project the iterate onto the
-hyperplane of a single row, x <- x + ((b_i - <a_i, x>) / ||a_i||^2) a_i.
-They differ only in how the row is chosen:
+All five methods are one select-then-project step: draw a system (A
+itself, one row of A, a block of A, or a sketch of A), select one of its
+rows, and project the iterate onto that row's hyperplane,
+x <- x + ((b_i - <a_i, x>) / ||a_i||^2) a_i.  They differ only in the
+selection rule (_selector):
 
   * kaczmarz: random row, probability proportional to ||a_i||^2;
   * motzkin:  the row with the largest squared residual (deterministic);
-  * skm:      max-residual row within a random aligned block of A;
+  * skm:      max-residual row within a random block of s rows of A;
   * gsm:      max-residual row of a fresh dense Gaussian sketch S^T A,
               drawn without materializing S: each attempt draws s
               normals u (the sketched residuals over ||A x - b||) first,
               then m normals g for the winning column alone, so a step
               costs Theta(m*n + m + s) (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
-              Gaussian mix of one random aligned block).
+              Gaussian mix of one random block).
+
+The step (_step) applies one rule to every method: a zero selected
+residual leaves x unchanged (the iterate already solves the drawn
+system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
+reselected once, with fresh draws, and a second such row raises
+ZeroRowError.  run() and the public step functions share this path.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -58,6 +66,7 @@ METHODS = ("kaczmarz", "motzkin", "skm", "gsm", "sgsm")
 
 # Sketch family behind each sketched method.
 _METHOD_KIND = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}
+_KIND_METHOD = {kind: method for method, kind in _METHOD_KIND.items()}
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -65,6 +74,10 @@ MAX_ITERS = "max_iters"
 # A row is unusable for projection when ||row||^2 <= gate * max_i ||a_i||^2,
 # a threshold in the units of A alone (see LinearSystem.zero_row_gate).
 ZERO_ROW_GATE = 1e-14
+
+# The residual a selector reports when it computes none (kaczmarz): NaN
+# never equals 0.0, so the step never takes it for a solved row.
+_NO_RESIDUAL = float("nan")
 
 # Consistency slack for a planted solution: ||A x* - b|| <= slack * (1 + ||b||).
 CONSISTENCY_TOL = 1e-10
@@ -134,9 +147,10 @@ class SolverConfig:
     """Method choice and run controls.
 
     s is the sketch size (ignored by kaczmarz and motzkin).  fixed_block
-    pins the sparse sketch to one aligned block index (sgsm only).  The
-    trace records every iteration up to record_dense_limit, then every
-    record_stride-th; the stopping rules are checked at record points.
+    pins the sparse sketch to one aligned block index in [0, ceil(m/s))
+    (sgsm only).  The trace records every iteration up to
+    record_dense_limit, then every record_stride-th; the stopping rules
+    are checked at record points.
     error_stop, when set, additionally stops the run once the recorded
     squared error drops to that absolute value (requires record_error).
     """
@@ -231,13 +245,6 @@ def _project_raw(xa, row, beta, row_sq):
     return xa + ((beta - float(row @ xa)) / row_sq) * row
 
 
-def _project(xa, row, beta, gate):
-    row_sq = float(row @ row)
-    if row_sq <= gate:
-        raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
-    return _project_raw(xa, row, beta, row_sq)
-
-
 def project_row(x, a, beta: float) -> RealVector:
     """Orthogonal projection of x onto the hyperplane {y : <a, y> = beta}.
 
@@ -249,8 +256,10 @@ def project_row(x, a, beta: float) -> RealVector:
         raise InputError(f"x and a must have equal length, got {len(x)} and {len(a)}")
     if not np.isfinite(beta):
         raise InputError("beta must be finite")
-    gate = ZERO_ROW_GATE * max(1.0, float(x.a @ x.a))
-    return RealVector(_own(_project(x.a, a.a, float(beta), gate)))
+    row_sq = float(a.a @ a.a)
+    if row_sq <= ZERO_ROW_GATE * max(1.0, float(x.a @ x.a)):
+        raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
+    return RealVector(_own(_project_raw(x.a, a.a, float(beta), row_sq)))
 
 
 def select_max_residual(M, r, x) -> int:
@@ -265,48 +274,61 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _motzkin_core(Aa, ba, xa, gate):
-    t = Aa @ xa - ba
-    i = int(np.argmax(t * t))
-    if t[i] == 0.0:
-        return xa, i
-    return _project(xa, Aa[i], ba[i], gate), i
+def _selector(system: LinearSystem, method: str, s: int, gen, fixed_block: int | None):
+    """The row-selection rule of one method, as select(x) -> (t, raw, i).
 
-
-def _kaczmarz_core(Aa, ba, cum, gen, xa, gate):
-    i = _pick_from_cumulative(gen, cum)
-    return _project(xa, Aa[i], ba[i], gate), i
-
-
-def _sketched_core(Aa, ba, kind, s, gen, xa, fixed_block, gate):
-    """One sketched max-residual step on raw arrays.
-
-    A selected row whose squared norm is at most gate (possible for block
-    sketches of degenerate data) triggers exactly one resample; a second
-    failure is an error.  A zero selected residual means the iterate
-    already solves the sketched system: x is returned unchanged.
-
-    gsm never builds its m-by-s sketch: each attempt draws only the
-    winning column (see sketch._gaussian_winner_raw), so its raw sketch
-    has one row and the chosen index is 0.
+    The chosen row is raw[0][i] with right-hand side raw[1][i], and t is
+    its residual.  raw is (A, b) for kaczmarz and motzkin and the step's
+    raw sketch (Ma, ra, z, shift, factor) otherwise; kaczmarz computes
+    no residual and returns t = _NO_RESIDUAL.
+    A sketched method's (kind, s, m, fixed_block) is checked here, before
+    any draw.  The Kaczmarz sampling table is read at the first draw, so
+    building a selector never fails on an all-zero A.
     """
-    res = Aa @ xa - ba if kind == "gaussian" else None
-    for _ in range(2):
-        if res is None:
-            raw = _build_raw(Aa, ba, kind, s, gen, fixed_block)
-            t = raw[0] @ xa - raw[1]
-            i = int(np.argmax(t * t))
-            t_i = t[i]
-        else:
-            raw, t_i = _gaussian_winner_raw(Aa, ba, res, s, gen)
-            i = 0
-        if t_i == 0.0:
+    Aa, ba = system.A.a, system.b.a
+    whole = (Aa, ba)
+    kind = _METHOD_KIND.get(method)
+    if kind is not None:
+        _check_sketch(kind, s, system.A.rows, fixed_block)
+    if method == "kaczmarz":
+
+        def select(xa):
+            return _NO_RESIDUAL, whole, _pick_from_cumulative(gen, system.cum_row_weights)
+
+        return select
+    if method == "gsm":
+
+        def select(xa):
+            return _gaussian_winner_raw(Aa, ba, Aa @ xa - ba, s, gen)
+
+        return select
+
+    def select(xa):
+        raw = whole if kind is None else _build_raw(Aa, ba, kind, s, gen, fixed_block)
+        t = raw[0] @ xa - raw[1]
+        i = int(np.argmax(t * t))
+        return t[i], raw, i
+
+    return select
+
+
+def _step(select, xa, gate):
+    """One select-then-project step: (x_next, raw, i) with the row of
+    select(x).
+
+    A zero residual returns x unchanged.  A row with ||row||^2 <= gate
+    (gate = LinearSystem.zero_row_gate) gets exactly one reselection; a
+    second such row raises ZeroRowError.
+    """
+    for _ in (0, 1):
+        t, raw, i = select(xa)
+        if t == 0.0:
             return xa, raw, i
         row = raw[0][i]
         row_sq = float(row @ row)
         if row_sq > gate:
             return _project_raw(xa, row, raw[1][i], row_sq), raw, i
-    raise ZeroRowError(f"selected sketched row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
+    raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 
 def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
@@ -320,15 +342,15 @@ def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
 def kaczmarz_step(system: LinearSystem, x, rng: RngState):
     """One randomized-Kaczmarz step: sample row i with probability
     ||a_i||^2 / ||A||_F^2, project onto it.  Returns (x_next, i)."""
-    xa, i = _kaczmarz_core(system.A.a, system.b.a, system.cum_row_weights, rng.gen, _iterate(system, x),
-                           system.zero_row_gate)
+    select = _selector(system, "kaczmarz", 1, rng.gen, None)
+    xa, _, i = _step(select, _iterate(system, x), system.zero_row_gate)
     return RealVector(_own(xa)), i
 
 
 def motzkin_step(system: LinearSystem, x):
     """One max-residual step over all rows (deterministic).  Returns
     (x_next, i); x is returned unchanged when the residual is zero."""
-    xa, i = _motzkin_core(system.A.a, system.b.a, _iterate(system, x), system.zero_row_gate)
+    xa, _, i = _step(_selector(system, "motzkin", 1, None, None), _iterate(system, x), system.zero_row_gate)
     return RealVector(_own(xa)), i
 
 
@@ -339,42 +361,9 @@ def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngSta
     sketched system, so the step can be replayed or audited exactly.
     """
     xa = _iterate(system, x)
-    _check_sketch(spec.kind, spec.s, system.A.rows, fixed_block)
-    xa, raw, i = _sketched_core(system.A.a, system.b.a, spec.kind, spec.s, rng.gen, xa, fixed_block,
-                                system.zero_row_gate)
-    prov = StepProvenance(_wrap(spec.kind, raw), i)
-    return RealVector(_own(xa)), prov
-
-
-def _make_stepper(system: LinearSystem, config: SolverConfig, gen):
-    Aa, ba, gate = system.A.a, system.b.a, system.zero_row_gate
-    if config.method == "kaczmarz":
-        cum = system.cum_row_weights
-
-        def step(xa):
-            return _kaczmarz_core(Aa, ba, cum, gen, xa, gate)[0]
-
-        return step
-    if config.method == "motzkin":
-
-        def step(xa):
-            return _motzkin_core(Aa, ba, xa, gate)[0]
-
-        return step
-    kind = _METHOD_KIND[config.method]
-    s, fixed = config.s, config.fixed_block
-
-    def step(xa):
-        return _sketched_core(Aa, ba, kind, s, gen, xa, fixed, gate)[0]
-
-    return step
-
-
-def _validate_run(system: LinearSystem, config: SolverConfig):
-    if config.method in _METHOD_KIND:
-        _check_sketch(_METHOD_KIND[config.method], config.s, system.A.rows, config.fixed_block)
-    if config.record_error and system.x_star is None:
-        raise InputError("record_error requires a system with a planted solution")
+    select = _selector(system, _KIND_METHOD[spec.kind], spec.s, rng.gen, fixed_block)
+    xa, raw, i = _step(select, xa, system.zero_row_gate)
+    return RealVector(_own(xa)), StepProvenance(_wrap(spec.kind, raw), i)
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):
@@ -390,7 +379,10 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
     """
-    _validate_run(system, config)
+    gen = RngState(config.seed).gen
+    select = _selector(system, config.method, config.s, gen, config.fixed_block)
+    if config.record_error and system.x_star is None:
+        raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a
     xa = np.zeros(system.A.cols) if x0 is None else _iterate(system, x0, "x0")
     xs = system.x_star.a if config.record_error else None
@@ -416,12 +408,11 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     if snapshot(0, xa):
         status = CONVERGED
     else:
-        gen = RngState(config.seed).gen
-        step = _make_stepper(system, config, gen)
+        gate = system.zero_row_gate
         dense, stride = config.record_dense_limit, config.record_stride
         for k in range(1, config.max_iters + 1):
             try:
-                xa = step(xa)
+                xa = _step(select, xa, gate)[0]
             except ZeroRowError as exc:
                 raise ZeroRowError(f"iteration {k}: {exc}") from exc
             if k <= dense or k % stride == 0 or k == config.max_iters:

@@ -83,8 +83,9 @@ def test_block_last_aligned_block_is_final_rows():
         pytest.fail("no seed in range drew block index 2")
 
 
-def test_block_shift_coverage_and_trailing_rows_unsampled():
-    # m=10, s=3: three aligned blocks (rows 0..8); row 9 is never sampled.
+def test_block_shift_coverage_reaches_trailing_rows():
+    # m=10, s=3: four blocks, the last one [7, 10) overlapping block 2, so
+    # row 9 is sampled too.
     sy = make_system(10, 2, seed=3)
     rng = RngState(17)
     seen = set()
@@ -92,9 +93,10 @@ def test_block_shift_coverage_and_trailing_rows_unsampled():
         got = block_sketch(sy, 3, rng)
         z = got.provenance.z
         seen.add(z)
-        assert got.provenance.shift == 3 * z
-        assert 0 <= z <= 2
-    assert seen == {0, 1, 2}
+        assert got.provenance.shift == min(3 * z, 7)
+        assert np.array_equal(got.M.a, sy.A.a[got.provenance.shift:got.provenance.shift + 3])
+        assert 0 <= z <= 3
+    assert seen == {0, 1, 2, 3}
 
 
 def test_block_size_validation():
@@ -208,9 +210,11 @@ def test_sparse_fixed_block_pins_shift_and_skips_index_draw():
 
 
 def test_sparse_fixed_block_range_check():
+    # m=10, s=3: ceil(10 / 3) = 4 blocks; the last one is rows [7, 10).
     sy = make_system(10, 2, seed=17)
+    assert sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=3).provenance.shift == 7
     with pytest.raises(InputError):
-        sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=3)
+        sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=4)
     with pytest.raises(InputError):
         sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=-1)
 

@@ -8,6 +8,7 @@ the arithmetic is exact, so unchanged iterates can be compared bitwise).
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,6 +226,19 @@ def test_kaczmarz_all_zero_rows_rejected():
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
     with pytest.raises(InputError):
         kaczmarz_step(sy, RealVector([0.0, 0.0]), RngState(0))
+
+
+def test_kaczmarz_near_zero_row_is_reselected_once():
+    # ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2: the first
+    # uniform (0.0) lands on row 0, the reselection (0.75) on row 2.
+    a = np.array([[1e-8, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ np.array([1.0, 2.0])))
+    uniforms = iter([0.0, 0.75])
+    rng = RngState(0)
+    rng.gen = SimpleNamespace(random=lambda: next(uniforms))
+    x1, i = kaczmarz_step(sy, RealVector([0.0, 0.0]), rng)
+    assert i == 2
+    assert x1.a.tolist() == [0.0, 2.0]
 
 
 # ----------------------------------------------------------------- motzkin
@@ -509,6 +523,11 @@ def test_run_zero_rhs_converges_immediately():
     assert trace.status == CONVERGED
     assert trace.final.iter == 0
     assert np.all(x.a == 0.0)
+    # An all-zero A has no Kaczmarz sampling table, but b = 0 stops the run first.
+    zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector(np.zeros(3)))
+    for method in METHOD_NAMES:
+        _, trace = run(zero, SolverConfig(method, s=2))
+        assert trace.status == CONVERGED and trace.final.iter == 0, method
 
 
 def test_run_identity_motzkin_converges_in_dimension_steps():
@@ -536,6 +555,18 @@ def test_run_converges_for_every_method():
         assert np.max(np.abs(x.a - sy.x_star.a)) <= 1e-6
         errors = [r.error_sq for r in trace.records]
         assert errors[-1] <= errors[0]
+
+
+def test_run_reaches_trailing_rows_for_every_method():
+    # m = 11, s = 2: only row 10 carries e_2, so a block law that never
+    # draws the trailing row leaves x_2 at 0 forever.
+    a = np.vstack([np.tile([1.0, 0.0], (10, 1)), [0.0, 1.0]])
+    x_star = np.array([1.0, 2.0])
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
+    for method in METHOD_NAMES:
+        x, trace = run(sy, SolverConfig(method, s=2, tol=1e-10, max_iters=5000))
+        assert trace.status == CONVERGED, method
+        assert np.max(np.abs(x.a - x_star)) <= 1e-8, method
 
 
 def test_run_matches_manual_step_composition():
@@ -647,8 +678,13 @@ def test_run_validation_errors():
         run(sy, SolverConfig("motzkin", record_error=True))
     with pytest.raises(InputError):
         run(sy, SolverConfig("skm", s=11))
+    # The sketch is checked before iteration 0, even for a run that would stop there.
+    solved = make_system(10, 2, seed=78)
     with pytest.raises(InputError):
-        run(sy, SolverConfig("sgsm", s=4, fixed_block=2))
+        run(solved, SolverConfig("skm", s=11), x0=solved.x_star)
+    # m = 10, s = 4: blocks 0, 1, 2 (ceil(10 / 4) = 3), so index 3 is out of range.
+    with pytest.raises(InputError):
+        run(sy, SolverConfig("sgsm", s=4, fixed_block=3))
     with pytest.raises(InputError):
         run(sy, SolverConfig("motzkin"), x0=RealVector([1.0, 2.0, 3.0]))
 
