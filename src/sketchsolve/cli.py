@@ -319,7 +319,6 @@ def cmd_solve(args) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
         seed=args.seed,
-        fixed_block=args.fixed_block,
         record_error=system.x_star is not None,
         record_dense_limit=args.record_dense,
         record_stride=args.record_stride,
@@ -412,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixed-block", type=int, default=None, help="pin the sgsm block index")
     p.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
     p.add_argument("--record-dense", type=int, default=10_000)
     p.add_argument("--record-stride", type=int, default=10)

@@ -5,6 +5,8 @@ and the categories disjoint: bad caller input, bad file content, and
 numerical breakdown are different failures.
 """
 
+import operator
+
 __all__ = ["SketchsolveError", "InputError", "FormatError", "RankDeficientError", "ZeroRowError"]
 
 
@@ -26,3 +28,11 @@ class RankDeficientError(SketchsolveError):
 
 class ZeroRowError(SketchsolveError):
     """A projection target row has (near-)zero norm."""
+
+
+def _index(value, name: str) -> int:
+    """value as an int (numpy integers pass); InputError for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

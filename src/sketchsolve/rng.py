@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _index
 
 __all__ = ["RngState"]
 
@@ -32,7 +32,7 @@ class RngState:
     """Owned random stream for one run.  Not thread-safe; do not share."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = _index(seed, "seed")
         if not 0 <= seed < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed

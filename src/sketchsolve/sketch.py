@@ -16,8 +16,8 @@ Block placement is aligned: the block index z is uniform on
 with shift = min(s*z, m - s).  When s does not divide m the last block
 is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 
-Draw order per sketch: block index first (when the kind has one and it
-is not pinned), then the Gaussian factor entries in row-major order.
+Draw order per sketch: block index first (when the kind has one), then
+the Gaussian factor entries in row-major order.
 
 A max-residual step on a Gaussian sketch only ever uses the winning
 column of S, so the solver draws that column alone from its conditional
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _index
 from .linalg import DenseMatrix, RealVector, _own
 from .rng import RngState
 
@@ -50,27 +50,19 @@ __all__ = [
 SKETCH_KINDS = ("block", "gaussian", "sparse")
 
 
-def _check_sketch(kind: str, s: int, m: int | None = None, fixed_block: int | None = None):
+def _check_sketch(kind: str, s: int, m: int | None = None):
     """The one rule for which sketches are valid.
 
-    kind must be a sketch family and s at least 1; fixed_block (pinning
-    the block index) applies only to sparse sketches and must be
-    nonnegative.  Once the row count m is known, block and sparse sketches
-    also need s <= m (their s rows come from A) and fixed_block < ceil(m / s)
-    (the number of blocks); a Gaussian sketch may exceed m.
+    kind must be a sketch family and s an integer of at least 1.  Once the
+    row count m is known, block and sparse sketches also need s <= m
+    (their s rows come from A); a Gaussian sketch may exceed m.
     """
     if kind not in SKETCH_KINDS:
         raise InputError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
-    if s < 1:
+    if _index(s, "sketch size") < 1:
         raise InputError(f"sketch size must be at least 1, got {s}")
-    if fixed_block is not None and kind != "sparse":
-        raise InputError("fixed_block applies only to sparse sketches")
     if m is not None and kind != "gaussian" and s > m:
         raise InputError(f"sketch size {s} exceeds row count {m}")
-    if fixed_block is not None:
-        blocks = "ceil(m / s)" if m is None else -(-m // s)
-        if fixed_block < 0 or (m is not None and fixed_block >= blocks):
-            raise InputError(f"fixed_block {fixed_block} out of range [0, {blocks})")
 
 
 @dataclass(frozen=True)
@@ -111,14 +103,14 @@ class SketchedSystem:
             raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
 
 
-def _build_raw(Aa, ba, kind, s, gen, fixed_block=None):
+def _build_raw(Aa, ba, kind, s, gen):
     """One sketch as raw arrays: (Ma, ra, z, shift, factor).
 
     Shared by the public constructors and the solver run loop so both
     consume the random stream identically.
     """
     m = Aa.shape[0]
-    z = int(gen.integers(-(-m // s))) if fixed_block is None else fixed_block
+    z = int(gen.integers(-(-m // s)))
     shift = min(s * z, m - s)
     if kind == "block":
         return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
@@ -191,13 +183,12 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     return _wrap("gaussian", (S.T @ system.A.a, S.T @ system.b.a, None, None, S))
 
 
-def sparse_gaussian_sketch(system, s: int, rng: RngState, fixed_block: int | None = None) -> SketchedSystem:
+def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """Gaussian mix of one aligned s-row block: M = X^T A_block, X s-by-s N(0, 1).
 
     Equals the dense sketch whose S is zero outside the block, at
-    Theta(s^2*n) multiplies instead of Theta(m*s*n).  Pass fixed_block to
-    pin the block index z (no index draw is consumed then).
+    Theta(s^2*n) multiplies instead of Theta(m*s*n).
     """
-    _check_sketch("sparse", s, system.A.rows, fixed_block)
-    return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen, fixed_block))
+    _check_sketch("sparse", s, system.A.rows)
+    return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen))
 

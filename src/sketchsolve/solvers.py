@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, ZeroRowError
+from .errors import InputError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
 from .sketch import SketchSpec, SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
@@ -82,9 +82,12 @@ _NO_RESIDUAL = float("nan")
 # Consistency slack for a planted solution: ||A x* - b|| <= slack * (1 + ||b||).
 CONSISTENCY_TOL = 1e-10
 
-# Squared error may rise by at most this fraction of the initial squared
-# error between consecutive trace records (floating-point slack only).
+# run() lets error_sq rise between trace records by at most the larger of
+# MONOTONE_SLACK * e_0^2 and MONOTONE_ROUNDOFF * u * (||e_prev|| + u), u = eps * ||x*||:
+# roundoff near x*, widened because cancellation in a Gaussian-sketched row
+# amplifies its rounding (by up to 9e4 on coherent 20x2).
 MONOTONE_SLACK = 1e-9
+MONOTONE_ROUNDOFF = 2.0**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +149,11 @@ class LinearSystem:
 class SolverConfig:
     """Method choice and run controls.
 
-    s is the sketch size (ignored by kaczmarz and motzkin).  fixed_block
-    pins the sparse sketch to one aligned block index in [0, ceil(m/s))
-    (sgsm only).  The trace records every iteration up to
-    record_dense_limit, then every record_stride-th; the stopping rules
-    are checked at record points.
+    s is the sketch size (ignored by kaczmarz and motzkin); skm and sgsm
+    draw their block index afresh at every step.  s, seed, max_iters,
+    record_dense_limit and record_stride must be integers.  The trace
+    records every iteration up to record_dense_limit, then every
+    record_stride-th; the stopping rules are checked at record points.
     error_stop, when set, additionally stops the run once the recorded
     squared error drops to that absolute value (requires record_error).
     """
@@ -160,7 +163,6 @@ class SolverConfig:
     max_iters: int = 1000
     tol: float = 1e-8
     seed: int = 0
-    fixed_block: int | None = None
     record_error: bool = False
     record_dense_limit: int = 10_000
     record_stride: int = 10
@@ -169,8 +171,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        # kaczmarz and motzkin take s (ignored) and no fixed_block, as a block sketch does.
-        _check_sketch(_METHOD_KIND.get(self.method, "block"), self.s, fixed_block=self.fixed_block)
+        _check_sketch(_METHOD_KIND.get(self.method, "block"), self.s)
+        for name in ("seed", "max_iters", "record_dense_limit", "record_stride"):
+            _index(getattr(self, name), name)
         if self.max_iters < 1:
             raise InputError(f"max_iters must be at least 1, got {self.max_iters}")
         if not np.isfinite(self.tol) or self.tol < 0.0:
@@ -196,12 +199,8 @@ class TraceRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """Recorded run history: strictly iter-ordered records plus a status.
-
-    When error_sq is tracked it must be non-increasing record to record,
-    up to a floating-point slack of MONOTONE_SLACK times the initial
-    squared error; construction rejects anything else.
-    """
+    """Recorded run history: strictly iter-ordered records plus a status
+    (run() checks that error_sq does not rise; see MONOTONE_SLACK)."""
 
     records: tuple[TraceRecord, ...]
     status: str
@@ -211,22 +210,11 @@ class RunTrace:
             raise InputError(f"unknown status {self.status!r}")
         if not self.records:
             raise InputError("a trace needs at least one record")
-        prev = None
-        slack = None
-        for rec in self.records:
-            if rec.iter < 0:
-                raise InputError("record iterations must be nonnegative")
-            if prev is not None and rec.iter <= prev.iter:
-                raise InputError("records must be strictly ordered by iteration")
-            if rec.error_sq is not None:
-                if slack is None:
-                    slack = MONOTONE_SLACK * rec.error_sq
-                elif prev is not None and prev.error_sq is not None and rec.error_sq > prev.error_sq + slack:
-                    raise InputError(
-                        f"squared error increased at iteration {rec.iter}: "
-                        f"{prev.error_sq!r} -> {rec.error_sq!r}"
-                    )
-            prev = rec
+        iters = [rec.iter for rec in self.records]
+        if iters[0] < 0:
+            raise InputError("record iterations must be nonnegative")
+        if any(b <= a for a, b in zip(iters, iters[1:])):
+            raise InputError("records must be strictly ordered by iteration")
 
     @property
     def final(self) -> TraceRecord:
@@ -248,7 +236,8 @@ def _project_raw(xa, row, beta, row_sq):
 def project_row(x, a, beta: float) -> RealVector:
     """Orthogonal projection of x onto the hyperplane {y : <a, y> = beta}.
 
-    Raises ZeroRowError when ||a||^2 <= 1e-14 * max(1, ||x||^2).
+    Raises ZeroRowError only when a is zero: the step's zero-row rule on
+    the one-row system {a}, which x does not enter.
     """
     x = as_vector(x)
     a = as_vector(a)
@@ -257,7 +246,7 @@ def project_row(x, a, beta: float) -> RealVector:
     if not np.isfinite(beta):
         raise InputError("beta must be finite")
     row_sq = float(a.a @ a.a)
-    if row_sq <= ZERO_ROW_GATE * max(1.0, float(x.a @ x.a)):
+    if row_sq == 0.0:
         raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
     return RealVector(_own(_project_raw(x.a, a.a, float(beta), row_sq)))
 
@@ -274,14 +263,14 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen, fixed_block: int | None):
+def _selector(system: LinearSystem, method: str, s: int, gen):
     """The row-selection rule of one method, as select(x) -> (t, raw, i).
 
     The chosen row is raw[0][i] with right-hand side raw[1][i], and t is
     its residual.  raw is (A, b) for kaczmarz and motzkin and the step's
     raw sketch (Ma, ra, z, shift, factor) otherwise; kaczmarz computes
     no residual and returns t = _NO_RESIDUAL.
-    A sketched method's (kind, s, m, fixed_block) is checked here, before
+    A sketched method's (kind, s, m) is checked here, before
     any draw.  The Kaczmarz sampling table is read at the first draw, so
     building a selector never fails on an all-zero A.
     """
@@ -289,7 +278,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, fixed_block: int |
     whole = (Aa, ba)
     kind = _METHOD_KIND.get(method)
     if kind is not None:
-        _check_sketch(kind, s, system.A.rows, fixed_block)
+        _check_sketch(kind, s, system.A.rows)
     if method == "kaczmarz":
 
         def select(xa):
@@ -304,7 +293,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, fixed_block: int |
         return select
 
     def select(xa):
-        raw = whole if kind is None else _build_raw(Aa, ba, kind, s, gen, fixed_block)
+        raw = whole if kind is None else _build_raw(Aa, ba, kind, s, gen)
         t = raw[0] @ xa - raw[1]
         i = int(np.argmax(t * t))
         return t[i], raw, i
@@ -342,7 +331,7 @@ def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
 def kaczmarz_step(system: LinearSystem, x, rng: RngState):
     """One randomized-Kaczmarz step: sample row i with probability
     ||a_i||^2 / ||A||_F^2, project onto it.  Returns (x_next, i)."""
-    select = _selector(system, "kaczmarz", 1, rng.gen, None)
+    select = _selector(system, "kaczmarz", 1, rng.gen)
     xa, _, i = _step(select, _iterate(system, x), system.zero_row_gate)
     return RealVector(_own(xa)), i
 
@@ -350,18 +339,18 @@ def kaczmarz_step(system: LinearSystem, x, rng: RngState):
 def motzkin_step(system: LinearSystem, x):
     """One max-residual step over all rows (deterministic).  Returns
     (x_next, i); x is returned unchanged when the residual is zero."""
-    xa, _, i = _step(_selector(system, "motzkin", 1, None, None), _iterate(system, x), system.zero_row_gate)
+    xa, _, i = _step(_selector(system, "motzkin", 1, None), _iterate(system, x), system.zero_row_gate)
     return RealVector(_own(xa)), i
 
 
-def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngState, fixed_block: int | None = None):
+def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngState):
     """One max-residual step on a fresh sketch of the system.
 
     Returns (x_next, StepProvenance); the provenance carries the full
     sketched system, so the step can be replayed or audited exactly.
     """
     xa = _iterate(system, x)
-    select = _selector(system, _KIND_METHOD[spec.kind], spec.s, rng.gen, fixed_block)
+    select = _selector(system, _KIND_METHOD[spec.kind], spec.s, rng.gen)
     xa, raw, i = _step(select, xa, system.zero_row_gate)
     return RealVector(_own(xa)), StepProvenance(_wrap(spec.kind, raw), i)
 
@@ -380,12 +369,13 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     identical traces except the elapsed_ns fields.
     """
     gen = RngState(config.seed).gen
-    select = _selector(system, config.method, config.s, gen, config.fixed_block)
+    select = _selector(system, config.method, config.s, gen)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a
     xa = np.zeros(system.A.cols) if x0 is None else _iterate(system, x0, "x0")
     xs = system.x_star.a if config.record_error else None
+    unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 
     threshold = config.tol * (1.0 + system.b_norm)
     records = []
@@ -393,11 +383,14 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     def snapshot(k, xa):
         residual = float(np.linalg.norm(Aa @ xa - ba))
-        if xs is None:
-            err = None
-        else:
+        err = None
+        if xs is not None:
             diff = xa - xs
             err = float(diff @ diff)
+            if records and err > records[-1].error_sq + MONOTONE_SLACK * records[0].error_sq:
+                prev = records[-1].error_sq
+                if err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
+                    raise InputError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
         records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
         stop = residual <= threshold
         if config.error_stop is not None and err <= config.error_stop:

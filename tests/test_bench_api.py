@@ -44,3 +44,32 @@ def test_bench_run_sweep_calls_bind():
         assert not any(isinstance(arg, ast.Starred) for arg in call.args)
         assert all(kw.arg is not None for kw in call.keywords)
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def test_bench_solver_config_calls_bind():
+    tree = measure_tree()
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SolverConfig"
+    ]
+    assert calls, "bench/measure.py no longer builds a SolverConfig"
+    signature = inspect.signature(sketchsolve.SolverConfig)
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+    # dataclasses.replace on a name bound to a SolverConfig(...) call.
+    configs = {
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and node.value in calls
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    replaces = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "replace"
+        and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in configs
+    ]
+    assert replaces, "bench/measure.py no longer replaces SolverConfig fields"
+    for call in replaces:
+        unknown = [kw.arg for kw in call.keywords if kw.arg not in signature.parameters]
+        assert not unknown, f"dataclasses.replace in bench/measure.py names no SolverConfig field: {unknown}"

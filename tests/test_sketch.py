@@ -85,18 +85,20 @@ def test_block_last_aligned_block_is_final_rows():
 
 def test_block_shift_coverage_reaches_trailing_rows():
     # m=10, s=3: four blocks, the last one [7, 10) overlapping block 2, so
-    # row 9 is sampled too.
+    # row 9 is sampled too, by the block and the sparse sketch alike.
     sy = make_system(10, 2, seed=3)
-    rng = RngState(17)
-    seen = set()
-    for _ in range(600):
-        got = block_sketch(sy, 3, rng)
-        z = got.provenance.z
-        seen.add(z)
-        assert got.provenance.shift == min(3 * z, 7)
-        assert np.array_equal(got.M.a, sy.A.a[got.provenance.shift:got.provenance.shift + 3])
-        assert 0 <= z <= 3
-    assert seen == {0, 1, 2, 3}
+    for build in (block_sketch, sparse_gaussian_sketch):
+        rng = RngState(17)
+        seen = set()
+        for _ in range(600):
+            got = build(sy, 3, rng)
+            z, shift, factor = got.provenance.z, got.provenance.shift, got.provenance.factor
+            seen.add(z)
+            assert shift == min(3 * z, 7)
+            block = sy.A.a[shift:shift + 3]
+            assert np.array_equal(got.M.a, block if factor is None else factor.a.T @ block)
+            assert 0 <= z <= 3
+        assert seen == {0, 1, 2, 3}, build.__name__
 
 
 def test_block_size_validation():
@@ -183,10 +185,10 @@ def test_sparse_matches_dense_materialization_oracle():
 
 
 def test_sparse_identity_factor_reproduces_block():
-    # A generator whose factor draw is the identity: the sketch is the block itself.
-    identity = SimpleNamespace(gen=SimpleNamespace(standard_normal=lambda shape: np.eye(shape[0])))
+    # A generator that draws block 2 and an identity factor: the sketch is the block itself.
+    identity = SimpleNamespace(gen=SimpleNamespace(integers=lambda high: 2, standard_normal=lambda shape: np.eye(shape[0])))
     sy = make_system(12, 3, seed=14)
-    got = sparse_gaussian_sketch(sy, 4, identity, fixed_block=2)
+    got = sparse_gaussian_sketch(sy, 4, identity)
     assert np.array_equal(got.M.a, sy.A.a[8:12])
     assert np.array_equal(got.r.a, sy.b.a[8:12])
     assert got.provenance.z == 2
@@ -200,23 +202,15 @@ def test_sparse_single_row_is_scalar_multiple():
     assert np.array_equal(got.M.a[0], scale * sy.A.a[shift])
 
 
-def test_sparse_fixed_block_pins_shift_and_skips_index_draw():
+def test_sparse_draws_block_index_then_factor():
+    # m=20, s=5: the block index z over ceil(20 / 5) = 4 blocks is drawn
+    # first, then the 5x5 factor in row-major order.
     sy = make_system(20, 3, seed=16)
-    got = sparse_gaussian_sketch(sy, 5, RngState(33), fixed_block=2)
-    assert got.provenance.z == 2 and got.provenance.shift == 10
-    # With the block pinned, the factor is the first thing drawn.
-    expect = RngState(33).gen.standard_normal((5, 5))
-    assert np.array_equal(got.provenance.factor.a, expect)
-
-
-def test_sparse_fixed_block_range_check():
-    # m=10, s=3: ceil(10 / 3) = 4 blocks; the last one is rows [7, 10).
-    sy = make_system(10, 2, seed=17)
-    assert sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=3).provenance.shift == 7
-    with pytest.raises(InputError):
-        sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=4)
-    with pytest.raises(InputError):
-        sparse_gaussian_sketch(sy, 3, RngState(0), fixed_block=-1)
+    got = sparse_gaussian_sketch(sy, 5, RngState(33))
+    gen = RngState(33).gen
+    z = int(gen.integers(4))
+    assert got.provenance.z == z and got.provenance.shift == 5 * z
+    assert np.array_equal(got.provenance.factor.a, gen.standard_normal((5, 5)))
 
 
 def test_sparse_size_validation():
