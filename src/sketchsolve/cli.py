@@ -1,7 +1,8 @@
 """Command-line harness: generate, solve, compare, sweep, diagnose.
 
 Exit codes: 0 success, 2 usage, 3 malformed data file, 4 numerical
-failure (rank deficiency, zero row), 5 I/O failure.
+failure (rank deficiency, zero row, a rise in the squared error), 5 I/O
+failure.
 
 All experiment output is CSV.  Trace files share one schema:
 
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .errors import FormatError, InputError, RankDeficientError, ZeroRowError
+from .errors import FormatError, InputError, NumericalError
 from .linalg import condition_kappa_tilde, dynamic_range
 from .problems import ModelSpec, generate_system, load_csv_matrix, load_system, save_system
 from .solvers import (
@@ -54,13 +55,15 @@ def _run_cells(system, cells, trials, seed, **fields):
     """The one campaign runner: every (method, s) cell for `trials` trials.
 
     Trial t of every cell uses seed + t, so cells see identical selection
-    randomness; fields are the SolverConfig controls the cells share.
-    Every config is built before the first solve, so a bad cell fails
-    before any work is done.  Returns one list of traces per cell.
+    randomness; fields are the SolverConfig controls the cells share, and
+    the squared error is recorded whenever the system has a planted
+    solution.  Every config is built before the first solve, so a bad cell
+    fails before any work is done.  Returns one list of traces per cell.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
-    configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial, **fields)
+    configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial,
+                            record_error=system.x_star is not None, **fields)
                for method, s in cells for trial in range(trials)]
     traces = [run(system, config)[1] for config in configs]
     return [traces[i:i + trials] for i in range(0, len(traces), trials)]
@@ -95,45 +98,13 @@ def _median_text(values, as_int=False):
     return str(int(round(med))) if as_int else f"{med:.6e}"
 
 
-def run_compare(system: LinearSystem, cells, trials: int, mode: str, seed: int = 0, **fields):
-    """Run every (method, s) cell (s is None for kaczmarz and motzkin) for
-    `trials` trials; fields are the shared SolverConfig controls.
-
-    Returns (csv_rows, summary_lines); mode picks the summary emphasis,
-    per-iteration or per-time.
-    """
-    per_time = mode == "per-time"
-    by_cell = _run_cells(system, cells, trials, seed, record_error=system.x_star is not None, **fields)
-    rows = []
-    summaries = []
-    for (method, s), cell in zip(cells, by_cell):
-        for trial, trace in enumerate(cell):
-            rows.extend(_trace_csv_rows(method, s, trial, trace))
-        iters = [t.final.iter if t.status == CONVERGED else math.inf for t in cell]
-        times = [t.final.elapsed_ns / 1e9 if t.status == CONVERGED else math.inf for t in cell]
-        finals = [t.final.residual_norm for t in cell]
-        contractions = []
-        for t in cell:
-            try:
-                contractions.append(contraction_summary(t))
-            except InputError:
-                pass
-        converged = sum(t.status == CONVERGED for t in cell)
-        parts = [
-            f"method={method}",
-            f"s={s if s is not None else '-'}",
-            f"trials={trials}",
-            f"converged={converged}/{trials}",
-        ]
-        if per_time:
-            parts.append(f"median_time_s={_median_text(times)}")
-        else:
-            parts.append(f"median_iters={_median_text(iters, as_int=True)}")
-        parts.append(f"median_final_residual={float(np.median(finals)):.6e}")
-        if contractions:
-            parts.append(f"median_contraction={float(np.median(contractions)):.6f}")
-        summaries.append("  ".join(parts))
-    return rows, summaries
+def _contraction(trace):
+    """The trace's mean contraction factor, or None when it has too few
+    squared-error records to give one."""
+    try:
+        return contraction_summary(trace)
+    except InputError:
+        return None
 
 
 def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
@@ -155,7 +126,7 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
         raise InputError(f"threshold must be positive, got {threshold}")
     if system.x_star is not None:
         xs = system.x_star.a
-        stop = dict(tol=0.0, record_error=True, error_stop=threshold * float(xs @ xs))
+        stop = dict(tol=0.0, error_stop=threshold * float(xs @ xs))
     else:
         stop = dict(tol=threshold)
     by_cell = _run_cells(system, [(method, s) for s in s_values], trials, seed, max_iters=max_iters,
@@ -313,17 +284,8 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     system = _load_input_system(args)
-    config = SolverConfig(
-        method=args.method,
-        s=args.s,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        record_error=system.x_star is not None,
-        record_dense_limit=args.record_dense,
-        record_stride=args.record_stride,
-    )
-    _, trace = run(system, config)
+    [[trace]] = _run_cells(system, [(args.method, args.s)], 1, args.seed, max_iters=args.max_iters, tol=args.tol,
+                           record_dense_limit=args.record_dense, record_stride=args.record_stride)
     if args.trace:
         _write_csv(args.trace, TRACE_HEADER, _trace_csv_rows(args.method, args.s, 0, trace))
     final = trace.final
@@ -331,10 +293,8 @@ def cmd_solve(args) -> int:
     print(f"iterations: {final.iter}")
     print(f"final_residual: {final.residual_norm:.6e}")
     print(f"elapsed_s: {final.elapsed_ns / 1e9:.6f}")
-    try:
-        print(f"contraction: {contraction_summary(trace):.6f}")
-    except InputError:
-        print("contraction: n/a")
+    contraction = _contraction(trace)
+    print("contraction: n/a" if contraction is None else f"contraction: {contraction:.6f}")
     return 0
 
 
@@ -344,14 +304,24 @@ def cmd_compare(args) -> int:
     if args.out is None:
         raise InputError("no output path: use --out or a plan file")
     system = _campaign_system(args)
-    rows, summaries = run_compare(
-        system, _parse_methods(args.methods), args.trials, args.mode, args.seed,
-        max_iters=args.max_iters, tol=args.tol,
-        record_dense_limit=args.record_dense, record_stride=args.record_stride,
-    )
-    _write_csv(args.out, TRACE_HEADER, rows)
-    for line in summaries:
-        print(line)
+    cells = _parse_methods(args.methods)
+    by_cell = _run_cells(system, cells, args.trials, args.seed, max_iters=args.max_iters, tol=args.tol,
+                         record_dense_limit=args.record_dense, record_stride=args.record_stride)
+    _write_csv(args.out, TRACE_HEADER, [row for (method, s), cell in zip(cells, by_cell)
+                                        for trial, trace in enumerate(cell)
+                                        for row in _trace_csv_rows(method, s, trial, trace)])
+    for (method, s), cell in zip(cells, by_cell):
+        done = [t.status == CONVERGED for t in cell]
+        iters = [t.final.iter if ok else math.inf for t, ok in zip(cell, done)]
+        times = [t.final.elapsed_ns / 1e9 if ok else math.inf for t, ok in zip(cell, done)]
+        contractions = [c for c in map(_contraction, cell) if c is not None]
+        parts = [f"method={method}", f"s={s if s is not None else '-'}", f"trials={args.trials}",
+                 f"converged={sum(done)}/{args.trials}", f"median_iters={_median_text(iters, as_int=True)}",
+                 f"median_time_s={_median_text(times)}",
+                 f"median_final_residual={float(np.median([t.final.residual_norm for t in cell])):.6e}"]
+        if contractions:
+            parts.append(f"median_contraction={float(np.median(contractions)):.6f}")
+        print("  ".join(parts))
     print(f"saved: {args.out}")
     return 0
 
@@ -420,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_flags(p, max_iters=10_000, record_dense=10_000, record_stride=10)
     p.add_argument("--methods", default=None, help="comma list, sketched methods take :s (e.g. kaczmarz,gsm:25)")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--mode", default="per-iteration", choices=("per-iteration", "per-time"))
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="iterations/time to an error threshold across sketch sizes")
@@ -454,7 +423,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RankDeficientError, ZeroRowError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -1,13 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
-and the categories disjoint: bad caller input, bad file content, and
-numerical breakdown are different failures.
+The CLI maps these onto distinct exit codes, so keep the three
+categories disjoint, one class each: bad caller input (InputError), bad
+file content (FormatError) and numerical breakdown (NumericalError, the
+base of RankDeficientError and ZeroRowError) are different failures.
 """
 
 import operator
 
-__all__ = ["SketchsolveError", "InputError", "FormatError", "RankDeficientError", "ZeroRowError"]
+__all__ = ["SketchsolveError", "InputError", "FormatError", "NumericalError", "RankDeficientError", "ZeroRowError"]
 
 
 class SketchsolveError(Exception):
@@ -22,11 +23,15 @@ class FormatError(SketchsolveError):
     """A data file (CSV or binary system file) is malformed."""
 
 
-class RankDeficientError(SketchsolveError):
+class NumericalError(SketchsolveError):
+    """A computation broke down numerically (e.g. the squared error rose)."""
+
+
+class RankDeficientError(NumericalError):
     """The matrix is numerically rank-deficient for the requested diagnostic."""
 
 
-class ZeroRowError(SketchsolveError):
+class ZeroRowError(NumericalError):
     """A projection target row has (near-)zero norm."""
 
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, ZeroRowError, _index
+from .errors import InputError, NumericalError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
 from .sketch import SketchSpec, SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
@@ -85,7 +85,8 @@ CONSISTENCY_TOL = 1e-10
 # run() lets error_sq rise between trace records by at most the larger of
 # MONOTONE_SLACK * e_0^2 and MONOTONE_ROUNDOFF * u * (||e_prev|| + u), u = eps * ||x*||:
 # roundoff near x*, widened because cancellation in a Gaussian-sketched row
-# amplifies its rounding (by up to 9e4 on coherent 20x2).
+# amplifies its rounding (by up to 9e4 on coherent 20x2).  A larger rise
+# raises NumericalError.
 MONOTONE_SLACK = 1e-9
 MONOTONE_ROUNDOFF = 2.0**20
 
@@ -237,7 +238,12 @@ def project_row(x, a, beta: float) -> RealVector:
     """Orthogonal projection of x onto the hyperplane {y : <a, y> = beta}.
 
     Raises ZeroRowError only when a is zero: the step's zero-row rule on
-    the one-row system {a}, which x does not enter.
+    the one-row system {a}, which x does not enter.  "Zero" is the
+    computed ||a||^2, which underflows to 0 for ||a|| below about 1.5e-162
+    (2**-538 * e_1 raises, 2**-537 * e_1 projects) and loses precision
+    once it is subnormal (||a|| below about 1.5e-154).  So scaling (a,
+    beta) by 2**k leaves the result bit-identical only while ||a||^2
+    neither underflows nor overflows, |k| up to about 500 for unit rows.
     """
     x = as_vector(x)
     a = as_vector(a)
@@ -390,7 +396,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
             if records and err > records[-1].error_sq + MONOTONE_SLACK * records[0].error_sq:
                 prev = records[-1].error_sq
                 if err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
-                    raise InputError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
+                    raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
         records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
         stop = residual <= threshold
         if config.error_stop is not None and err <= config.error_stop:

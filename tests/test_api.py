@@ -4,8 +4,8 @@ import sketchsolve
 
 PUBLIC_NAMES = [
     "CONVERGED", "ConditionStats", "DenseMatrix", "FormatError", "InputError", "LinearSystem",
-    "MAX_ITERS", "METHODS", "MODEL_KINDS", "ModelSpec", "RankDeficientError", "RealVector",
-    "RngState", "RunTrace", "SKETCH_KINDS", "SketchProvenance", "SketchSpec", "SketchedSystem",
+    "MAX_ITERS", "METHODS", "MODEL_KINDS", "ModelSpec", "NumericalError", "RankDeficientError",
+    "RealVector", "RngState", "RunTrace", "SKETCH_KINDS", "SketchProvenance", "SketchSpec", "SketchedSystem",
     "SketchsolveError", "SolverConfig", "StepProvenance", "TraceRecord", "ZeroRowError",
     "block_sketch", "condition_kappa_tilde", "contraction_summary", "dynamic_range",
     "frobenius_norm_sq", "gaussian_sketch", "generate_system", "kaczmarz_step", "load_csv_matrix",

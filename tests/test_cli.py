@@ -152,6 +152,24 @@ def test_solve_csv_input_with_target_column(tmp_path, capsys):
     assert all(row[4] == "" for row in body)  # no planted solution, no error column
 
 
+def test_solve_defaults_are_pinned(tmp_path, monkeypatch, capsys):
+    seen = record_runs(monkeypatch)
+    system_path = make_binary(tmp_path)
+    assert main(["solve", "--system", system_path, "--method", "gsm", "--s", "4"]) == 0
+    [(system, config)] = seen
+    assert np.array_equal(system.A.a, load_system(system_path).A.a)
+    assert config == SolverConfig("gsm", s=4, max_iters=10_000, tol=1e-8, seed=0, record_error=True,
+                                  record_dense_limit=10_000, record_stride=10)
+    # b read from a data column has no planted solution, so no error is recorded.
+    seen.clear()
+    data = tmp_path / "m.csv"
+    data.write_text("1,0,1\n0,1,1\n1,1,2\n")
+    assert main(["solve", "--system", str(data), "--csv", "--target-column", "2", "--method", "motzkin"]) == 0
+    capsys.readouterr()
+    [(_, config)] = seen
+    assert config.record_error is False
+
+
 def test_solve_same_seed_identical_trace_except_elapsed(tmp_path):
     system_path = make_binary(tmp_path, m=60, n=10, seed=9)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -250,13 +268,24 @@ def test_compare_needs_sketch_size_on_sketched_method(tmp_path, capsys):
     assert "write gsm:<s>" in capsys.readouterr().err
 
 
+def test_compare_has_no_mode_flag(tmp_path, capsys):
+    # Both medians are always printed; the flag that chose one is gone.
+    out_path = tmp_path / "x.csv"
+    assert main(["compare", *GAUSS_ARGS, "--methods", "motzkin", "--mode", "per-time",
+                 "--out", str(out_path)]) == 2
+    capsys.readouterr()
+    assert not out_path.exists()
+
+
 # ------------------------------------------------------- compare and sweep
 
 def test_compare_defaults_are_pinned(tmp_path, monkeypatch, capsys):
     seen = record_runs(monkeypatch)
     assert main(["compare", "--model", "gaussian", "--rows", "40", "--cols", "8",
                  "--methods", "motzkin", "--out", str(tmp_path / "c.csv")]) == 0
-    assert "median_iters=" in capsys.readouterr().out  # per-iteration mode
+    [summary] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("method=")]
+    assert "  median_iters=" in summary and "  median_time_s=" in summary
+    assert summary.index("median_iters=") < summary.index("median_time_s=")
     [(system, config)] = seen
     assert np.array_equal(system.A.a, generate_system(ModelSpec("gaussian", 40, 8, 0)).A.a)
     assert config == SolverConfig("motzkin", s=1, max_iters=10_000, tol=1e-8, seed=0, record_error=True,
@@ -305,7 +334,7 @@ def test_campaign_checks_every_cell_before_solving(tmp_path, monkeypatch, capsys
 def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys):
     # Campaigns run serially whatever SKETCHSOLVE_WORKERS says, and report times.
     timed = {
-        "compare": ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4", "--mode", "per-time",
+        "compare": ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4",
                     "--trials", "2", "--max-iters", "20", "--tol", "0"],
         "sweep": ["sweep", *GAUSS_ARGS, *CAMPAIGNS["sweep"], "--trials", "2"],
     }
@@ -335,7 +364,7 @@ def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials
 @pytest.mark.parametrize("line, key", [
     ("max_iters = 3", "max_iters"),  # the flag is max-iters
     ("trials = x", "trials"),
-    ("mode = bogus", "mode"),  # a bad choice for compare, no flag of sweep
+    ("mode = bogus", "mode"),  # no flag of either campaign
     ("method = kaczmarz", "method"),  # a bad choice for sweep, no flag of compare
 ])
 def test_plan_bad_key_or_value_is_usage_error(tmp_path, capsys, command, line, key):
@@ -496,6 +525,15 @@ def test_exit_code_zero_row_projection(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "iteration" in err
+
+
+def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
+    # A step that moves away from x* is a numerical failure, not a usage error.
+    system_path = make_binary(tmp_path)
+    xs = load_system(system_path).x_star.a
+    monkeypatch.setattr(sketchsolve.solvers, "_step", lambda select, xa, gate: (2.0 * xa - xs, None, 0))
+    assert main(["solve", "--system", system_path, "--method", "kaczmarz"]) == 4
+    assert "squared error increased at iteration 1" in capsys.readouterr().err
 
 
 def test_exit_code_usage(capsys):

@@ -21,6 +21,7 @@ from sketchsolve import (
     InputError,
     LinearSystem,
     ModelSpec,
+    NumericalError,
     RealVector,
     RngState,
     RunTrace,
@@ -683,6 +684,17 @@ def test_run_near_solution_completes(method):
     assert trace.status == MAX_ITERS and trace.final.iter == 300
 
 
+@pytest.mark.parametrize("method", ["kaczmarz", "motzkin"])
+def test_error_rise_on_near_consistent_input_is_numerical(method):
+    # b is off A x* by 1e-11, inside the consistency slack, so the first
+    # step from x* moves away from it: a numerical event, not bad input.
+    a = INTEGER_SYSTEM.A.a
+    sy = LinearSystem(INTEGER_SYSTEM.A, RealVector(a @ INTEGER_SYSTEM.x_star.a + [0.0, 0.0, 1e-11]),
+                      INTEGER_SYSTEM.x_star)
+    with pytest.raises(NumericalError, match="squared error increased at iteration 1"):
+        run(sy, SolverConfig(method, tol=0.0, max_iters=50, record_error=True), x0=sy.x_star)
+
+
 def test_run_validation_errors():
     sy = make_system(10, 2, seed=78, planted=False)
     with pytest.raises(InputError):
@@ -754,7 +766,7 @@ def test_trace_rejects_disorder_and_error_increase(monkeypatch):
     sy = make_system(12, 3, seed=79)
     xs = sy.x_star.a
     monkeypatch.setattr(solvers, "_step", lambda select, xa, gate: (2.0 * xa - xs, None, 0))
-    with pytest.raises(InputError, match="squared error increased at iteration 1"):
+    with pytest.raises(NumericalError, match="squared error increased at iteration 1"):
         run(sy, SolverConfig("kaczmarz", tol=0.0, max_iters=5, record_error=True))
 
 
