@@ -34,6 +34,7 @@ from .solvers import (
     METHODS,
     LinearSystem,
     SolverConfig,
+    _selector,
     contraction_summary,
     run,
 )
@@ -57,14 +58,17 @@ def _run_cells(system, cells, trials, seed, **fields):
     Trial t of every cell uses seed + t, so cells see identical selection
     randomness; fields are the SolverConfig controls the cells share, and
     the squared error is recorded whenever the system has a planted
-    solution.  Every config is built before the first solve, so a bad cell
-    fails before any work is done.  Returns one list of traces per cell.
+    solution.  Every config is built, and checked against the system as
+    run checks it, before the first solve, so a bad cell fails before any
+    work is done.  Returns one list of traces per cell.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial,
                             record_error=system.x_star is not None, **fields)
                for method, s in cells for trial in range(trials)]
+    for config in configs:
+        _selector(system, config.method, config.s, None)
     traces = [run(system, config)[1] for config in configs]
     return [traces[i:i + trials] for i in range(0, len(traces), trials)]
 

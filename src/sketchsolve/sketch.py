@@ -39,7 +39,6 @@ from .rng import RngState
 
 __all__ = [
     "SKETCH_KINDS",
-    "SketchSpec",
     "SketchProvenance",
     "SketchedSystem",
     "block_sketch",
@@ -50,31 +49,15 @@ __all__ = [
 SKETCH_KINDS = ("block", "gaussian", "sparse")
 
 
-def _check_sketch(kind: str, s: int, m: int | None = None):
-    """The one rule for which sketches are valid.
-
-    kind must be a sketch family and s an integer of at least 1.  Once the
-    row count m is known, block and sparse sketches also need s <= m
-    (their s rows come from A); a Gaussian sketch may exceed m.
+def _check_sketch(s: int, m: int | None = None):
+    """The one rule for sketch sizes: s is an integer of at least 1, and
+    s <= m when m is given (block and sparse sketches take their s rows
+    from the m rows of A; a Gaussian sketch may be overcomplete).
     """
-    if kind not in SKETCH_KINDS:
-        raise InputError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
     if _index(s, "sketch size") < 1:
         raise InputError(f"sketch size must be at least 1, got {s}")
-    if m is not None and kind != "gaussian" and s > m:
+    if m is not None and s > m:
         raise InputError(f"sketch size {s} exceeds row count {m}")
-
-
-@dataclass(frozen=True)
-class SketchSpec:
-    """Sketch family plus size.  For block and sparse kinds, s must not
-    exceed the row count of the system it is applied to (checked at use)."""
-
-    kind: str
-    s: int
-
-    def __post_init__(self):
-        _check_sketch(self.kind, self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +150,7 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     The returned rows are views of A and b: bit-identical, zero copies,
     zero multiplies.
     """
-    _check_sketch("block", s, system.A.rows)
+    _check_sketch(s, system.A.rows)
     return _wrap("block", _build_raw(system.A.a, system.b.a, "block", s, rng.gen))
 
 
@@ -178,7 +161,7 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     the Theta(m*s*n) materialized reference; the gsm solver step draws
     only the winning column of S (see _gaussian_winner_raw).
     """
-    _check_sketch("gaussian", s)
+    _check_sketch(s)
     S = rng.gen.standard_normal((system.A.rows, s))
     return _wrap("gaussian", (S.T @ system.A.a, S.T @ system.b.a, None, None, S))
 
@@ -189,6 +172,6 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     Equals the dense sketch whose S is zero outside the block, at
     Theta(s^2*n) multiplies instead of Theta(m*s*n).
     """
-    _check_sketch("sparse", s, system.A.rows)
+    _check_sketch(s, system.A.rows)
     return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen))
 

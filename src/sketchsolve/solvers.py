@@ -21,7 +21,7 @@ The step (_step) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
 system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
 reselected once, with fresh draws, and a second such row raises
-ZeroRowError.  run() and the public step functions share this path.
+ZeroRowError.  run() and the public step() share this path.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -33,6 +33,7 @@ trace; reruns with the same seed are bit-identical except wall times.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import InputError, NumericalError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
-from .sketch import SketchSpec, SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
+from .sketch import SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
 
 __all__ = [
     "METHODS",
@@ -55,9 +56,7 @@ __all__ = [
     "StepProvenance",
     "project_row",
     "select_max_residual",
-    "kaczmarz_step",
-    "motzkin_step",
-    "sketched_motzkin_step",
+    "step",
     "run",
     "contraction_summary",
 ]
@@ -66,7 +65,6 @@ METHODS = ("kaczmarz", "motzkin", "skm", "gsm", "sgsm")
 
 # Sketch family behind each sketched method.
 _METHOD_KIND = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}
-_KIND_METHOD = {kind: method for method, kind in _METHOD_KIND.items()}
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -97,7 +95,9 @@ class LinearSystem:
 
     x_star, when present, is a planted solution and must satisfy
     ||A x_star - b||_2 <= 1e-10 * (1 + ||b||_2); solvers can then track
-    the true error per iteration.
+    the true error per iteration.  Squares must stay in the range of a
+    double: ||A||_F^2 and ||b|| finite (or the stopping threshold is inf),
+    and a nonzero A's largest squared row norm not subnormal.
     """
 
     A: DenseMatrix
@@ -111,6 +111,12 @@ class LinearSystem:
             raise InputError(f"system must have rows >= cols, got {self.A.rows}x{self.A.cols}")
         if len(self.b) != self.A.rows:
             raise InputError(f"b has length {len(self.b)}, expected {self.A.rows}")
+        norms = self.row_norms_sq
+        if not (math.isfinite(float(norms.sum())) and math.isfinite(self.b_norm)):
+            raise InputError("||A||_F^2 or ||b|| overflows a double; rescale the system")
+        top = float(norms.max())
+        if top < np.finfo(float).tiny and np.any(self.A.a):
+            raise InputError(f"largest squared row norm {top:.3e} is subnormal; rescale the system")
         if self.x_star is not None:
             object.__setattr__(self, "x_star", as_vector(self.x_star))
             if len(self.x_star) != self.A.cols:
@@ -172,7 +178,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        _check_sketch(_METHOD_KIND.get(self.method, "block"), self.s)
+        _check_sketch(self.s)
         for name in ("seed", "max_iters", "record_dense_limit", "record_stride"):
             _index(getattr(self, name), name)
         if self.max_iters < 1:
@@ -224,9 +230,11 @@ class RunTrace:
 
 @dataclass(frozen=True, eq=False)
 class StepProvenance:
-    """The sketched system a step projected against and the chosen row."""
+    """What one step projected against: row `chosen` of `sketched`, the
+    step's sketched system (skm, gsm, sgsm), or of A when `sketched` is
+    None (kaczmarz, motzkin)."""
 
-    sketched: SketchedSystem
+    sketched: SketchedSystem | None
     chosen: int
 
 
@@ -276,15 +284,18 @@ def _selector(system: LinearSystem, method: str, s: int, gen):
     its residual.  raw is (A, b) for kaczmarz and motzkin and the step's
     raw sketch (Ma, ra, z, shift, factor) otherwise; kaczmarz computes
     no residual and returns t = _NO_RESIDUAL.
-    A sketched method's (kind, s, m) is checked here, before
-    any draw.  The Kaczmarz sampling table is read at the first draw, so
-    building a selector never fails on an all-zero A.
+    This is the one check of (method, s, m), before any draw: a method in
+    METHODS and an integer s >= 1, at most m for skm and sgsm.  gen is
+    read only at a draw, so it may be None for motzkin or a bare check.
+    The Kaczmarz sampling table is read at the first draw, so building a
+    selector never fails on an all-zero A.
     """
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}, expected one of {METHODS}")
     Aa, ba = system.A.a, system.b.a
     whole = (Aa, ba)
     kind = _METHOD_KIND.get(method)
-    if kind is not None:
-        _check_sketch(kind, s, system.A.rows)
+    _check_sketch(s, system.A.rows if kind in ("block", "sparse") else None)
     if method == "kaczmarz":
 
         def select(xa):
@@ -334,31 +345,20 @@ def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
     return x.a
 
 
-def kaczmarz_step(system: LinearSystem, x, rng: RngState):
-    """One randomized-Kaczmarz step: sample row i with probability
-    ||a_i||^2 / ||A||_F^2, project onto it.  Returns (x_next, i)."""
-    select = _selector(system, "kaczmarz", 1, rng.gen)
-    xa, _, i = _step(select, _iterate(system, x), system.zero_row_gate)
-    return RealVector(_own(xa)), i
+def step(system: LinearSystem, method: str, x, rng: RngState | None = None, *, s: int = 1):
+    """One step of `method` (sketch size s) from x, drawing from rng
+    exactly as run() does.  rng may be None only for motzkin.
 
-
-def motzkin_step(system: LinearSystem, x):
-    """One max-residual step over all rows (deterministic).  Returns
-    (x_next, i); x is returned unchanged when the residual is zero."""
-    xa, _, i = _step(_selector(system, "motzkin", 1, None), _iterate(system, x), system.zero_row_gate)
-    return RealVector(_own(xa)), i
-
-
-def sketched_motzkin_step(system: LinearSystem, spec: SketchSpec, x, rng: RngState):
-    """One max-residual step on a fresh sketch of the system.
-
-    Returns (x_next, StepProvenance); the provenance carries the full
-    sketched system, so the step can be replayed or audited exactly.
+    Returns (x_next, StepProvenance); for the sketched methods the
+    provenance carries the full sketched system, so the step can be
+    replayed or audited exactly.
     """
-    xa = _iterate(system, x)
-    select = _selector(system, _KIND_METHOD[spec.kind], spec.s, rng.gen)
-    xa, raw, i = _step(select, xa, system.zero_row_gate)
-    return RealVector(_own(xa)), StepProvenance(_wrap(spec.kind, raw), i)
+    select = _selector(system, method, s, None if rng is None else rng.gen)
+    if rng is None and method != "motzkin":
+        raise InputError(f"method {method} draws at every step and needs an rng")
+    xa, raw, i = _step(select, _iterate(system, x), system.zero_row_gate)
+    kind = _METHOD_KIND.get(method)
+    return RealVector(_own(xa)), StepProvenance(None if kind is None else _wrap(kind, raw), i)
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):

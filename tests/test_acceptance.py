@@ -20,18 +20,15 @@ from sketchsolve import (
     ModelSpec,
     RealVector,
     RngState,
-    SketchSpec,
     SolverConfig,
     contraction_summary,
     frobenius_norm_sq,
     gaussian_sketch,
     generate_system,
-    kaczmarz_step,
-    motzkin_step,
     run,
     save_system,
-    sketched_motzkin_step,
     sparse_gaussian_sketch,
+    step,
 )
 from sketchsolve.cli import main, run_sweep
 
@@ -56,16 +53,10 @@ def coherent_1000x50():
 
 def one_step(system, method, x, rng, s):
     """One step of `method`; returns (x1, selected row array, beta)."""
-    if method == "kaczmarz":
-        x1, i = kaczmarz_step(system, x, rng)
-        return x1, system.A.row(i), float(system.b.a[i])
-    if method == "motzkin":
-        x1, i = motzkin_step(system, x)
-        return x1, system.A.row(i), float(system.b.a[i])
-    kind = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}[method]
-    x1, prov = sketched_motzkin_step(system, SketchSpec(kind, s), x, rng)
+    x1, prov = step(system, method, x, rng, s=s)
     sk = prov.sketched
-    return x1, sk.M.row(prov.chosen), float(sk.r.a[prov.chosen])
+    M, r = (system.A, system.b) if sk is None else (sk.M, sk.r)
+    return x1, M.row(prov.chosen), float(r.a[prov.chosen])
 
 
 def iters_to_error_threshold(system, method, s, seed, frac, max_iters):
@@ -283,8 +274,8 @@ def test_c09_kaczmarz_sampling_law():
     counts = np.zeros(50)
     x = RealVector(np.zeros(5))
     for _ in range(100_000):
-        x, i = kaczmarz_step(sy, x, rng)
-        counts[i] += 1
+        x, prov = step(sy, "kaczmarz", x, rng)
+        counts[prov.chosen] += 1
     deviation = float(np.max(np.abs(counts / 100_000 - probs)))
     assert deviation <= 0.01
     report(9, f"max |frequency - probability| = {deviation:.4f} <= 0.01", started)

@@ -6,8 +6,10 @@ output with the elapsed_ns column blanked.
 """
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,13 @@ def test_campaign_checks_every_cell_before_solving(tmp_path, monkeypatch, capsys
     assert "sketch size must be at least 1" in capsys.readouterr().err
     assert seen == []  # the valid kaczmarz cell comes first, yet nothing was solved
     assert not out_path.exists()
+    # s <= m is checked against the system for every cell before the first solve.
+    for argv in (["compare", *GAUSS_ARGS, "--methods", "kaczmarz,motzkin,skm:50"],
+                 ["sweep", *GAUSS_ARGS, "--method", "sgsm", "--s-list", "2,8,50", "--threshold", "1e-4"]):
+        assert main([*argv, "--out", str(out_path)]) == 2
+        assert "sketch size 50 exceeds row count 40" in capsys.readouterr().err
+        assert seen == []
+        assert not out_path.exists()
 
 
 def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys):
@@ -536,6 +545,24 @@ def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
     assert "squared error increased at iteration 1" in capsys.readouterr().err
 
 
+def test_exit_code_scale_out_of_range(tmp_path, capsys):
+    # Squares that overflow a double are refused, not "converged" at
+    # iteration 0: exit 2 for a CSV matrix, 3 for a binary system file.
+    data = tmp_path / "m.csv"
+    data.write_text("1e155,0\n0,1e155\n1e155,1e155\n")
+    assert main(["solve", "--system", str(data), "--csv", "--method", "motzkin"]) == 2
+    assert "overflows a double" in capsys.readouterr().err
+    path = tmp_path / "big.bin"
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    save_system(LinearSystem(DenseMatrix(a), RealVector(a @ [1.0, 2.0]), RealVector([1.0, 2.0])), path)
+    blob = path.read_bytes()
+    payload = len(blob) - 8 * (6 + 3 + 2)  # A, b and x* follow the header
+    scaled = np.frombuffer(blob, "<f8", offset=payload) * np.array([1e155] * 9 + [1.0] * 2)
+    path.write_bytes(blob[:payload] + scaled.astype("<f8").tobytes())
+    assert main(["solve", "--system", str(path), "--method", "motzkin"]) == 3
+    assert "overflows a double" in capsys.readouterr().err
+
+
 def test_exit_code_usage(capsys):
     assert main(["solve", "--method", "motzkin"]) == 2  # missing --system
     capsys.readouterr()
@@ -544,8 +571,11 @@ def test_exit_code_usage(capsys):
 
 
 def test_module_entry_point_runs():
+    # The subprocess imports the sketchsolve this test imported, installed or not.
+    src = str(Path(sketchsolve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "sketchsolve", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "sketchsolve", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout

@@ -16,7 +16,6 @@ from sketchsolve import (
     LinearSystem,
     RealVector,
     RngState,
-    SketchSpec,
     block_sketch,
     frobenius_norm_sq,
     gaussian_sketch,
@@ -37,16 +36,6 @@ def materialized_sparse(m, s, shift, x_factor):
     full = np.zeros((m, s))
     full[shift:shift + s, :] = x_factor
     return full
-
-
-# ------------------------------------------------------------------- spec
-
-def test_sketch_spec_validation():
-    SketchSpec("block", 1)
-    with pytest.raises(InputError):
-        SketchSpec("fourier", 2)
-    with pytest.raises(InputError):
-        SketchSpec("block", 0)
 
 
 # ------------------------------------------------------------------ block

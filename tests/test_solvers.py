@@ -25,7 +25,6 @@ from sketchsolve import (
     RealVector,
     RngState,
     RunTrace,
-    SketchSpec,
     SolverConfig,
     TraceRecord,
     ZeroRowError,
@@ -33,13 +32,11 @@ from sketchsolve import (
     contraction_summary,
     gaussian_sketch,
     generate_system,
-    kaczmarz_step,
-    motzkin_step,
     project_row,
     run,
     select_max_residual,
-    sketched_motzkin_step,
     sparse_gaussian_sketch,
+    step,
 )
 
 
@@ -83,16 +80,10 @@ def step_row_and_beta(system, method, x, rng, s=4):
     """Run one step of `method`, returning (x1, row projected on, beta).
 
     The row comes back as a plain array."""
-    if method == "kaczmarz":
-        x1, i = kaczmarz_step(system, x, rng)
-        return x1, system.A.row(i), float(system.b.a[i])
-    if method == "motzkin":
-        x1, i = motzkin_step(system, x)
-        return x1, system.A.row(i), float(system.b.a[i])
-    kind = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}[method]
-    x1, prov = sketched_motzkin_step(system, SketchSpec(kind, s), x, rng)
+    x1, prov = step(system, method, x, rng, s=s)
     sk = prov.sketched
-    return x1, sk.M.row(prov.chosen), float(sk.r.a[prov.chosen])
+    M, r = (system.A, system.b) if sk is None else (sk.M, sk.r)
+    return x1, M.row(prov.chosen), float(r.a[prov.chosen])
 
 
 # -------------------------------------------------------------- projection
@@ -188,14 +179,14 @@ def test_kaczmarz_solution_is_fixed_point():
     rng = RngState(0)
     x_star = INTEGER_SYSTEM.x_star
     for _ in range(20):
-        x1, _ = kaczmarz_step(INTEGER_SYSTEM, x_star, rng)
+        x1, _ = step(INTEGER_SYSTEM, "kaczmarz", x_star, rng)
         assert np.array_equal(x1.a, x_star.a)
 
 
 def test_kaczmarz_single_row_solves_exactly():
     sy = LinearSystem(DenseMatrix([[2.0]]), RealVector([6.0]))
-    x1, i = kaczmarz_step(sy, RealVector([0.0]), RngState(1))
-    assert i == 0
+    x1, prov = step(sy, "kaczmarz", RealVector([0.0]), RngState(1))
+    assert prov.chosen == 0
     assert x1.a.tolist() == [3.0]
 
 
@@ -203,8 +194,8 @@ def test_kaczmarz_forced_selection_projects_correctly():
     # Find a seed whose first weighted draw picks the (1,1) row, then the
     # projection from the origin lands on the exact solution.
     for seed in range(100):
-        x1, i = kaczmarz_step(INTEGER_SYSTEM, RealVector([0.0, 0.0]), RngState(seed))
-        if i == 2:
+        x1, prov = step(INTEGER_SYSTEM, "kaczmarz", RealVector([0.0, 0.0]), RngState(seed))
+        if prov.chosen == 2:
             assert x1.a.tolist() == [1.0, 1.0]
             break
     else:
@@ -219,8 +210,8 @@ def test_kaczmarz_selection_tracks_row_weights():
     counts = np.zeros(12)
     x = RealVector(np.zeros(3))
     for _ in range(20_000):
-        x, i = kaczmarz_step(sy, x, rng)
-        counts[i] += 1
+        x, prov = step(sy, "kaczmarz", x, rng)
+        counts[prov.chosen] += 1
     assert np.max(np.abs(counts / 20_000 - probs)) <= 0.03
 
 
@@ -233,15 +224,15 @@ def test_kaczmarz_never_samples_zero_rows():
     x = RealVector(np.zeros(2))
     picked = set()
     for _ in range(10_000):
-        x, i = kaczmarz_step(sy, x, rng)
-        picked.add(i)
+        x, prov = step(sy, "kaczmarz", x, rng)
+        picked.add(prov.chosen)
     assert picked == {1, 3, 4}
 
 
 def test_kaczmarz_all_zero_rows_rejected():
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
     with pytest.raises(InputError):
-        kaczmarz_step(sy, RealVector([0.0, 0.0]), RngState(0))
+        step(sy, "kaczmarz", RealVector([0.0, 0.0]), RngState(0))
 
 
 def test_kaczmarz_near_zero_row_is_reselected_once():
@@ -252,8 +243,8 @@ def test_kaczmarz_near_zero_row_is_reselected_once():
     uniforms = iter([0.0, 0.75])
     rng = RngState(0)
     rng.gen = SimpleNamespace(random=lambda: next(uniforms))
-    x1, i = kaczmarz_step(sy, RealVector([0.0, 0.0]), rng)
-    assert i == 2
+    x1, prov = step(sy, "kaczmarz", RealVector([0.0, 0.0]), rng)
+    assert prov.chosen == 2
     assert x1.a.tolist() == [0.0, 2.0]
 
 
@@ -264,12 +255,12 @@ def test_motzkin_identity_system_solves_in_dimension_steps():
     sy = LinearSystem(DenseMatrix(np.eye(5)), RealVector(b), RealVector(b))
     x = RealVector(np.zeros(5))
     for _ in range(5):
-        x, _ = motzkin_step(sy, x)
+        x, _ = step(sy, "motzkin", x)
     assert np.array_equal(x.a, b)
 
 
 def test_motzkin_zero_residual_returns_unchanged():
-    x1, _ = motzkin_step(INTEGER_SYSTEM, INTEGER_SYSTEM.x_star)
+    x1, _ = step(INTEGER_SYSTEM, "motzkin", INTEGER_SYSTEM.x_star)
     assert np.array_equal(x1.a, INTEGER_SYSTEM.x_star.a)
 
 
@@ -280,7 +271,7 @@ def test_motzkin_trajectory_matches_reference_loop():
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
     x = RealVector(np.zeros(4))
     for _ in range(10):
-        x, _ = motzkin_step(sy, x)
+        x, _ = step(sy, "motzkin", x)
     want = reference_max_residual_iteration(a, a @ x_star, np.zeros(4), 10)
     assert np.max(np.abs(x.a - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -290,7 +281,7 @@ def test_motzkin_zero_selected_row_raises():
         DenseMatrix([[1.0, 0.0], [0.0, 0.0]]), RealVector([1.0, 5.0])
     )
     with pytest.raises(ZeroRowError):
-        motzkin_step(sy, RealVector([0.0, 0.0]))
+        step(sy, "motzkin", RealVector([0.0, 0.0]))
 
 
 # ---------------------------------------------------------------- sketched
@@ -298,27 +289,27 @@ def test_motzkin_zero_selected_row_raises():
 def test_skm_full_block_equals_motzkin():
     sy = make_system(8, 3, seed=9)
     x = RealVector(np.zeros(3))
-    got, prov = sketched_motzkin_step(sy, SketchSpec("block", 8), x, RngState(5))
-    want, i = motzkin_step(sy, x)
-    assert prov.chosen == i
+    got, prov = step(sy, "skm", x, RngState(5), s=8)
+    want, whole = step(sy, "motzkin", x)
+    assert prov.chosen == whole.chosen
     assert np.array_equal(got.a, want.a)
 
 
 def test_sketched_solution_is_fixed_point():
     x_star = INTEGER_SYSTEM.x_star
     # Block rows are rows of A, so integer arithmetic keeps this exact.
-    x1, _ = sketched_motzkin_step(INTEGER_SYSTEM, SketchSpec("block", 2), x_star, RngState(3))
+    x1, _ = step(INTEGER_SYSTEM, "skm", x_star, RngState(3), s=2)
     assert np.array_equal(x1.a, x_star.a)
     # Dense factors mix rows, so exactness is only up to roundoff.
-    for kind in ("gaussian", "sparse"):
-        x1, _ = sketched_motzkin_step(INTEGER_SYSTEM, SketchSpec(kind, 2), x_star, RngState(3))
+    for method in ("gsm", "sgsm"):
+        x1, _ = step(INTEGER_SYSTEM, method, x_star, RngState(3), s=2)
         assert np.max(np.abs(x1.a - x_star.a)) <= 1e-12
 
 
 def test_sparse_step_matches_materialized_oracle():
     sy = make_system(15, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
-    got, prov = sketched_motzkin_step(sy, SketchSpec("sparse", 3), x, RngState(11))
+    got, prov = step(sy, "sgsm", x, RngState(11), s=3)
     sk = prov.sketched
     full = np.zeros((15, 3))
     full[sk.provenance.shift:sk.provenance.shift + 3, :] = sk.provenance.factor.a
@@ -334,7 +325,7 @@ def test_sparse_step_matches_materialized_oracle():
 def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
-    got, prov = sketched_motzkin_step(sy, SketchSpec("gaussian", 4), x, RngState(13))
+    got, prov = step(sy, "gsm", x, RngState(13), s=4)
     sk = prov.sketched
     assert np.array_equal(sk.M.a, sk.provenance.factor.a.T @ sy.A.a)
     replay = project_row(x, sk.M.row(prov.chosen), float(sk.r.a[prov.chosen]))
@@ -358,7 +349,7 @@ def test_gsm_step_matches_materialized_oracle_in_law():
         return float(e0 @ e0 - e1 @ e1)
 
     rng = RngState(5)
-    conditional = [drop(sketched_motzkin_step(sy, SketchSpec("gaussian", 4), x, rng)[0]) for _ in range(draws)]
+    conditional = [drop(step(sy, "gsm", x, rng, s=4)[0]) for _ in range(draws)]
     rng = RngState(6)
     materialized = []
     for _ in range(draws):
@@ -378,7 +369,7 @@ def test_gsm_step_never_materializes_the_sketch():
     x = RealVector(np.zeros(20))
     tracemalloc.start()
     try:
-        sketched_motzkin_step(sy, SketchSpec("gaussian", s), x, RngState(0))
+        step(sy, "gsm", x, RngState(0), s=s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -390,7 +381,7 @@ def test_gsm_step_draws_u_then_the_winning_column():
     # normals g give its column u_j* rhat + (g - (g . rhat) rhat).
     sy = make_system(12, 3, seed=83)
     x = RealVector(np.random.default_rng(5).standard_normal(3))
-    _, prov = sketched_motzkin_step(sy, SketchSpec("gaussian", 6), x, RngState(17))
+    _, prov = step(sy, "gsm", x, RngState(17), s=6)
     gen = RngState(17).gen
     u = gen.standard_normal(6)
     g = gen.standard_normal(12)
@@ -406,18 +397,35 @@ def test_gsm_step_zero_residual_and_zero_rows():
     # A zero residual leaves x untouched; a zero sketched row is resampled
     # once and then raises.
     x_star = INTEGER_SYSTEM.x_star
-    x1, _ = sketched_motzkin_step(INTEGER_SYSTEM, SketchSpec("gaussian", 3), x_star, RngState(3))
+    x1, _ = step(INTEGER_SYSTEM, "gsm", x_star, RngState(3), s=3)
     assert np.array_equal(x1.a, x_star.a)
     zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0, 1.0, 1.0]))
     with pytest.raises(ZeroRowError, match="resample"):
-        sketched_motzkin_step(zero, SketchSpec("gaussian", 3), RealVector(np.zeros(2)), RngState(0))
+        step(zero, "gsm", RealVector(np.zeros(2)), RngState(0), s=3)
 
 
 def test_sketched_validation():
     sy = make_system(6, 2, seed=15)
     x = RealVector(np.zeros(2))
     with pytest.raises(InputError):
-        sketched_motzkin_step(sy, SketchSpec("block", 7), x, RngState(0))
+        step(sy, "skm", x, RngState(0), s=7)
+
+
+def test_step_validation():
+    # step makes run's own (method, s, m) check: a known method and an
+    # integer s >= 1, at most m for skm and sgsm; only motzkin needs no rng.
+    sy = make_system(6, 2, seed=16)
+    x = RealVector(np.zeros(2))
+    step(sy, "skm", x, RngState(0), s=1)
+    step(sy, "gsm", x, RngState(0), s=7)  # a Gaussian sketch may exceed m
+    step(sy, "motzkin", x)
+    for method, s, match in [("fourier", 2, "unknown method"), ("skm", 0, "at least 1"),
+                             ("kaczmarz", 0, "at least 1"), ("skm", 2.5, "must be an integer"),
+                             ("skm", 7, "exceeds row count"), ("sgsm", 7, "exceeds row count")]:
+        with pytest.raises(InputError, match=match):
+            step(sy, method, x, RngState(0), s=s)
+    with pytest.raises(InputError, match="needs an rng"):
+        step(sy, "kaczmarz", x)
 
 
 ZERO_BLOCK_SYSTEM = LinearSystem(
@@ -437,7 +445,7 @@ def test_sketched_zero_row_resample_then_succeed():
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 1]
     )
     x = RealVector(np.zeros(2))
-    x1, prov = sketched_motzkin_step(ZERO_BLOCK_SYSTEM, SketchSpec("block", 2), x, RngState(seed))
+    x1, prov = step(ZERO_BLOCK_SYSTEM, "skm", x, RngState(seed), s=2)
     assert prov.sketched.provenance.z == 1
     assert not np.array_equal(x1.a, x.a)
 
@@ -447,9 +455,7 @@ def test_sketched_zero_row_twice_raises():
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 0]
     )
     with pytest.raises(ZeroRowError, match="resample"):
-        sketched_motzkin_step(
-            ZERO_BLOCK_SYSTEM, SketchSpec("block", 2), RealVector(np.zeros(2)), RngState(seed)
-        )
+        step(ZERO_BLOCK_SYSTEM, "skm", RealVector(np.zeros(2)), RngState(seed), s=2)
 
 
 # ---------------------------------------------------------- step geometry
@@ -492,7 +498,7 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
     for s in (1, 2, 4, 5, 10, 20):
         for _ in range(5):
             x0 = RealVector(gen.standard_normal(4))
-            _, prov = sketched_motzkin_step(sy, SketchSpec("block", s), x0, rng)
+            _, prov = step(sy, "skm", x0, rng, s=s)
             sk = prov.sketched
             t = sk.M.a @ x0.a - sk.r.a
             norms = np.einsum("ij,ij->i", sk.M.a, sk.M.a)
@@ -515,6 +521,19 @@ def test_step_error_never_increases():
             nxt = float((x.a - xs) @ (x.a - xs))
             assert nxt <= err + slack
             err = nxt
+
+
+def test_step_provenance_replays_every_method():
+    # project_row onto the row the provenance names (a row of A when
+    # nothing was sketched) reproduces every method's step bit for bit.
+    sy = make_system(30, 5, seed=84)
+    rng = RngState(19)
+    for method in METHOD_NAMES:
+        x = RealVector(np.random.default_rng(6).standard_normal(5))
+        for _ in range(10):
+            x1, row, beta = step_row_and_beta(sy, method, x, rng)
+            assert np.array_equal(project_row(x, row, beta).a, x1.a), method
+            x = x1
 
 
 # --------------------------------------------------------------- run loop
@@ -583,13 +602,7 @@ def test_run_matches_manual_step_composition():
         rng = RngState(99)
         x = RealVector(np.zeros(5))
         for _ in range(steps):
-            if method == "kaczmarz":
-                x, _ = kaczmarz_step(sy, x, rng)
-            elif method == "motzkin":
-                x, _ = motzkin_step(sy, x)
-            else:
-                kind = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}[method]
-                x, _ = sketched_motzkin_step(sy, SketchSpec(kind, 4), x, rng)
+            x, _ = step(sy, method, x, rng, s=4)
         assert np.array_equal(got.a, x.a), method
 
 
@@ -731,8 +744,8 @@ def test_integer_arguments_are_checked():
     for build in (block_sketch, gaussian_sketch, sparse_gaussian_sketch):
         with pytest.raises(InputError, match="sketch size must be an integer"):
             build(sy, 2.5, RngState(0))
-    with pytest.raises(InputError):
-        SketchSpec("block", 2.5)
+    with pytest.raises(InputError, match="sketch size must be an integer"):
+        step(sy, "skm", RealVector(np.zeros(2)), RngState(0), s=2.5)
     for field in ("s", "seed", "max_iters", "record_dense_limit", "record_stride"):
         with pytest.raises(InputError, match="must be an integer, got 2.5"):
             SolverConfig("sgsm", **{field: 2.5})
@@ -749,6 +762,25 @@ def test_linear_system_validation():
         LinearSystem(DenseMatrix(np.eye(3)), RealVector([1.0, 2.0]))
     with pytest.raises(InputError):
         LinearSystem(DenseMatrix(np.eye(2)), RealVector([1.0, 1.0]), RealVector([5.0, 5.0]))
+
+
+@pytest.mark.parametrize("scale, refused", [
+    (1e155, "overflows a double"),  # ||b|| is inf, so the stopping threshold would be inf
+    (1.5 * 2.0**-537, "is subnormal"),  # ||a_i||^2 subnormal: projections go wrong silently
+    (1e150, None),
+    (2.0**-500, None),
+], ids=["overflow", "subnormal", "1e150", "2^-500"])
+def test_linear_system_refuses_squares_outside_double_range(scale, refused):
+    a = scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    x_star = np.array([1.0, 2.0])
+    if refused:
+        with pytest.raises(InputError, match=refused):
+            LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
+        return
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
+    for method in METHOD_NAMES:
+        x, _ = run(sy, SolverConfig(method, s=2, tol=0.0, max_iters=300, seed=1))
+        assert np.max(np.abs(x.a - x_star)) <= 1e-10, method
 
 
 # ------------------------------------------------------------------ traces
