@@ -28,16 +28,7 @@ import numpy as np
 from .errors import FormatError, InputError, NumericalError
 from .linalg import condition_kappa_tilde, dynamic_range
 from .problems import ModelSpec, generate_system, load_csv_matrix, load_system, save_system
-from .solvers import (
-    _METHOD_KIND,
-    CONVERGED,
-    METHODS,
-    LinearSystem,
-    SolverConfig,
-    _selector,
-    contraction_summary,
-    run,
-)
+from .solvers import _SKETCHED, CONVERGED, METHODS, LinearSystem, SolverConfig, _check_method, contraction_summary, run
 
 __all__ = [
     "TRACE_HEADER",
@@ -48,8 +39,6 @@ __all__ = [
 
 TRACE_HEADER = ("method", "s", "trial", "iter", "error_sq", "residual_norm", "elapsed_ns")
 SWEEP_HEADER = ("s", "trial", "iters_to_threshold", "time_to_threshold_ns")
-
-_SKETCHED = tuple(_METHOD_KIND)
 
 
 def _run_cells(system, cells, trials, seed, **fields):
@@ -64,11 +53,10 @@ def _run_cells(system, cells, trials, seed, **fields):
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
-    configs = [SolverConfig(method=method, s=1 if s is None else s, seed=seed + trial,
-                            record_error=system.x_star is not None, **fields)
+    configs = [SolverConfig(method=method, s=s, seed=seed + trial, record_error=system.x_star is not None, **fields)
                for method, s in cells for trial in range(trials)]
     for config in configs:
-        _selector(system, config.method, config.s, None)
+        _check_method(config.method, config.s, system.A.rows)
     traces = [run(system, config)[1] for config in configs]
     return [traces[i:i + trials] for i in range(0, len(traces), trials)]
 
@@ -117,9 +105,10 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
     """Time/iterations-to-threshold over sketch sizes for one method.
 
     With a planted solution the threshold is on the squared error
-    relative to its initial value; otherwise it is a relative residual
-    tolerance.  Rows are (s, trial, iters_to_threshold,
-    time_to_threshold_ns), with DNF when max_iters hit first.
+    relative to its initial value; otherwise it is run's residual rule
+    ||A x - b|| <= threshold * ||b||.  Rows are (s, trial,
+    iters_to_threshold, time_to_threshold_ns), with DNF when max_iters
+    hit first.
     """
     if method not in _SKETCHED:
         raise InputError(f"sweep needs a sketched method ({', '.join(_SKETCHED)}), got {method!r}")
@@ -181,19 +170,15 @@ def _parse_methods(text):
             continue
         name, colon, s_text = token.partition(":")
         name = name.strip()
-        if name not in METHODS:
-            raise InputError(f"unknown method {name!r}, expected one of {METHODS}")
-        if colon:
-            try:
-                s = int(s_text)
-            except ValueError:
-                raise InputError(f"bad sketch size in {token!r}") from None
-            if name not in _SKETCHED:
-                raise InputError(f"method {name} takes no sketch size")
-        elif name in _SKETCHED:
+        try:
+            s = int(s_text) if colon else 1
+        except ValueError:
+            raise InputError(f"bad sketch size in {token!r}") from None
+        _check_method(name, s)
+        if colon and name not in _SKETCHED:
+            raise InputError(f"method {name} takes no sketch size")
+        if not colon and name in _SKETCHED:
             raise InputError(f"method {name} needs a sketch size, write {name}:<s>")
-        else:
-            s = None
         cells.append((name, s))
     if not cells:
         raise InputError("no methods given")
@@ -319,7 +304,7 @@ def cmd_compare(args) -> int:
         iters = [t.final.iter if ok else math.inf for t, ok in zip(cell, done)]
         times = [t.final.elapsed_ns / 1e9 if ok else math.inf for t, ok in zip(cell, done)]
         contractions = [c for c in map(_contraction, cell) if c is not None]
-        parts = [f"method={method}", f"s={s if s is not None else '-'}", f"trials={args.trials}",
+        parts = [f"method={method}", f"s={s if method in _SKETCHED else '-'}", f"trials={args.trials}",
                  f"converged={sum(done)}/{args.trials}", f"median_iters={_median_text(iters, as_int=True)}",
                  f"median_time_s={_median_text(times)}",
                  f"median_final_residual={float(np.median([t.final.residual_norm for t in cell])):.6e}"]

@@ -3,21 +3,21 @@
 A sketch compresses the m-row system (A, b) to an s-row system
 (M, r) = (S^T A, S^T b) for some m-by-s matrix S:
 
-  * block:    S selects s contiguous rows, so M is a zero-copy view of
-              A and building it costs no floating-point multiplies;
-  * gaussian: S has iid N(0, 1) entries, costing Theta(m*s*n) multiplies
-              per sketch (gaussian_sketch, the materialized reference);
-  * sparse:   S is zero outside one s-row block, where it holds an
-              s-by-s Gaussian factor X; then M = X^T A_block costs only
-              Theta(s^2*n) multiplies while still mixing rows.
+  * block_sketch (skm): S selects s contiguous rows, so M is a zero-copy
+    view of A and building it costs no floating-point multiplies;
+  * gaussian_sketch (gsm): S has iid N(0, 1) entries, costing
+    Theta(m*s*n) multiplies per sketch (the materialized reference);
+  * sparse_gaussian_sketch (sgsm): S is zero outside one s-row block,
+    where it holds an s-by-s Gaussian factor X; then M = X^T A_block
+    costs only Theta(s^2*n) multiplies while still mixing rows.
 
 Block placement is aligned: the block index z is uniform on
 {0, ..., ceil(m/s) - 1} and the block covers rows [shift, shift + s)
 with shift = min(s*z, m - s).  When s does not divide m the last block
 is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 
-Draw order per sketch: block index first (when the kind has one), then
-the Gaussian factor entries in row-major order.
+Draw order per sketch: block index first (block and sparse sketches),
+then the Gaussian factor entries in row-major order.
 
 A max-residual step on a Gaussian sketch only ever uses the winning
 column of S, so the solver draws that column alone from its conditional
@@ -38,15 +38,12 @@ from .linalg import DenseMatrix, RealVector, _own
 from .rng import RngState
 
 __all__ = [
-    "SKETCH_KINDS",
     "SketchProvenance",
     "SketchedSystem",
     "block_sketch",
     "gaussian_sketch",
     "sparse_gaussian_sketch",
 ]
-
-SKETCH_KINDS = ("block", "gaussian", "sparse")
 
 
 def _check_sketch(s: int, m: int | None = None):
@@ -63,11 +60,10 @@ def _check_sketch(s: int, m: int | None = None):
 @dataclass(frozen=True, eq=False)
 class SketchProvenance:
     """What randomness produced a sketch: the block index z and row shift
-    min(s*z, m - s) (block and sparse kinds), and the Gaussian factor (S
-    for gaussian, X for sparse).  Enough to rematerialize the sketch
-    exactly."""
+    min(s*z, m - s) (block and sparse sketches), and the Gaussian factor
+    (S of a Gaussian sketch, X of a sparse one).  Enough to rematerialize
+    the sketch exactly."""
 
-    kind: str
     z: int | None = None
     shift: int | None = None
     factor: DenseMatrix | None = None
@@ -86,8 +82,9 @@ class SketchedSystem:
             raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
 
 
-def _build_raw(Aa, ba, kind, s, gen):
-    """One sketch as raw arrays: (Ma, ra, z, shift, factor).
+def _build_raw(Aa, ba, s, gen, mix):
+    """One block sketch as raw arrays: (Ma, ra, z, shift, factor); with
+    mix, the block is mixed by a fresh s-by-s Gaussian factor (sparse).
 
     Shared by the public constructors and the solver run loop so both
     consume the random stream identically.
@@ -95,7 +92,7 @@ def _build_raw(Aa, ba, kind, s, gen):
     m = Aa.shape[0]
     z = int(gen.integers(-(-m // s)))
     shift = min(s * z, m - s)
-    if kind == "block":
+    if not mix:
         return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
     X = gen.standard_normal((s, s))
     return X.T @ Aa[shift:shift + s], X.T @ ba[shift:shift + s], z, shift, X
@@ -130,10 +127,9 @@ def _gaussian_winner_raw(Aa, ba, res, s, gen):
     return t, (F.T @ Aa, F.T @ ba, None, None, F), 0
 
 
-def _wrap(kind, raw) -> SketchedSystem:
+def _wrap(raw) -> SketchedSystem:
     Ma, ra, z, shift, factor = raw
     prov = SketchProvenance(
-        kind,
         z=z,
         shift=shift,
         factor=DenseMatrix(_own(factor)) if factor is not None else None,
@@ -151,7 +147,7 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     zero multiplies.
     """
     _check_sketch(s, system.A.rows)
-    return _wrap("block", _build_raw(system.A.a, system.b.a, "block", s, rng.gen))
+    return _wrap(_build_raw(system.A.a, system.b.a, s, rng.gen, mix=False))
 
 
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -163,7 +159,7 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s)
     S = rng.gen.standard_normal((system.A.rows, s))
-    return _wrap("gaussian", (S.T @ system.A.a, S.T @ system.b.a, None, None, S))
+    return _wrap((S.T @ system.A.a, S.T @ system.b.a, None, None, S))
 
 
 def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -173,5 +169,5 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     Theta(s^2*n) multiplies instead of Theta(m*s*n).
     """
     _check_sketch(s, system.A.rows)
-    return _wrap("sparse", _build_raw(system.A.a, system.b.a, "sparse", s, rng.gen))
+    return _wrap(_build_raw(system.A.a, system.b.a, s, rng.gen, mix=True))
 

@@ -62,9 +62,7 @@ __all__ = [
 ]
 
 METHODS = ("kaczmarz", "motzkin", "skm", "gsm", "sgsm")
-
-# Sketch family behind each sketched method.
-_METHOD_KIND = {"skm": "block", "gsm": "gaussian", "sgsm": "sparse"}
+_SKETCHED = METHODS[2:]
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -152,6 +150,17 @@ class LinearSystem:
         return f"LinearSystem(rows={self.A.rows}, cols={self.A.cols}, planted={planted})"
 
 
+def _check_method(method: str, s: int, m: int | None = None):
+    """The one check of a (method, s, m) combination: a method in METHODS
+    and an integer sketch size s >= 1, at most m for skm and sgsm when the
+    row count m is given.  kaczmarz and motzkin ignore s, but it must
+    still be valid (the CLI gives them s = 1).
+    """
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}, expected one of {METHODS}")
+    _check_sketch(s, m if method in ("skm", "sgsm") else None)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Method choice and run controls.
@@ -161,6 +170,8 @@ class SolverConfig:
     record_dense_limit and record_stride must be integers.  The trace
     records every iteration up to record_dense_limit, then every
     record_stride-th; the stopping rules are checked at record points.
+    The run stops once ||A x - b||_2 <= tol * ||b||_2, a rule that scaling
+    (A, b) leaves unchanged; with b = 0 only a zero residual stops it.
     error_stop, when set, additionally stops the run once the recorded
     squared error drops to that absolute value (requires record_error).
     """
@@ -176,9 +187,7 @@ class SolverConfig:
     error_stop: float | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        _check_sketch(self.s)
+        _check_method(self.method, self.s)
         for name in ("seed", "max_iters", "record_dense_limit", "record_stride"):
             _index(getattr(self, name), name)
         if self.max_iters < 1:
@@ -284,18 +293,14 @@ def _selector(system: LinearSystem, method: str, s: int, gen):
     its residual.  raw is (A, b) for kaczmarz and motzkin and the step's
     raw sketch (Ma, ra, z, shift, factor) otherwise; kaczmarz computes
     no residual and returns t = _NO_RESIDUAL.
-    This is the one check of (method, s, m), before any draw: a method in
-    METHODS and an integer s >= 1, at most m for skm and sgsm.  gen is
-    read only at a draw, so it may be None for motzkin or a bare check.
-    The Kaczmarz sampling table is read at the first draw, so building a
-    selector never fails on an all-zero A.
+    (method, s, m) is checked before any draw.  gen is read only at a
+    draw, so it may be None for motzkin.  The Kaczmarz sampling table is
+    read at the first draw, so building a selector never fails on an
+    all-zero A.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}, expected one of {METHODS}")
+    _check_method(method, s, system.A.rows)
     Aa, ba = system.A.a, system.b.a
     whole = (Aa, ba)
-    kind = _METHOD_KIND.get(method)
-    _check_sketch(s, system.A.rows if kind in ("block", "sparse") else None)
     if method == "kaczmarz":
 
         def select(xa):
@@ -310,7 +315,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen):
         return select
 
     def select(xa):
-        raw = whole if kind is None else _build_raw(Aa, ba, kind, s, gen)
+        raw = whole if method == "motzkin" else _build_raw(Aa, ba, s, gen, mix=method == "sgsm")
         t = raw[0] @ xa - raw[1]
         i = int(np.argmax(t * t))
         return t[i], raw, i
@@ -357,14 +362,14 @@ def step(system: LinearSystem, method: str, x, rng: RngState | None = None, *, s
     if rng is None and method != "motzkin":
         raise InputError(f"method {method} draws at every step and needs an rng")
     xa, raw, i = _step(select, _iterate(system, x), system.zero_row_gate)
-    kind = _METHOD_KIND.get(method)
-    return RealVector(_own(xa)), StepProvenance(None if kind is None else _wrap(kind, raw), i)
+    return RealVector(_own(xa)), StepProvenance(_wrap(raw) if method in _SKETCHED else None, i)
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):
     """Iterate the configured method until the relative residual rule
-    ||A x - b||_2 <= tol * (1 + ||b||_2) fires, the optional error_stop
-    fires, or max_iters steps complete.
+    ||A x - b||_2 <= tol * ||b||_2 fires, the optional error_stop fires,
+    or max_iters steps complete.  The rule is scale-free; with b = 0 only
+    an exactly zero residual satisfies it (as x0 = 0 does at once).
 
     The iterate starts at 0 unless x0 is given.  Stopping is checked at
     record points; past record_dense_limit iterations only every
@@ -383,7 +388,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     xs = system.x_star.a if config.record_error else None
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 
-    threshold = config.tol * (1.0 + system.b_norm)
+    threshold = config.tol * system.b_norm
     records = []
     start = time.perf_counter_ns()
 

@@ -8,7 +8,7 @@ import sketchsolve
 PUBLIC_NAMES = [
     "CONVERGED", "ConditionStats", "DenseMatrix", "FormatError", "InputError", "LinearSystem",
     "MAX_ITERS", "METHODS", "MODEL_KINDS", "ModelSpec", "NumericalError", "RankDeficientError",
-    "RealVector", "RngState", "RunTrace", "SKETCH_KINDS", "SketchProvenance", "SketchedSystem",
+    "RealVector", "RngState", "RunTrace", "SketchProvenance", "SketchedSystem",
     "SketchsolveError", "SolverConfig", "StepProvenance", "TraceRecord", "ZeroRowError",
     "block_sketch", "condition_kappa_tilde", "contraction_summary", "dynamic_range",
     "frobenius_norm_sq", "gaussian_sketch", "generate_system", "load_csv_matrix",

@@ -17,6 +17,7 @@ import pytest
 import sketchsolve.cli
 from sketchsolve import (
     DenseMatrix,
+    InputError,
     LinearSystem,
     ModelSpec,
     RealVector,
@@ -128,7 +129,7 @@ def test_solve_gsm_converges_and_traces(tmp_path, capsys):
     from sketchsolve import load_system
 
     b_norm = float(np.linalg.norm(load_system(system_path).b.a))
-    assert float(body[-1][5]) <= 1e-8 * (1.0 + b_norm)
+    assert float(body[-1][5]) <= 1e-8 * b_norm
 
 
 def test_solve_trace_empty_columns_for_plain_methods(tmp_path):
@@ -205,6 +206,10 @@ def test_compare_row_accounting_and_dnf_summaries(tmp_path, capsys):
     summary_lines = [l for l in out.splitlines() if l.startswith("method=")]
     assert len(summary_lines) == 5
     assert all("converged=0/5" in l and "median_iters=DNF" in l for l in summary_lines)
+    # Unsketched methods print no sketch size; sketched ones print theirs.
+    assert [l.split("  ")[:2] for l in summary_lines] == [
+        ["method=kaczmarz", "s=-"], ["method=motzkin", "s=-"], ["method=skm", "s=4"],
+        ["method=gsm", "s=4"], ["method=sgsm", "s=4"]]
 
 
 def test_compare_single_cell_matches_solve(tmp_path):
@@ -262,6 +267,16 @@ def test_compare_rejects_sketch_size_on_plain_method(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("methods", ["fourier", "fourier:3"])
+def test_compare_rejects_unknown_method_as_solver_config_does(tmp_path, capsys, methods):
+    with pytest.raises(InputError) as exc:
+        SolverConfig("fourier")
+    code = main(["compare", *GAUSS_ARGS, "--methods", f"kaczmarz,{methods}", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_needs_sketch_size_on_sketched_method(tmp_path, capsys):

@@ -6,12 +6,15 @@ iteration, and closed-form projections on integer-valued systems (where
 the arithmetic is exact, so unchanged iterates can be compared bitwise).
 """
 
+import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchsolve import solvers
 from sketchsolve import (
@@ -672,19 +675,32 @@ def test_run_zero_row_error_names_iteration():
         run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=10, seed=seed))
 
 
+SCALING_BASE = generate_system(ModelSpec("gaussian", 200, 20, 0))
+
+
+@functools.cache
+def unscaled_run(method, tol):
+    return run(SCALING_BASE, SolverConfig(method, s=10, tol=tol, max_iters=1000, record_error=True))
+
+
 @pytest.mark.parametrize("method", METHOD_NAMES)
-def test_run_is_invariant_under_power_of_two_scaling(method):
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-30, 30), tol=st.sampled_from([0.0, 1e-8]))
+@example(k=-30, tol=1e-8)
+@example(k=30, tol=1e-8)
+def test_run_is_invariant_under_power_of_two_scaling(method, k, tol):
     # Scaling (A, b) by 2^k is exact in floating point and leaves x* fixed,
-    # so any difference in the iterates is a threshold in the wrong units.
-    base = generate_system(ModelSpec("gaussian", 200, 20, 0))
-    config = SolverConfig(method, s=10, tol=0.0, max_iters=300, record_error=True)
-    x_base, t_base = run(base, config)
-    for k in (-30, -10, 10, 30):
-        scale = 2.0 ** k
-        scaled = LinearSystem(DenseMatrix(scale * base.A.a), RealVector(scale * base.b.a), base.x_star)
-        x, trace = run(scaled, config)
-        assert np.array_equal(x.a, x_base.a), k
-        assert [r.error_sq for r in trace.records] == [r.error_sq for r in t_base.records], k
+    # so any difference in the iterates, or in where the run stops, is a
+    # threshold in the wrong units (at tol 1e-8 kaczmarz stops at 785 for
+    # every k; the rule tol * (1 + ||b||) stopped it at 74 for k = -30).
+    x_base, t_base = unscaled_run(method, tol)
+    scale = 2.0 ** k
+    scaled = LinearSystem(DenseMatrix(scale * SCALING_BASE.A.a), RealVector(scale * SCALING_BASE.b.a),
+                          SCALING_BASE.x_star)
+    x, trace = run(scaled, SolverConfig(method, s=10, tol=tol, max_iters=1000, record_error=True))
+    assert np.array_equal(x.a, x_base.a)
+    assert (trace.status, trace.final.iter) == (t_base.status, t_base.final.iter)
+    assert [r.error_sq for r in trace.records] == [r.error_sq for r in t_base.records]
 
 
 @pytest.mark.parametrize("method", METHOD_NAMES)
