@@ -8,6 +8,12 @@ across reruns, not across machines or library upgrades.
 Stream-consumption conventions (they matter for replay):
   * matrix fills consume entries in row-major order;
   * a weighted or uniform index draw consumes exactly one variate;
+  * run() draws kaczmarz uniforms and skm block indices in chunks of
+    solvers._CHUNK, and step() one at a time.  On PCG64, random(k) and
+    integers(n, size=k) return exactly k scalar draws (tests/test_rng.py
+    guards this), so the stream, and with it every trajectory, is the
+    same either way; run() owns its generator, so the unused tail of its
+    last chunk is never seen;
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
   * a gsm solver step draws, per attempt, s normals u first (the winner
@@ -16,7 +22,7 @@ Stream-consumption conventions (they matter for replay):
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing).
+    nothing); in run() that is the next draw of the current chunk.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ class RngState:
         return f"RngState(seed={self.seed})"
 
 
-def _pick_from_cumulative(gen: np.random.Generator, cum: np.ndarray) -> int:
-    # One uniform draw; zero-weight indices are never hit because their
-    # cumulative value equals the previous one.
-    u = gen.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+def _pick_from_cumulative(gen: np.random.Generator, cum: np.ndarray, k: int) -> np.ndarray:
+    """k weighted indices from k uniforms: index i with probability
+    proportional to cum[i] - cum[i - 1].  A zero-weight index is never hit,
+    because its cumulative value equals the previous one."""
+    return np.searchsorted(cum, gen.random(k) * cum[-1], side="right")

@@ -82,17 +82,22 @@ class SketchedSystem:
             raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
 
 
-def _build_raw(Aa, ba, s, gen, mix):
-    """One block sketch as raw arrays: (Ma, ra, z, shift, factor); with
-    mix, the block is mixed by a fresh s-by-s Gaussian factor (sparse).
+def _block_count(m: int, s: int) -> int:
+    """The number ceil(m/s) of aligned s-row blocks of an m-row system."""
+    return -(-m // s)
 
-    Shared by the public constructors and the solver run loop so both
-    consume the random stream identically.
+
+def _build_raw(Aa, ba, s, z, gen=None):
+    """The block sketch of block z as raw arrays: (Ma, ra, z, shift,
+    factor); with gen, the block is mixed by an s-by-s Gaussian factor
+    drawn from gen (sparse).
+
+    Shared by the public constructors and the solver steps; every caller
+    draws z from its stream before calling, so all consume the stream
+    identically.
     """
-    m = Aa.shape[0]
-    z = int(gen.integers(-(-m // s)))
-    shift = min(s * z, m - s)
-    if not mix:
+    shift = min(s * z, Aa.shape[0] - s)
+    if gen is None:
         return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
     X = gen.standard_normal((s, s))
     return X.T @ Aa[shift:shift + s], X.T @ ba[shift:shift + s], z, shift, X
@@ -147,7 +152,8 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     zero multiplies.
     """
     _check_sketch(s, system.A.rows)
-    return _wrap(_build_raw(system.A.a, system.b.a, s, rng.gen, mix=False))
+    z = int(rng.gen.integers(_block_count(system.A.rows, s)))
+    return _wrap(_build_raw(system.A.a, system.b.a, s, z))
 
 
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -169,5 +175,6 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     Theta(s^2*n) multiplies instead of Theta(m*s*n).
     """
     _check_sketch(s, system.A.rows)
-    return _wrap(_build_raw(system.A.a, system.b.a, s, rng.gen, mix=True))
+    z = int(rng.gen.integers(_block_count(system.A.rows, s)))
+    return _wrap(_build_raw(system.A.a, system.b.a, s, z, rng.gen))
 

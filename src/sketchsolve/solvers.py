@@ -23,6 +23,15 @@ system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
 reselected once, with fresh draws, and a second such row raises
 ZeroRowError.  run() and the public step() share this path.
 
+A step costs about as many microseconds as it makes numpy calls, so the
+steps that project onto a row of A (kaczmarz, motzkin, skm) read its
+||a_i||^2 from LinearSystem.row_norms_sq, the one row-norm table, which
+equals the row's own dot product with itself bit for bit; only gsm and
+sgsm compute the norm of their sketched row.  run() draws kaczmarz
+uniforms and skm block indices _CHUNK at a time, and step() one at a
+time: the stream is the same (see rng.py), so run() stays the exact
+composition of step().
+
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
 row used, so the squared error never increases on consistent systems.
@@ -43,7 +52,7 @@ import numpy as np
 from .errors import InputError, NumericalError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _pick_from_cumulative
-from .sketch import SketchedSystem, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
+from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
 
 __all__ = [
     "METHODS",
@@ -75,7 +84,13 @@ ZERO_ROW_GATE = 1e-14
 # never equals 0.0, so the step never takes it for a solved row.
 _NO_RESIDUAL = float("nan")
 
-# Consistency slack for a planted solution: ||A x* - b|| <= slack * (1 + ||b||).
+# Draws per chunk of run()'s kaczmarz uniforms and skm block indices.  A
+# chunk costs about as much as ten single draws (about 25 us for 1000
+# kaczmarz rows), so a refill is cheap per step and so is the unused tail
+# of a short run's last chunk.
+_CHUNK = 1024
+
+# Consistency slack for a planted solution: ||A x* - b|| <= slack * ||b||.
 CONSISTENCY_TOL = 1e-10
 
 # run() lets error_sq rise between trace records by at most the larger of
@@ -92,10 +107,12 @@ class LinearSystem:
     """A consistent m-by-n system A x = b with m >= n.
 
     x_star, when present, is a planted solution and must satisfy
-    ||A x_star - b||_2 <= 1e-10 * (1 + ||b||_2); solvers can then track
-    the true error per iteration.  Squares must stay in the range of a
-    double: ||A||_F^2 and ||b|| finite (or the stopping threshold is inf),
-    and a nonzero A's largest squared row norm not subnormal.
+    ||A x_star - b||_2 <= 1e-10 * ||b||_2, a rule that scaling (A, b)
+    leaves unchanged (with b = 0 only an exact solution passes); solvers
+    can then track the true error per iteration.  Squares must stay in
+    the range of a double: ||A||_F^2 and ||b|| finite (or the stopping
+    threshold is inf), and a nonzero A's largest squared row norm not
+    subnormal.
     """
 
     A: DenseMatrix
@@ -120,13 +137,21 @@ class LinearSystem:
             if len(self.x_star) != self.A.cols:
                 raise InputError(f"x_star has length {len(self.x_star)}, expected {self.A.cols}")
             gap = float(np.linalg.norm(self.A.a @ self.x_star.a - self.b.a))
-            bound = CONSISTENCY_TOL * (1.0 + self.b_norm)
+            bound = CONSISTENCY_TOL * self.b_norm
             if gap > bound:
                 raise InputError(f"x_star is not a solution: ||A x* - b|| = {gap:.3e} > {bound:.3e}")
 
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
-        return _own(np.einsum("ij,ij->i", self.A.a, self.A.a))
+        """||a_i||^2 for every row: the one table behind the Kaczmarz
+        weights, the zero-row gate, the range checks and the projections
+        onto rows of A.  A batched matmul of each row with itself rounds
+        exactly as the row's own dot product does, so a step that reads
+        the table moves x bit for bit as one that recomputes the norm; a
+        summed elementwise square rounds differently on most rows."""
+        a = self.A.a
+        with np.errstate(over="ignore"):  # overflow is refused in __post_init__
+            return _own((a[:, None, :] @ a[:, :, None]).ravel())
 
     @cached_property
     def zero_row_gate(self) -> float:
@@ -248,7 +273,7 @@ class StepProvenance:
 
 
 def _project_raw(xa, row, beta, row_sq):
-    return xa + ((beta - float(row @ xa)) / row_sq) * row
+    return xa + ((beta - float(row.dot(xa))) / row_sq) * row
 
 
 def project_row(x, a, beta: float) -> RealVector:
@@ -286,39 +311,69 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen):
-    """The row-selection rule of one method, as select(x) -> (t, raw, i).
+def _draws(draw, chunk):
+    """The values of draw(chunk), draw(chunk), ... one at a time, as
+    Python scalars; draw is first called at the first next()."""
+    while True:
+        yield from draw(chunk).tolist()
 
-    The chosen row is raw[0][i] with right-hand side raw[1][i], and t is
-    its residual.  raw is (A, b) for kaczmarz and motzkin and the step's
-    raw sketch (Ma, ra, z, shift, factor) otherwise; kaczmarz computes
-    no residual and returns t = _NO_RESIDUAL.
+
+def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1):
+    """The row-selection rule of one method, as
+    select(x) -> (t, raw, i, row_sq).
+
+    The chosen row is raw[0][i] with right-hand side raw[1][i] and squared
+    norm row_sq, and t is its residual.  raw is the step's raw sketch
+    (Ma, ra, z, shift, factor), and (A, b, None, 0, None) for kaczmarz
+    and motzkin; kaczmarz computes no residual and returns
+    t = _NO_RESIDUAL.  A row of A (no factor) reads row_sq from
+    LinearSystem.row_norms_sq; a sketched row computes its own.
+    kaczmarz uniforms and skm block indices are drawn chunk at a time
+    (the stream does not depend on chunk; see rng.py).
     (method, s, m) is checked before any draw.  gen is read only at a
     draw, so it may be None for motzkin.  The Kaczmarz sampling table is
     read at the first draw, so building a selector never fails on an
     all-zero A.
     """
-    _check_method(method, s, system.A.rows)
+    m = system.A.rows
+    _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
-    whole = (Aa, ba)
+    norms = system.row_norms_sq
+    whole = (Aa, ba, None, 0, None)
+
+    def chosen(t, raw, i):
+        if raw[4] is None:
+            return t, raw, i, norms[raw[3] + i]
+        row = raw[0][i]
+        return t, raw, i, float(row @ row)
+
     if method == "kaczmarz":
+        rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k), chunk)
 
         def select(xa):
-            return _NO_RESIDUAL, whole, _pick_from_cumulative(gen, system.cum_row_weights)
+            i = next(rows)
+            return _NO_RESIDUAL, whole, i, norms[i]
 
         return select
     if method == "gsm":
 
         def select(xa):
-            return _gaussian_winner_raw(Aa, ba, Aa @ xa - ba, s, gen)
+            return chosen(*_gaussian_winner_raw(Aa, ba, Aa @ xa - ba, s, gen))
 
         return select
+    if method == "motzkin":
+        draw = lambda: whole
+    elif method == "skm":
+        blocks = _draws(lambda k: gen.integers(_block_count(m, s), size=k), chunk)
+        draw = lambda: _build_raw(Aa, ba, s, next(blocks))
+    else:
+        draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(_block_count(m, s))), gen)
 
     def select(xa):
-        raw = whole if method == "motzkin" else _build_raw(Aa, ba, s, gen, mix=method == "sgsm")
+        raw = draw()
         t = raw[0] @ xa - raw[1]
         i = int(np.argmax(t * t))
-        return t[i], raw, i
+        return chosen(t[i], raw, i)
 
     return select
 
@@ -332,13 +387,11 @@ def _step(select, xa, gate):
     second such row raises ZeroRowError.
     """
     for _ in (0, 1):
-        t, raw, i = select(xa)
+        t, raw, i, row_sq = select(xa)
         if t == 0.0:
             return xa, raw, i
-        row = raw[0][i]
-        row_sq = float(row @ row)
         if row_sq > gate:
-            return _project_raw(xa, row, raw[1][i], row_sq), raw, i
+            return _project_raw(xa, raw[0][i], raw[1][i], row_sq), raw, i
     raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 
@@ -380,7 +433,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     identical traces except the elapsed_ns fields.
     """
     gen = RngState(config.seed).gen
-    select = _selector(system, config.method, config.s, gen)
+    select = _selector(system, config.method, config.s, gen, _CHUNK)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a

@@ -15,11 +15,13 @@ from sketchsolve import (
     DenseMatrix,
     InputError,
     LinearSystem,
+    ModelSpec,
     RankDeficientError,
     RealVector,
     condition_kappa_tilde,
     dynamic_range,
     frobenius_norm_sq,
+    generate_system,
     smallest_singular_value,
 )
 
@@ -152,6 +154,15 @@ def test_row_norm_sq_matches_summation_oracle():
     for i in (0, 7, 19):
         want = sum_of_squares(a[i])
         assert abs(system.row_norms_sq[i] - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("model, m, n", [("gaussian", 1000, 50), ("coherent", 1000, 50), ("gaussian", 97, 11)])
+def test_row_norms_sq_equal_row_dot_row_bitwise(model, m, n):
+    # kaczmarz, motzkin and skm project with this table instead of the
+    # row's own row @ row; their iterates are those of a step that
+    # recomputes the norm only while the two agree bit for bit.
+    system = generate_system(ModelSpec(model, m, n, 3))
+    assert system.row_norms_sq.tolist() == [float(row @ row) for row in system.A.a]
 
 
 def test_frobenius_known_values():

@@ -1,5 +1,5 @@
-"""Random stream tests: seeding, replay, seed validation and the
-weighted index draw behind Kaczmarz row sampling.
+"""Random stream tests: seeding, replay, seed validation, chunked draws
+and the weighted index draw behind Kaczmarz row sampling.
 
 Statistical checks use wide, seeded windows so they are deterministic in
 practice.  The sampling laws of the solver steps themselves are checked
@@ -39,10 +39,30 @@ def test_seed_validation():
         RngState(2**64)
 
 
+# ------------------------------------------------------------ chunked draws
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_chunked_draws_equal_scalar_draws(chunk):
+    # run() draws kaczmarz uniforms and skm block indices in chunks, and
+    # step() one at a time; run() is the composition of step() only
+    # because k batched draws are the k scalar draws.  2500 is a multiple
+    # of none of the chunk sizes above 1, so the last chunk is cut short.
+    total = 2500
+    for n in (2, 3, 40, 1000, 10**6):
+        scalar, chunked = RngState(5).gen, RngState(5).gen
+        want = [int(scalar.integers(n)) for _ in range(total)]
+        got = np.concatenate([chunked.integers(n, size=chunk) for _ in range(-(-total // chunk))])
+        assert got[:total].tolist() == want, n
+    scalar, chunked = RngState(6).gen, RngState(6).gen
+    want = [scalar.random() for _ in range(total)]
+    got = np.concatenate([chunked.random(chunk) for _ in range(-(-total // chunk))])
+    assert got[:total].tolist() == want
+
+
 # --------------------------------------------------------- weighted index
 
-def weighted_index(rng, weights):
-    return _pick_from_cumulative(rng.gen, np.cumsum(np.asarray(weights, dtype=float)))
+def weighted_indices(rng, weights, k):
+    return _pick_from_cumulative(rng.gen, np.cumsum(np.asarray(weights, dtype=float)), k)
 
 
 # Upper 0.001 quantiles of the chi-square law, by degrees of freedom.
@@ -50,21 +70,16 @@ CHI2_999 = {2: 13.8155, 3: 16.2662, 4: 18.4668, 5: 20.5150, 6: 22.4577, 7: 24.32
 
 
 def test_weighted_index_degenerate_mass():
-    rng = RngState(11)
-    for _ in range(20):
-        assert weighted_index(rng, [0.0, 7.0, 0.0]) == 1
+    assert set(weighted_indices(RngState(11), [0.0, 7.0, 0.0], 20).tolist()) == {1}
 
 
 def test_weighted_index_even_split_frequency():
-    rng = RngState(13)
-    zeros = sum(weighted_index(rng, [1.0, 1.0]) == 0 for _ in range(100_000))
+    zeros = np.count_nonzero(weighted_indices(RngState(13), [1.0, 1.0], 100_000) == 0)
     assert 0.49 < zeros / 100_000 < 0.51
 
 
 def test_weighted_index_two_to_one_frequency():
-    rng = RngState(13)
-    weights = [1.0, 3.0]
-    hits = sum(weighted_index(rng, weights) for _ in range(100_000))
+    hits = int(weighted_indices(RngState(13), [1.0, 3.0], 100_000).sum())
     assert 0.74 < hits / 100_000 < 0.76
 
 
@@ -75,11 +90,8 @@ def test_weighted_index_chi_square_fit():
     for _ in range(10):
         k = int(gen.integers(3, 9))
         weights = gen.uniform(0.1, 2.0, size=k)
-        cum = np.cumsum(weights)
         n = 100_000
-        counts = np.zeros(k)
-        for _ in range(n):
-            counts[_pick_from_cumulative(rng.gen, cum)] += 1
+        counts = np.bincount(weighted_indices(rng, weights, n), minlength=k)
         expected = n * weights / weights.sum()
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < CHI2_999[k - 1]

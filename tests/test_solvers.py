@@ -7,6 +7,7 @@ the arithmetic is exact, so unchanged iterates can be compared bitwise).
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -238,14 +239,26 @@ def test_kaczmarz_all_zero_rows_rejected():
         step(sy, "kaczmarz", RealVector([0.0, 0.0]), RngState(0))
 
 
+# ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2.  A uniform of
+# 0.0 lands on row 0, one in (0, 0.5) on row 1 and one in [0.5, 1) on row 2.
+NEAR_ZERO_ROW_SYSTEM = LinearSystem(
+    DenseMatrix([[1e-8, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    RealVector([1e-8, 1.0, 2.0]),
+)
+
+
+def uniform_stream(values):
+    """A generator stand-in whose random(k) returns the next k of values,
+    then 0.9 forever."""
+    it = itertools.chain(values, itertools.repeat(0.9))
+    return SimpleNamespace(random=lambda k: np.array([next(it) for _ in range(k)]))
+
+
 def test_kaczmarz_near_zero_row_is_reselected_once():
-    # ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2: the first
-    # uniform (0.0) lands on row 0, the reselection (0.75) on row 2.
-    a = np.array([[1e-8, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    sy = LinearSystem(DenseMatrix(a), RealVector(a @ np.array([1.0, 2.0])))
-    uniforms = iter([0.0, 0.75])
+    # The first uniform (0.0) lands on row 0, the reselection (0.75) on row 2.
+    sy = NEAR_ZERO_ROW_SYSTEM
     rng = RngState(0)
-    rng.gen = SimpleNamespace(random=lambda: next(uniforms))
+    rng.gen = uniform_stream([0.0, 0.75])
     x1, prov = step(sy, "kaczmarz", RealVector([0.0, 0.0]), rng)
     assert prov.chosen == 2
     assert x1.a.tolist() == [0.0, 2.0]
@@ -595,9 +608,12 @@ def test_run_reaches_trailing_rows_for_every_method():
 
 def test_run_matches_manual_step_composition():
     # The run loop and the public single-step API must consume the random
-    # stream identically and produce bitwise-equal iterates.
-    sy = make_system(24, 5, seed=72)
-    steps = 30
+    # stream identically and produce bitwise-equal iterates.  run() draws
+    # kaczmarz uniforms and skm block indices in chunks, so the run crosses
+    # two chunk refills.  On coherent rows no method reaches a zero residual
+    # that soon, so every run goes the whole way.
+    sy = generate_system(ModelSpec("coherent", 24, 5, 72))
+    steps = 2 * solvers._CHUNK + 37
     for method in METHOD_NAMES:
         cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99)
         got, trace = run(sy, cfg)
@@ -607,6 +623,56 @@ def test_run_matches_manual_step_composition():
         for _ in range(steps):
             x, _ = step(sy, method, x, rng, s=4)
         assert np.array_equal(got.a, x.a), method
+
+
+def zero_block_fault(draws):
+    """The step at which skm:2 on ZERO_BLOCK_SYSTEM draws its all-zero block
+    0 twice, given the block draws, and the stream positions of the draws
+    its reselections started at."""
+    pos, starts = 0, []
+    for k in itertools.count(1):
+        if draws[pos] == 1:
+            pos += 1
+        elif draws[pos + 1] == 1:
+            starts.append(pos)
+            pos += 2
+        else:
+            return k, starts
+
+
+def test_run_matches_step_composition_across_reselections(monkeypatch):
+    # With chunks of 3, reselections fall inside a chunk and across a
+    # refill; each must take the next draw of the stream, as step() does.
+    monkeypatch.setattr(solvers, "_CHUNK", 3)
+    # skm: find a seed whose reselections start at a mid-chunk draw and at
+    # a chunk's last draw before block 0 comes twice, at step `fault`.
+    for seed in range(1000):
+        fault, starts = zero_block_fault(predict_block_draws(seed, 2, 200))
+        if fault > 4 and {p % 3 for p in starts} >= {0, 2}:
+            break
+    else:
+        pytest.fail("no seed in range reselects both inside a chunk and across a refill")
+    rng, x = RngState(seed), RealVector(np.zeros(2))
+    for _ in range(fault - 1):
+        x, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
+    with pytest.raises(ZeroRowError):
+        step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
+    got, _ = run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault - 1, seed=seed))
+    assert np.array_equal(got.a, x.a)
+    with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
+        run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault, seed=seed))
+    # kaczmarz: step 2 reselects within the first chunk (draws 1, 2) and
+    # step 5 across the refill (draws 5, 6), where row 1 completes the solve.
+    # A run that dropped the rest of a chunk at a reselection would reach
+    # that row one step early.
+    uniforms = [0.9, 0.0, 0.9, 0.9, 0.9, 0.0, 0.3]
+    monkeypatch.setattr(solvers, "RngState", lambda seed: SimpleNamespace(gen=uniform_stream(uniforms)))
+    got, trace = run(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz", tol=0.0, max_iters=50))
+    assert (trace.status, trace.final.iter) == (CONVERGED, 5)
+    rng, x = RngState(0), RealVector(np.zeros(2))
+    for _ in range(5):
+        x, _ = step(NEAR_ZERO_ROW_SYSTEM, "kaczmarz", x, rng)
+    assert np.array_equal(got.a, x.a) and x.a.tolist() == [1.0, 2.0]
 
 
 def test_run_trace_thinning_schedule():
@@ -778,6 +844,10 @@ def test_linear_system_validation():
         LinearSystem(DenseMatrix(np.eye(3)), RealVector([1.0, 2.0]))
     with pytest.raises(InputError):
         LinearSystem(DenseMatrix(np.eye(2)), RealVector([1.0, 1.0]), RealVector([5.0, 5.0]))
+    # Relative gap 0.30 at a tiny scale: the slack is relative to ||b||.
+    tiny = 2.0**-40
+    with pytest.raises(InputError, match="not a solution"):
+        LinearSystem(INTEGER_SYSTEM.A, RealVector(tiny * np.array([1.0, 1.0, 3.0])), RealVector([tiny, tiny]))
 
 
 @pytest.mark.parametrize("scale, refused", [
@@ -797,6 +867,26 @@ def test_linear_system_refuses_squares_outside_double_range(scale, refused):
     for method in METHOD_NAMES:
         x, _ = run(sy, SolverConfig(method, s=2, tol=0.0, max_iters=300, seed=1))
         assert np.max(np.abs(x.a - x_star)) <= 1e-10, method
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-30, 30))
+@example(k=-30)
+@example(k=30)
+def test_planted_solution_check_is_scale_free(k):
+    # b off A x* by 1e-11 ||b|| is consistent and by 1e-9 ||b|| is not, at
+    # every scale: scaling (A, b) by 2^k scales the gap and ||b|| exactly.
+    # (The slack 1e-10 (1 + ||b||) accepted the 1e-9 gap at k = -30.)
+    a, b, x_star = SCALING_BASE.A.a, SCALING_BASE.b.a, SCALING_BASE.x_star
+    scale = 2.0**k
+    direction = np.ones(len(b)) / math.sqrt(len(b))
+    for rel_gap, consistent in ((1e-11, True), (1e-9, False)):
+        b_off = scale * (b + rel_gap * float(np.linalg.norm(b)) * direction)
+        if consistent:
+            LinearSystem(DenseMatrix(scale * a), RealVector(b_off), x_star)
+        else:
+            with pytest.raises(InputError, match="not a solution"):
+                LinearSystem(DenseMatrix(scale * a), RealVector(b_off), x_star)
 
 
 # ------------------------------------------------------------------ traces
