@@ -1,5 +1,8 @@
 """Command-line harness: generate, solve, compare, sweep, diagnose.
 
+`generate` is the one command that takes model parameters; solve,
+compare, sweep and diagnose read the system it saves (`--system FILE`).
+
 Exit codes: 0 success, 2 usage, 3 malformed data file, 4 numerical
 failure (rank deficiency, zero row, a rise in the squared error), 5 I/O
 failure.
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import FormatError, InputError, NumericalError
 from .linalg import condition_kappa_tilde, dynamic_range
-from .problems import ModelSpec, generate_system, load_csv_matrix, load_system, save_system
+from .problems import MODEL_KINDS, ModelSpec, generate_system, load_csv_matrix, load_system, save_system
 from .solvers import _SKETCHED, CONVERGED, METHODS, LinearSystem, SolverConfig, _check_method, contraction_summary, run
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
 
 TRACE_HEADER = ("method", "s", "trial", "iter", "error_sq", "residual_norm", "elapsed_ns")
 SWEEP_HEADER = ("s", "trial", "iters_to_threshold", "time_to_threshold_ns")
+_EXIT_CODES = {InputError: 2, FormatError: 3, NumericalError: 4, OSError: 5}
 
 
 def _run_cells(system, cells, trials, seed, **fields):
@@ -62,17 +66,10 @@ def _run_cells(system, cells, trials, seed, **fields):
 
 
 def _trace_csv_rows(method, s, trial, trace):
-    s_text = str(s) if method in _SKETCHED else ""
+    """Raw trace rows; csv writes None as an empty field and a float as its repr."""
+    s = s if method in _SKETCHED else None
     for rec in trace.records:
-        yield (
-            method,
-            s_text,
-            str(trial),
-            str(rec.iter),
-            "" if rec.error_sq is None else repr(rec.error_sq),
-            repr(rec.residual_norm),
-            str(rec.elapsed_ns),
-        )
+        yield method, s, trial, rec.iter, rec.error_sq, rec.residual_norm, rec.elapsed_ns
 
 
 def _write_csv(path, header, rows):
@@ -210,18 +207,6 @@ def _load_input_system(args) -> LinearSystem:
     return load_system(args.system)
 
 
-def _campaign_system(args) -> LinearSystem:
-    if args.system is not None and args.model is not None:
-        raise InputError("give either --system or --model, not both")
-    if args.system is not None:
-        return load_system(args.system)
-    if args.model is None:
-        raise InputError("no input system: give --system FILE or --model with --rows/--cols")
-    if args.rows is None or args.cols is None:
-        raise InputError("--model needs --rows and --cols")
-    return generate_system(ModelSpec(args.model, args.rows, args.cols, args.model_seed))
-
-
 def _add_csv_input_flags(parser):
     parser.add_argument("--csv", action="store_true", help="treat --system as delimited text, not a binary system file")
     parser.add_argument("--delimiter", default=",", help="CSV field delimiter (default ',')")
@@ -230,19 +215,20 @@ def _add_csv_input_flags(parser):
     parser.add_argument("--plant-seed", type=int, default=0, help="seed for the planted solution of a CSV matrix")
 
 
-def _add_campaign_flags(parser, max_iters, record_dense, record_stride):
-    """Flags shared by compare and sweep, with the subcommand's run-length
-    defaults; a --plan file replaces the defaults of the flags it names."""
-    parser.add_argument("--system", default=None)
-    parser.add_argument("--model", default=None, choices=("gaussian", "coherent"))
-    parser.add_argument("--rows", type=int, default=None)
-    parser.add_argument("--cols", type=int, default=None)
-    parser.add_argument("--model-seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=1)
+def _add_run_flags(parser, max_iters, record_dense, record_stride):
+    """Run-length and seed flags of solve, compare and sweep, with the subcommand's defaults."""
     parser.add_argument("--max-iters", type=int, default=max_iters)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--record-dense", type=int, default=record_dense)
     parser.add_argument("--record-stride", type=int, default=record_stride)
+
+
+def _add_campaign_flags(parser, max_iters, record_dense, record_stride):
+    """Flags shared by compare and sweep.  A --plan file replaces the defaults of the
+    flags it names, so argparse requires none; each command checks its own."""
+    parser.add_argument("--system", default=None, help="system file written by generate")
+    parser.add_argument("--trials", type=int, default=1)
+    _add_run_flags(parser, max_iters, record_dense, record_stride)
     parser.add_argument("--out", default=None)
     parser.add_argument("--plan", default=None, help="key = value file supplying defaults for any flag")
     parser.set_defaults(campaign_parser=parser)
@@ -288,11 +274,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.methods is None:
-        raise InputError("no methods given: use --methods or a plan file")
-    if args.out is None:
-        raise InputError("no output path: use --out or a plan file")
-    system = _campaign_system(args)
+    if None in (args.system, args.methods, args.out):
+        raise InputError("compare needs --system, --methods, and --out (flags or plan file)")
+    system = load_system(args.system)
     cells = _parse_methods(args.methods)
     by_cell = _run_cells(system, cells, args.trials, args.seed, max_iters=args.max_iters, tol=args.tol,
                          record_dense_limit=args.record_dense, record_stride=args.record_stride)
@@ -316,20 +300,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.method is None or args.s_list is None or args.threshold is None or args.out is None:
-        raise InputError("sweep needs --method, --s-list, --threshold, and --out (flags or plan file)")
-    system = _campaign_system(args)
+    if None in (args.system, args.method, args.s_list, args.threshold, args.out):
+        raise InputError("sweep needs --system, --method, --s-list, --threshold, and --out (flags or plan file)")
+    system = load_system(args.system)
+    s_values = _parse_s_list(args.s_list)
     rows = run_sweep(
-        system, args.method, _parse_s_list(args.s_list), args.threshold,
+        system, args.method, s_values, args.threshold,
         trials=args.trials, max_iters=args.max_iters, seed=args.seed,
         record_dense_limit=args.record_dense, record_stride=args.record_stride,
     )
     _write_csv(args.out, SWEEP_HEADER, rows)
-    by_s = {}
-    for s, _, iters, _ in rows:
-        by_s.setdefault(s, []).append(math.inf if iters == "DNF" else int(iters))
-    for s, iters in by_s.items():
-        print(f"s={s} trials={len(iters)} median_iters_to_threshold={_median_text(iters, as_int=True)}")
+    for i, s in enumerate(s_values):  # rows are cell-major, so each entry's trials are contiguous
+        iters = [math.inf if n == "DNF" else int(n) for _, _, n, _ in rows[i * args.trials:(i + 1) * args.trials]]
+        print(f"s={s} trials={args.trials} median_iters_to_threshold={_median_text(iters, as_int=True)}")
     print(f"saved: {args.out}")
     return 0
 
@@ -355,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic system and save it")
-    p.add_argument("--model", required=True, choices=("gaussian", "coherent"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -368,11 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--s", type=int, default=1, help="sketch size (sketched methods)")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p, max_iters=10_000, record_dense=10_000, record_stride=10)
     p.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
-    p.add_argument("--record-dense", type=int, default=10_000)
-    p.add_argument("--record-stride", type=int, default=10)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare", help="run several methods on one system, emit trace CSV")
@@ -406,15 +386,6 @@ def main(argv=None) -> int:
         return int(args.func(args) or 0)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -34,15 +34,20 @@ from .errors import InputError, _index
 __all__ = ["RngState"]
 
 
+def _check_seed(seed) -> int:
+    """seed as an int in [0, 2**64), the seeds PCG64 takes; InputError otherwise."""
+    seed = _index(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 class RngState:
     """Owned random stream for one run.  Not thread-safe; do not share."""
 
     def __init__(self, seed: int):
-        seed = _index(seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self.gen = np.random.Generator(np.random.PCG64(seed))
+        self.seed = _check_seed(seed)
+        self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def __repr__(self):
         return f"RngState(seed={self.seed})"

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
-from .rng import RngState, _pick_from_cumulative
+from .rng import RngState, _check_seed, _pick_from_cumulative
 from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
 
 __all__ = [
@@ -191,10 +191,11 @@ class SolverConfig:
     """Method choice and run controls.
 
     s is the sketch size (ignored by kaczmarz and motzkin); skm and sgsm
-    draw their block index afresh at every step.  s, seed, max_iters,
-    record_dense_limit and record_stride must be integers.  The trace
-    records every iteration up to record_dense_limit, then every
-    record_stride-th; the stopping rules are checked at record points.
+    draw their block index afresh at every step.  seed must be an integer
+    in [0, 2**64), as RngState requires; s, max_iters, record_dense_limit
+    and record_stride must be integers.  The trace records every iteration
+    up to record_dense_limit, then every record_stride-th; the stopping
+    rules are checked at record points.
     The run stops once ||A x - b||_2 <= tol * ||b||_2, a rule that scaling
     (A, b) leaves unchanged; with b = 0 only a zero residual stops it.
     error_stop, when set, additionally stops the run once the recorded
@@ -213,7 +214,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_method(self.method, self.s)
-        for name in ("seed", "max_iters", "record_dense_limit", "record_stride"):
+        _check_seed(self.seed)
+        for name in ("max_iters", "record_dense_limit", "record_stride"):
             _index(getattr(self, name), name)
         if self.max_iters < 1:
             raise InputError(f"max_iters must be at least 1, got {self.max_iters}")

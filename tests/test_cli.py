@@ -7,6 +7,7 @@ output with the elapsed_ns column blanked.
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ import pytest
 
 import sketchsolve.cli
 from sketchsolve import (
+    CONVERGED,
+    MAX_ITERS,
     DenseMatrix,
     InputError,
     LinearSystem,
@@ -28,13 +31,28 @@ from sketchsolve import (
     run,
     save_system,
 )
-from sketchsolve.cli import TRACE_HEADER, main
+from sketchsolve.cli import TRACE_HEADER, main, run_sweep
 
-GAUSS_ARGS = ["--model", "gaussian", "--rows", "40", "--cols", "8", "--model-seed", "3"]
 # What each campaign needs beyond a system and an output path.
 CAMPAIGNS = {
     "compare": ["--methods", "motzkin"],
     "sweep": ["--method", "sgsm", "--s-list", "2,8", "--threshold", "1e-4"],
+}
+# The error each campaign gives when a required value is neither a flag nor a plan key.
+REQUIRED = {
+    "compare": "compare needs --system, --methods, and --out (flags or plan file)",
+    "sweep": "sweep needs --system, --method, --s-list, --threshold, and --out (flags or plan file)",
+}
+# Every settable flag of each subcommand, in --help order: 46 in all.
+FLAGS = {
+    "generate": ["--model", "--rows", "--cols", "--seed", "--out"],
+    "solve": ["--system", "--csv", "--delimiter", "--skip-rows", "--target-column", "--plant-seed", "--method",
+              "--s", "--tol", "--max-iters", "--seed", "--record-dense", "--record-stride", "--trace"],
+    "compare": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
+                "--plan", "--methods", "--tol"],
+    "sweep": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
+              "--plan", "--method", "--s-list", "--threshold"],
+    "diagnose": ["--system", "--csv", "--delimiter", "--skip-rows", "--target-column", "--plant-seed"],
 }
 
 
@@ -71,6 +89,12 @@ def make_binary(tmp_path, name="sys.bin", m=40, n=8, seed=3, kind="gaussian"):
     path = tmp_path / name
     save_system(generate_system(ModelSpec(kind, m, n, seed)), path)
     return str(path)
+
+
+@pytest.fixture
+def gauss_args(tmp_path):
+    """The campaigns' usual input: a saved gaussian 40x8 system of model seed 3."""
+    return ["--system", make_binary(tmp_path)]
 
 
 # ---------------------------------------------------------------- generate
@@ -189,8 +213,7 @@ def test_solve_same_seed_identical_trace_except_elapsed(tmp_path):
 
 def test_compare_row_accounting_and_dnf_summaries(tmp_path, capsys):
     out_path = tmp_path / "cmp.csv"
-    code = main(["compare", "--model", "coherent", "--rows", "1000", "--cols", "50",
-                 "--model-seed", "3",
+    code = main(["compare", "--system", make_binary(tmp_path, m=1000, n=50, seed=3, kind="coherent"),
                  "--methods", "kaczmarz,motzkin,skm:4,gsm:4,sgsm:4",
                  "--trials", "5", "--max-iters", "25", "--tol", "0",
                  "--out", str(out_path)])
@@ -256,41 +279,52 @@ def test_compare_explicit_flag_beats_plan(tmp_path):
     assert trials == {"0"}
 
 
-def test_compare_requires_methods(tmp_path, capsys):
-    code = main(["compare", *GAUSS_ARGS, "--out", str(tmp_path / "x.csv")])
+def test_compare_requires_methods(tmp_path, capsys, gauss_args):
+    code = main(["compare", *gauss_args, "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()
     assert code == 2
 
 
-def test_compare_rejects_sketch_size_on_plain_method(tmp_path, capsys):
-    code = main(["compare", *GAUSS_ARGS, "--methods", "motzkin:4",
+def test_compare_rejects_sketch_size_on_plain_method(tmp_path, capsys, gauss_args):
+    code = main(["compare", *gauss_args, "--methods", "motzkin:4",
                  "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()
     assert code == 2
 
 
 @pytest.mark.parametrize("methods", ["fourier", "fourier:3"])
-def test_compare_rejects_unknown_method_as_solver_config_does(tmp_path, capsys, methods):
+def test_compare_rejects_unknown_method_as_solver_config_does(tmp_path, capsys, methods, gauss_args):
     with pytest.raises(InputError) as exc:
         SolverConfig("fourier")
-    code = main(["compare", *GAUSS_ARGS, "--methods", f"kaczmarz,{methods}", "--out", str(tmp_path / "x.csv")])
+    code = main(["compare", *gauss_args, "--methods", f"kaczmarz,{methods}", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {exc.value}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_compare_needs_sketch_size_on_sketched_method(tmp_path, capsys):
-    code = main(["compare", *GAUSS_ARGS, "--methods", "kaczmarz,gsm", "--out", str(tmp_path / "x.csv")])
+def test_compare_needs_sketch_size_on_sketched_method(tmp_path, capsys, gauss_args):
+    code = main(["compare", *gauss_args, "--methods", "kaczmarz,gsm", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "write gsm:<s>" in capsys.readouterr().err
 
 
-def test_compare_has_no_mode_flag(tmp_path, capsys):
+def test_compare_has_no_mode_flag(tmp_path, capsys, gauss_args):
     # Both medians are always printed; the flag that chose one is gone.
     out_path = tmp_path / "x.csv"
-    assert main(["compare", *GAUSS_ARGS, "--methods", "motzkin", "--mode", "per-time",
+    assert main(["compare", *gauss_args, "--methods", "motzkin", "--mode", "per-time",
                  "--out", str(out_path)]) == 2
     capsys.readouterr()
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    ("kaczmarz,gsm:x", "bad sketch size in 'gsm:x'"),
+    (",", "no methods given"),
+])
+def test_compare_rejects_a_bad_method_list(tmp_path, capsys, gauss_args, methods, message):
+    out_path = tmp_path / "x.csv"
+    assert main(["compare", *gauss_args, "--methods", methods, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_path.exists()
 
 
@@ -298,7 +332,7 @@ def test_compare_has_no_mode_flag(tmp_path, capsys):
 
 def test_compare_defaults_are_pinned(tmp_path, monkeypatch, capsys):
     seen = record_runs(monkeypatch)
-    assert main(["compare", "--model", "gaussian", "--rows", "40", "--cols", "8",
+    assert main(["compare", "--system", make_binary(tmp_path, seed=0),
                  "--methods", "motzkin", "--out", str(tmp_path / "c.csv")]) == 0
     [summary] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("method=")]
     assert "  median_iters=" in summary and "  median_time_s=" in summary
@@ -311,7 +345,7 @@ def test_compare_defaults_are_pinned(tmp_path, monkeypatch, capsys):
 
 def test_sweep_defaults_are_pinned(tmp_path, monkeypatch, capsys):
     seen = record_runs(monkeypatch)
-    assert main(["sweep", "--model", "gaussian", "--rows", "40", "--cols", "8", "--method", "sgsm",
+    assert main(["sweep", "--system", make_binary(tmp_path, seed=0), "--method", "sgsm",
                  "--s-list", "4", "--threshold", "1e-6", "--out", str(tmp_path / "s.csv")]) == 0
     capsys.readouterr()
     [(system, config)] = seen
@@ -339,28 +373,28 @@ def test_campaigns_solve_through_cli_run(tmp_path, monkeypatch, capsys):
     assert loaded == [system_path, system_path]
 
 
-def test_campaign_checks_every_cell_before_solving(tmp_path, monkeypatch, capsys):
+def test_campaign_checks_every_cell_before_solving(tmp_path, monkeypatch, capsys, gauss_args):
     seen = record_runs(monkeypatch)
     out_path = tmp_path / "c.csv"
-    assert main(["compare", *GAUSS_ARGS, "--methods", "kaczmarz,gsm:0", "--out", str(out_path)]) == 2
+    assert main(["compare", *gauss_args, "--methods", "kaczmarz,gsm:0", "--out", str(out_path)]) == 2
     assert "sketch size must be at least 1" in capsys.readouterr().err
     assert seen == []  # the valid kaczmarz cell comes first, yet nothing was solved
     assert not out_path.exists()
     # s <= m is checked against the system for every cell before the first solve.
-    for argv in (["compare", *GAUSS_ARGS, "--methods", "kaczmarz,motzkin,skm:50"],
-                 ["sweep", *GAUSS_ARGS, "--method", "sgsm", "--s-list", "2,8,50", "--threshold", "1e-4"]):
+    for argv in (["compare", *gauss_args, "--methods", "kaczmarz,motzkin,skm:50"],
+                 ["sweep", *gauss_args, "--method", "sgsm", "--s-list", "2,8,50", "--threshold", "1e-4"]):
         assert main([*argv, "--out", str(out_path)]) == 2
         assert "sketch size 50 exceeds row count 40" in capsys.readouterr().err
         assert seen == []
         assert not out_path.exists()
 
 
-def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys):
+def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys, gauss_args):
     # Campaigns run serially whatever SKETCHSOLVE_WORKERS says, and report times.
     timed = {
-        "compare": ["compare", *GAUSS_ARGS, "--methods", "kaczmarz,skm:4",
+        "compare": ["compare", *gauss_args, "--methods", "kaczmarz,skm:4",
                     "--trials", "2", "--max-iters", "20", "--tol", "0"],
-        "sweep": ["sweep", *GAUSS_ARGS, *CAMPAIGNS["sweep"], "--trials", "2"],
+        "sweep": ["sweep", *gauss_args, *CAMPAIGNS["sweep"], "--trials", "2"],
     }
     for command, argv in timed.items():
         serial, env_set = tmp_path / f"{command}-serial.csv", tmp_path / f"{command}-env.csv"
@@ -376,10 +410,43 @@ def test_timed_campaigns_ignore_workers_env(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(CAMPAIGNS))
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials):
+def test_campaign_checks_the_seed_range_before_solving(tmp_path, monkeypatch, capsys, command, gauss_args):
+    # Trial 1 would run on seed 2**64, which PCG64 does not take, so trial 0 is not run either.
+    seen = record_runs(monkeypatch)
     out_path = tmp_path / "o.csv"
-    assert main([command, *GAUSS_ARGS, *CAMPAIGNS[command], "--trials", trials, "--out", str(out_path)]) == 2
+    assert main([command, *gauss_args, *CAMPAIGNS[command], "--seed", str(2**64 - 1), "--trials", "2",
+                 "--out", str(out_path)]) == 2
+    assert f"seed must be a 64-bit unsigned integer, got {2**64}" in capsys.readouterr().err
+    assert seen == []
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, dropped", [(command, flag) for command in sorted(CAMPAIGNS)
+                                              for flag in re.findall(r"--[\w-]+", REQUIRED[command])])
+def test_campaign_names_every_required_value(tmp_path, capsys, gauss_args, command, dropped):
+    out_path = tmp_path / "o.csv"
+    argv = [*gauss_args, *CAMPAIGNS[command], "--out", str(out_path)]
+    i = argv.index(dropped)
+    assert main([command, *argv[:i], *argv[i + 2:]]) == 2
+    assert capsys.readouterr().err == f"error: {REQUIRED[command]}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+def test_campaigns_have_no_model_flags(tmp_path, capsys, command):
+    # A campaign reads a system file written by generate, the one owner of model parameters.
+    out_path = tmp_path / "o.csv"
+    model = ["--model", "gaussian", "--rows", "40", "--cols", "8", "--model-seed", "3"]
+    assert main([command, *model, *CAMPAIGNS[command], "--out", str(out_path)]) == 2
+    assert f"unrecognized arguments: {' '.join(model)}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials, gauss_args):
+    out_path = tmp_path / "o.csv"
+    assert main([command, *gauss_args, *CAMPAIGNS[command], "--trials", trials, "--out", str(out_path)]) == 2
     assert "trials must be at least 1" in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -390,16 +457,30 @@ def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials
     ("trials = x", "trials"),
     ("mode = bogus", "mode"),  # no flag of either campaign
     ("method = kaczmarz", "method"),  # a bad choice for sweep, no flag of compare
+    ("model = gaussian", "model"),  # model parameters belong to generate
+    ("rows = 40", "rows"),
+    ("cols = 8", "cols"),
+    ("model-seed = 3", "model-seed"),
 ])
 def test_plan_bad_key_or_value_is_usage_error(tmp_path, capsys, command, line, key):
     out_path = tmp_path / "o.csv"
     flags = CAMPAIGNS[command]
     plan = tmp_path / "plan.txt"
     plan.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(flags[::2], flags[1::2]))
-                    + f"model = gaussian\nrows = 40\ncols = 8\nout = {out_path}\n{line}\n")
+                    + f"system = {make_binary(tmp_path, seed=0)}\nout = {out_path}\n{line}\n")
     assert main([command, "--plan", str(plan)]) == 2
     err = capsys.readouterr().err
     assert f"{key!r}" in err or f"--{key}:" in err  # the plan key, or argparse naming its flag
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+def test_plan_line_without_equals_is_format_error(tmp_path, capsys, command, gauss_args):
+    out_path = tmp_path / "o.csv"
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"system = {gauss_args[1]}\nout = {out_path}\ntrials 2\n")
+    assert main([command, "--plan", str(plan), *CAMPAIGNS[command]]) == 3
+    assert capsys.readouterr().err == f"error: {plan}:3: expected 'key = value', got 'trials 2'\n"
     assert not out_path.exists()
 
 
@@ -428,22 +509,73 @@ def test_sweep_full_block_equals_max_residual_run(tmp_path, capsys):
 
 def test_sweep_iterations_fall_as_sketch_grows(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
-    code = main(["sweep", "--model", "gaussian", "--rows", "400", "--cols", "30",
-                 "--model-seed", "5", "--method", "sgsm", "--s-list", "2,8,32",
-                 "--threshold", "1e-6", "--trials", "5", "--max-iters", "100000",
+    code = main(["sweep", "--system", make_binary(tmp_path, m=400, n=30, seed=5), "--method", "sgsm",
+                 "--s-list", "2,8,32,2", "--threshold", "1e-6", "--trials", "5", "--max-iters", "100000",
                  "--out", str(out_path)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
+    rows = read_csv(out_path)[1:]
     by_s = {}
-    for s, _, iters, _ in read_csv(out_path)[1:]:
+    for s, _, iters, _ in rows:
         by_s.setdefault(int(s), []).append(int(iters))
     medians = [np.median(by_s[s]) for s in (2, 8, 32)]
     assert medians[0] > medians[1] > medians[2]
+    # One summary line per --s-list entry, from that entry's own trials: the repeated 2 is not merged.
+    entries = [rows[i:i + 5] for i in range(0, len(rows), 5)]
+    assert [l for l in out.splitlines() if l.startswith("s=")] == [
+        f"s={cell[0][0]} trials=5 median_iters_to_threshold={int(np.median([int(r[2]) for r in cell]))}"
+        for cell in entries]
+    assert [cell[0][0] for cell in entries] == ["2", "8", "32", "2"]
 
 
-def test_sweep_reports_dnf_when_capped(tmp_path, capsys):
+def test_sweep_without_planted_solution_uses_the_residual_rule(tmp_path, capsys):
+    # With no x*, a sweep row is run's stop on ||A x - b|| <= threshold * ||b|| for that trial's seed.
+    planted = generate_system(ModelSpec("gaussian", 60, 6, 4))
+    sy = LinearSystem(planted.A, planted.b)
+    system_path = tmp_path / "nox.bin"
+    save_system(sy, system_path)
     out_path = tmp_path / "sweep.csv"
-    code = main(["sweep", *GAUSS_ARGS, "--method", "gsm", "--s-list", "2",
+    assert main(["sweep", "--system", str(system_path), "--method", "sgsm", "--s-list", "1,20",
+                 "--threshold", "1e-6", "--trials", "3", "--seed", "2", "--max-iters", "100",
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    rows = read_csv(out_path)[1:]
+    for s, trial, iters, _ in rows:
+        _, trace = run(sy, SolverConfig("sgsm", s=int(s), tol=1e-6, max_iters=100, seed=2 + int(trial),
+                                        record_dense_limit=2000, record_stride=20))
+        if iters == "DNF":
+            assert trace.status == MAX_ITERS
+        else:
+            assert trace.status == CONVERGED and int(iters) == trace.final.iter
+    assert {row[2] == "DNF" for row in rows} == {True, False}  # both kinds of row are checked
+
+
+@pytest.mark.parametrize("s_list, message", [("2,x", "bad sketch-size list '2,x'"), (",", "empty sketch-size list")])
+def test_sweep_rejects_a_bad_size_list(tmp_path, capsys, gauss_args, s_list, message):
+    out_path = tmp_path / "o.csv"
+    assert main(["sweep", *gauss_args, "--method", "sgsm", "--threshold", "1e-4", "--s-list", s_list,
+                 "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("method, s_values, threshold, message", [
+    ("kaczmarz", [2], 1e-6, "sweep needs a sketched method"),
+    ("sgsm", [], 1e-6, "sweep needs at least one sketch size"),
+    ("sgsm", [2], 0.0, "threshold must be positive, got 0.0"),
+    ("sgsm", [2], float("nan"), "threshold must be positive, got nan"),
+])
+def test_run_sweep_checks_its_arguments(monkeypatch, method, s_values, threshold, message):
+    seen = record_runs(monkeypatch)
+    with pytest.raises(InputError, match=message):
+        run_sweep(generate_system(ModelSpec("gaussian", 40, 8, 3)), method, s_values, threshold,
+                  trials=1, max_iters=10)
+    assert seen == []
+
+
+def test_sweep_reports_dnf_when_capped(tmp_path, capsys, gauss_args):
+    out_path = tmp_path / "sweep.csv"
+    code = main(["sweep", *gauss_args, "--method", "gsm", "--s-list", "2",
                  "--threshold", "1e-12", "--trials", "2", "--max-iters", "5",
                  "--out", str(out_path)])
     out = capsys.readouterr().out
@@ -453,15 +585,15 @@ def test_sweep_reports_dnf_when_capped(tmp_path, capsys):
     assert "median_iters_to_threshold=DNF" in out
 
 
-def test_sweep_plan_file_equals_flags(tmp_path):
+def test_sweep_plan_file_equals_flags(tmp_path, gauss_args):
     by_flags, by_plan = tmp_path / "f.csv", tmp_path / "p.csv"
-    assert main(["sweep", *GAUSS_ARGS, "--method", "sgsm", "--s-list", "2,4", "--threshold", "1e-6",
+    assert main(["sweep", *gauss_args, "--method", "sgsm", "--s-list", "2,4", "--threshold", "1e-6",
                  "--trials", "2", "--seed", "5", "--max-iters", "5000", "--record-dense", "100",
                  "--record-stride", "7", "--out", str(by_flags)]) == 0
     plan = tmp_path / "plan.txt"
     plan.write_text(
         "# sweep defaults\n"
-        "model = gaussian\nrows = 40\ncols = 8\nmodel-seed = 3\n"
+        f"system = {gauss_args[1]}\n"
         "method = sgsm\ns-list = 2,4\nthreshold = 1e-6\n"
         "trials = 2\nseed = 5\nmax-iters = 5000\nrecord-dense = 100\nrecord-stride = 7\n"
         f"out = {by_plan}\n"
@@ -472,11 +604,20 @@ def test_sweep_plan_file_equals_flags(tmp_path):
     assert rows == without_elapsed(read_csv(by_plan))
 
 
-def test_sweep_rejects_plain_methods(capsys):
-    code = main(["sweep", *GAUSS_ARGS, "--method", "kaczmarz", "--s-list", "2",
+def test_sweep_rejects_plain_methods(capsys, gauss_args):
+    code = main(["sweep", *gauss_args, "--method", "kaczmarz", "--s-list", "2",
                  "--threshold", "1e-6", "--out", "x.csv"])
     capsys.readouterr()
     assert code == 2  # argparse choices reject it
+
+
+# ---------------------------------------------------------------- surface
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_cli_surface_is_pinned(capsys, command):
+    # A change that adds or removes an option edits FLAGS (and the flag count in ROADMAP).
+    assert main([command, "--help"]) == 0
+    assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == FLAGS[command]
 
 
 # ---------------------------------------------------------------- diagnose

@@ -817,6 +817,11 @@ def test_solver_config_validation():
         SolverConfig("gsm", record_stride=0)
     with pytest.raises(InputError):
         SolverConfig("gsm", error_stop=1.0)
+    # The seed range is RngState's, checked when the config is built.
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError, match="seed must be a 64-bit unsigned integer"):
+            SolverConfig("gsm", seed=seed)
+    assert SolverConfig("gsm", seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_integer_arguments_are_checked():
