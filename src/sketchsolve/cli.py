@@ -1,7 +1,8 @@
 """Command-line harness: generate, solve, compare, sweep, diagnose.
 
-`generate` is the one command that takes model parameters; solve,
-compare, sweep and diagnose read the system it saves (`--system FILE`).
+`generate` is the one command that brings a system in, drawn from a model
+or imported from a CSV matrix; solve, compare, sweep and diagnose read the
+file it saves (`--system FILE`).
 
 Exit codes: 0 success, 2 usage, 3 malformed data file, 4 numerical
 failure (rank deficiency, zero row, a rise in the squared error), 5 I/O
@@ -114,9 +115,13 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
         raise InputError("sweep needs at least one sketch size")
     if not threshold > 0.0:
         raise InputError(f"threshold must be positive, got {threshold}")
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
     if system.x_star is not None:
         xs = system.x_star.a
         stop = dict(tol=0.0, error_stop=threshold * float(xs @ xs))
+        if not math.isfinite(stop["error_stop"]):
+            raise InputError(f"threshold {threshold} times the initial squared error overflows a double")
     else:
         stop = dict(tol=threshold)
     by_cell = _run_cells(system, [(method, s) for s in s_values], trials, seed, max_iters=max_iters,
@@ -192,29 +197,6 @@ def _parse_s_list(text):
     return values
 
 
-def _load_input_system(args) -> LinearSystem:
-    if getattr(args, "csv", False):
-        system = load_csv_matrix(
-            args.system,
-            delimiter=args.delimiter,
-            skip_rows=args.skip_rows,
-            target_column=args.target_column,
-            plant_seed=args.plant_seed,
-        )
-        if args.target_column is not None:
-            print("note: b taken from a data column; consistency is not guaranteed and error tracking is off")
-        return system
-    return load_system(args.system)
-
-
-def _add_csv_input_flags(parser):
-    parser.add_argument("--csv", action="store_true", help="treat --system as delimited text, not a binary system file")
-    parser.add_argument("--delimiter", default=",", help="CSV field delimiter (default ',')")
-    parser.add_argument("--skip-rows", type=int, default=0, help="header rows to skip")
-    parser.add_argument("--target-column", type=int, default=None, help="0-based column to use as b (default: plant a solution)")
-    parser.add_argument("--plant-seed", type=int, default=0, help="seed for the planted solution of a CSV matrix")
-
-
 def _add_run_flags(parser, max_iters, record_dense, record_stride):
     """Run-length and seed flags of solve, compare and sweep, with the subcommand's defaults."""
     parser.add_argument("--max-iters", type=int, default=max_iters)
@@ -249,16 +231,28 @@ def _print_condition(system):
 
 
 def cmd_generate(args) -> int:
-    spec = ModelSpec(args.model, args.rows, args.cols, args.seed)
-    system = generate_system(spec)
+    shape = {"--rows": args.rows, "--cols": args.cols}
+    csv_flags = {"--delimiter": args.delimiter, "--skip-rows": args.skip_rows, "--target-column": args.target_column}
+    stray = [flag for flag, value in (csv_flags if args.model else shape).items() if value is not None]
+    if stray:
+        raise InputError(f"{', '.join(stray)} cannot be used with {'--model' if args.model else '--csv'}")
+    if args.model:
+        if None in shape.values():
+            raise InputError("generate --model needs --rows and --cols")
+        system = generate_system(ModelSpec(args.model, args.rows, args.cols, args.seed))
+    else:
+        system = load_csv_matrix(args.csv, delimiter="," if args.delimiter is None else args.delimiter,
+                                 skip_rows=args.skip_rows or 0, target_column=args.target_column, plant_seed=args.seed)
+        if args.target_column is not None:
+            print("note: b taken from a data column; consistency is not guaranteed and error tracking is off")
+    _print_condition(system)  # before saving: a matrix without full column rank raises here
     save_system(system, args.out)
-    _print_condition(system)
     print(f"saved: {args.out}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    system = _load_input_system(args)
+    system = load_system(args.system)
     [[trace]] = _run_cells(system, [(args.method, args.s)], 1, args.seed, max_iters=args.max_iters, tol=args.tol,
                            record_dense_limit=args.record_dense, record_stride=args.record_stride)
     if args.trace:
@@ -318,7 +312,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    system = _load_input_system(args)
+    system = load_system(args.system)
     _print_condition(system)
     if system.x_star is not None and system.b_norm > 0.0:
         zero = np.zeros(system.A.cols)
@@ -337,17 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic system and save it")
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("generate", help="draw a synthetic system or import a CSV matrix, and save it")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=MODEL_KINDS, help="draw A from this model (needs --rows and --cols)")
+    source.add_argument("--csv", help="import this delimited-text matrix instead")
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--delimiter", help="CSV field delimiter (default ',')")
+    p.add_argument("--skip-rows", type=int, help="header rows of the CSV to skip (default 0)")
+    p.add_argument("--target-column", type=int, help="0-based CSV column to use as b (default: plant a solution)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the model entries and x*, or of a CSV matrix's planted x*")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="run one method on a stored system")
-    p.add_argument("--system", required=True)
-    _add_csv_input_flags(p)
+    p.add_argument("--system", required=True, help="system file written by generate")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--s", type=int, default=1, help="sketch size (sketched methods)")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -369,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("diagnose", help="condition diagnostics of a stored system")
-    p.add_argument("--system", required=True)
-    _add_csv_input_flags(p)
+    p.add_argument("--system", required=True, help="system file written by generate")
     p.set_defaults(func=cmd_diagnose)
 
     return parser

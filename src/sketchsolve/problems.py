@@ -15,6 +15,7 @@ a designated target column as b or with a freshly planted solution.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,36 +100,41 @@ def load_csv_matrix(
     so error tracking is unavailable for such systems.  Without it, b is
     planted from plant_seed.
 
-    Rows must be equally wide and every field must parse as a finite
-    float (decimal point '.', no locale handling).  Row and column
-    numbers in error messages are 1-based file coordinates.
+    The file must be UTF-8 text, the delimiter one character, rows
+    equally wide, and every field must parse as a finite float (decimal
+    point '.', no locale handling).  Row and column numbers in error
+    messages are 1-based file coordinates.
     """
     if skip_rows < 0:
         raise InputError(f"skip_rows must be nonnegative, got {skip_rows}")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise InputError(f"delimiter must be exactly one character, got {delimiter!r}")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}); is it a binary system file?") from None
     rows = []
     width = None
     first_data_line = None
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, fields in enumerate(reader, start=1):
-            if lineno <= skip_rows or not fields:
-                continue
-            if width is None:
-                width = len(fields)
-                first_data_line = lineno
-            elif len(fields) != width:
-                raise FormatError(
-                    f"row {lineno} has {len(fields)} fields, expected {width} (as in row {first_data_line})"
-                )
-            values = np.empty(width)
-            for j, field in enumerate(fields):
-                try:
-                    values[j] = float(field)
-                except ValueError:
-                    raise FormatError(f"cannot parse {field.strip()!r} as a number at row {lineno}, column {j + 1}") from None
-                if not np.isfinite(values[j]):
-                    raise FormatError(f"non-finite value {field.strip()!r} at row {lineno}, column {j + 1}")
-            rows.append(values)
+    for lineno, fields in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter), start=1):
+        if lineno <= skip_rows or not fields:
+            continue
+        if width is None:
+            width = len(fields)
+            first_data_line = lineno
+        elif len(fields) != width:
+            raise FormatError(
+                f"row {lineno} has {len(fields)} fields, expected {width} (as in row {first_data_line})"
+            )
+        values = np.empty(width)
+        for j, field in enumerate(fields):
+            try:
+                values[j] = float(field)
+            except ValueError:
+                raise FormatError(f"cannot parse {field.strip()!r} as a number at row {lineno}, column {j + 1}") from None
+            if not np.isfinite(values[j]):
+                raise FormatError(f"non-finite value {field.strip()!r} at row {lineno}, column {j + 1}")
+        rows.append(values)
     if not rows:
         raise FormatError(f"no data rows in {path}")
     full = np.vstack(rows)

@@ -1,9 +1,13 @@
-"""The package's top-level public names and the README's library example."""
+"""The package's top-level public names, and the README's library example and CLI lines."""
 
 import re
+import shlex
 from pathlib import Path
 
 import sketchsolve
+from sketchsolve.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "CONVERGED", "ConditionStats", "DenseMatrix", "FormatError", "InputError", "LinearSystem",
@@ -24,8 +28,21 @@ def test_public_names_are_listed_once_and_resolve():
 
 
 def test_readme_python_blocks_run():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    # Every `sketchsolve ...` line of the README's CLI block parses, spells its flags in full,
+    # and together the lines show every subcommand.
+    block = re.search(r"^## CLI\n.*?```\n(.*?)```", README.read_text(), re.S | re.M).group(1)
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("sketchsolve ")]
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert sorted({argv[1] for argv in lines}) == sorted(commands)
+    for argv in lines:
+        parser.parse_args(argv[1:])  # argparse exits 2 on an unknown flag or a bad value
+        assert {t for t in argv if t.startswith("--")} <= set(commands[argv[1]]._option_string_actions), argv

@@ -27,6 +27,7 @@ from sketchsolve import (
     SolverConfig,
     condition_kappa_tilde,
     generate_system,
+    load_csv_matrix,
     load_system,
     run,
     save_system,
@@ -43,17 +44,20 @@ REQUIRED = {
     "compare": "compare needs --system, --methods, and --out (flags or plan file)",
     "sweep": "sweep needs --system, --method, --s-list, --threshold, and --out (flags or plan file)",
 }
-# Every settable flag of each subcommand, in --help order: 46 in all.
+# Every settable flag of each subcommand, in --help order: 40 in all.
 FLAGS = {
-    "generate": ["--model", "--rows", "--cols", "--seed", "--out"],
-    "solve": ["--system", "--csv", "--delimiter", "--skip-rows", "--target-column", "--plant-seed", "--method",
-              "--s", "--tol", "--max-iters", "--seed", "--record-dense", "--record-stride", "--trace"],
+    "generate": ["--model", "--csv", "--rows", "--cols", "--delimiter", "--skip-rows", "--target-column", "--seed",
+                 "--out"],
+    "solve": ["--system", "--method", "--s", "--tol", "--max-iters", "--seed", "--record-dense", "--record-stride",
+              "--trace"],
     "compare": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
                 "--plan", "--methods", "--tol"],
     "sweep": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
               "--plan", "--method", "--s-list", "--threshold"],
-    "diagnose": ["--system", "--csv", "--delimiter", "--skip-rows", "--target-column", "--plant-seed"],
+    "diagnose": ["--system"],
 }
+# A 3x3 CSV whose last column is b = A (1, 1) for the 3x2 matrix A before it.
+TARGET_CSV = "1,0,1\n0,1,1\n1,1,2\n"
 
 
 def read_csv(path):
@@ -91,6 +95,14 @@ def make_binary(tmp_path, name="sys.bin", m=40, n=8, seed=3, kind="gaussian"):
     return str(path)
 
 
+def import_csv(tmp_path, text, *flags):
+    """Write text as m.csv and import it with generate --csv; returns the system file's path."""
+    data, out_path = tmp_path / "m.csv", tmp_path / "m.bin"
+    data.write_text(text)
+    assert main(["generate", "--csv", str(data), *flags, "--out", str(out_path)]) == 0
+    return str(out_path)
+
+
 @pytest.fixture
 def gauss_args(tmp_path):
     """The campaigns' usual input: a saved gaussian 40x8 system of model seed 3."""
@@ -120,6 +132,68 @@ def test_generate_underdetermined_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "g.bin")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("target", [None, 4])
+def test_generate_csv_saves_what_load_csv_matrix_reads(tmp_path, capsys, target):
+    # The file generate --csv F --seed S writes is load_csv_matrix(F, plant_seed=S), bit for bit.
+    a = np.random.default_rng(1).standard_normal((200, 10))
+    flags = [] if target is None else ["--target-column", str(target)]
+    system_path = import_csv(tmp_path, "".join(",".join(map(repr, map(float, row))) + "\n" for row in a),
+                             *flags, "--seed", "4")
+    out = capsys.readouterr().out
+    assert ("note: b taken from a data column" in out) == (target is not None)
+    saved, want = load_system(system_path), load_csv_matrix(tmp_path / "m.csv", target_column=target, plant_seed=4)
+    assert saved.A.a.tobytes() == want.A.a.tobytes() and saved.b.a.tobytes() == want.b.a.tobytes()
+    if target is None:
+        assert saved.x_star.a.tobytes() == want.x_star.a.tobytes()
+    else:
+        assert saved.x_star is None and want.x_star is None
+    assert float(stdout_value(out, "kappa_tilde")) == condition_kappa_tilde(want.A).kappa_tilde
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--csv", "m.csv", "--rows", "40"], "error: --rows cannot be used with --csv"),
+    (["--csv", "m.csv", "--rows", "40", "--cols", "8"], "error: --rows, --cols cannot be used with --csv"),
+    (["--model", "gaussian", "--rows", "40", "--cols", "8", "--delimiter", ","],
+     "error: --delimiter cannot be used with --model"),
+    (["--model", "gaussian", "--rows", "40", "--cols", "8", "--skip-rows", "0", "--target-column", "1"],
+     "error: --skip-rows, --target-column cannot be used with --model"),
+    (["--model", "gaussian", "--rows", "40"], "error: generate --model needs --rows and --cols"),
+    (["--model", "gaussian", "--csv", "m.csv"], "not allowed with argument --model"),
+    (["--rows", "40", "--cols", "8"], "one of the arguments --model --csv is required"),
+])
+def test_generate_takes_one_source_and_only_its_flags(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text(TARGET_CSV)
+    assert main(["generate", *flags, "--out", "g.bin"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.bin").exists()
+
+
+@pytest.mark.parametrize("content, flags, code, message", [
+    ("1,2\n2,4\n3,6\n", [], 4, "s_min"),  # rank deficient
+    (TARGET_CSV, ["--delimiter", ";;"], 2, "error: delimiter must be exactly one character, got ';;'\n"),
+    (TARGET_CSV, ["--delimiter", ""], 2, "error: delimiter must be exactly one character, got ''\n"),
+    (None, [], 3, "not UTF-8 text"),  # a binary system file
+])
+def test_generate_refuses_a_bad_csv_and_saves_nothing(tmp_path, capsys, content, flags, code, message):
+    data, out_path = tmp_path / "m.csv", tmp_path / "m.bin"
+    if content is None:
+        save_system(generate_system(ModelSpec("gaussian", 40, 8, 3)), data)
+    else:
+        data.write_text(content)
+    assert main(["generate", "--csv", str(data), *flags, "--out", str(out_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, rest", [("solve", ["--method", "motzkin"]), ("diagnose", [])])
+def test_solve_and_diagnose_read_only_system_files(tmp_path, capsys, command, rest):
+    data = tmp_path / "m.csv"
+    data.write_text(TARGET_CSV)
+    assert main([command, "--system", str(data), "--csv", *rest]) == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- solve
@@ -167,14 +241,13 @@ def test_solve_trace_empty_columns_for_plain_methods(tmp_path):
 
 
 def test_solve_csv_input_with_target_column(tmp_path, capsys):
-    data = tmp_path / "m.csv"
-    data.write_text("1,0,1\n0,1,1\n1,1,2\n")
+    system_path = import_csv(tmp_path, TARGET_CSV, "--target-column", "2")
+    assert "note: b taken from a data column" in capsys.readouterr().out
     trace_path = tmp_path / "t.csv"
-    code = main(["solve", "--system", str(data), "--csv", "--target-column", "2",
-                 "--method", "motzkin", "--tol", "1e-10", "--trace", str(trace_path)])
-    out = capsys.readouterr().out
+    code = main(["solve", "--system", system_path, "--method", "motzkin", "--tol", "1e-10",
+                 "--trace", str(trace_path)])
+    capsys.readouterr()
     assert code == 0
-    assert "note: b taken from a data column" in out
     body = read_csv(trace_path)[1:]
     assert all(row[4] == "" for row in body)  # no planted solution, no error column
 
@@ -189,9 +262,8 @@ def test_solve_defaults_are_pinned(tmp_path, monkeypatch, capsys):
                                   record_dense_limit=10_000, record_stride=10)
     # b read from a data column has no planted solution, so no error is recorded.
     seen.clear()
-    data = tmp_path / "m.csv"
-    data.write_text("1,0,1\n0,1,1\n1,1,2\n")
-    assert main(["solve", "--system", str(data), "--csv", "--target-column", "2", "--method", "motzkin"]) == 0
+    imported = import_csv(tmp_path, TARGET_CSV, "--target-column", "2")
+    assert main(["solve", "--system", imported, "--method", "motzkin"]) == 0
     capsys.readouterr()
     [(_, config)] = seen
     assert config.record_error is False
@@ -573,6 +645,47 @@ def test_run_sweep_checks_its_arguments(monkeypatch, method, s_values, threshold
     assert seen == []
 
 
+@pytest.mark.parametrize("threshold, message", [
+    ("inf", "error: threshold must be finite, got inf\n"),
+    ("1e308", "error: threshold 1e+308 times the initial squared error overflows a double\n"),
+])
+def test_sweep_names_threshold_when_it_is_out_of_range(tmp_path, capsys, gauss_args, threshold, message):
+    out_path = tmp_path / "o.csv"
+    assert main(["sweep", *gauss_args, "--method", "sgsm", "--s-list", "2", "--threshold", threshold,
+                 "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out_path.exists()
+
+
+def test_imported_target_column_system_runs_through_both_campaigns(tmp_path, capsys):
+    # b read from a data column (here the consistent b of a planted system, as column 2)
+    # leaves no x*: compare records no squared error, and sweep stops on run's residual rule.
+    planted = generate_system(ModelSpec("gaussian", 60, 6, 4))
+    table = np.insert(planted.A.a, 2, planted.b.a, axis=1)
+    system_path = import_csv(tmp_path, "".join(",".join(map(repr, map(float, row))) + "\n" for row in table),
+                             "--target-column", "2")
+    cmp_path, sweep_path = tmp_path / "c.csv", tmp_path / "s.csv"
+    assert main(["compare", "--system", system_path, "--methods", "kaczmarz,sgsm:4", "--trials", "2",
+                 "--max-iters", "200", "--out", str(cmp_path)]) == 0
+    body = read_csv(cmp_path)[1:]
+    assert body and all(row[4] == "" for row in body)
+    assert main(["sweep", "--system", system_path, "--method", "sgsm", "--s-list", "1,20", "--threshold", "1e-6",
+                 "--trials", "3", "--seed", "2", "--max-iters", "100", "--out", str(sweep_path)]) == 0
+    capsys.readouterr()
+    sy = load_system(system_path)
+    assert sy.x_star is None and np.array_equal(sy.A.a, planted.A.a) and np.array_equal(sy.b.a, planted.b.a)
+    rows = read_csv(sweep_path)[1:]
+    for s, trial, iters, _ in rows:
+        _, trace = run(sy, SolverConfig("sgsm", s=int(s), tol=1e-6, max_iters=100, seed=2 + int(trial),
+                                        record_dense_limit=2000, record_stride=20))
+        assert trace.records[-1].error_sq is None
+        if iters == "DNF":
+            assert trace.status == MAX_ITERS
+        else:
+            assert trace.status == CONVERGED and int(iters) == trace.final.iter
+    assert {row[2] == "DNF" for row in rows} == {True, False}  # both kinds of row are checked
+
+
 def test_sweep_reports_dnf_when_capped(tmp_path, capsys, gauss_args):
     out_path = tmp_path / "sweep.csv"
     code = main(["sweep", *gauss_args, "--method", "gsm", "--s-list", "2",
@@ -703,11 +816,13 @@ def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
 
 def test_exit_code_scale_out_of_range(tmp_path, capsys):
     # Squares that overflow a double are refused, not "converged" at
-    # iteration 0: exit 2 for a CSV matrix, 3 for a binary system file.
-    data = tmp_path / "m.csv"
+    # iteration 0: exit 2 for a CSV matrix that generate imports (and no
+    # file is written), 3 for a binary system file.
+    data, imported = tmp_path / "m.csv", tmp_path / "m.bin"
     data.write_text("1e155,0\n0,1e155\n1e155,1e155\n")
-    assert main(["solve", "--system", str(data), "--csv", "--method", "motzkin"]) == 2
+    assert main(["generate", "--csv", str(data), "--out", str(imported)]) == 2
     assert "overflows a double" in capsys.readouterr().err
+    assert not imported.exists()
     path = tmp_path / "big.bin"
     a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     save_system(LinearSystem(DenseMatrix(a), RealVector(a @ [1.0, 2.0]), RealVector([1.0, 2.0])), path)

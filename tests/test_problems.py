@@ -5,6 +5,7 @@ float64 payloads exactly, and the CSV files written here hold repr()
 floats, which round-trip through Python's parser.
 """
 
+import re
 import time
 
 import numpy as np
@@ -167,6 +168,21 @@ def test_csv_empty_file_rejected(tmp_path):
     path = tmp_path / "sys.csv"
     path.write_text("")
     with pytest.raises(FormatError):
+        load_csv_matrix(path)
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", None])
+def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
+    path = tmp_path / "sys.csv"
+    path.write_text("1,2\n3,4\n5,6\n")
+    with pytest.raises(InputError, match=f"delimiter must be exactly one character, got {re.escape(repr(delimiter))}"):
+        load_csv_matrix(path, delimiter=delimiter)
+
+
+def test_csv_binary_system_file_is_a_format_error(tmp_path):
+    path = tmp_path / "sys.bin"
+    save_system(generate_system(ModelSpec("gaussian", 20, 4, seed=1)), path)
+    with pytest.raises(FormatError, match="not UTF-8 text"):
         load_csv_matrix(path)
 
 
