@@ -2,11 +2,12 @@
 
 `generate` is the one command that brings a system in, drawn from a model
 or imported from a CSV matrix; solve, compare, sweep and diagnose read the
-file it saves (`--system FILE`).
+file it saves (`--system FILE`).  Flags are the one way to set anything:
+argparse refuses a missing required flag and an abbreviated one (exit 2).
 
 Exit codes: 0 success, 2 usage, 3 malformed data file, 4 numerical
 failure (rank deficiency, zero row, a rise in the squared error), 5 I/O
-failure.
+failure, 141 stdout closed by its reader (128 + SIGPIPE, nothing printed).
 
 All experiment output is CSV.  Trace files share one schema:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -140,30 +142,6 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
 # argument plumbing
 
 
-def _apply_plan(parser, path):
-    """Make a plan file's `key = value` lines the parser's defaults.
-
-    Explicit flags still win, and argparse converts each value as it
-    would the flag's.  Every key must name a flag of the subcommand, and
-    a flag with choices must get one of them (argparse checks choices
-    only for given flags).
-    """
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, eq, value = (part.strip() for part in text.partition("="))
-            if not eq:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            action = parser._option_string_actions.get(f"--{key}")
-            if action is None or key in ("help", "plan"):
-                raise InputError(f"{path}:{lineno}: plan key {key!r} names no flag of {parser.prog}")
-            if action.choices is not None and value not in action.choices:
-                raise InputError(f"{path}:{lineno}: plan key {key!r}: {value!r} is not one of {action.choices}")
-            action.default = value
-
-
 def _parse_methods(text):
     cells = []
     for token in text.split(","):
@@ -206,14 +184,11 @@ def _add_run_flags(parser, max_iters, record_dense, record_stride):
 
 
 def _add_campaign_flags(parser, max_iters, record_dense, record_stride):
-    """Flags shared by compare and sweep.  A --plan file replaces the defaults of the
-    flags it names, so argparse requires none; each command checks its own."""
-    parser.add_argument("--system", default=None, help="system file written by generate")
+    """Flags shared by compare and sweep, with the subcommand's run defaults."""
+    parser.add_argument("--system", required=True, help="system file written by generate")
     parser.add_argument("--trials", type=int, default=1)
     _add_run_flags(parser, max_iters, record_dense, record_stride)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--plan", default=None, help="key = value file supplying defaults for any flag")
-    parser.set_defaults(campaign_parser=parser)
+    parser.add_argument("--out", required=True)
 
 
 def _print_condition(system):
@@ -268,8 +243,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if None in (args.system, args.methods, args.out):
-        raise InputError("compare needs --system, --methods, and --out (flags or plan file)")
     system = load_system(args.system)
     cells = _parse_methods(args.methods)
     by_cell = _run_cells(system, cells, args.trials, args.seed, max_iters=args.max_iters, tol=args.tol,
@@ -294,8 +267,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if None in (args.system, args.method, args.s_list, args.threshold, args.out):
-        raise InputError("sweep needs --system, --method, --s-list, --threshold, and --out (flags or plan file)")
     system = load_system(args.system)
     s_values = _parse_s_list(args.s_list)
     rows = run_sweep(
@@ -328,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchsolve",
         description="Row-projection solvers for consistent overdetermined linear systems",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="draw a synthetic system or import a CSV matrix, and save it")
+    p = sub.add_parser("generate", help="draw a synthetic system or import a CSV matrix, and save it",
+                       allow_abbrev=False)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", choices=MODEL_KINDS, help="draw A from this model (needs --rows and --cols)")
     source.add_argument("--csv", help="import this delimited-text matrix instead")
@@ -344,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="run one method on a stored system")
+    p = sub.add_parser("solve", help="run one method on a stored system", allow_abbrev=False)
     p.add_argument("--system", required=True, help="system file written by generate")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--s", type=int, default=1, help="sketch size (sketched methods)")
@@ -353,36 +326,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", help="run several methods on one system, emit trace CSV")
+    p = sub.add_parser("compare", help="run several methods on one system, emit trace CSV", allow_abbrev=False)
     _add_campaign_flags(p, max_iters=10_000, record_dense=10_000, record_stride=10)
-    p.add_argument("--methods", default=None, help="comma list, sketched methods take :s (e.g. kaczmarz,gsm:25)")
+    p.add_argument("--methods", required=True, help="comma list, sketched methods take :s (e.g. kaczmarz,gsm:25)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="iterations/time to an error threshold across sketch sizes")
+    p = sub.add_parser("sweep", help="iterations/time to an error threshold across sketch sizes", allow_abbrev=False)
     _add_campaign_flags(p, max_iters=100_000, record_dense=2000, record_stride=20)
-    p.add_argument("--method", default=None, choices=_SKETCHED)
-    p.add_argument("--s-list", default=None, help="comma list of sketch sizes")
-    p.add_argument("--threshold", type=float, default=None, help="relative error (or residual) threshold")
+    p.add_argument("--method", required=True, choices=_SKETCHED)
+    p.add_argument("--s-list", required=True, help="comma list of sketch sizes")
+    p.add_argument("--threshold", type=float, required=True, help="relative error (or residual) threshold")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("diagnose", help="condition diagnostics of a stored system")
+    p = sub.add_parser("diagnose", help="condition diagnostics of a stored system", allow_abbrev=False)
     p.add_argument("--system", required=True, help="system file written by generate")
     p.set_defaults(func=cmd_diagnose)
 
     return parser
 
 
+def _stdout_to_devnull():
+    """Point stdout's file descriptor, if it has one, at os.devnull, so the
+    interpreter's last flush does not report a closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # an in-process caller's StringIO has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "plan", None):
-            _apply_plan(args.campaign_parser, args.plan)
+        try:
             args = parser.parse_args(argv)
-        return int(args.func(args) or 0)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+            return int(args.func(args) or 0)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:  # whoever read stdout has gone; that is not an I/O failure
+        _stdout_to_devnull()
+        return 141
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -163,7 +163,7 @@ class LinearSystem:
         """Cumulative squared row norms, the Kaczmarz sampling table."""
         cum = np.cumsum(self.row_norms_sq)
         if cum[-1] <= 0.0:
-            raise InputError("all rows of A are zero; cannot sample a row")
+            raise ZeroRowError("all rows of A are zero; cannot sample a row")
         return _own(cum)
 
     @cached_property

@@ -36,13 +36,12 @@ def test_readme_python_blocks_run():
 
 
 def test_readme_cli_lines_parse():
-    # Every `sketchsolve ...` line of the README's CLI block parses, spells its flags in full,
-    # and together the lines show every subcommand.
+    # Every `sketchsolve ...` line of the README's CLI block parses, and together the lines
+    # show every subcommand.
     block = re.search(r"^## CLI\n.*?```\n(.*?)```", README.read_text(), re.S | re.M).group(1)
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("sketchsolve ")]
     parser = build_parser()
     commands = parser._subparsers._group_actions[0].choices
     assert sorted({argv[1] for argv in lines}) == sorted(commands)
     for argv in lines:
-        parser.parse_args(argv[1:])  # argparse exits 2 on an unknown flag or a bad value
-        assert {t for t in argv if t.startswith("--")} <= set(commands[argv[1]]._option_string_actions), argv
+        parser.parse_args(argv[1:])  # argparse exits 2 on an unknown or abbreviated flag, or a bad value

@@ -39,21 +39,21 @@ CAMPAIGNS = {
     "compare": ["--methods", "motzkin"],
     "sweep": ["--method", "sgsm", "--s-list", "2,8", "--threshold", "1e-4"],
 }
-# The error each campaign gives when a required value is neither a flag nor a plan key.
+# The flags each campaign requires; argparse names a missing one.
 REQUIRED = {
-    "compare": "compare needs --system, --methods, and --out (flags or plan file)",
-    "sweep": "sweep needs --system, --method, --s-list, --threshold, and --out (flags or plan file)",
+    "compare": ["--system", "--methods", "--out"],
+    "sweep": ["--system", "--method", "--s-list", "--threshold", "--out"],
 }
-# Every settable flag of each subcommand, in --help order: 40 in all.
+# Every settable flag of each subcommand, in --help order: 38 in all.
 FLAGS = {
     "generate": ["--model", "--csv", "--rows", "--cols", "--delimiter", "--skip-rows", "--target-column", "--seed",
                  "--out"],
     "solve": ["--system", "--method", "--s", "--tol", "--max-iters", "--seed", "--record-dense", "--record-stride",
               "--trace"],
     "compare": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
-                "--plan", "--methods", "--tol"],
+                "--methods", "--tol"],
     "sweep": ["--system", "--trials", "--max-iters", "--seed", "--record-dense", "--record-stride", "--out",
-              "--plan", "--method", "--s-list", "--threshold"],
+              "--method", "--s-list", "--threshold"],
     "diagnose": ["--system"],
 }
 # A 3x3 CSV whose last column is b = A (1, 1) for the 3x2 matrix A before it.
@@ -319,38 +319,6 @@ def test_compare_single_cell_matches_solve(tmp_path):
     assert without_elapsed(read_csv(cmp_path)) == without_elapsed(read_csv(solve_path))
 
 
-def test_compare_plan_file_equals_flags(tmp_path):
-    system_path = make_binary(tmp_path, m=40, n=8, seed=3)
-    by_flags, by_plan = tmp_path / "f.csv", tmp_path / "p.csv"
-    assert main(["compare", "--system", system_path, "--methods", "kaczmarz,gsm:4",
-                 "--trials", "2", "--max-iters", "60", "--tol", "0", "--seed", "5",
-                 "--out", str(by_flags)]) == 0
-    plan = tmp_path / "plan.txt"
-    plan.write_text(
-        "# comparison defaults\n"
-        f"system = {system_path}\n"
-        "methods = kaczmarz,gsm:4\n"
-        "trials = 2\n"
-        "max-iters = 60\n"
-        "tol = 0\n"
-        "seed = 5\n"
-        f"out = {by_plan}\n"
-    )
-    assert main(["compare", "--plan", str(plan)]) == 0
-    assert without_elapsed(read_csv(by_flags)) == without_elapsed(read_csv(by_plan))
-
-
-def test_compare_explicit_flag_beats_plan(tmp_path):
-    system_path = make_binary(tmp_path)
-    out_path = tmp_path / "c.csv"
-    plan = tmp_path / "plan.txt"
-    plan.write_text(f"system = {system_path}\nmethods = motzkin\ntrials = 3\n"
-                    f"max-iters = 10\ntol = 0\nout = {out_path}\n")
-    assert main(["compare", "--plan", str(plan), "--trials", "1"]) == 0
-    trials = {row[2] for row in read_csv(out_path)[1:]}
-    assert trials == {"0"}
-
-
 def test_compare_requires_methods(tmp_path, capsys, gauss_args):
     code = main(["compare", *gauss_args, "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()
@@ -494,22 +462,22 @@ def test_campaign_checks_the_seed_range_before_solving(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("command, dropped", [(command, flag) for command in sorted(CAMPAIGNS)
-                                              for flag in re.findall(r"--[\w-]+", REQUIRED[command])])
+                                              for flag in REQUIRED[command]])
 def test_campaign_names_every_required_value(tmp_path, capsys, gauss_args, command, dropped):
     out_path = tmp_path / "o.csv"
     argv = [*gauss_args, *CAMPAIGNS[command], "--out", str(out_path)]
     i = argv.index(dropped)
     assert main([command, *argv[:i], *argv[i + 2:]]) == 2
-    assert capsys.readouterr().err == f"error: {REQUIRED[command]}\n"
+    assert capsys.readouterr().err.endswith(f" error: the following arguments are required: {dropped}\n")
     assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", sorted(CAMPAIGNS))
-def test_campaigns_have_no_model_flags(tmp_path, capsys, command):
+def test_campaigns_have_no_model_flags(tmp_path, capsys, command, gauss_args):
     # A campaign reads a system file written by generate, the one owner of model parameters.
     out_path = tmp_path / "o.csv"
     model = ["--model", "gaussian", "--rows", "40", "--cols", "8", "--model-seed", "3"]
-    assert main([command, *model, *CAMPAIGNS[command], "--out", str(out_path)]) == 2
+    assert main([command, *gauss_args, *model, *CAMPAIGNS[command], "--out", str(out_path)]) == 2
     assert f"unrecognized arguments: {' '.join(model)}" in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -520,39 +488,6 @@ def test_campaign_needs_a_positive_trial_count(tmp_path, capsys, command, trials
     out_path = tmp_path / "o.csv"
     assert main([command, *gauss_args, *CAMPAIGNS[command], "--trials", trials, "--out", str(out_path)]) == 2
     assert "trials must be at least 1" in capsys.readouterr().err
-    assert not out_path.exists()
-
-
-@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
-@pytest.mark.parametrize("line, key", [
-    ("max_iters = 3", "max_iters"),  # the flag is max-iters
-    ("trials = x", "trials"),
-    ("mode = bogus", "mode"),  # no flag of either campaign
-    ("method = kaczmarz", "method"),  # a bad choice for sweep, no flag of compare
-    ("model = gaussian", "model"),  # model parameters belong to generate
-    ("rows = 40", "rows"),
-    ("cols = 8", "cols"),
-    ("model-seed = 3", "model-seed"),
-])
-def test_plan_bad_key_or_value_is_usage_error(tmp_path, capsys, command, line, key):
-    out_path = tmp_path / "o.csv"
-    flags = CAMPAIGNS[command]
-    plan = tmp_path / "plan.txt"
-    plan.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(flags[::2], flags[1::2]))
-                    + f"system = {make_binary(tmp_path, seed=0)}\nout = {out_path}\n{line}\n")
-    assert main([command, "--plan", str(plan)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key!r}" in err or f"--{key}:" in err  # the plan key, or argparse naming its flag
-    assert not out_path.exists()
-
-
-@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
-def test_plan_line_without_equals_is_format_error(tmp_path, capsys, command, gauss_args):
-    out_path = tmp_path / "o.csv"
-    plan = tmp_path / "plan.txt"
-    plan.write_text(f"system = {gauss_args[1]}\nout = {out_path}\ntrials 2\n")
-    assert main([command, "--plan", str(plan), *CAMPAIGNS[command]]) == 3
-    assert capsys.readouterr().err == f"error: {plan}:3: expected 'key = value', got 'trials 2'\n"
     assert not out_path.exists()
 
 
@@ -698,25 +633,6 @@ def test_sweep_reports_dnf_when_capped(tmp_path, capsys, gauss_args):
     assert "median_iters_to_threshold=DNF" in out
 
 
-def test_sweep_plan_file_equals_flags(tmp_path, gauss_args):
-    by_flags, by_plan = tmp_path / "f.csv", tmp_path / "p.csv"
-    assert main(["sweep", *gauss_args, "--method", "sgsm", "--s-list", "2,4", "--threshold", "1e-6",
-                 "--trials", "2", "--seed", "5", "--max-iters", "5000", "--record-dense", "100",
-                 "--record-stride", "7", "--out", str(by_flags)]) == 0
-    plan = tmp_path / "plan.txt"
-    plan.write_text(
-        "# sweep defaults\n"
-        f"system = {gauss_args[1]}\n"
-        "method = sgsm\ns-list = 2,4\nthreshold = 1e-6\n"
-        "trials = 2\nseed = 5\nmax-iters = 5000\nrecord-dense = 100\nrecord-stride = 7\n"
-        f"out = {by_plan}\n"
-    )
-    assert main(["sweep", "--plan", str(plan)]) == 0
-    rows = without_elapsed(read_csv(by_flags))
-    assert len(rows) == 5 and all(row[2] != "DNF" for row in rows[1:])
-    assert rows == without_elapsed(read_csv(by_plan))
-
-
 def test_sweep_rejects_plain_methods(capsys, gauss_args):
     code = main(["sweep", *gauss_args, "--method", "kaczmarz", "--s-list", "2",
                  "--threshold", "1e-6", "--out", "x.csv"])
@@ -731,6 +647,19 @@ def test_cli_surface_is_pinned(capsys, command):
     # A change that adds or removes an option edits FLAGS (and the flag count in ROADMAP).
     assert main([command, "--help"]) == 0
     assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == FLAGS[command]
+
+
+@pytest.mark.parametrize("command, full, short", [
+    ("solve", ["--method", "gsm", "--s", "4"], ["--sys", "x.bin", "--meth", "gsm", "--max", "100"]),
+    ("sweep", CAMPAIGNS["sweep"], ["--thresh", "1e-6"]),
+    ("compare", CAMPAIGNS["compare"], ["--method", "kaczmarz"]),  # once read as --methods
+])
+def test_flags_take_full_names_only(tmp_path, capsys, gauss_args, command, full, short):
+    # An abbreviation is no flag, even where it names one flag unambiguously.
+    out = [] if command == "solve" else ["--out", str(tmp_path / "o.csv")]
+    assert main([command, *gauss_args, *full, *out, *short]) == 2
+    assert f"unrecognized arguments: {' '.join(short)}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 # ---------------------------------------------------------------- diagnose
@@ -805,6 +734,15 @@ def test_exit_code_zero_row_projection(tmp_path, capsys):
     assert "iteration" in err
 
 
+def test_exit_code_all_zero_matrix_is_numerical(tmp_path, capsys):
+    # kaczmarz has no sampling table on an all-zero A; that is the zero-row failure motzkin reports.
+    path = tmp_path / "z.bin"
+    save_system(LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector(np.ones(3))), path)
+    for method in ("kaczmarz", "motzkin"):
+        assert main(["solve", "--system", str(path), "--method", method]) == 4
+        assert "iteration 1:" in capsys.readouterr().err
+
+
 def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
     # A step that moves away from x* is a numerical failure, not a usage error.
     system_path = make_binary(tmp_path)
@@ -841,12 +779,43 @@ def test_exit_code_usage(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs():
-    # The subprocess imports the sketchsolve this test imported, installed or not.
+def test_exit_code_closed_stdout_in_process(monkeypatch, capsys):
+    # An in-process caller's stdout has no descriptor to redirect; main still returns 141 quietly.
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sketchsolve.cli, "cmd_diagnose", closed)
+    assert main(["diagnose", "--system", "x.bin"]) == 141
+    assert capsys.readouterr() == ("", "")
+
+
+def module_env(**extra):
+    """The environment of a `python -m sketchsolve` child that imports the sketchsolve this test imported."""
     src = str(Path(sketchsolve.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "sketchsolve", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "sketchsolve", "--help"], capture_output=True, text=True, env=module_env()
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_exit_code_closed_stdout(tmp_path, gauss_args, unbuffered):
+    # A reader that closes the pipe early (`| head`) gets the shell's 141 and a quiet stderr,
+    # whether the summary reaches the pipe at a print or at the last flush; the CSV is complete.
+    env = module_env(PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "sketchsolve", "compare", *gauss_args, "--methods", "motzkin,gsm:4",
+            "--trials", "2", "--seed", "3", "--out"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run([*argv, str(tmp_path / "closed.csv")], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (closed.returncode, closed.stderr) == (141, "")
+    assert subprocess.run([*argv, str(tmp_path / "open.csv")], capture_output=True, env=env).returncode == 0
+    assert without_elapsed(read_csv(tmp_path / "closed.csv")) == without_elapsed(read_csv(tmp_path / "open.csv"))

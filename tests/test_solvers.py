@@ -234,8 +234,9 @@ def test_kaczmarz_never_samples_zero_rows():
 
 
 def test_kaczmarz_all_zero_rows_rejected():
+    # The zero-row failure every method reports, not a usage error.
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
-    with pytest.raises(InputError):
+    with pytest.raises(ZeroRowError, match="all rows of A are zero"):
         step(sy, "kaczmarz", RealVector([0.0, 0.0]), RngState(0))
 
 
