@@ -20,8 +20,6 @@ __all__ = [
     "DenseMatrix",
     "RealVector",
     "ConditionStats",
-    "frobenius_norm_sq",
-    "smallest_singular_value",
     "condition_kappa_tilde",
     "dynamic_range",
 ]
@@ -42,13 +40,16 @@ def _validated(values, ndim, name):
         raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
         raise InputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    # The .all() method, not np.all: its Python wrapper costs about as much
+    # as the check itself on the small vectors a step wraps.
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite (found NaN or Inf)")
     arr = np.ascontiguousarray(arr)
-    if arr is values and arr.flags.writeable:
-        # Caller keeps a writeable handle; snapshot it instead of aliasing.
-        arr = arr.copy()
-    arr.setflags(write=False)
+    if arr.flags.writeable:
+        if arr is values:
+            # Caller keeps a writeable handle; snapshot it instead of aliasing.
+            arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -120,31 +121,13 @@ class ConditionStats:
     kappa_tilde: float
 
 
-def frobenius_norm_sq(A) -> float:
-    """Sum of all squared entries of A."""
-    a = as_matrix(A).a
-    return float((a * a).sum())
-
-
-def smallest_singular_value(A) -> float:
-    """Smallest singular value of a tall matrix (rows >= cols).
-
-    Computed from the eigenvalues of the n-by-n Gram matrix A^T A, which
-    is cheap at the column counts this package targets.  Returns 0.0 for
-    exactly rank-deficient input; accuracy degrades with the square of
-    the condition number, so treat values near machine-epsilon scale as
-    "numerically zero" rather than exact.
-    """
-    A = as_matrix(A)
-    if A.rows < A.cols:
-        raise InputError(f"need rows >= cols, got {A.rows}x{A.cols}")
-    gram = A.a.T @ A.a
-    lam = float(np.linalg.eigvalsh(gram)[0])
-    return float(np.sqrt(lam)) if lam > 0.0 else 0.0
-
-
 def condition_kappa_tilde(A) -> ConditionStats:
     """Compute ||A||_F^2, s_min, and their ratio kappa_tilde = ||A||_F^2 / s_min^2.
+
+    A must be tall (rows >= cols).  s_min comes from the eigenvalues of
+    the n-by-n Gram matrix A^T A, which is cheap at the column counts
+    this package targets; its accuracy degrades with the square of the
+    condition number, hence the rank gate below.
 
     Raises
     ------
@@ -152,8 +135,11 @@ def condition_kappa_tilde(A) -> ConditionStats:
         If s_min <= RANK_GATE * ||A||_F, naming the offending value.
     """
     A = as_matrix(A)
-    fro_sq = frobenius_norm_sq(A)
-    s_min = smallest_singular_value(A)
+    if A.rows < A.cols:
+        raise InputError(f"need rows >= cols, got {A.rows}x{A.cols}")
+    fro_sq = float((A.a * A.a).sum())
+    lam = float(np.linalg.eigvalsh(A.a.T @ A.a)[0])
+    s_min = float(np.sqrt(lam)) if lam > 0.0 else 0.0
     if s_min <= RANK_GATE * np.sqrt(fro_sq):
         raise RankDeficientError(
             f"matrix is numerically rank-deficient: s_min={s_min:.6e} "

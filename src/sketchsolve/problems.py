@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, _index
 from .linalg import DenseMatrix, RealVector, _own
 from .rng import RngState
 from .solvers import LinearSystem
@@ -46,7 +46,7 @@ _FLAG_X_STAR = 1
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A synthetic problem: model kind, shape, and generator seed."""
+    """A synthetic problem: model kind, integer shape m-by-n, and generator seed."""
 
     kind: str
     m: int
@@ -56,6 +56,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InputError(f"unknown model {self.kind!r}, expected one of {MODEL_KINDS}")
+        for name in ("m", "n"):
+            _index(getattr(self, name), name)
         if self.n < 1 or self.m < self.n:
             raise InputError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 
@@ -100,12 +102,13 @@ def load_csv_matrix(
     so error tracking is unavailable for such systems.  Without it, b is
     planted from plant_seed.
 
-    The file must be UTF-8 text, the delimiter one character, rows
-    equally wide, and every field must parse as a finite float (decimal
-    point '.', no locale handling).  Row and column numbers in error
-    messages are 1-based file coordinates.
+    skip_rows and target_column must be integers.  The file must be
+    UTF-8 text, the delimiter one character, rows equally wide, and
+    every field must parse as a finite float (decimal point '.', no
+    locale handling).  Row and column numbers in error messages are
+    1-based file coordinates.
     """
-    if skip_rows < 0:
+    if _index(skip_rows, "skip_rows") < 0:
         raise InputError(f"skip_rows must be nonnegative, got {skip_rows}")
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise InputError(f"delimiter must be exactly one character, got {delimiter!r}")
@@ -140,7 +143,7 @@ def load_csv_matrix(
     full = np.vstack(rows)
 
     if target_column is not None:
-        if not 0 <= target_column < full.shape[1]:
+        if not 0 <= _index(target_column, "target_column") < full.shape[1]:
             raise InputError(f"target_column {target_column} out of range [0, {full.shape[1]})")
         if full.shape[1] < 2:
             raise InputError("target_column would leave an empty matrix")

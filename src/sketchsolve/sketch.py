@@ -19,6 +19,12 @@ is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 Draw order per sketch: block index first (block and sparse sketches),
 then the Gaussian factor entries in row-major order.
 
+SketchedSystem(M, r, z, shift, factor) is the one record of a drawn
+system, for every method: the constructors here and solvers.step build
+it from the raw tuple (Ma, ra, z, shift, factor) that the solver steps
+pass around, in that field order.  For kaczmarz and motzkin the drawn
+system is A itself (z None, shift 0, no factor).
+
 A max-residual step on a Gaussian sketch only ever uses the winning
 column of S, so the solver draws that column alone from its conditional
 law (_gaussian_winner_raw): Theta(m*n + m + s) per step instead of
@@ -34,11 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, _index
-from .linalg import DenseMatrix, RealVector, _own
+from .linalg import DenseMatrix, RealVector
 from .rng import RngState
 
 __all__ = [
-    "SketchProvenance",
     "SketchedSystem",
     "block_sketch",
     "gaussian_sketch",
@@ -58,26 +63,30 @@ def _check_sketch(s: int, m: int | None = None):
 
 
 @dataclass(frozen=True, eq=False)
-class SketchProvenance:
-    """What randomness produced a sketch: the block index z and row shift
-    min(s*z, m - s) (block and sparse sketches), and the Gaussian factor
-    (S of a Gaussian sketch, X of a sparse one).  Enough to rematerialize
-    the sketch exactly."""
+class SketchedSystem:
+    """A drawn system (M, r) = (S^T A, S^T b) and the randomness that drew
+    it: the block index z and row shift min(s*z, m - s) (block and sparse
+    sketches), and the Gaussian factor (S of a Gaussian sketch, X of a
+    sparse one).  Enough to rematerialize the sketch exactly.
 
+    Arrays are wrapped as DenseMatrix and RealVector wrap them; M, r and
+    factor given already wrapped (A and b themselves, for kaczmarz and
+    motzkin) are kept as they are.
+    """
+
+    M: DenseMatrix
+    r: RealVector
     z: int | None = None
     shift: int | None = None
     factor: DenseMatrix | None = None
 
-
-@dataclass(frozen=True, eq=False)
-class SketchedSystem:
-    """An s-row compressed system (M, r) with its provenance."""
-
-    M: DenseMatrix
-    r: RealVector
-    provenance: SketchProvenance
-
     def __post_init__(self):
+        if not isinstance(self.M, DenseMatrix):
+            object.__setattr__(self, "M", DenseMatrix(self.M))
+        if not isinstance(self.r, RealVector):
+            object.__setattr__(self, "r", RealVector(self.r))
+        if self.factor is not None and not isinstance(self.factor, DenseMatrix):
+            object.__setattr__(self, "factor", DenseMatrix(self.factor))
         if self.M.rows != len(self.r):
             raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
 
@@ -132,19 +141,6 @@ def _gaussian_winner_raw(Aa, ba, res, s, gen):
     return t, (F.T @ Aa, F.T @ ba, None, None, F), 0
 
 
-def _wrap(raw) -> SketchedSystem:
-    Ma, ra, z, shift, factor = raw
-    prov = SketchProvenance(
-        z=z,
-        shift=shift,
-        factor=DenseMatrix(_own(factor)) if factor is not None else None,
-    )
-    if Ma.flags.writeable:
-        _own(Ma)
-        _own(ra)
-    return SketchedSystem(DenseMatrix(Ma), RealVector(ra), prov)
-
-
 def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """Uniformly placed aligned block of s contiguous rows of (A, b).
 
@@ -153,7 +149,7 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return _wrap(_build_raw(system.A.a, system.b.a, s, z))
+    return SketchedSystem(*_build_raw(system.A.a, system.b.a, s, z))
 
 
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -165,7 +161,7 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s)
     S = rng.gen.standard_normal((system.A.rows, s))
-    return _wrap((S.T @ system.A.a, S.T @ system.b.a, None, None, S))
+    return SketchedSystem(S.T @ system.A.a, S.T @ system.b.a, None, None, S)
 
 
 def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -176,5 +172,5 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return _wrap(_build_raw(system.A.a, system.b.a, s, z, rng.gen))
+    return SketchedSystem(*_build_raw(system.A.a, system.b.a, s, z, rng.gen))
 

@@ -36,6 +36,12 @@ The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
 row used, so the squared error never increases on consistent systems.
 
+What a step drew has one record, SketchedSystem(M, r, z, shift, factor)
+(see sketch.py): step() returns (x_next, sketch, i) and projects onto
+row sketch.M.a[i], sketch.r.a[i]; for kaczmarz and motzkin, sketch.M is
+system.A.  run() passes the same fields, in that order, as the raw tuple
+(Ma, ra, z, shift, factor) and builds no record.
+
 run() drives any method to a residual tolerance with a timed, thinned
 trace; reruns with the same seed are bit-identical except wall times.
 """
@@ -52,7 +58,7 @@ import numpy as np
 from .errors import InputError, NumericalError, ZeroRowError, _index
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _check_seed, _pick_from_cumulative
-from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw, _wrap
+from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw
 
 __all__ = [
     "METHODS",
@@ -62,7 +68,6 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "RunTrace",
-    "StepProvenance",
     "project_row",
     "select_max_residual",
     "step",
@@ -264,16 +269,6 @@ class RunTrace:
         return self.records[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class StepProvenance:
-    """What one step projected against: row `chosen` of `sketched`, the
-    step's sketched system (skm, gsm, sgsm), or of A when `sketched` is
-    None (kaczmarz, motzkin)."""
-
-    sketched: SketchedSystem | None
-    chosen: int
-
-
 def _project_raw(xa, row, beta, row_sq):
     return xa + ((beta - float(row.dot(xa))) / row_sq) * row
 
@@ -409,15 +404,19 @@ def step(system: LinearSystem, method: str, x, rng: RngState | None = None, *, s
     """One step of `method` (sketch size s) from x, drawing from rng
     exactly as run() does.  rng may be None only for motzkin.
 
-    Returns (x_next, StepProvenance); for the sketched methods the
-    provenance carries the full sketched system, so the step can be
-    replayed or audited exactly.
+    Returns (x_next, sketch, i): sketch is the drawn SketchedSystem and
+    x_next projects x onto its row i, sketch.M.a[i] with right-hand side
+    sketch.r.a[i] (x_next is x when that row's residual is zero), so the
+    step can be replayed or audited exactly.  For kaczmarz and motzkin
+    the drawn system is A itself: sketch.M is system.A, sketch.r is
+    system.b, and shift is 0.
     """
     select = _selector(system, method, s, None if rng is None else rng.gen)
     if rng is None and method != "motzkin":
         raise InputError(f"method {method} draws at every step and needs an rng")
     xa, raw, i = _step(select, _iterate(system, x), system.zero_row_gate)
-    return RealVector(_own(xa)), StepProvenance(_wrap(raw) if method in _SKETCHED else None, i)
+    sketch = SketchedSystem(*raw) if method in _SKETCHED else SketchedSystem(system.A, system.b, *raw[2:])
+    return RealVector(_own(xa)), sketch, i
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):

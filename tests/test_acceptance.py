@@ -21,8 +21,8 @@ from sketchsolve import (
     RealVector,
     RngState,
     SolverConfig,
+    condition_kappa_tilde,
     contraction_summary,
-    frobenius_norm_sq,
     gaussian_sketch,
     generate_system,
     run,
@@ -53,10 +53,8 @@ def coherent_1000x50():
 
 def one_step(system, method, x, rng, s):
     """One step of `method`; returns (x1, selected row array, beta)."""
-    x1, prov = step(system, method, x, rng, s=s)
-    sk = prov.sketched
-    M, r = (system.A, system.b) if sk is None else (sk.M, sk.r)
-    return x1, M.row(prov.chosen), float(r.a[prov.chosen])
+    x1, sketch, i = step(system, method, x, rng, s=s)
+    return x1, sketch.M.a[i], float(sketch.r.a[i])
 
 
 def iters_to_error_threshold(system, method, s, seed, frac, max_iters):
@@ -107,7 +105,7 @@ def test_c02_gaussian_sketch_second_moment():
     # squared Frobenius norm of A.
     started = time.perf_counter()
     sy = make_system(50, 8, seed=3)
-    target = frobenius_norm_sq(sy.A)
+    target = condition_kappa_tilde(sy.A).frobenius_sq
     rng = RngState(4)
     total, rows = 0.0, 0
     for _ in range(10_000):
@@ -132,8 +130,7 @@ def test_c03_sparse_equals_dense_materialization():
         sy = make_system(m, n, seed=int(gen.integers(1_000_000)))
         got = sparse_gaussian_sketch(sy, s, RngState(int(gen.integers(1_000_000))))
         full = np.zeros((m, s))
-        shift = got.provenance.shift
-        full[shift:shift + s, :] = got.provenance.factor.a
+        full[got.shift:got.shift + s, :] = got.factor.a
         want_m = full.T @ sy.A.a
         want_r = full.T @ sy.b.a
         scale = max(1.0, float(np.max(np.abs(want_m))), float(np.max(np.abs(want_r))))
@@ -274,8 +271,8 @@ def test_c09_kaczmarz_sampling_law():
     counts = np.zeros(50)
     x = RealVector(np.zeros(5))
     for _ in range(100_000):
-        x, prov = step(sy, "kaczmarz", x, rng)
-        counts[prov.chosen] += 1
+        x, _, i = step(sy, "kaczmarz", x, rng)
+        counts[i] += 1
     deviation = float(np.max(np.abs(counts / 100_000 - probs)))
     assert deviation <= 0.01
     report(9, f"max |frequency - probability| = {deviation:.4f} <= 0.01", started)

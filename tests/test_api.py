@@ -12,12 +12,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "CONVERGED", "ConditionStats", "DenseMatrix", "FormatError", "InputError", "LinearSystem",
     "MAX_ITERS", "METHODS", "MODEL_KINDS", "ModelSpec", "NumericalError", "RankDeficientError",
-    "RealVector", "RngState", "RunTrace", "SketchProvenance", "SketchedSystem",
-    "SketchsolveError", "SolverConfig", "StepProvenance", "TraceRecord", "ZeroRowError",
-    "block_sketch", "condition_kappa_tilde", "contraction_summary", "dynamic_range",
-    "frobenius_norm_sq", "gaussian_sketch", "generate_system", "load_csv_matrix",
-    "load_system", "project_row", "run", "save_system", "select_max_residual",
-    "smallest_singular_value", "sparse_gaussian_sketch", "step",
+    "RealVector", "RngState", "RunTrace", "SketchedSystem", "SketchsolveError", "SolverConfig",
+    "TraceRecord", "ZeroRowError", "block_sketch", "condition_kappa_tilde", "contraction_summary",
+    "dynamic_range", "gaussian_sketch", "generate_system", "load_csv_matrix", "load_system",
+    "project_row", "run", "save_system", "select_max_residual", "sparse_gaussian_sketch", "step",
 ]
 
 
@@ -25,6 +23,17 @@ def test_public_names_are_listed_once_and_resolve():
     assert sorted(sketchsolve.__all__) == PUBLIC_NAMES
     for name in sketchsolve.__all__:
         assert getattr(sketchsolve, name) is not None, name
+
+
+def test_removed_names_stay_removed():
+    # Every bare identifier in the first column of the README's "Removed
+    # names" table (a call's name counts; flags and dotted names do not) is
+    # not an attribute of the package.
+    table = re.search(r"^## Removed names\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    names = {m.group(1) for cell in rows for m in re.finditer(r"`([A-Za-z_]\w*)(?:\(.*?\))?`", cell)}
+    assert {"StepProvenance", "SketchProvenance", "frobenius_norm_sq", "smallest_singular_value"} <= names
+    assert sorted(name for name in names if hasattr(sketchsolve, name)) == []
 
 
 def test_readme_python_blocks_run():

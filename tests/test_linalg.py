@@ -20,9 +20,7 @@ from sketchsolve import (
     RealVector,
     condition_kappa_tilde,
     dynamic_range,
-    frobenius_norm_sq,
     generate_system,
-    smallest_singular_value,
 )
 
 
@@ -166,15 +164,15 @@ def test_row_norms_sq_equal_row_dot_row_bitwise(model, m, n):
 
 
 def test_frobenius_known_values():
-    assert frobenius_norm_sq(DenseMatrix(np.eye(4))) == 4.0
-    assert frobenius_norm_sq(DenseMatrix([[1.0, 2.0], [3.0, 4.0]])) == 30.0
+    assert condition_kappa_tilde(DenseMatrix(np.eye(4))).frobenius_sq == 4.0
+    assert condition_kappa_tilde(DenseMatrix([[1.0, 2.0], [3.0, 4.0]])).frobenius_sq == 30.0
 
 
 def test_frobenius_matches_oracle_and_row_decomposition():
     gen = np.random.default_rng(23)
     a = gen.standard_normal((100, 20))
     m = DenseMatrix(a)
-    total = frobenius_norm_sq(m)
+    total = condition_kappa_tilde(m).frobenius_sq
     want = sum_of_squares(a)
     assert abs(total - want) <= 1e-12 * want
     by_rows = float(np.einsum("ij,ij->i", m.a, m.a).sum())
@@ -184,19 +182,19 @@ def test_frobenius_matches_oracle_and_row_decomposition():
 # ----------------------------------------------------- smallest singular
 
 def test_smallest_singular_identity():
-    assert smallest_singular_value(DenseMatrix(np.eye(5))) == pytest.approx(1.0, rel=1e-12)
+    assert condition_kappa_tilde(DenseMatrix(np.eye(5))).s_min == pytest.approx(1.0, rel=1e-12)
 
 
 def test_smallest_singular_diagonal_padded():
     a = np.zeros((6, 3))
     a[0, 0], a[1, 1], a[2, 2] = 5.0, 2.0, 0.5
-    assert smallest_singular_value(DenseMatrix(a)) == pytest.approx(0.5, rel=1e-10)
+    assert condition_kappa_tilde(DenseMatrix(a)).s_min == pytest.approx(0.5, rel=1e-10)
 
 
 def test_smallest_singular_matches_jacobi_oracle():
     gen = np.random.default_rng(42)
     a = gen.standard_normal((30, 6))
-    got = smallest_singular_value(DenseMatrix(a))
+    got = condition_kappa_tilde(DenseMatrix(a)).s_min
     want = oracle_smallest_singular(a)
     assert abs(got - want) <= 1e-6 * want
 
@@ -204,16 +202,16 @@ def test_smallest_singular_matches_jacobi_oracle():
 def test_smallest_singular_row_permutation_invariant():
     gen = np.random.default_rng(3)
     a = gen.standard_normal((40, 8))
-    base = smallest_singular_value(DenseMatrix(a))
+    base = condition_kappa_tilde(DenseMatrix(a)).s_min
     for seed in range(4):
         perm = np.random.default_rng(seed).permutation(40)
-        shuffled = smallest_singular_value(DenseMatrix(a[perm]))
+        shuffled = condition_kappa_tilde(DenseMatrix(a[perm])).s_min
         assert abs(shuffled - base) <= 1e-8 * base
 
 
 def test_smallest_singular_requires_overdetermined():
-    with pytest.raises(InputError):
-        smallest_singular_value(DenseMatrix(np.ones((2, 3))))
+    with pytest.raises(InputError, match="need rows >= cols"):
+        condition_kappa_tilde(DenseMatrix(np.ones((2, 3))))
 
 
 # ------------------------------------------------------------ conditioning
@@ -262,7 +260,7 @@ def test_norm_lower_bound_invariant():
     gen = np.random.default_rng(77)
     a = gen.standard_normal((50, 7))
     m = DenseMatrix(a)
-    smin = smallest_singular_value(m)
+    smin = condition_kappa_tilde(m).s_min
     for _ in range(100):
         x = gen.standard_normal(7)
         lhs = math.sqrt(sum_of_squares(a @ x))

@@ -17,7 +17,7 @@ from sketchsolve import (
     RealVector,
     RngState,
     block_sketch,
-    frobenius_norm_sq,
+    condition_kappa_tilde,
     gaussian_sketch,
     sparse_gaussian_sketch,
 )
@@ -45,8 +45,8 @@ def test_block_full_size_is_whole_system():
     got = block_sketch(sy, 6, RngState(0))
     assert np.array_equal(got.M.a, sy.A.a)
     assert np.array_equal(got.r.a, sy.b.a)
-    assert got.provenance.z == 0 and got.provenance.shift == 0
-    assert got.provenance.factor is None
+    assert got.z == 0 and got.shift == 0
+    assert got.factor is None
 
 
 def test_block_rows_are_zero_copy_views():
@@ -54,8 +54,7 @@ def test_block_rows_are_zero_copy_views():
     got = block_sketch(sy, 3, RngState(9))
     assert np.shares_memory(got.M.a, sy.A.a)
     assert np.shares_memory(got.r.a, sy.b.a)
-    shift = got.provenance.shift
-    assert np.array_equal(got.M.a, sy.A.a[shift:shift + 3])
+    assert np.array_equal(got.M.a, sy.A.a[got.shift:got.shift + 3])
 
 
 def test_block_last_aligned_block_is_final_rows():
@@ -63,8 +62,8 @@ def test_block_last_aligned_block_is_final_rows():
     sy = make_system(6, 3, seed=6)
     for seed in range(200):
         got = block_sketch(sy, 2, RngState(seed))
-        if got.provenance.z == 2:
-            assert got.provenance.shift == 4
+        if got.z == 2:
+            assert got.shift == 4
             assert np.array_equal(got.M.a, sy.A.a[4:6])
             assert np.array_equal(got.r.a, sy.b.a[4:6])
             break
@@ -81,7 +80,7 @@ def test_block_shift_coverage_reaches_trailing_rows():
         seen = set()
         for _ in range(600):
             got = build(sy, 3, rng)
-            z, shift, factor = got.provenance.z, got.provenance.shift, got.provenance.factor
+            z, shift, factor = got.z, got.shift, got.factor
             seen.add(z)
             assert shift == min(3 * z, 7)
             block = sy.A.a[shift:shift + 3]
@@ -120,7 +119,7 @@ def test_gaussian_linearity_on_ones_column():
 def test_gaussian_matches_its_provenance_factor():
     sy = make_system(12, 5, seed=7)
     got = gaussian_sketch(sy, 3, RngState(2))
-    s_factor = got.provenance.factor
+    s_factor = got.factor
     assert (s_factor.rows, s_factor.cols) == (12, 3)
     assert np.array_equal(got.M.a, s_factor.a.T @ sy.A.a)
     assert np.array_equal(got.r.a, s_factor.a.T @ sy.b.a)
@@ -131,7 +130,7 @@ def test_gaussian_fresh_factor_each_call():
     rng = RngState(4)
     first = gaussian_sketch(sy, 2, rng)
     second = gaussian_sketch(sy, 2, rng)
-    assert not np.array_equal(first.provenance.factor.a, second.provenance.factor.a)
+    assert not np.array_equal(first.factor.a, second.factor.a)
 
 
 def test_gaussian_size_may_exceed_rows():
@@ -144,7 +143,7 @@ def test_gaussian_row_energy_matches_frobenius():
     # E of a sketched row's squared norm equals the squared Frobenius
     # norm of A; the empirical mean settles within 5 percent.
     sy = make_system(33, 4, seed=10)
-    target = frobenius_norm_sq(sy.A)
+    target = condition_kappa_tilde(sy.A).frobenius_sq
     rng = RngState(12)
     total, rows = 0.0, 0
     for _ in range(4000):
@@ -165,7 +164,7 @@ def test_sparse_matches_dense_materialization_oracle():
         s = int(gen.integers(1, m + 1))
         sy = make_system(m, n, seed=int(gen.integers(1_000_000)))
         got = sparse_gaussian_sketch(sy, s, RngState(int(gen.integers(1_000_000))))
-        full = materialized_sparse(m, s, got.provenance.shift, got.provenance.factor.a)
+        full = materialized_sparse(m, s, got.shift, got.factor.a)
         want_m = full.T @ sy.A.a
         want_r = full.T @ sy.b.a
         scale = max(1.0, float(np.max(np.abs(want_m))), float(np.max(np.abs(want_r))))
@@ -180,15 +179,14 @@ def test_sparse_identity_factor_reproduces_block():
     got = sparse_gaussian_sketch(sy, 4, identity)
     assert np.array_equal(got.M.a, sy.A.a[8:12])
     assert np.array_equal(got.r.a, sy.b.a[8:12])
-    assert got.provenance.z == 2
+    assert got.z == 2
 
 
 def test_sparse_single_row_is_scalar_multiple():
     sy = make_system(9, 4, seed=15)
     got = sparse_gaussian_sketch(sy, 1, RngState(21))
-    shift = got.provenance.shift
-    scale = got.provenance.factor.a[0, 0]
-    assert np.array_equal(got.M.a[0], scale * sy.A.a[shift])
+    scale = got.factor.a[0, 0]
+    assert np.array_equal(got.M.a[0], scale * sy.A.a[got.shift])
 
 
 def test_sparse_draws_block_index_then_factor():
@@ -198,8 +196,8 @@ def test_sparse_draws_block_index_then_factor():
     got = sparse_gaussian_sketch(sy, 5, RngState(33))
     gen = RngState(33).gen
     z = int(gen.integers(4))
-    assert got.provenance.z == z and got.provenance.shift == 5 * z
-    assert np.array_equal(got.provenance.factor.a, gen.standard_normal((5, 5)))
+    assert got.z == z and got.shift == 5 * z
+    assert np.array_equal(got.factor.a, gen.standard_normal((5, 5)))
 
 
 def test_sparse_size_validation():

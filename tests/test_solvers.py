@@ -36,6 +36,7 @@ from sketchsolve import (
     contraction_summary,
     gaussian_sketch,
     generate_system,
+    load_csv_matrix,
     project_row,
     run,
     select_max_residual,
@@ -84,10 +85,8 @@ def step_row_and_beta(system, method, x, rng, s=4):
     """Run one step of `method`, returning (x1, row projected on, beta).
 
     The row comes back as a plain array."""
-    x1, prov = step(system, method, x, rng, s=s)
-    sk = prov.sketched
-    M, r = (system.A, system.b) if sk is None else (sk.M, sk.r)
-    return x1, M.row(prov.chosen), float(r.a[prov.chosen])
+    x1, sketch, i = step(system, method, x, rng, s=s)
+    return x1, sketch.M.a[i], float(sketch.r.a[i])
 
 
 # -------------------------------------------------------------- projection
@@ -183,14 +182,14 @@ def test_kaczmarz_solution_is_fixed_point():
     rng = RngState(0)
     x_star = INTEGER_SYSTEM.x_star
     for _ in range(20):
-        x1, _ = step(INTEGER_SYSTEM, "kaczmarz", x_star, rng)
+        x1, _, _ = step(INTEGER_SYSTEM, "kaczmarz", x_star, rng)
         assert np.array_equal(x1.a, x_star.a)
 
 
 def test_kaczmarz_single_row_solves_exactly():
     sy = LinearSystem(DenseMatrix([[2.0]]), RealVector([6.0]))
-    x1, prov = step(sy, "kaczmarz", RealVector([0.0]), RngState(1))
-    assert prov.chosen == 0
+    x1, _, i = step(sy, "kaczmarz", RealVector([0.0]), RngState(1))
+    assert i == 0
     assert x1.a.tolist() == [3.0]
 
 
@@ -198,8 +197,8 @@ def test_kaczmarz_forced_selection_projects_correctly():
     # Find a seed whose first weighted draw picks the (1,1) row, then the
     # projection from the origin lands on the exact solution.
     for seed in range(100):
-        x1, prov = step(INTEGER_SYSTEM, "kaczmarz", RealVector([0.0, 0.0]), RngState(seed))
-        if prov.chosen == 2:
+        x1, _, i = step(INTEGER_SYSTEM, "kaczmarz", RealVector([0.0, 0.0]), RngState(seed))
+        if i == 2:
             assert x1.a.tolist() == [1.0, 1.0]
             break
     else:
@@ -214,8 +213,8 @@ def test_kaczmarz_selection_tracks_row_weights():
     counts = np.zeros(12)
     x = RealVector(np.zeros(3))
     for _ in range(20_000):
-        x, prov = step(sy, "kaczmarz", x, rng)
-        counts[prov.chosen] += 1
+        x, _, i = step(sy, "kaczmarz", x, rng)
+        counts[i] += 1
     assert np.max(np.abs(counts / 20_000 - probs)) <= 0.03
 
 
@@ -228,8 +227,8 @@ def test_kaczmarz_never_samples_zero_rows():
     x = RealVector(np.zeros(2))
     picked = set()
     for _ in range(10_000):
-        x, prov = step(sy, "kaczmarz", x, rng)
-        picked.add(prov.chosen)
+        x, _, i = step(sy, "kaczmarz", x, rng)
+        picked.add(i)
     assert picked == {1, 3, 4}
 
 
@@ -260,8 +259,8 @@ def test_kaczmarz_near_zero_row_is_reselected_once():
     sy = NEAR_ZERO_ROW_SYSTEM
     rng = RngState(0)
     rng.gen = uniform_stream([0.0, 0.75])
-    x1, prov = step(sy, "kaczmarz", RealVector([0.0, 0.0]), rng)
-    assert prov.chosen == 2
+    x1, _, i = step(sy, "kaczmarz", RealVector([0.0, 0.0]), rng)
+    assert i == 2
     assert x1.a.tolist() == [0.0, 2.0]
 
 
@@ -272,12 +271,12 @@ def test_motzkin_identity_system_solves_in_dimension_steps():
     sy = LinearSystem(DenseMatrix(np.eye(5)), RealVector(b), RealVector(b))
     x = RealVector(np.zeros(5))
     for _ in range(5):
-        x, _ = step(sy, "motzkin", x)
+        x, _, _ = step(sy, "motzkin", x)
     assert np.array_equal(x.a, b)
 
 
 def test_motzkin_zero_residual_returns_unchanged():
-    x1, _ = step(INTEGER_SYSTEM, "motzkin", INTEGER_SYSTEM.x_star)
+    x1, _, _ = step(INTEGER_SYSTEM, "motzkin", INTEGER_SYSTEM.x_star)
     assert np.array_equal(x1.a, INTEGER_SYSTEM.x_star.a)
 
 
@@ -288,7 +287,7 @@ def test_motzkin_trajectory_matches_reference_loop():
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
     x = RealVector(np.zeros(4))
     for _ in range(10):
-        x, _ = step(sy, "motzkin", x)
+        x, _, _ = step(sy, "motzkin", x)
     want = reference_max_residual_iteration(a, a @ x_star, np.zeros(4), 10)
     assert np.max(np.abs(x.a - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -306,34 +305,33 @@ def test_motzkin_zero_selected_row_raises():
 def test_skm_full_block_equals_motzkin():
     sy = make_system(8, 3, seed=9)
     x = RealVector(np.zeros(3))
-    got, prov = step(sy, "skm", x, RngState(5), s=8)
-    want, whole = step(sy, "motzkin", x)
-    assert prov.chosen == whole.chosen
+    got, _, i = step(sy, "skm", x, RngState(5), s=8)
+    want, _, j = step(sy, "motzkin", x)
+    assert i == j
     assert np.array_equal(got.a, want.a)
 
 
 def test_sketched_solution_is_fixed_point():
     x_star = INTEGER_SYSTEM.x_star
     # Block rows are rows of A, so integer arithmetic keeps this exact.
-    x1, _ = step(INTEGER_SYSTEM, "skm", x_star, RngState(3), s=2)
+    x1, _, _ = step(INTEGER_SYSTEM, "skm", x_star, RngState(3), s=2)
     assert np.array_equal(x1.a, x_star.a)
     # Dense factors mix rows, so exactness is only up to roundoff.
     for method in ("gsm", "sgsm"):
-        x1, _ = step(INTEGER_SYSTEM, method, x_star, RngState(3), s=2)
+        x1, _, _ = step(INTEGER_SYSTEM, method, x_star, RngState(3), s=2)
         assert np.max(np.abs(x1.a - x_star.a)) <= 1e-12
 
 
 def test_sparse_step_matches_materialized_oracle():
     sy = make_system(15, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
-    got, prov = step(sy, "sgsm", x, RngState(11), s=3)
-    sk = prov.sketched
+    got, sk, chosen = step(sy, "sgsm", x, RngState(11), s=3)
     full = np.zeros((15, 3))
-    full[sk.provenance.shift:sk.provenance.shift + 3, :] = sk.provenance.factor.a
+    full[sk.shift:sk.shift + 3, :] = sk.factor.a
     m_arr = full.T @ sy.A.a
     r_arr = full.T @ sy.b.a
     i = scan_max_index(m_arr, r_arr, x.a)
-    assert i == prov.chosen
+    assert i == chosen
     row = m_arr[i]
     want = x.a + (r_arr[i] - row @ x.a) / (row @ row) * row
     assert np.max(np.abs(got.a - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -342,10 +340,9 @@ def test_sparse_step_matches_materialized_oracle():
 def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
-    got, prov = step(sy, "gsm", x, RngState(13), s=4)
-    sk = prov.sketched
-    assert np.array_equal(sk.M.a, sk.provenance.factor.a.T @ sy.A.a)
-    replay = project_row(x, sk.M.row(prov.chosen), float(sk.r.a[prov.chosen]))
+    got, sk, i = step(sy, "gsm", x, RngState(13), s=4)
+    assert np.array_equal(sk.M.a, sk.factor.a.T @ sy.A.a)
+    replay = project_row(x, sk.M.a[i], float(sk.r.a[i]))
     assert np.array_equal(got.a, replay.a)
 
 
@@ -398,15 +395,15 @@ def test_gsm_step_draws_u_then_the_winning_column():
     # normals g give its column u_j* rhat + (g - (g . rhat) rhat).
     sy = make_system(12, 3, seed=83)
     x = RealVector(np.random.default_rng(5).standard_normal(3))
-    _, prov = step(sy, "gsm", x, RngState(17), s=6)
+    _, sk, i = step(sy, "gsm", x, RngState(17), s=6)
     gen = RngState(17).gen
     u = gen.standard_normal(6)
     g = gen.standard_normal(12)
     res = sy.A.a @ x.a - sy.b.a
     rhat = res / np.linalg.norm(res)
     want = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
-    column = prov.sketched.provenance.factor.a
-    assert column.shape == (12, 1) and prov.chosen == 0
+    column = sk.factor.a
+    assert column.shape == (12, 1) and i == 0
     assert np.allclose(column[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -414,7 +411,7 @@ def test_gsm_step_zero_residual_and_zero_rows():
     # A zero residual leaves x untouched; a zero sketched row is resampled
     # once and then raises.
     x_star = INTEGER_SYSTEM.x_star
-    x1, _ = step(INTEGER_SYSTEM, "gsm", x_star, RngState(3), s=3)
+    x1, _, _ = step(INTEGER_SYSTEM, "gsm", x_star, RngState(3), s=3)
     assert np.array_equal(x1.a, x_star.a)
     zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0, 1.0, 1.0]))
     with pytest.raises(ZeroRowError, match="resample"):
@@ -462,8 +459,8 @@ def test_sketched_zero_row_resample_then_succeed():
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 1]
     )
     x = RealVector(np.zeros(2))
-    x1, prov = step(ZERO_BLOCK_SYSTEM, "skm", x, RngState(seed), s=2)
-    assert prov.sketched.provenance.z == 1
+    x1, sk, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, RngState(seed), s=2)
+    assert sk.z == 1
     assert not np.array_equal(x1.a, x.a)
 
 
@@ -515,12 +512,11 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
     for s in (1, 2, 4, 5, 10, 20):
         for _ in range(5):
             x0 = RealVector(gen.standard_normal(4))
-            _, prov = step(sy, "skm", x0, rng, s=s)
-            sk = prov.sketched
+            _, sk, i = step(sy, "skm", x0, rng, s=s)
             t = sk.M.a @ x0.a - sk.r.a
             norms = np.einsum("ij,ij->i", sk.M.a, sk.M.a)
             decreases = t * t / norms
-            chosen = decreases[prov.chosen]
+            chosen = decreases[i]
             assert np.all(decreases <= chosen + 1e-12 * max(1.0, chosen))
 
 
@@ -540,16 +536,21 @@ def test_step_error_never_increases():
             err = nxt
 
 
-def test_step_provenance_replays_every_method():
-    # project_row onto the row the provenance names (a row of A when
-    # nothing was sketched) reproduces every method's step bit for bit.
+def test_step_sketch_replays_every_method():
+    # project_row onto row i of the drawn system reproduces every method's
+    # step bit for bit; for kaczmarz and motzkin that system is A itself,
+    # not a copy.
     sy = make_system(30, 5, seed=84)
     rng = RngState(19)
     for method in METHOD_NAMES:
         x = RealVector(np.random.default_rng(6).standard_normal(5))
         for _ in range(10):
-            x1, row, beta = step_row_and_beta(sy, method, x, rng)
-            assert np.array_equal(project_row(x, row, beta).a, x1.a), method
+            x1, sketch, i = step(sy, method, x, rng, s=4)
+            assert np.array_equal(project_row(x, sketch.M.a[i], sketch.r.a[i]).a, x1.a), method
+            whole = method in ("kaczmarz", "motzkin")
+            assert (sketch.M is sy.A, sketch.r is sy.b) == (whole, whole), method
+            if whole:
+                assert (sketch.z, sketch.shift, sketch.factor) == (None, 0, None)
             x = x1
 
 
@@ -622,7 +623,7 @@ def test_run_matches_manual_step_composition():
         rng = RngState(99)
         x = RealVector(np.zeros(5))
         for _ in range(steps):
-            x, _ = step(sy, method, x, rng, s=4)
+            x, _, _ = step(sy, method, x, rng, s=4)
         assert np.array_equal(got.a, x.a), method
 
 
@@ -655,7 +656,7 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
         pytest.fail("no seed in range reselects both inside a chunk and across a refill")
     rng, x = RngState(seed), RealVector(np.zeros(2))
     for _ in range(fault - 1):
-        x, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
+        x, _, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
     with pytest.raises(ZeroRowError):
         step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
     got, _ = run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault - 1, seed=seed))
@@ -672,7 +673,7 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
     assert (trace.status, trace.final.iter) == (CONVERGED, 5)
     rng, x = RngState(0), RealVector(np.zeros(2))
     for _ in range(5):
-        x, _ = step(NEAR_ZERO_ROW_SYSTEM, "kaczmarz", x, rng)
+        x, _, _ = step(NEAR_ZERO_ROW_SYSTEM, "kaczmarz", x, rng)
     assert np.array_equal(got.a, x.a) and x.a.tolist() == [1.0, 2.0]
 
 
@@ -825,7 +826,7 @@ def test_solver_config_validation():
     assert SolverConfig("gsm", seed=2**64 - 1).seed == 2**64 - 1
 
 
-def test_integer_arguments_are_checked():
+def test_integer_arguments_are_checked(tmp_path):
     sy = make_system(10, 2, seed=80)
     with pytest.raises(InputError, match="seed must be an integer"):
         RngState(2.5)
@@ -837,10 +838,20 @@ def test_integer_arguments_are_checked():
     for field in ("s", "seed", "max_iters", "record_dense_limit", "record_stride"):
         with pytest.raises(InputError, match="must be an integer, got 2.5"):
             SolverConfig("sgsm", **{field: 2.5})
+    for m, n in ((10.0, 2), ("10", 2), (10, 2.0)):
+        with pytest.raises(InputError, match="must be an integer"):
+            ModelSpec("gaussian", m, n)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2,3\n4,5,6\n7,8,9\n")
+    for kwargs in ({"target_column": 2.0}, {"skip_rows": 0.5}, {"skip_rows": "1"}):
+        with pytest.raises(InputError, match="must be an integer"):
+            load_csv_matrix(path, **kwargs)
     # numpy integers are integers.
     assert RngState(np.uint64(3)).gen.random() == RngState(3).gen.random()
     config = SolverConfig("sgsm", s=np.int64(2), max_iters=np.int32(4), record_stride=np.int64(2))
     assert run(sy, config)[1].final.iter == 4
+    assert generate_system(ModelSpec("gaussian", np.int64(10), np.int32(2))).A.rows == 10
+    assert load_csv_matrix(path, skip_rows=np.int64(1), target_column=np.int64(2)).b.a.tolist() == [6.0, 9.0]
 
 
 def test_linear_system_validation():
