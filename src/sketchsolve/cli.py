@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import FormatError, InputError, NumericalError
+from .errors import FormatError, InputError, NumericalError, _index, _real
 from .linalg import condition_kappa_tilde, dynamic_range
 from .problems import MODEL_KINDS, ModelSpec, generate_system, load_csv_matrix, load_system, save_system
 from .solvers import _SKETCHED, CONVERGED, METHODS, LinearSystem, SolverConfig, _check_method, contraction_summary, run
@@ -58,8 +58,9 @@ def _run_cells(system, cells, trials, seed, **fields):
     run checks it, before the first solve, so a bad cell fails before any
     work is done.  Returns one list of traces per cell.
     """
-    if trials < 1:
+    if _index(trials, "trials") < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
+    _index(seed, "seed")
     configs = [SolverConfig(method=method, s=s, seed=seed + trial, record_error=system.x_star is not None, **fields)
                for method, s in cells for trial in range(trials)]
     for config in configs:
@@ -115,6 +116,7 @@ def run_sweep(system: LinearSystem, method: str, s_values, threshold: float,
     s_values = list(s_values)
     if not s_values:
         raise InputError("sweep needs at least one sketch size")
+    threshold = _real(threshold, "threshold")
     if not threshold > 0.0:
         raise InputError(f"threshold must be positive, got {threshold}")
     if not math.isfinite(threshold):

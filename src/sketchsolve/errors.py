@@ -6,6 +6,7 @@ file content (FormatError) and numerical breakdown (NumericalError, the
 base of RankDeficientError and ZeroRowError) are different failures.
 """
 
+import numbers
 import operator
 
 __all__ = ["SketchsolveError", "InputError", "FormatError", "NumericalError", "RankDeficientError", "ZeroRowError"]
@@ -41,3 +42,11 @@ def _index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """value as a float (numpy reals and integers pass); InputError for
+    anything else, a numeric string included."""
+    if not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -30,7 +30,11 @@ equals the row's own dot product with itself bit for bit; only gsm and
 sgsm compute the norm of their sketched row.  run() draws kaczmarz
 uniforms and skm block indices _CHUNK at a time, and step() one at a
 time: the stream is the same (see rng.py), so run() stays the exact
-composition of step().
+composition of step().  run()'s trace recorder owns one residual buffer:
+each record writes A x - b into it, and motzkin and gsm, whose selection
+needs that same residual, read it back when they select at the iterate
+just recorded, so a recorded step of theirs costs one A x product, not
+two.  Recording never changes an iterate.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -55,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericalError, ZeroRowError, _index
+from .errors import InputError, NumericalError, ZeroRowError, _index, _real
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _check_seed, _pick_from_cumulative
 from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw
@@ -224,14 +228,16 @@ class SolverConfig:
             _index(getattr(self, name), name)
         if self.max_iters < 1:
             raise InputError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not np.isfinite(self.tol) or self.tol < 0.0:
+        tol = _real(self.tol, "tol")
+        if not math.isfinite(tol) or tol < 0.0:
             raise InputError(f"tol must be a nonnegative real, got {self.tol}")
         if self.record_dense_limit < 0 or self.record_stride < 1:
             raise InputError("record_dense_limit must be >= 0 and record_stride >= 1")
         if self.error_stop is not None:
             if not self.record_error:
                 raise InputError("error_stop requires record_error")
-            if not np.isfinite(self.error_stop) or self.error_stop < 0.0:
+            error_stop = _real(self.error_stop, "error_stop")
+            if not math.isfinite(error_stop) or error_stop < 0.0:
                 raise InputError(f"error_stop must be a nonnegative real, got {self.error_stop}")
 
 
@@ -288,12 +294,13 @@ def project_row(x, a, beta: float) -> RealVector:
     a = as_vector(a)
     if len(x) != len(a):
         raise InputError(f"x and a must have equal length, got {len(x)} and {len(a)}")
-    if not np.isfinite(beta):
+    beta = _real(beta, "beta")
+    if not math.isfinite(beta):
         raise InputError("beta must be finite")
     row_sq = float(a.a @ a.a)
     if row_sq == 0.0:
         raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
-    return RealVector(_own(_project_raw(x.a, a.a, float(beta), row_sq)))
+    return RealVector(_own(_project_raw(x.a, a.a, beta, row_sq)))
 
 
 def select_max_residual(M, r, x) -> int:
@@ -315,7 +322,7 @@ def _draws(draw, chunk):
         yield from draw(chunk).tolist()
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1):
+def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, recorded=None):
     """The row-selection rule of one method, as
     select(x) -> (t, raw, i, row_sq).
 
@@ -331,12 +338,22 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1):
     draw, so it may be None for motzkin.  The Kaczmarz sampling table is
     read at the first draw, so building a selector never fails on an
     all-zero A.
+
+    recorded is run()'s one-slot cell [x, res] with res = A x - b for
+    the iterate x its trace recorded last: motzkin and gsm read res
+    instead of recomputing it when they select at that same array x.
     """
     m = system.A.rows
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
     norms = system.row_norms_sq
     whole = (Aa, ba, None, 0, None)
+    blocks_total = _block_count(m, s)
+
+    def residual(xa):
+        if recorded is not None and recorded[0] is xa:
+            return recorded[1]
+        return Aa @ xa - ba
 
     def chosen(t, raw, i):
         if raw[4] is None:
@@ -355,21 +372,27 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1):
     if method == "gsm":
 
         def select(xa):
-            return chosen(*_gaussian_winner_raw(Aa, ba, Aa @ xa - ba, s, gen))
+            return chosen(*_gaussian_winner_raw(Aa, ba, residual(xa), s, gen))
 
         return select
     if method == "motzkin":
-        draw = lambda: whole
-    elif method == "skm":
-        blocks = _draws(lambda k: gen.integers(_block_count(m, s), size=k), chunk)
+
+        def select(xa):
+            t = residual(xa)
+            i = int((t * t).argmax())
+            return t[i], whole, i, norms[i]
+
+        return select
+    if method == "skm":
+        blocks = _draws(lambda k: gen.integers(blocks_total, size=k), chunk)
         draw = lambda: _build_raw(Aa, ba, s, next(blocks))
     else:
-        draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(_block_count(m, s))), gen)
+        draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(blocks_total)), gen)
 
     def select(xa):
         raw = draw()
         t = raw[0] @ xa - raw[1]
-        i = int(np.argmax(t * t))
+        i = int((t * t).argmax())
         return chosen(t[i], raw, i)
 
     return select
@@ -433,8 +456,12 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
     """
+    # The recorder's buffers: res = A x - b of the last recorded iterate,
+    # which motzkin and gsm read back (see _selector), and x - x*.
+    res, diff = np.empty(system.A.rows), np.empty(system.A.cols)
+    recorded = [None, res]
     gen = RngState(config.seed).gen
-    select = _selector(system, config.method, config.s, gen, _CHUNK)
+    select = _selector(system, config.method, config.s, gen, _CHUNK, recorded)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a
@@ -443,24 +470,28 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 
     threshold = config.tol * system.b_norm
+    error_stop = config.error_stop
     records = []
+    prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
     start = time.perf_counter_ns()
 
     def snapshot(k, xa):
-        residual = float(np.linalg.norm(Aa @ xa - ba))
+        nonlocal prev, slack
+        np.matmul(Aa, xa, out=res)
+        np.subtract(res, ba, out=res)
+        recorded[0] = xa
+        residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
         err = None
         if xs is not None:
-            diff = xa - xs
+            np.subtract(xa, xs, out=diff)
             err = float(diff @ diff)
-            if records and err > records[-1].error_sq + MONOTONE_SLACK * records[0].error_sq:
-                prev = records[-1].error_sq
-                if err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
-                    raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
-        records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
-        stop = residual <= threshold
-        if config.error_stop is not None and err <= config.error_stop:
-            stop = True
-        return stop
+            if prev is None:
+                slack = MONOTONE_SLACK * err
+            elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
+                raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
+            prev = err
+        records.append((k, err, residual, time.perf_counter_ns() - start))
+        return residual <= threshold or (error_stop is not None and err <= error_stop)
 
     status = MAX_ITERS
     if snapshot(0, xa):
@@ -477,6 +508,8 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 if snapshot(k, xa):
                     status = CONVERGED
                     break
+    for j, rec in enumerate(records):  # in place: a record's tuple goes as its TraceRecord comes
+        records[j] = TraceRecord(*rec)
     return RealVector(_own(xa)), RunTrace(tuple(records), status)
 
 

@@ -571,12 +571,22 @@ def test_sweep_rejects_a_bad_size_list(tmp_path, capsys, gauss_args, s_list, mes
     ("sgsm", [], 1e-6, "sweep needs at least one sketch size"),
     ("sgsm", [2], 0.0, "threshold must be positive, got 0.0"),
     ("sgsm", [2], float("nan"), "threshold must be positive, got nan"),
+    ("sgsm", [2], "1e-3", "threshold must be a real number, got '1e-3'"),
 ])
 def test_run_sweep_checks_its_arguments(monkeypatch, method, s_values, threshold, message):
     seen = record_runs(monkeypatch)
     with pytest.raises(InputError, match=message):
         run_sweep(generate_system(ModelSpec("gaussian", 40, 8, 3)), method, s_values, threshold,
                   trials=1, max_iters=10)
+    assert seen == []
+
+
+def test_run_sweep_refuses_non_integer_trials_and_seed(monkeypatch):
+    seen = record_runs(monkeypatch)
+    sy = generate_system(ModelSpec("gaussian", 40, 8, 3))
+    for name, value in (("trials", "2"), ("trials", 1.5), ("seed", "1")):
+        with pytest.raises(InputError, match=f"{name} must be an integer, got {value!r}"):
+            run_sweep(sy, "sgsm", [2], 1e-6, **{"trials": 1, "max_iters": 10, name: value})
     assert seen == []
 
 

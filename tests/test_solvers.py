@@ -613,18 +613,25 @@ def test_run_matches_manual_step_composition():
     # stream identically and produce bitwise-equal iterates.  run() draws
     # kaczmarz uniforms and skm block indices in chunks, so the run crosses
     # two chunk refills.  On coherent rows no method reaches a zero residual
-    # that soon, so every run goes the whole way.
+    # that soon, so every run goes the whole way.  Every step is recorded,
+    # so motzkin and gsm select at each iterate with the residual the
+    # trace recorded there, and the trace holds what a fresh computation
+    # gives, bit for bit.
     sy = generate_system(ModelSpec("coherent", 24, 5, 72))
     steps = 2 * solvers._CHUNK + 37
     for method in METHOD_NAMES:
-        cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99)
+        cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99, record_error=True)
         got, trace = run(sy, cfg)
         assert trace.status == MAX_ITERS
+        assert len(trace.records) == steps + 1
         rng = RngState(99)
         x = RealVector(np.zeros(5))
         for _ in range(steps):
             x, _, _ = step(sy, method, x, rng, s=4)
         assert np.array_equal(got.a, x.a), method
+        d = x.a - sy.x_star.a
+        assert trace.final.residual_norm == float(np.linalg.norm(sy.A.a @ x.a - sy.b.a)), method
+        assert trace.final.error_sq == float(d @ d), method
 
 
 def zero_block_fault(draws):
@@ -852,6 +859,20 @@ def test_integer_arguments_are_checked(tmp_path):
     assert run(sy, config)[1].final.iter == 4
     assert generate_system(ModelSpec("gaussian", np.int64(10), np.int32(2))).A.rows == 10
     assert load_csv_matrix(path, skip_rows=np.int64(1), target_column=np.int64(2)).b.a.tolist() == [6.0, 9.0]
+
+
+def test_real_arguments_are_checked():
+    # A non-numeric real is a usage error, a numeric string included.
+    for kwargs, name in (({"tol": None}, "tol"), ({"tol": "1e-8"}, "tol"),
+                         ({"record_error": True, "error_stop": "0.1"}, "error_stop")):
+        with pytest.raises(InputError, match=f"{name} must be a real number"):
+            SolverConfig("motzkin", **kwargs)
+    with pytest.raises(InputError, match="beta must be a real number"):
+        project_row([0.0, 0.0], [1.0, 0.0], "1")
+    # numpy reals and integers are reals.
+    config = SolverConfig("motzkin", tol=np.float32(0.5), record_error=True, error_stop=np.int64(0))
+    assert run(make_system(10, 2, seed=81), config)[1].status == CONVERGED
+    assert project_row([0.0, 0.0], [1.0, 0.0], np.float64(2.0)).a.tolist() == [2.0, 0.0]
 
 
 def test_linear_system_validation():
