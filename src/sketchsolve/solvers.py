@@ -202,9 +202,10 @@ class SolverConfig:
     s is the sketch size (ignored by kaczmarz and motzkin); skm and sgsm
     draw their block index afresh at every step.  seed must be an integer
     in [0, 2**64), as RngState requires; s, max_iters, record_dense_limit
-    and record_stride must be integers.  The trace records every iteration
-    up to record_dense_limit, then every record_stride-th; the stopping
-    rules are checked at record points.
+    and record_stride must be integers, tol and error_stop real numbers.
+    The trace records every iteration up to record_dense_limit, then
+    every record_stride-th; the stopping rules are checked at record
+    points.
     The run stops once ||A x - b||_2 <= tol * ||b||_2, a rule that scaling
     (A, b) leaves unchanged; with b = 0 only a zero residual stops it.
     error_stop, when set, additionally stops the run once the recorded
@@ -508,7 +509,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 if snapshot(k, xa):
                     status = CONVERGED
                     break
-    for j, rec in enumerate(records):  # in place: a record's tuple goes as its TraceRecord comes
+    for j, rec in enumerate(records):  # in place, so the tuples and the records are never all alive at once
         records[j] = TraceRecord(*rec)
     return RealVector(_own(xa)), RunTrace(tuple(records), status)
 

@@ -75,9 +75,11 @@ def compare_digest() -> str:
     """Digest of the compare CSV without its elapsed_ns column."""
     with tempfile.TemporaryDirectory() as tmp:
         system, out = str(Path(tmp) / "system.bin"), str(Path(tmp) / "compare.csv")
+        campaign = (["generate", *COMPARE_SYSTEM, "--out", system], ["compare", "--system", system, *COMPARE, "--out", out])
         with redirect_stdout(io.StringIO()):
-            if main(["generate", *COMPARE_SYSTEM, "--out", system]) or main(["compare", "--system", system, *COMPARE, "--out", out]):
-                raise RuntimeError("the golden compare campaign failed")
+            for argv in campaign:
+                if main(argv):
+                    raise RuntimeError(f"golden campaign step failed: {argv}")
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
     drop = rows[0].index("elapsed_ns")
