@@ -75,11 +75,6 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.rows:
-            raise InputError(f"row index {i} out of range [0, {self.rows})")
-        return self.a[i]
-
     def __repr__(self):
         return f"DenseMatrix(rows={self.rows}, cols={self.cols})"
 

@@ -8,12 +8,12 @@ across reruns, not across machines or library upgrades.
 Stream-consumption conventions (they matter for replay):
   * matrix fills consume entries in row-major order;
   * a weighted or uniform index draw consumes exactly one variate;
-  * run() draws kaczmarz uniforms and skm block indices in chunks of
-    solvers._CHUNK, and step() one at a time.  On PCG64, random(k) and
-    integers(n, size=k) return exactly k scalar draws (tests/test_rng.py
-    guards this), so the stream, and with it every trajectory, is the
-    same either way; run() owns its generator, so the unused tail of its
-    last chunk is never seen;
+  * a solver stepper draws kaczmarz uniforms and skm block indices in
+    chunks of solvers._CHUNK.  On PCG64, random(k) and integers(n,
+    size=k) return exactly k scalar draws (tests/test_rng.py guards
+    this), so trajectories equal those of one draw per step; the stepper
+    owns its generator, so the unused tail of its last chunk is never
+    seen;
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
   * a gsm solver step draws, per attempt, s normals u first (the winner
@@ -22,7 +22,7 @@ Stream-consumption conventions (they matter for replay):
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing); in run() that is the next draw of the current chunk.
+    nothing); for kaczmarz and skm it is the next draw of the chunk.
 """
 
 from __future__ import annotations

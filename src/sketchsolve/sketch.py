@@ -20,7 +20,7 @@ Draw order per sketch: block index first (block and sparse sketches),
 then the Gaussian factor entries in row-major order.
 
 SketchedSystem(M, r, z, shift, factor) is the one record of a drawn
-system, for every method: the constructors here and solvers.step build
+system, for every method: the constructors here and Stepper.step build
 it from the raw tuple (Ma, ra, z, shift, factor) that the solver steps
 pass around, in that field order.  For kaczmarz and motzkin the drawn
 system is A itself (z None, shift 0, no factor).

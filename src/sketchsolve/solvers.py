@@ -21,30 +21,29 @@ The step (_step) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
 system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
 reselected once, with fresh draws, and a second such row raises
-ZeroRowError.  run() and the public step() share this path.
+ZeroRowError.
+
+Stepper(system, config) is the one stepping engine, built once: it
+checks (method, s, m), owns RngState(config.seed) and draws kaczmarz
+uniforms and skm block indices _CHUNK at a time.  run() iterates its
+selector through _step on the raw tuple (Ma, ra, z, shift, factor);
+Stepper.step wraps that tuple as a SketchedSystem record (see
+sketch.py).  So run() is bit for bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
 steps that project onto a row of A (kaczmarz, motzkin, skm) read its
 ||a_i||^2 from LinearSystem.row_norms_sq, the one row-norm table, which
 equals the row's own dot product with itself bit for bit; only gsm and
-sgsm compute the norm of their sketched row.  run() draws kaczmarz
-uniforms and skm block indices _CHUNK at a time, and step() one at a
-time: the stream is the same (see rng.py), so run() stays the exact
-composition of step().  run()'s trace recorder owns one residual buffer:
-each record writes A x - b into it, and motzkin and gsm, whose selection
-needs that same residual, read it back when they select at the iterate
-just recorded, so a recorded step of theirs costs one A x product, not
-two.  Recording never changes an iterate.
+sgsm compute the norm of their sketched row.  The stepper owns one
+residual cell that run()'s trace recorder fills: each record writes
+A x - b into it, and motzkin and gsm, whose selection needs that same
+residual, read it back when they select at the iterate just recorded,
+so a recorded step of theirs costs one A x product, not two.  Recording
+never changes an iterate.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
 row used, so the squared error never increases on consistent systems.
-
-What a step drew has one record, SketchedSystem(M, r, z, shift, factor)
-(see sketch.py): step() returns (x_next, sketch, i) and projects onto
-row sketch.M.a[i], sketch.r.a[i]; for kaczmarz and motzkin, sketch.M is
-system.A.  run() passes the same fields, in that order, as the raw tuple
-(Ma, ra, z, shift, factor) and builds no record.
 
 run() drives any method to a residual tolerance with a timed, thinned
 trace; reruns with the same seed are bit-identical except wall times.
@@ -74,7 +73,7 @@ __all__ = [
     "RunTrace",
     "project_row",
     "select_max_residual",
-    "step",
+    "Stepper",
     "run",
     "contraction_summary",
 ]
@@ -93,8 +92,8 @@ ZERO_ROW_GATE = 1e-14
 # never equals 0.0, so the step never takes it for a solved row.
 _NO_RESIDUAL = float("nan")
 
-# Draws per chunk of run()'s kaczmarz uniforms and skm block indices.  A
-# chunk costs about as much as ten single draws (about 25 us for 1000
+# Draws per chunk of a stepper's kaczmarz uniforms and skm block indices.
+# A chunk costs about as much as ten single draws (about 25 us for 1000
 # kaczmarz rows), so a refill is cheap per step and so is the unused tail
 # of a short run's last chunk.
 _CHUNK = 1024
@@ -316,14 +315,14 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _draws(draw, chunk):
-    """The values of draw(chunk), draw(chunk), ... one at a time, as
+def _draws(draw):
+    """The values of draw(_CHUNK), draw(_CHUNK), ... one at a time, as
     Python scalars; draw is first called at the first next()."""
     while True:
-        yield from draw(chunk).tolist()
+        yield from draw(_CHUNK).tolist()
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, recorded=None):
+def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     """The row-selection rule of one method, as
     select(x) -> (t, raw, i, row_sq).
 
@@ -333,16 +332,15 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, re
     and motzkin; kaczmarz computes no residual and returns
     t = _NO_RESIDUAL.  A row of A (no factor) reads row_sq from
     LinearSystem.row_norms_sq; a sketched row computes its own.
-    kaczmarz uniforms and skm block indices are drawn chunk at a time
-    (the stream does not depend on chunk; see rng.py).
-    (method, s, m) is checked before any draw.  gen is read only at a
-    draw, so it may be None for motzkin.  The Kaczmarz sampling table is
-    read at the first draw, so building a selector never fails on an
-    all-zero A.
+    kaczmarz uniforms and skm block indices are drawn _CHUNK at a time.
+    (method, s, m) is checked before any draw.  The Kaczmarz sampling
+    table is read at the first draw, so building a selector never fails
+    on an all-zero A.
 
-    recorded is run()'s one-slot cell [x, res] with res = A x - b for
-    the iterate x its trace recorded last: motzkin and gsm read res
-    instead of recomputing it when they select at that same array x.
+    recorded is the one-slot cell [x, res] that run()'s recorder fills
+    with res = A x - b for the iterate x it recorded last: motzkin and
+    gsm read res instead of recomputing it when they select at that same
+    array x.
     """
     m = system.A.rows
     _check_method(method, s, m)
@@ -352,7 +350,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, re
     blocks_total = _block_count(m, s)
 
     def residual(xa):
-        if recorded is not None and recorded[0] is xa:
+        if recorded[0] is xa:
             return recorded[1]
         return Aa @ xa - ba
 
@@ -363,7 +361,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, re
         return t, raw, i, float(row @ row)
 
     if method == "kaczmarz":
-        rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k), chunk)
+        rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k))
 
         def select(xa):
             i = next(rows)
@@ -385,7 +383,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, chunk: int = 1, re
 
         return select
     if method == "skm":
-        blocks = _draws(lambda k: gen.integers(blocks_total, size=k), chunk)
+        blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
         draw = lambda: _build_raw(Aa, ba, s, next(blocks))
     else:
         draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(blocks_total)), gen)
@@ -424,23 +422,30 @@ def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
     return x.a
 
 
-def step(system: LinearSystem, method: str, x, rng: RngState | None = None, *, s: int = 1):
-    """One step of `method` (sketch size s) from x, drawing from rng
-    exactly as run() does.  rng may be None only for motzkin.
+class Stepper:
+    """The configured method's step on one system, built once.
 
-    Returns (x_next, sketch, i): sketch is the drawn SketchedSystem and
-    x_next projects x onto its row i, sketch.M.a[i] with right-hand side
-    sketch.r.a[i] (x_next is x when that row's residual is zero), so the
-    step can be replayed or audited exactly.  For kaczmarz and motzkin
-    the drawn system is A itself: sketch.M is system.A, sketch.r is
-    system.b, and shift is 0.
+    Building it checks (method, s, m) and starts the stepper's own stream
+    RngState(config.seed); config's run controls are not read.  step(x)
+    returns (x_next, sketch, i): x_next projects x onto row i of the drawn
+    SketchedSystem, sketch.M.a[i] with right-hand side sketch.r.a[i]
+    (x_next is x when that row's residual is zero), so a step can be
+    replayed exactly.  For kaczmarz and motzkin the drawn system is A
+    itself: sketch.M is system.A, sketch.r is system.b and shift is 0.
+    Stepping by hand from x0 reproduces run(system, config, x0)'s
+    iterates bit for bit.  Not thread-safe.
     """
-    select = _selector(system, method, s, None if rng is None else rng.gen)
-    if rng is None and method != "motzkin":
-        raise InputError(f"method {method} draws at every step and needs an rng")
-    xa, raw, i = _step(select, _iterate(system, x), system.zero_row_gate)
-    sketch = SketchedSystem(*raw) if method in _SKETCHED else SketchedSystem(system.A, system.b, *raw[2:])
-    return RealVector(_own(xa)), sketch, i
+
+    def __init__(self, system: LinearSystem, config: SolverConfig):
+        self._system = system
+        self._recorded = [None, np.empty(system.A.rows)]  # run()'s recorder fills it (see _selector)
+        self._select = _selector(system, config.method, config.s, RngState(config.seed).gen, self._recorded)
+        self._gate = system.zero_row_gate
+        self._whole = None if config.method in _SKETCHED else SketchedSystem(system.A, system.b, None, 0)
+
+    def step(self, x):
+        xa, raw, i = _step(self._select, _iterate(self._system, x), self._gate)
+        return RealVector(_own(xa)), self._whole or SketchedSystem(*raw), i
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):
@@ -457,12 +462,11 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
     """
-    # The recorder's buffers: res = A x - b of the last recorded iterate,
-    # which motzkin and gsm read back (see _selector), and x - x*.
-    res, diff = np.empty(system.A.rows), np.empty(system.A.cols)
-    recorded = [None, res]
-    gen = RngState(config.seed).gen
-    select = _selector(system, config.method, config.s, gen, _CHUNK, recorded)
+    # The recorder writes A x - b into the stepper's cell, which motzkin
+    # and gsm read back (see _selector), and x - x* into diff.
+    stepper = Stepper(system, config)
+    select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
+    res, diff = recorded[1], np.empty(system.A.cols)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a
@@ -498,7 +502,6 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     if snapshot(0, xa):
         status = CONVERGED
     else:
-        gate = system.zero_row_gate
         dense, stride = config.record_dense_limit, config.record_stride
         for k in range(1, config.max_iters + 1):
             try:

@@ -21,6 +21,7 @@ from sketchsolve import (
     RealVector,
     RngState,
     SolverConfig,
+    Stepper,
     condition_kappa_tilde,
     contraction_summary,
     gaussian_sketch,
@@ -28,7 +29,6 @@ from sketchsolve import (
     run,
     save_system,
     sparse_gaussian_sketch,
-    step,
 )
 from sketchsolve.cli import main, run_sweep
 
@@ -51,9 +51,9 @@ def coherent_1000x50():
     return generate_system(ModelSpec("coherent", 1000, 50, seed=0))
 
 
-def one_step(system, method, x, rng, s):
-    """One step of `method`; returns (x1, selected row array, beta)."""
-    x1, sketch, i = step(system, method, x, rng, s=s)
+def one_step(stepper, x):
+    """One step of `stepper`; returns (x1, selected row array, beta)."""
+    x1, sketch, i = stepper.step(x)
     return x1, sketch.M.a[i], float(sketch.r.a[i])
 
 
@@ -76,15 +76,15 @@ def test_c01_projection_geometry():
     started = time.perf_counter()
     sizes = [(20, 4), (57, 9), (120, 12), (200, 20)]
     gen = np.random.default_rng(1)
-    rng = RngState(2)
     checked = 0
     for method in METHOD_NAMES:
         for m, n in sizes:
             sy = make_system(m, n, seed=int(gen.integers(1_000_000)))
+            stepper = Stepper(sy, SolverConfig(method, s=max(2, n // 2), seed=2))
             xs = sy.x_star.a
             for _ in range(5):
                 x0 = RealVector(gen.standard_normal(n))
-                x1, row, beta = one_step(sy, method, x0, rng, s=max(2, n // 2))
+                x1, row, beta = one_step(stepper, x0)
                 err0 = x0.a - xs
                 err1 = x1.a - xs
                 row_norm = math.sqrt(float(row @ row))
@@ -267,11 +267,11 @@ def test_c09_kaczmarz_sampling_law():
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
     weights = np.einsum("ij,ij->i", a, a)
     probs = weights / weights.sum()
-    rng = RngState(7)
+    stepper = Stepper(sy, SolverConfig("kaczmarz", seed=7))
     counts = np.zeros(50)
     x = RealVector(np.zeros(5))
     for _ in range(100_000):
-        x, _, i = step(sy, "kaczmarz", x, rng)
+        x, _, i = stepper.step(x)
         counts[i] += 1
     deviation = float(np.max(np.abs(counts / 100_000 - probs)))
     assert deviation <= 0.01

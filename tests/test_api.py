@@ -12,10 +12,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "CONVERGED", "ConditionStats", "DenseMatrix", "FormatError", "InputError", "LinearSystem",
     "MAX_ITERS", "METHODS", "MODEL_KINDS", "ModelSpec", "NumericalError", "RankDeficientError",
-    "RealVector", "RngState", "RunTrace", "SketchedSystem", "SketchsolveError", "SolverConfig",
+    "RealVector", "RngState", "RunTrace", "SketchedSystem", "SketchsolveError", "SolverConfig", "Stepper",
     "TraceRecord", "ZeroRowError", "block_sketch", "condition_kappa_tilde", "contraction_summary",
     "dynamic_range", "gaussian_sketch", "generate_system", "load_csv_matrix", "load_system",
-    "project_row", "run", "save_system", "select_max_residual", "sparse_gaussian_sketch", "step",
+    "project_row", "run", "save_system", "select_max_residual", "sparse_gaussian_sketch",
 ]
 
 
@@ -32,7 +32,7 @@ def test_removed_names_stay_removed():
     table = re.search(r"^## Removed names\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
     rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     names = {m.group(1) for cell in rows for m in re.finditer(r"`([A-Za-z_]\w*)(?:\(.*?\))?`", cell)}
-    assert {"StepProvenance", "SketchProvenance", "frobenius_norm_sq", "smallest_singular_value"} <= names
+    assert {"StepProvenance", "SketchProvenance", "frobenius_norm_sq", "smallest_singular_value", "step"} <= names
     assert sorted(name for name in names if hasattr(sketchsolve, name)) == []
 
 

@@ -94,7 +94,7 @@ def oracle_smallest_singular(a):
 def test_matrix_basic_shape_and_row_access():
     m = DenseMatrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     assert (m.rows, m.cols) == (3, 2)
-    assert m.row(2).tolist() == [5.0, 6.0]
+    assert m.a[2].tolist() == [5.0, 6.0]
 
 
 def test_matrix_rejects_bad_inputs():
@@ -115,14 +115,6 @@ def test_matrix_is_immutable_and_snapshots_writeable_input():
     assert m.a[0, 0] == 1.0
     with pytest.raises((ValueError, RuntimeError)):
         m.a[0, 0] = 5.0
-
-
-def test_matrix_row_range_check():
-    m = DenseMatrix(np.eye(3))
-    with pytest.raises(InputError):
-        m.row(3)
-    with pytest.raises(InputError):
-        m.row(-1)
 
 
 def test_vector_basics_and_rejections():

@@ -43,10 +43,13 @@ def test_seed_validation():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_chunked_draws_equal_scalar_draws(chunk):
-    # run() draws kaczmarz uniforms and skm block indices in chunks, and
-    # step() one at a time; run() is the composition of step() only
-    # because k batched draws are the k scalar draws.  2500 is a multiple
-    # of none of the chunk sizes above 1, so the last chunk is cut short.
+    # A solver stepper draws kaczmarz uniforms and skm block indices in
+    # chunks of solvers._CHUNK.  Because k batched draws are the k scalar
+    # draws, its trajectories match those of earlier builds, which drew one
+    # value per step, and one-at-a-time predictions of its draws hold
+    # (predict_block_draws in tests/test_solvers.py, c09's seed).  2500 is
+    # a multiple of none of the chunk sizes above 1, so the last chunk is
+    # cut short.
     total = 2500
     for n in (2, 3, 40, 1000, 10**6):
         scalar, chunked = RngState(5).gen, RngState(5).gen

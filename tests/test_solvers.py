@@ -30,6 +30,7 @@ from sketchsolve import (
     RngState,
     RunTrace,
     SolverConfig,
+    Stepper,
     TraceRecord,
     ZeroRowError,
     block_sketch,
@@ -41,7 +42,6 @@ from sketchsolve import (
     run,
     select_max_residual,
     sparse_gaussian_sketch,
-    step,
 )
 
 
@@ -81,11 +81,11 @@ def reference_max_residual_iteration(a, b, x0, steps):
     return x
 
 
-def step_row_and_beta(system, method, x, rng, s=4):
-    """Run one step of `method`, returning (x1, row projected on, beta).
+def step_row_and_beta(stepper, x):
+    """Take one step of `stepper`, returning (x1, row projected on, beta).
 
     The row comes back as a plain array."""
-    x1, sketch, i = step(system, method, x, rng, s=s)
+    x1, sketch, i = stepper.step(x)
     return x1, sketch.M.a[i], float(sketch.r.a[i])
 
 
@@ -179,16 +179,16 @@ def test_select_max_residual_shape_checks():
 # ---------------------------------------------------------------- kaczmarz
 
 def test_kaczmarz_solution_is_fixed_point():
-    rng = RngState(0)
+    stepper = Stepper(INTEGER_SYSTEM, SolverConfig("kaczmarz"))
     x_star = INTEGER_SYSTEM.x_star
     for _ in range(20):
-        x1, _, _ = step(INTEGER_SYSTEM, "kaczmarz", x_star, rng)
+        x1, _, _ = stepper.step(x_star)
         assert np.array_equal(x1.a, x_star.a)
 
 
 def test_kaczmarz_single_row_solves_exactly():
     sy = LinearSystem(DenseMatrix([[2.0]]), RealVector([6.0]))
-    x1, _, i = step(sy, "kaczmarz", RealVector([0.0]), RngState(1))
+    x1, _, i = Stepper(sy, SolverConfig("kaczmarz", seed=1)).step(RealVector([0.0]))
     assert i == 0
     assert x1.a.tolist() == [3.0]
 
@@ -197,7 +197,7 @@ def test_kaczmarz_forced_selection_projects_correctly():
     # Find a seed whose first weighted draw picks the (1,1) row, then the
     # projection from the origin lands on the exact solution.
     for seed in range(100):
-        x1, _, i = step(INTEGER_SYSTEM, "kaczmarz", RealVector([0.0, 0.0]), RngState(seed))
+        x1, _, i = Stepper(INTEGER_SYSTEM, SolverConfig("kaczmarz", seed=seed)).step(RealVector([0.0, 0.0]))
         if i == 2:
             assert x1.a.tolist() == [1.0, 1.0]
             break
@@ -209,11 +209,11 @@ def test_kaczmarz_selection_tracks_row_weights():
     sy = make_system(12, 3, seed=6)
     weights = np.einsum("ij,ij->i", sy.A.a, sy.A.a)
     probs = weights / weights.sum()
-    rng = RngState(77)
+    stepper = Stepper(sy, SolverConfig("kaczmarz", seed=77))
     counts = np.zeros(12)
     x = RealVector(np.zeros(3))
     for _ in range(20_000):
-        x, _, i = step(sy, "kaczmarz", x, rng)
+        x, _, i = stepper.step(x)
         counts[i] += 1
     assert np.max(np.abs(counts / 20_000 - probs)) <= 0.03
 
@@ -223,20 +223,22 @@ def test_kaczmarz_never_samples_zero_rows():
     # the previous row's, so no uniform draw lands on it.
     a = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [0.5, 0.5]])
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ np.array([1.0, -2.0])))
-    rng = RngState(11)
+    stepper = Stepper(sy, SolverConfig("kaczmarz", seed=11))
     x = RealVector(np.zeros(2))
     picked = set()
     for _ in range(10_000):
-        x, _, i = step(sy, "kaczmarz", x, rng)
+        x, _, i = stepper.step(x)
         picked.add(i)
     assert picked == {1, 3, 4}
 
 
 def test_kaczmarz_all_zero_rows_rejected():
-    # The zero-row failure every method reports, not a usage error.
+    # The zero-row failure every method reports, not a usage error, at the
+    # first draw: building the stepper reads no sampling table.
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
+    stepper = Stepper(sy, SolverConfig("kaczmarz"))
     with pytest.raises(ZeroRowError, match="all rows of A are zero"):
-        step(sy, "kaczmarz", RealVector([0.0, 0.0]), RngState(0))
+        stepper.step(RealVector([0.0, 0.0]))
 
 
 # ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2.  A uniform of
@@ -247,19 +249,18 @@ NEAR_ZERO_ROW_SYSTEM = LinearSystem(
 )
 
 
-def uniform_stream(values):
-    """A generator stand-in whose random(k) returns the next k of values,
-    then 0.9 forever."""
+def script_uniforms(monkeypatch, values):
+    """Make every stream the solvers start a stand-in whose random(k)
+    returns the next k of values, then 0.9 forever."""
     it = itertools.chain(values, itertools.repeat(0.9))
-    return SimpleNamespace(random=lambda k: np.array([next(it) for _ in range(k)]))
+    gen = SimpleNamespace(random=lambda k: np.array([next(it) for _ in range(k)]))
+    monkeypatch.setattr(solvers, "RngState", lambda seed: SimpleNamespace(gen=gen))
 
 
-def test_kaczmarz_near_zero_row_is_reselected_once():
+def test_kaczmarz_near_zero_row_is_reselected_once(monkeypatch):
     # The first uniform (0.0) lands on row 0, the reselection (0.75) on row 2.
-    sy = NEAR_ZERO_ROW_SYSTEM
-    rng = RngState(0)
-    rng.gen = uniform_stream([0.0, 0.75])
-    x1, _, i = step(sy, "kaczmarz", RealVector([0.0, 0.0]), rng)
+    script_uniforms(monkeypatch, [0.0, 0.75])
+    x1, _, i = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")).step(RealVector([0.0, 0.0]))
     assert i == 2
     assert x1.a.tolist() == [0.0, 2.0]
 
@@ -269,14 +270,15 @@ def test_kaczmarz_near_zero_row_is_reselected_once():
 def test_motzkin_identity_system_solves_in_dimension_steps():
     b = np.array([3.0, -1.0, 2.0, 0.0, 5.0])
     sy = LinearSystem(DenseMatrix(np.eye(5)), RealVector(b), RealVector(b))
+    stepper = Stepper(sy, SolverConfig("motzkin"))
     x = RealVector(np.zeros(5))
     for _ in range(5):
-        x, _, _ = step(sy, "motzkin", x)
+        x, _, _ = stepper.step(x)
     assert np.array_equal(x.a, b)
 
 
 def test_motzkin_zero_residual_returns_unchanged():
-    x1, _, _ = step(INTEGER_SYSTEM, "motzkin", INTEGER_SYSTEM.x_star)
+    x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("motzkin")).step(INTEGER_SYSTEM.x_star)
     assert np.array_equal(x1.a, INTEGER_SYSTEM.x_star.a)
 
 
@@ -285,9 +287,10 @@ def test_motzkin_trajectory_matches_reference_loop():
     a = gen.standard_normal((20, 4))
     x_star = gen.standard_normal(4)
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
+    stepper = Stepper(sy, SolverConfig("motzkin"))
     x = RealVector(np.zeros(4))
     for _ in range(10):
-        x, _, _ = step(sy, "motzkin", x)
+        x, _, _ = stepper.step(x)
     want = reference_max_residual_iteration(a, a @ x_star, np.zeros(4), 10)
     assert np.max(np.abs(x.a - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -297,7 +300,7 @@ def test_motzkin_zero_selected_row_raises():
         DenseMatrix([[1.0, 0.0], [0.0, 0.0]]), RealVector([1.0, 5.0])
     )
     with pytest.raises(ZeroRowError):
-        step(sy, "motzkin", RealVector([0.0, 0.0]))
+        Stepper(sy, SolverConfig("motzkin")).step(RealVector([0.0, 0.0]))
 
 
 # ---------------------------------------------------------------- sketched
@@ -305,8 +308,8 @@ def test_motzkin_zero_selected_row_raises():
 def test_skm_full_block_equals_motzkin():
     sy = make_system(8, 3, seed=9)
     x = RealVector(np.zeros(3))
-    got, _, i = step(sy, "skm", x, RngState(5), s=8)
-    want, _, j = step(sy, "motzkin", x)
+    got, _, i = Stepper(sy, SolverConfig("skm", s=8, seed=5)).step(x)
+    want, _, j = Stepper(sy, SolverConfig("motzkin")).step(x)
     assert i == j
     assert np.array_equal(got.a, want.a)
 
@@ -314,18 +317,18 @@ def test_skm_full_block_equals_motzkin():
 def test_sketched_solution_is_fixed_point():
     x_star = INTEGER_SYSTEM.x_star
     # Block rows are rows of A, so integer arithmetic keeps this exact.
-    x1, _, _ = step(INTEGER_SYSTEM, "skm", x_star, RngState(3), s=2)
+    x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("skm", s=2, seed=3)).step(x_star)
     assert np.array_equal(x1.a, x_star.a)
     # Dense factors mix rows, so exactness is only up to roundoff.
     for method in ("gsm", "sgsm"):
-        x1, _, _ = step(INTEGER_SYSTEM, method, x_star, RngState(3), s=2)
+        x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig(method, s=2, seed=3)).step(x_star)
         assert np.max(np.abs(x1.a - x_star.a)) <= 1e-12
 
 
 def test_sparse_step_matches_materialized_oracle():
     sy = make_system(15, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
-    got, sk, chosen = step(sy, "sgsm", x, RngState(11), s=3)
+    got, sk, chosen = Stepper(sy, SolverConfig("sgsm", s=3, seed=11)).step(x)
     full = np.zeros((15, 3))
     full[sk.shift:sk.shift + 3, :] = sk.factor.a
     m_arr = full.T @ sy.A.a
@@ -340,7 +343,7 @@ def test_sparse_step_matches_materialized_oracle():
 def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
-    got, sk, i = step(sy, "gsm", x, RngState(13), s=4)
+    got, sk, i = Stepper(sy, SolverConfig("gsm", s=4, seed=13)).step(x)
     assert np.array_equal(sk.M.a, sk.factor.a.T @ sy.A.a)
     replay = project_row(x, sk.M.a[i], float(sk.r.a[i]))
     assert np.array_equal(got.a, replay.a)
@@ -362,14 +365,14 @@ def test_gsm_step_matches_materialized_oracle_in_law():
         e1 = x1.a - sy.x_star.a
         return float(e0 @ e0 - e1 @ e1)
 
-    rng = RngState(5)
-    conditional = [drop(step(sy, "gsm", x, rng, s=4)[0]) for _ in range(draws)]
+    stepper = Stepper(sy, SolverConfig("gsm", s=4, seed=5))
+    conditional = [drop(stepper.step(x)[0]) for _ in range(draws)]
     rng = RngState(6)
     materialized = []
     for _ in range(draws):
         sk = gaussian_sketch(sy, 4, rng)
         i = select_max_residual(sk.M, sk.r, x)
-        materialized.append(drop(project_row(x, sk.M.row(i), float(sk.r.a[i]))))
+        materialized.append(drop(project_row(x, sk.M.a[i], float(sk.r.a[i]))))
     a, b = np.sort(conditional), np.sort(materialized)
     grid = np.concatenate([a, b])
     ks = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
@@ -383,7 +386,7 @@ def test_gsm_step_never_materializes_the_sketch():
     x = RealVector(np.zeros(20))
     tracemalloc.start()
     try:
-        step(sy, "gsm", x, RngState(0), s=s)
+        Stepper(sy, SolverConfig("gsm", s=s)).step(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -395,7 +398,7 @@ def test_gsm_step_draws_u_then_the_winning_column():
     # normals g give its column u_j* rhat + (g - (g . rhat) rhat).
     sy = make_system(12, 3, seed=83)
     x = RealVector(np.random.default_rng(5).standard_normal(3))
-    _, sk, i = step(sy, "gsm", x, RngState(17), s=6)
+    _, sk, i = Stepper(sy, SolverConfig("gsm", s=6, seed=17)).step(x)
     gen = RngState(17).gen
     u = gen.standard_normal(6)
     g = gen.standard_normal(12)
@@ -411,35 +414,32 @@ def test_gsm_step_zero_residual_and_zero_rows():
     # A zero residual leaves x untouched; a zero sketched row is resampled
     # once and then raises.
     x_star = INTEGER_SYSTEM.x_star
-    x1, _, _ = step(INTEGER_SYSTEM, "gsm", x_star, RngState(3), s=3)
+    x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("gsm", s=3, seed=3)).step(x_star)
     assert np.array_equal(x1.a, x_star.a)
     zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0, 1.0, 1.0]))
     with pytest.raises(ZeroRowError, match="resample"):
-        step(zero, "gsm", RealVector(np.zeros(2)), RngState(0), s=3)
+        Stepper(zero, SolverConfig("gsm", s=3)).step(RealVector(np.zeros(2)))
 
 
 def test_sketched_validation():
     sy = make_system(6, 2, seed=15)
-    x = RealVector(np.zeros(2))
     with pytest.raises(InputError):
-        step(sy, "skm", x, RngState(0), s=7)
+        Stepper(sy, SolverConfig("skm", s=7))
 
 
 def test_step_validation():
-    # step makes run's own (method, s, m) check: a known method and an
-    # integer s >= 1, at most m for skm and sgsm; only motzkin needs no rng.
+    # A stepper makes run's own (method, s, m) check: a known method and an
+    # integer s >= 1 (SolverConfig), at most m for skm and sgsm (Stepper).
     sy = make_system(6, 2, seed=16)
     x = RealVector(np.zeros(2))
-    step(sy, "skm", x, RngState(0), s=1)
-    step(sy, "gsm", x, RngState(0), s=7)  # a Gaussian sketch may exceed m
-    step(sy, "motzkin", x)
+    Stepper(sy, SolverConfig("skm", s=1)).step(x)
+    Stepper(sy, SolverConfig("gsm", s=7)).step(x)  # a Gaussian sketch may exceed m
+    Stepper(sy, SolverConfig("motzkin")).step(x)
     for method, s, match in [("fourier", 2, "unknown method"), ("skm", 0, "at least 1"),
                              ("kaczmarz", 0, "at least 1"), ("skm", 2.5, "must be an integer"),
                              ("skm", 7, "exceeds row count"), ("sgsm", 7, "exceeds row count")]:
         with pytest.raises(InputError, match=match):
-            step(sy, method, x, RngState(0), s=s)
-    with pytest.raises(InputError, match="needs an rng"):
-        step(sy, "kaczmarz", x)
+            Stepper(sy, SolverConfig(method, s=s))
 
 
 ZERO_BLOCK_SYSTEM = LinearSystem(
@@ -459,7 +459,7 @@ def test_sketched_zero_row_resample_then_succeed():
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 1]
     )
     x = RealVector(np.zeros(2))
-    x1, sk, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, RngState(seed), s=2)
+    x1, sk, _ = Stepper(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, seed=seed)).step(x)
     assert sk.z == 1
     assert not np.array_equal(x1.a, x.a)
 
@@ -469,7 +469,7 @@ def test_sketched_zero_row_twice_raises():
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 0]
     )
     with pytest.raises(ZeroRowError, match="resample"):
-        step(ZERO_BLOCK_SYSTEM, "skm", RealVector(np.zeros(2)), RngState(seed), s=2)
+        Stepper(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, seed=seed)).step(RealVector(np.zeros(2)))
 
 
 # ---------------------------------------------------------- step geometry
@@ -481,13 +481,13 @@ def test_step_orthogonality_and_pythagoras():
     # The update moves orthogonally to the projected row, and the squared
     # error drops by exactly the squared scaled residual of that row.
     gen = np.random.default_rng(40)
-    rng = RngState(41)
     for method in METHOD_NAMES:
         sy = make_system(30, 5, seed=int(gen.integers(1_000)))
+        stepper = Stepper(sy, SolverConfig(method, s=4, seed=41))
         xs = sy.x_star.a
         for _ in range(8):
             x0 = RealVector(gen.standard_normal(5))
-            x1, row, beta = step_row_and_beta(sy, method, x0, rng)
+            x1, row, beta = step_row_and_beta(stepper, x0)
             row_norm = math.sqrt(float(row @ row))
             err0 = x0.a - xs
             err1 = x1.a - xs
@@ -508,11 +508,11 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     x_star = gen.standard_normal(4)
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
-    rng = RngState(51)
     for s in (1, 2, 4, 5, 10, 20):
+        stepper = Stepper(sy, SolverConfig("skm", s=s, seed=51))
         for _ in range(5):
             x0 = RealVector(gen.standard_normal(4))
-            _, sk, i = step(sy, "skm", x0, rng, s=s)
+            _, sk, i = stepper.step(x0)
             t = sk.M.a @ x0.a - sk.r.a
             norms = np.einsum("ij,ij->i", sk.M.a, sk.M.a)
             decreases = t * t / norms
@@ -522,15 +522,15 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
 
 def test_step_error_never_increases():
     gen = np.random.default_rng(60)
-    rng = RngState(61)
     for method in METHOD_NAMES:
         sy = make_system(25, 4, seed=int(gen.integers(1_000)))
+        stepper = Stepper(sy, SolverConfig(method, s=4, seed=61))
         xs = sy.x_star.a
         x = RealVector(gen.standard_normal(4))
         err = float((x.a - xs) @ (x.a - xs))
         slack = 1e-10 * err
         for _ in range(30):
-            x, _, _ = step_row_and_beta(sy, method, x, rng)
+            x, _, _ = step_row_and_beta(stepper, x)
             nxt = float((x.a - xs) @ (x.a - xs))
             assert nxt <= err + slack
             err = nxt
@@ -541,11 +541,11 @@ def test_step_sketch_replays_every_method():
     # step bit for bit; for kaczmarz and motzkin that system is A itself,
     # not a copy.
     sy = make_system(30, 5, seed=84)
-    rng = RngState(19)
     for method in METHOD_NAMES:
+        stepper = Stepper(sy, SolverConfig(method, s=4, seed=19))
         x = RealVector(np.random.default_rng(6).standard_normal(5))
         for _ in range(10):
-            x1, sketch, i = step(sy, method, x, rng, s=4)
+            x1, sketch, i = stepper.step(x)
             assert np.array_equal(project_row(x, sketch.M.a[i], sketch.r.a[i]).a, x1.a), method
             whole = method in ("kaczmarz", "motzkin")
             assert (sketch.M is sy.A, sketch.r is sy.b) == (whole, whole), method
@@ -609,29 +609,38 @@ def test_run_reaches_trailing_rows_for_every_method():
 
 
 def test_run_matches_manual_step_composition():
-    # The run loop and the public single-step API must consume the random
-    # stream identically and produce bitwise-equal iterates.  run() draws
-    # kaczmarz uniforms and skm block indices in chunks, so the run crosses
-    # two chunk refills.  On coherent rows no method reaches a zero residual
-    # that soon, so every run goes the whole way.  Every step is recorded,
-    # so motzkin and gsm select at each iterate with the residual the
-    # trace recorded there, and the trace holds what a fresh computation
-    # gives, bit for bit.
+    # run() is bit for bit the iteration of the public stepper: stepping a
+    # Stepper(system, config) by hand from x0 gives run(system, config,
+    # x0)'s iterates, from a zero and a nonzero start.  The run crosses two
+    # chunk refills of the kaczmarz and skm draws.  On coherent rows no
+    # method reaches a zero residual that soon, so every run goes the
+    # whole way.  motzkin and gsm read back the residual the trace recorded
+    # at an iterate, so the run is checked with every step recorded and
+    # with a thinned schedule (dense to 5, then every 7th), where they
+    # select at recorded and unrecorded iterates alike; each record holds
+    # what a fresh computation at the hand-stepped iterate gives, bit for bit.
     sy = generate_system(ModelSpec("coherent", 24, 5, 72))
     steps = 2 * solvers._CHUNK + 37
-    for method in METHOD_NAMES:
-        cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99, record_error=True)
-        got, trace = run(sy, cfg)
-        assert trace.status == MAX_ITERS
-        assert len(trace.records) == steps + 1
-        rng = RngState(99)
-        x = RealVector(np.zeros(5))
+    starts = (np.zeros(5), np.random.default_rng(72).standard_normal(5))
+    schedules = ({}, {"record_dense_limit": 5, "record_stride": 7})
+    for method, start in itertools.product(METHOD_NAMES, starts):
+        stepper = Stepper(sy, SolverConfig(method, s=4, seed=99))
+        iterates = [RealVector(start)]
         for _ in range(steps):
-            x, _, _ = step(sy, method, x, rng, s=4)
-        assert np.array_equal(got.a, x.a), method
-        d = x.a - sy.x_star.a
-        assert trace.final.residual_norm == float(np.linalg.norm(sy.A.a @ x.a - sy.b.a)), method
-        assert trace.final.error_sq == float(d @ d), method
+            iterates.append(stepper.step(iterates[-1])[0])
+        for schedule in schedules:
+            cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99, record_error=True, **schedule)
+            got, trace = run(sy, cfg, x0=RealVector(start))
+            assert trace.status == MAX_ITERS
+            assert np.array_equal(got.a, iterates[-1].a), (method, schedule)
+            dense, stride = cfg.record_dense_limit, cfg.record_stride
+            want = [k for k in range(steps + 1) if k <= dense or k % stride == 0 or k == steps]
+            assert [rec.iter for rec in trace.records] == want
+            for rec in trace.records:
+                x = iterates[rec.iter].a
+                d = x - sy.x_star.a
+                assert rec.residual_norm == float(np.linalg.norm(sy.A.a @ x - sy.b.a)), (method, rec.iter)
+                assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
 def zero_block_fault(draws):
@@ -651,7 +660,9 @@ def zero_block_fault(draws):
 
 def test_run_matches_step_composition_across_reselections(monkeypatch):
     # With chunks of 3, reselections fall inside a chunk and across a
-    # refill; each must take the next draw of the stream, as step() does.
+    # refill; each must take the next draw of the stream, the draw that
+    # one-at-a-time predictions (predict_block_draws, a scripted stream)
+    # say it takes, in run() and in a stepper alike.
     monkeypatch.setattr(solvers, "_CHUNK", 3)
     # skm: find a seed whose reselections start at a mid-chunk draw and at
     # a chunk's last draw before block 0 comes twice, at step `fault`.
@@ -661,11 +672,11 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
             break
     else:
         pytest.fail("no seed in range reselects both inside a chunk and across a refill")
-    rng, x = RngState(seed), RealVector(np.zeros(2))
+    stepper, x = Stepper(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, seed=seed)), RealVector(np.zeros(2))
     for _ in range(fault - 1):
-        x, _, _ = step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
+        x, _, _ = stepper.step(x)
     with pytest.raises(ZeroRowError):
-        step(ZERO_BLOCK_SYSTEM, "skm", x, rng, s=2)
+        stepper.step(x)
     got, _ = run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault - 1, seed=seed))
     assert np.array_equal(got.a, x.a)
     with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
@@ -675,12 +686,13 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
     # A run that dropped the rest of a chunk at a reselection would reach
     # that row one step early.
     uniforms = [0.9, 0.0, 0.9, 0.9, 0.9, 0.0, 0.3]
-    monkeypatch.setattr(solvers, "RngState", lambda seed: SimpleNamespace(gen=uniform_stream(uniforms)))
+    script_uniforms(monkeypatch, uniforms)
     got, trace = run(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz", tol=0.0, max_iters=50))
     assert (trace.status, trace.final.iter) == (CONVERGED, 5)
-    rng, x = RngState(0), RealVector(np.zeros(2))
+    script_uniforms(monkeypatch, uniforms)
+    stepper, x = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")), RealVector(np.zeros(2))
     for _ in range(5):
-        x, _, _ = step(NEAR_ZERO_ROW_SYSTEM, "kaczmarz", x, rng)
+        x, _, _ = stepper.step(x)
     assert np.array_equal(got.a, x.a) and x.a.tolist() == [1.0, 2.0]
 
 
@@ -841,7 +853,7 @@ def test_integer_arguments_are_checked(tmp_path):
         with pytest.raises(InputError, match="sketch size must be an integer"):
             build(sy, 2.5, RngState(0))
     with pytest.raises(InputError, match="sketch size must be an integer"):
-        step(sy, "skm", RealVector(np.zeros(2)), RngState(0), s=2.5)
+        Stepper(sy, SolverConfig("skm", s=2.5))
     for field in ("s", "seed", "max_iters", "record_dense_limit", "record_stride"):
         with pytest.raises(InputError, match="must be an integer, got 2.5"):
             SolverConfig("sgsm", **{field: 2.5})
