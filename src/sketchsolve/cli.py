@@ -73,7 +73,7 @@ def _trace_csv_rows(method, s, trial, trace):
     """Raw trace rows; csv writes None as an empty field and a float as its repr."""
     s = s if method in _SKETCHED else None
     for rec in trace.records:
-        yield method, s, trial, rec.iter, rec.error_sq, rec.residual_norm, rec.elapsed_ns
+        yield method, s, trial, *rec
 
 
 def _write_csv(path, header, rows):

@@ -20,10 +20,9 @@ Draw order per sketch: block index first (block and sparse sketches),
 then the Gaussian factor entries in row-major order.
 
 SketchedSystem(M, r, z, shift, factor) is the one record of a drawn
-system, for every method: the constructors here and Stepper.step build
-it from the raw tuple (Ma, ra, z, shift, factor) that the solver steps
-pass around, in that field order.  For kaczmarz and motzkin the drawn
-system is A itself (z None, shift 0, no factor).
+system, for every method: a named tuple of the arrays the solver steps
+already build, in that field order.  For kaczmarz and motzkin the drawn
+system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
 
 A max-residual step on a Gaussian sketch only ever uses the winning
 column of S, so the solver draws that column alone from its conditional
@@ -35,12 +34,11 @@ Theta(m*s*n).  Its draw order per attempt is u (s normals), then g
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, _index
-from .linalg import DenseMatrix, RealVector
 from .rng import RngState
 
 __all__ = [
@@ -62,33 +60,22 @@ def _check_sketch(s: int, m: int | None = None):
         raise InputError(f"sketch size {s} exceeds row count {m}")
 
 
-@dataclass(frozen=True, eq=False)
-class SketchedSystem:
+class SketchedSystem(NamedTuple):
     """A drawn system (M, r) = (S^T A, S^T b) and the randomness that drew
     it: the block index z and row shift min(s*z, m - s) (block and sparse
     sketches), and the Gaussian factor (S of a Gaussian sketch, X of a
     sparse one).  Enough to rematerialize the sketch exactly.
 
-    Arrays are wrapped as DenseMatrix and RealVector wrap them; M, r and
-    factor given already wrapped (A and b themselves, for kaczmarz and
-    motzkin) are kept as they are.
+    The fields are plain numpy arrays, built from an already validated
+    A and b and not checked again.  A block's M and r are read-only views
+    of A and b; a mixed sketch's arrays are fresh.
     """
 
-    M: DenseMatrix
-    r: RealVector
+    M: np.ndarray
+    r: np.ndarray
     z: int | None = None
     shift: int | None = None
-    factor: DenseMatrix | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.M, DenseMatrix):
-            object.__setattr__(self, "M", DenseMatrix(self.M))
-        if not isinstance(self.r, RealVector):
-            object.__setattr__(self, "r", RealVector(self.r))
-        if self.factor is not None and not isinstance(self.factor, DenseMatrix):
-            object.__setattr__(self, "factor", DenseMatrix(self.factor))
-        if self.M.rows != len(self.r):
-            raise InputError(f"sketched sides disagree: M has {self.M.rows} rows, r has length {len(self.r)}")
+    factor: np.ndarray | None = None
 
 
 def _block_count(m: int, s: int) -> int:
@@ -149,7 +136,7 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return SketchedSystem(*_build_raw(system.A.a, system.b.a, s, z))
+    return SketchedSystem._make(_build_raw(system.A.a, system.b.a, s, z))
 
 
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -172,5 +159,5 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return SketchedSystem(*_build_raw(system.A.a, system.b.a, s, z, rng.gen))
+    return SketchedSystem._make(_build_raw(system.A.a, system.b.a, s, z, rng.gen))
 

@@ -26,9 +26,8 @@ ZeroRowError.
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed) and draws kaczmarz
 uniforms and skm block indices _CHUNK at a time.  run() iterates its
-selector through _step on the raw tuple (Ma, ra, z, shift, factor);
-Stepper.step wraps that tuple as a SketchedSystem record (see
-sketch.py).  So run() is bit for bit the iteration of the public stepper.
+selector through _step, so run() is bit for bit the iteration of the
+public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
 steps that project onto a row of A (kaczmarz, motzkin, skm) read its
@@ -55,6 +54,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,8 +241,7 @@ class SolverConfig:
                 raise InputError(f"error_stop must be a nonnegative real, got {self.error_stop}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """State snapshot after `iter` completed steps (iter 0 is the start)."""
 
     iter: int
@@ -316,10 +315,18 @@ def select_max_residual(M, r, x) -> int:
 
 
 def _draws(draw):
-    """The values of draw(_CHUNK), draw(_CHUNK), ... one at a time, as
-    Python scalars; draw is first called at the first next()."""
-    while True:
-        yield from draw(_CHUNK).tolist()
+    """A function returning the values of draw(_CHUNK), draw(_CHUNK), ...
+    one per call, as Python scalars; draw is first called at the first
+    call.  A draw that raises leaves nothing behind, so the next call
+    draws again."""
+    buf = []
+
+    def take():
+        if not buf:
+            buf[:] = draw(_CHUNK).tolist()[::-1]
+        return buf.pop()
+
+    return take
 
 
 def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
@@ -327,11 +334,11 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     select(x) -> (t, raw, i, row_sq).
 
     The chosen row is raw[0][i] with right-hand side raw[1][i] and squared
-    norm row_sq, and t is its residual.  raw is the step's raw sketch
-    (Ma, ra, z, shift, factor), and (A, b, None, 0, None) for kaczmarz
-    and motzkin; kaczmarz computes no residual and returns
-    t = _NO_RESIDUAL.  A row of A (no factor) reads row_sq from
-    LinearSystem.row_norms_sq; a sketched row computes its own.
+    norm row_sq, and t is its residual.  raw is the step's drawn system
+    in SketchedSystem's field order (M, r, z, shift, factor), and
+    (A, b, None, 0, None) for kaczmarz and motzkin; kaczmarz computes no
+    residual and returns t = _NO_RESIDUAL.  A row of A (no factor) reads
+    row_sq from LinearSystem.row_norms_sq; a sketched row computes its own.
     kaczmarz uniforms and skm block indices are drawn _CHUNK at a time.
     (method, s, m) is checked before any draw.  The Kaczmarz sampling
     table is read at the first draw, so building a selector never fails
@@ -364,7 +371,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k))
 
         def select(xa):
-            i = next(rows)
+            i = rows()
             return _NO_RESIDUAL, whole, i, norms[i]
 
         return select
@@ -384,7 +391,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return select
     if method == "skm":
         blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
-        draw = lambda: _build_raw(Aa, ba, s, next(blocks))
+        draw = lambda: _build_raw(Aa, ba, s, blocks())
     else:
         draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(blocks_total)), gen)
 
@@ -428,10 +435,10 @@ class Stepper:
     Building it checks (method, s, m) and starts the stepper's own stream
     RngState(config.seed); config's run controls are not read.  step(x)
     returns (x_next, sketch, i): x_next projects x onto row i of the drawn
-    SketchedSystem, sketch.M.a[i] with right-hand side sketch.r.a[i]
-    (x_next is x when that row's residual is zero), so a step can be
-    replayed exactly.  For kaczmarz and motzkin the drawn system is A
-    itself: sketch.M is system.A, sketch.r is system.b and shift is 0.
+    SketchedSystem, sketch.M[i] with right-hand side sketch.r[i] (x_next
+    is x when that row's residual is zero), so a step can be replayed
+    exactly.  For kaczmarz and motzkin the drawn system is A itself:
+    sketch.M is system.A.a, sketch.r is system.b.a and shift is 0.
     Stepping by hand from x0 reproduces run(system, config, x0)'s
     iterates bit for bit.  Not thread-safe.
     """
@@ -441,11 +448,10 @@ class Stepper:
         self._recorded = [None, np.empty(system.A.rows)]  # run()'s recorder fills it (see _selector)
         self._select = _selector(system, config.method, config.s, RngState(config.seed).gen, self._recorded)
         self._gate = system.zero_row_gate
-        self._whole = None if config.method in _SKETCHED else SketchedSystem(system.A, system.b, None, 0)
 
     def step(self, x):
         xa, raw, i = _step(self._select, _iterate(self._system, x), self._gate)
-        return RealVector(_own(xa)), self._whole or SketchedSystem(*raw), i
+        return RealVector(_own(xa)), SketchedSystem._make(raw), i
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):
@@ -495,7 +501,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
             elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
                 raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
             prev = err
-        records.append((k, err, residual, time.perf_counter_ns() - start))
+        records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
         return residual <= threshold or (error_stop is not None and err <= error_stop)
 
     status = MAX_ITERS
@@ -512,8 +518,6 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 if snapshot(k, xa):
                     status = CONVERGED
                     break
-    for j, rec in enumerate(records):  # in place, so the tuples and the records are never all alive at once
-        records[j] = TraceRecord(*rec)
     return RealVector(_own(xa)), RunTrace(tuple(records), status)
 
 

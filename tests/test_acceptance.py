@@ -54,7 +54,7 @@ def coherent_1000x50():
 def one_step(stepper, x):
     """One step of `stepper`; returns (x1, selected row array, beta)."""
     x1, sketch, i = stepper.step(x)
-    return x1, sketch.M.a[i], float(sketch.r.a[i])
+    return x1, sketch.M[i], float(sketch.r[i])
 
 
 def iters_to_error_threshold(system, method, s, seed, frac, max_iters):
@@ -110,8 +110,8 @@ def test_c02_gaussian_sketch_second_moment():
     total, rows = 0.0, 0
     for _ in range(10_000):
         sketched = gaussian_sketch(sy, 3, rng)
-        total += float((sketched.M.a * sketched.M.a).sum())
-        rows += sketched.M.rows
+        total += float((sketched.M * sketched.M).sum())
+        rows += sketched.M.shape[0]
     mean = total / rows
     assert abs(mean - target) <= 0.05 * target
     report(2, f"sketched row energy {mean:.1f} vs {target:.1f}, within 5%", started)
@@ -130,12 +130,12 @@ def test_c03_sparse_equals_dense_materialization():
         sy = make_system(m, n, seed=int(gen.integers(1_000_000)))
         got = sparse_gaussian_sketch(sy, s, RngState(int(gen.integers(1_000_000))))
         full = np.zeros((m, s))
-        full[got.shift:got.shift + s, :] = got.factor.a
+        full[got.shift:got.shift + s, :] = got.factor
         want_m = full.T @ sy.A.a
         want_r = full.T @ sy.b.a
         scale = max(1.0, float(np.max(np.abs(want_m))), float(np.max(np.abs(want_r))))
-        assert np.max(np.abs(got.M.a - want_m)) <= 1e-12 * scale
-        assert np.max(np.abs(got.r.a - want_r)) <= 1e-12 * scale
+        assert np.max(np.abs(got.M - want_m)) <= 1e-12 * scale
+        assert np.max(np.abs(got.r - want_r)) <= 1e-12 * scale
     report(3, "structured sparse sketch equals dense embedding, abs 1e-12 x scale", started)
 
 

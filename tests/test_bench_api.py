@@ -8,8 +8,11 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import sketchsolve
 import sketchsolve.cli
+from sketchsolve import SketchedSystem, TraceRecord
 
 MEASURE = Path(__file__).resolve().parents[1] / "bench" / "measure.py"
 
@@ -73,3 +76,47 @@ def test_bench_solver_config_calls_bind():
     for call in replaces:
         unknown = [kw.arg for kw in call.keywords if kw.arg not in signature.parameters]
         assert not unknown, f"dataclasses.replace in bench/measure.py names no SolverConfig field: {unknown}"
+
+
+def attribute_paths(node, names):
+    """Every attribute chain read off one of names, as (first, *rest), e.g. ("M", "a") for sketch.M.a."""
+    paths = set()
+    for sub in ast.walk(node):
+        path = []
+        while isinstance(sub, ast.Attribute):
+            path.append(sub.attr)
+            sub = sub.value
+        if path and isinstance(sub, ast.Name) and sub.id in names:
+            paths.add(tuple(reversed(path)))
+    return paths
+
+
+def test_bench_reads_only_record_fields():
+    # Records are named tuples of arrays and numbers: a name that is not a
+    # field (or an old wrapper's .a) fails only when the benchmark reaches
+    # it, so check every read here.
+    tree = measure_tree()
+    builders = {"block_sketch", "gaussian_sketch", "sparse_gaussian_sketch"}
+    sketches = {
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name) and node.value.func.id in builders
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    sketch_reads = attribute_paths(tree, sketches)
+    assert sketch_reads, "bench/measure.py no longer reads a sketch's fields"
+    for field, *rest in sketch_reads:
+        assert field in SketchedSystem._fields, field
+        assert not rest or hasattr(np.ndarray, rest[0]), (field, *rest)
+    # A record is trace.final or the target of a comprehension over trace.records.
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    record_reads = {path[1:] for path in attribute_paths(tree, names) if path[0] == "final" and path[1:]}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            targets = {
+                gen.target.id for gen in node.generators
+                if isinstance(gen.iter, ast.Attribute) and gen.iter.attr == "records" and isinstance(gen.target, ast.Name)
+            }
+            record_reads |= attribute_paths(node, targets)
+    assert {("iter",), ("error_sq",), ("residual_norm",)} <= record_reads, "bench/measure.py no longer reads these fields"
+    assert all(len(path) == 1 and path[0] in TraceRecord._fields for path in record_reads), record_reads

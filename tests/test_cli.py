@@ -25,6 +25,7 @@ from sketchsolve import (
     ModelSpec,
     RealVector,
     SolverConfig,
+    TraceRecord,
     condition_kappa_tilde,
     generate_system,
     load_csv_matrix,
@@ -228,6 +229,11 @@ def test_solve_gsm_converges_and_traces(tmp_path, capsys):
 
     b_norm = float(np.linalg.norm(load_system(system_path).b.a))
     assert float(body[-1][5]) <= 1e-8 * b_norm
+
+
+def test_trace_record_fields_are_the_csv_columns():
+    # The trace CSV writes each record by position after (method, s, trial).
+    assert TraceRecord._fields == TRACE_HEADER[3:]
 
 
 def test_solve_trace_empty_columns_for_plain_methods(tmp_path):

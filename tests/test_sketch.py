@@ -43,8 +43,8 @@ def materialized_sparse(m, s, shift, x_factor):
 def test_block_full_size_is_whole_system():
     sy = make_system(6, 3, seed=1)
     got = block_sketch(sy, 6, RngState(0))
-    assert np.array_equal(got.M.a, sy.A.a)
-    assert np.array_equal(got.r.a, sy.b.a)
+    assert np.array_equal(got.M, sy.A.a)
+    assert np.array_equal(got.r, sy.b.a)
     assert got.z == 0 and got.shift == 0
     assert got.factor is None
 
@@ -52,9 +52,9 @@ def test_block_full_size_is_whole_system():
 def test_block_rows_are_zero_copy_views():
     sy = make_system(12, 4, seed=2)
     got = block_sketch(sy, 3, RngState(9))
-    assert np.shares_memory(got.M.a, sy.A.a)
-    assert np.shares_memory(got.r.a, sy.b.a)
-    assert np.array_equal(got.M.a, sy.A.a[got.shift:got.shift + 3])
+    assert np.shares_memory(got.M, sy.A.a)
+    assert np.shares_memory(got.r, sy.b.a)
+    assert np.array_equal(got.M, sy.A.a[got.shift:got.shift + 3])
 
 
 def test_block_last_aligned_block_is_final_rows():
@@ -64,8 +64,8 @@ def test_block_last_aligned_block_is_final_rows():
         got = block_sketch(sy, 2, RngState(seed))
         if got.z == 2:
             assert got.shift == 4
-            assert np.array_equal(got.M.a, sy.A.a[4:6])
-            assert np.array_equal(got.r.a, sy.b.a[4:6])
+            assert np.array_equal(got.M, sy.A.a[4:6])
+            assert np.array_equal(got.r, sy.b.a[4:6])
             break
     else:
         pytest.fail("no seed in range drew block index 2")
@@ -84,7 +84,7 @@ def test_block_shift_coverage_reaches_trailing_rows():
             seen.add(z)
             assert shift == min(3 * z, 7)
             block = sy.A.a[shift:shift + 3]
-            assert np.array_equal(got.M.a, block if factor is None else factor.a.T @ block)
+            assert np.array_equal(got.M, block if factor is None else factor.T @ block)
             assert 0 <= z <= 3
         assert seen == {0, 1, 2, 3}, build.__name__
 
@@ -103,8 +103,8 @@ def test_gaussian_zero_matrix_sketches_to_zero():
     a = DenseMatrix(np.zeros((4, 2)))
     sy = LinearSystem(a, RealVector(np.zeros(4)), RealVector(np.zeros(2)))
     got = gaussian_sketch(sy, 3, RngState(0))
-    assert np.all(got.M.a == 0.0)
-    assert np.all(got.r.a == 0.0)
+    assert np.all(got.M == 0.0)
+    assert np.all(got.r == 0.0)
 
 
 def test_gaussian_linearity_on_ones_column():
@@ -113,16 +113,16 @@ def test_gaussian_linearity_on_ones_column():
     a = np.ones((5, 1))
     sy = LinearSystem(DenseMatrix(a), RealVector(np.ones(5)), RealVector([1.0]))
     got = gaussian_sketch(sy, 4, RngState(6))
-    assert np.array_equal(got.M.a[:, 0], got.r.a)
+    assert np.array_equal(got.M[:, 0], got.r)
 
 
 def test_gaussian_matches_its_provenance_factor():
     sy = make_system(12, 5, seed=7)
     got = gaussian_sketch(sy, 3, RngState(2))
     s_factor = got.factor
-    assert (s_factor.rows, s_factor.cols) == (12, 3)
-    assert np.array_equal(got.M.a, s_factor.a.T @ sy.A.a)
-    assert np.array_equal(got.r.a, s_factor.a.T @ sy.b.a)
+    assert s_factor.shape == (12, 3)
+    assert np.array_equal(got.M, s_factor.T @ sy.A.a)
+    assert np.array_equal(got.r, s_factor.T @ sy.b.a)
 
 
 def test_gaussian_fresh_factor_each_call():
@@ -130,13 +130,13 @@ def test_gaussian_fresh_factor_each_call():
     rng = RngState(4)
     first = gaussian_sketch(sy, 2, rng)
     second = gaussian_sketch(sy, 2, rng)
-    assert not np.array_equal(first.factor.a, second.factor.a)
+    assert not np.array_equal(first.factor, second.factor)
 
 
 def test_gaussian_size_may_exceed_rows():
     sy = make_system(3, 2, seed=9)
     got = gaussian_sketch(sy, 7, RngState(0))
-    assert got.M.rows == 7 and len(got.r) == 7
+    assert got.M.shape[0] == 7 and len(got.r) == 7
 
 
 def test_gaussian_row_energy_matches_frobenius():
@@ -148,8 +148,8 @@ def test_gaussian_row_energy_matches_frobenius():
     total, rows = 0.0, 0
     for _ in range(4000):
         got = gaussian_sketch(sy, 2, rng)
-        total += float((got.M.a * got.M.a).sum())
-        rows += got.M.rows
+        total += float((got.M * got.M).sum())
+        rows += got.M.shape[0]
     mean = total / rows
     assert abs(mean - target) <= 0.05 * target
 
@@ -164,12 +164,12 @@ def test_sparse_matches_dense_materialization_oracle():
         s = int(gen.integers(1, m + 1))
         sy = make_system(m, n, seed=int(gen.integers(1_000_000)))
         got = sparse_gaussian_sketch(sy, s, RngState(int(gen.integers(1_000_000))))
-        full = materialized_sparse(m, s, got.shift, got.factor.a)
+        full = materialized_sparse(m, s, got.shift, got.factor)
         want_m = full.T @ sy.A.a
         want_r = full.T @ sy.b.a
         scale = max(1.0, float(np.max(np.abs(want_m))), float(np.max(np.abs(want_r))))
-        assert np.max(np.abs(got.M.a - want_m)) <= 1e-12 * scale
-        assert np.max(np.abs(got.r.a - want_r)) <= 1e-12 * scale
+        assert np.max(np.abs(got.M - want_m)) <= 1e-12 * scale
+        assert np.max(np.abs(got.r - want_r)) <= 1e-12 * scale
 
 
 def test_sparse_identity_factor_reproduces_block():
@@ -177,16 +177,16 @@ def test_sparse_identity_factor_reproduces_block():
     identity = SimpleNamespace(gen=SimpleNamespace(integers=lambda high: 2, standard_normal=lambda shape: np.eye(shape[0])))
     sy = make_system(12, 3, seed=14)
     got = sparse_gaussian_sketch(sy, 4, identity)
-    assert np.array_equal(got.M.a, sy.A.a[8:12])
-    assert np.array_equal(got.r.a, sy.b.a[8:12])
+    assert np.array_equal(got.M, sy.A.a[8:12])
+    assert np.array_equal(got.r, sy.b.a[8:12])
     assert got.z == 2
 
 
 def test_sparse_single_row_is_scalar_multiple():
     sy = make_system(9, 4, seed=15)
     got = sparse_gaussian_sketch(sy, 1, RngState(21))
-    scale = got.factor.a[0, 0]
-    assert np.array_equal(got.M.a[0], scale * sy.A.a[got.shift])
+    scale = got.factor[0, 0]
+    assert np.array_equal(got.M[0], scale * sy.A.a[got.shift])
 
 
 def test_sparse_draws_block_index_then_factor():
@@ -197,7 +197,7 @@ def test_sparse_draws_block_index_then_factor():
     gen = RngState(33).gen
     z = int(gen.integers(4))
     assert got.z == z and got.shift == 5 * z
-    assert np.array_equal(got.factor.a, gen.standard_normal((5, 5)))
+    assert np.array_equal(got.factor, gen.standard_normal((5, 5)))
 
 
 def test_sparse_size_validation():

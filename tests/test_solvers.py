@@ -29,6 +29,7 @@ from sketchsolve import (
     RealVector,
     RngState,
     RunTrace,
+    SketchedSystem,
     SolverConfig,
     Stepper,
     TraceRecord,
@@ -86,7 +87,7 @@ def step_row_and_beta(stepper, x):
 
     The row comes back as a plain array."""
     x1, sketch, i = stepper.step(x)
-    return x1, sketch.M.a[i], float(sketch.r.a[i])
+    return x1, sketch.M[i], float(sketch.r[i])
 
 
 # -------------------------------------------------------------- projection
@@ -237,8 +238,10 @@ def test_kaczmarz_all_zero_rows_rejected():
     # first draw: building the stepper reads no sampling table.
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
     stepper = Stepper(sy, SolverConfig("kaczmarz"))
-    with pytest.raises(ZeroRowError, match="all rows of A are zero"):
-        stepper.step(RealVector([0.0, 0.0]))
+    # A failed draw leaves the stepper usable: the next call fails the same way.
+    for _ in range(2):
+        with pytest.raises(ZeroRowError, match="all rows of A are zero"):
+            stepper.step(RealVector([0.0, 0.0]))
 
 
 # ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2.  A uniform of
@@ -330,7 +333,7 @@ def test_sparse_step_matches_materialized_oracle():
     x = RealVector(np.random.default_rng(2).standard_normal(4))
     got, sk, chosen = Stepper(sy, SolverConfig("sgsm", s=3, seed=11)).step(x)
     full = np.zeros((15, 3))
-    full[sk.shift:sk.shift + 3, :] = sk.factor.a
+    full[sk.shift:sk.shift + 3, :] = sk.factor
     m_arr = full.T @ sy.A.a
     r_arr = full.T @ sy.b.a
     i = scan_max_index(m_arr, r_arr, x.a)
@@ -344,8 +347,8 @@ def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
     got, sk, i = Stepper(sy, SolverConfig("gsm", s=4, seed=13)).step(x)
-    assert np.array_equal(sk.M.a, sk.factor.a.T @ sy.A.a)
-    replay = project_row(x, sk.M.a[i], float(sk.r.a[i]))
+    assert np.array_equal(sk.M, sk.factor.T @ sy.A.a)
+    replay = project_row(x, sk.M[i], float(sk.r[i]))
     assert np.array_equal(got.a, replay.a)
 
 
@@ -372,7 +375,7 @@ def test_gsm_step_matches_materialized_oracle_in_law():
     for _ in range(draws):
         sk = gaussian_sketch(sy, 4, rng)
         i = select_max_residual(sk.M, sk.r, x)
-        materialized.append(drop(project_row(x, sk.M.a[i], float(sk.r.a[i]))))
+        materialized.append(drop(project_row(x, sk.M[i], float(sk.r[i]))))
     a, b = np.sort(conditional), np.sort(materialized)
     grid = np.concatenate([a, b])
     ks = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
@@ -405,7 +408,7 @@ def test_gsm_step_draws_u_then_the_winning_column():
     res = sy.A.a @ x.a - sy.b.a
     rhat = res / np.linalg.norm(res)
     want = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
-    column = sk.factor.a
+    column = sk.factor
     assert column.shape == (12, 1) and i == 0
     assert np.allclose(column[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -513,8 +516,8 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
         for _ in range(5):
             x0 = RealVector(gen.standard_normal(4))
             _, sk, i = stepper.step(x0)
-            t = sk.M.a @ x0.a - sk.r.a
-            norms = np.einsum("ij,ij->i", sk.M.a, sk.M.a)
+            t = sk.M @ x0.a - sk.r
+            norms = np.einsum("ij,ij->i", sk.M, sk.M)
             decreases = t * t / norms
             chosen = decreases[i]
             assert np.all(decreases <= chosen + 1e-12 * max(1.0, chosen))
@@ -536,22 +539,37 @@ def test_step_error_never_increases():
             err = nxt
 
 
+def assert_no_writeable_alias(sketch, sy):
+    for arr in (sketch.M, sketch.r, sketch.factor):
+        if arr is not None and arr.flags.writeable:
+            assert not np.shares_memory(arr, sy.A.a) and not np.shares_memory(arr, sy.b.a)
+
+
 def test_step_sketch_replays_every_method():
     # project_row onto row i of the drawn system reproduces every method's
     # step bit for bit; for kaczmarz and motzkin that system is A itself,
-    # not a copy.
+    # not a copy, and skm's is a read-only view of A.  No record array is a
+    # writeable alias of A or b.
     sy = make_system(30, 5, seed=84)
     for method in METHOD_NAMES:
         stepper = Stepper(sy, SolverConfig(method, s=4, seed=19))
         x = RealVector(np.random.default_rng(6).standard_normal(5))
         for _ in range(10):
             x1, sketch, i = stepper.step(x)
-            assert np.array_equal(project_row(x, sketch.M.a[i], sketch.r.a[i]).a, x1.a), method
+            assert type(sketch) is SketchedSystem, method
+            assert np.array_equal(project_row(x, sketch.M[i], sketch.r[i]).a, x1.a), method
             whole = method in ("kaczmarz", "motzkin")
-            assert (sketch.M is sy.A, sketch.r is sy.b) == (whole, whole), method
+            assert (sketch.M is sy.A.a, sketch.r is sy.b.a) == (whole, whole), method
             if whole:
                 assert (sketch.z, sketch.shift, sketch.factor) == (None, 0, None)
+            if method == "skm":
+                assert not sketch.M.flags.writeable and np.shares_memory(sketch.M, sy.A.a)
+            assert_no_writeable_alias(sketch, sy)
             x = x1
+    for build in (block_sketch, gaussian_sketch, sparse_gaussian_sketch):
+        sketch = build(sy, 4, RngState(5))
+        assert type(sketch) is SketchedSystem, build.__name__
+        assert_no_writeable_alias(sketch, sy)
 
 
 # --------------------------------------------------------------- run loop
