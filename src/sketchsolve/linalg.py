@@ -34,7 +34,10 @@ def _own(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validated(values, ndim, name):
+def _checked(values, ndim, name):
+    """values as a float64 array, checked as a container checks it (ndim,
+    non-empty, finite) but neither copied nor frozen: for a call that
+    reads values and keeps nothing."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
@@ -44,7 +47,11 @@ def _validated(values, ndim, name):
     # as the check itself on the small vectors a step wraps.
     if not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite (found NaN or Inf)")
-    arr = np.ascontiguousarray(arr)
+    return arr
+
+
+def _validated(values, ndim, name):
+    arr = np.ascontiguousarray(_checked(values, ndim, name))
     if arr.flags.writeable:
         if arr is values:
             # Caller keeps a writeable handle; snapshot it instead of aliasing.

@@ -8,21 +8,25 @@ across reruns, not across machines or library upgrades.
 Stream-consumption conventions (they matter for replay):
   * matrix fills consume entries in row-major order;
   * a weighted or uniform index draw consumes exactly one variate;
-  * a solver stepper draws kaczmarz uniforms and skm block indices in
-    chunks of solvers._CHUNK.  On PCG64, random(k) and integers(n,
-    size=k) return exactly k scalar draws (tests/test_rng.py guards
-    this), so trajectories equal those of one draw per step; the stepper
-    owns its generator, so the unused tail of its last chunk is never
-    seen;
+  * a solver stepper draws kaczmarz uniforms and skm and sgsm block
+    indices in chunks of solvers._CHUNK.  On PCG64, random(k) and
+    integers(n, size=k) return exactly k scalar draws (tests/test_rng.py
+    guards this), so kaczmarz and skm trajectories equal those of one
+    draw per step (sgsm interleaves its index chunks with its normal
+    chunks, so its stream is its own); the stepper owns its generator,
+    so the unused tail of its last chunk is never seen;
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
-  * a gsm solver step draws, per attempt, s normals u first (the winner
-    is argmax u^2), then m normals g for the winning sketch column; it
-    never draws the m-by-s sketch (see sketch.py);
+  * a gsm or sgsm solver step draws, per attempt, s normals u first (the
+    winner is argmax u^2), then one normal g per drawn row (m for gsm, s
+    for sgsm) for the winning column; it never draws the whole sketch or
+    factor.  Attempts come a chunk at a time, as one standard_normal
+    fill, which equals the same normals drawn one attempt at a time (see
+    sketch.py);
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing); for kaczmarz and skm it is the next draw of the chunk.
+    nothing); it is the next draw of the chunk.
 """
 
 from __future__ import annotations

@@ -9,15 +9,16 @@ A sketch compresses the m-row system (A, b) to an s-row system
     Theta(m*s*n) multiplies per sketch (the materialized reference);
   * sparse_gaussian_sketch (sgsm): S is zero outside one s-row block,
     where it holds an s-by-s Gaussian factor X; then M = X^T A_block
-    costs only Theta(s^2*n) multiplies while still mixing rows.
+    costs Theta(s^2*n) multiplies while still mixing rows (the
+    materialized reference).
 
 Block placement is aligned: the block index z is uniform on
 {0, ..., ceil(m/s) - 1} and the block covers rows [shift, shift + s)
 with shift = min(s*z, m - s).  When s does not divide m the last block
 is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 
-Draw order per sketch: block index first (block and sparse sketches),
-then the Gaussian factor entries in row-major order.
+Draw order per public sketch: block index first (block and sparse
+sketches), then the Gaussian factor entries in row-major order.
 
 SketchedSystem(M, r, z, shift, factor) is the one record of a drawn
 system, for every method: a named tuple of the arrays the solver steps
@@ -25,10 +26,15 @@ already build, in that field order.  For kaczmarz and motzkin the drawn
 system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
 
 A max-residual step on a Gaussian sketch only ever uses the winning
-column of S, so the solver draws that column alone from its conditional
-law (_gaussian_winner_raw): Theta(m*n + m + s) per step instead of
-Theta(m*s*n).  Its draw order per attempt is u (s normals), then g
-(m normals).
+column of S (of X for sgsm), so the gsm and sgsm steps draw that column
+alone from its conditional law, through one kernel
+(_gaussian_winner_raw) over the drawn rows: all m of A for gsm, at
+Theta(m*n + m + s) per step instead of Theta(m*s*n); one block for sgsm,
+at Theta(s*n + s) instead of Theta(s^2*n).  Per attempt the step draws u
+(s normals), then g (one normal per drawn row), a chunk of attempts at
+a time (_normal_draws); an sgsm attempt draws its block index first,
+from a chunk of _CHUNK indices as skm does.  The record of such a step
+is a one-row sketch whose factor is the winning column.
 """
 
 from __future__ import annotations
@@ -64,11 +70,15 @@ class SketchedSystem(NamedTuple):
     """A drawn system (M, r) = (S^T A, S^T b) and the randomness that drew
     it: the block index z and row shift min(s*z, m - s) (block and sparse
     sketches), and the Gaussian factor (S of a Gaussian sketch, X of a
-    sparse one).  Enough to rematerialize the sketch exactly.
+    sparse one).  Enough to rematerialize the sketch exactly.  A gsm or
+    sgsm step's record is the one-row sketch of its winning column: M is
+    1-by-n, r has one entry, and the factor is that column (m-by-1 for
+    gsm, s-by-1 for sgsm).
 
     The fields are plain numpy arrays, built from an already validated
     A and b and not checked again.  A block's M and r are read-only views
-    of A and b; a mixed sketch's arrays are fresh.
+    of A and b; a mixed sketch's arrays share no memory with them (a
+    step's winning column is a view of the normals it drew).
     """
 
     M: np.ndarray
@@ -78,54 +88,86 @@ class SketchedSystem(NamedTuple):
     factor: np.ndarray | None = None
 
 
+# Normals per fill of a winner's normal source (_normal_draws): 2**14
+# doubles (128 KiB), or one attempt's worth when an attempt needs more.
+_NORMALS = 2**14
+
+
 def _block_count(m: int, s: int) -> int:
     """The number ceil(m/s) of aligned s-row blocks of an m-row system."""
     return -(-m // s)
 
 
-def _build_raw(Aa, ba, s, z, gen=None):
-    """The block sketch of block z as raw arrays: (Ma, ra, z, shift,
-    factor); with gen, the block is mixed by an s-by-s Gaussian factor
-    drawn from gen (sparse).
+def _build_raw(Aa, ba, s, z):
+    """The block sketch of block z as raw arrays: (Ma, ra, z, shift, None),
+    read-only views of rows [shift, shift + s) of A and b.
 
-    Shared by the public constructors and the solver steps; every caller
-    draws z from its stream before calling, so all consume the stream
-    identically.
+    Shared by block_sketch, sparse_gaussian_sketch and the skm and sgsm
+    steps; every caller draws z from its stream before calling.
     """
     shift = min(s * z, Aa.shape[0] - s)
-    if gen is None:
-        return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
-    X = gen.standard_normal((s, s))
-    return X.T @ Aa[shift:shift + s], X.T @ ba[shift:shift + s], z, shift, X
+    return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
 
 
-def _gaussian_winner_raw(Aa, ba, res, s, gen):
-    """The max-residual row of a fresh m-by-s N(0, 1) sketch S, without S.
+def _normal_draws(gen, s, rows):
+    """A function returning one attempt's (u*, g) per call for a Gaussian
+    winner over `rows` rows: u* is the entry of largest square among s
+    normals u (ties to the first), and g is the next `rows` normals, a 1-D
+    view into the chunk.
 
-    With res = A x - b and rhat = res / ||res||, column j of S splits as
-    S_j = u_j rhat + P g_j, where P projects onto the complement of rhat,
-    u_j ~ N(0, 1) and P g_j is independent of u_j.  The sketched residual
-    of row j is (S^T res)_j = u_j ||res||, so the winner is
-    j* = argmax u_j^2 and depends on u alone.  Drawing u (s normals), then
-    one g (m normals), and forming S_j* = u_j* rhat + P g gives the
-    winning column the same law as in the materialized sketch.  When res
-    is zero every column is N(0, I) and S_j* = g.
-
-    Returns (t, raw, 0) in the solver's select(x) shape: t is the
-    winner's sketched residual u_j* ||res||, and raw is a one-row sketch
-    (Ma, ra, None, None, F) with F the m-by-1 winning column, Ma = F^T A
-    and ra = F^T b.
+    Attempts come K = max(1, _NORMALS // (s + rows)) per standard_normal
+    fill, row k holding attempt k's (u, g), so the stream is that of one
+    attempt at a time; one argmax takes the K winners.
     """
-    u = gen.standard_normal(s)
-    u_star = float(u[int(np.argmax(u * u))])
-    g = gen.standard_normal(Aa.shape[0])
-    res_sq = float(res @ res)
+    k = max(1, _NORMALS // (s + rows))
+    stars, tail = [], None  # the chunk's unused winners and its g rows, last attempt first
+
+    def take():
+        nonlocal tail
+        if not stars:
+            Z = gen.standard_normal((k, s + rows))
+            U = Z[:, :s]
+            stars[:] = U[np.arange(k), (U * U).argmax(axis=1)].tolist()[::-1]
+            tail = Z[::-1, s:]
+        u_star = stars.pop()
+        return u_star, tail[len(stars)]
+
+    return take
+
+
+def _gaussian_winner_raw(block, res, u_star, g):
+    """The max-residual row of a Gaussian mix S^T of a drawn block, without S.
+
+    block is (Ab, bb, z, shift, None): all of (A, b) for gsm, one aligned
+    s-row block for sgsm; S has one iid N(0, 1) column per sketch row, and
+    res = Ab x - bb.  With rhat = res / ||res||, column j splits as
+    S_j = u_j rhat + P g_j, P the projection off rhat, u_j ~ N(0, 1)
+    independent of P g_j.  Row j's sketched residual is u_j ||res||, so
+    the winner j* = argmax u_j^2 depends on u alone, and w = u_j* rhat +
+    P g, formed in place from u* and a fresh g, has the law of the
+    winning column.  When res is zero, w = g.
+
+    Returns select(x)'s shape (t, raw, None, row, beta, row_sq): t =
+    u_j* ||res|| is the winner's residual, row = w^T Ab, beta = w^T bb,
+    and raw = (row, beta, z, shift, w), the record _one_row_sketch
+    builds.  Each product is a 1-D .dot, numpy's cheapest call for it.
+    """
+    Ab, bb, z, shift, _ = block
+    res_sq = res.dot(res)
     t = 0.0
     if res_sq > 0.0:
         t = u_star * math.sqrt(res_sq)
-        g += ((t - float(g @ res)) / res_sq) * res
-    F = g[:, None]
-    return t, (F.T @ Aa, F.T @ ba, None, None, F), 0
+        g += ((t - g.dot(res)) / res_sq) * res
+    row, beta = g.dot(Ab), g.dot(bb)
+    return t, (row, beta, z, shift, g), None, row, beta, float(row.dot(row))
+
+
+def _one_row_sketch(raw) -> SketchedSystem:
+    """The record of a Gaussian winner's raw (row, beta, z, shift, w): the
+    one-row sketch M = w^T Ab (1-by-n), r = (w^T bb,), factor = w as a
+    k-by-1 column."""
+    row, beta, z, shift, w = raw
+    return SketchedSystem(row[None], np.array([beta]), z, shift, w[:, None])
 
 
 def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -155,9 +197,13 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """Gaussian mix of one aligned s-row block: M = X^T A_block, X s-by-s N(0, 1).
 
     Equals the dense sketch whose S is zero outside the block, at
-    Theta(s^2*n) multiplies instead of Theta(m*s*n).
+    Theta(s^2*n) multiplies instead of Theta(m*s*n).  This is the
+    materialized reference; the sgsm solver step draws only the winning
+    column of X (see _gaussian_winner_raw).
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return SketchedSystem._make(_build_raw(system.A.a, system.b.a, s, z, rng.gen))
+    Ab, bb, z, shift, _ = _build_raw(system.A.a, system.b.a, s, z)
+    X = rng.gen.standard_normal((s, s))
+    return SketchedSystem(X.T @ Ab, X.T @ bb, z, shift, X)
 

@@ -15,7 +15,9 @@ selection rule (_selector):
               then m normals g for the winning column alone, so a step
               costs Theta(m*n + m + s) (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
-              Gaussian mix of one random block).
+              Gaussian mix of one random block), drawn the same way on
+              the block: s normals u, then s normals g for the winning
+              column of the factor, so a step costs Theta(s*n + s).
 
 The step (_step) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
@@ -24,10 +26,11 @@ reselected once, with fresh draws, and a second such row raises
 ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
-checks (method, s, m), owns RngState(config.seed) and draws kaczmarz
-uniforms and skm block indices _CHUNK at a time.  run() iterates its
-selector through _step, so run() is bit for bit the iteration of the
-public stepper.
+checks (method, s, m), owns RngState(config.seed), draws kaczmarz
+uniforms and skm and sgsm block indices _CHUNK at a time, and draws the
+gsm and sgsm normals a chunk of attempts at a time (sketch.py).  run()
+iterates its selector through _step, so run() is bit for bit the
+iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
 steps that project onto a row of A (kaczmarz, motzkin, skm) read its
@@ -59,9 +62,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, ZeroRowError, _index, _real
-from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
+from .linalg import DenseMatrix, RealVector, _checked, _own, as_matrix, as_vector
 from .rng import RngState, _check_seed, _pick_from_cumulative
-from .sketch import SketchedSystem, _block_count, _build_raw, _check_sketch, _gaussian_winner_raw
+from .sketch import (
+    SketchedSystem,
+    _block_count,
+    _build_raw,
+    _check_sketch,
+    _gaussian_winner_raw,
+    _normal_draws,
+    _one_row_sketch,
+)
 
 __all__ = [
     "METHODS",
@@ -304,13 +315,14 @@ def project_row(x, a, beta: float) -> RealVector:
 
 def select_max_residual(M, r, x) -> int:
     """Index of the largest squared residual (M x - r)_i^2; ties take the
-    lowest index."""
-    M = as_matrix(M)
-    r = as_vector(r)
-    x = as_vector(x)
-    if len(r) != M.rows or len(x) != M.cols:
+    lowest index.  Arrays are checked in place, never copied: nothing is
+    kept."""
+    M = M.a if isinstance(M, DenseMatrix) else _checked(M, 2, "matrix")
+    r = r.a if isinstance(r, RealVector) else _checked(r, 1, "vector")
+    x = x.a if isinstance(x, RealVector) else _checked(x, 1, "vector")
+    if r.shape[0] != M.shape[0] or x.shape[0] != M.shape[1]:
         raise InputError("select_max_residual: shapes disagree")
-    t = M.a @ x.a - r.a
+    t = M @ x - r
     return int(np.argmax(t * t))
 
 
@@ -331,15 +343,18 @@ def _draws(draw):
 
 def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     """The row-selection rule of one method, as
-    select(x) -> (t, raw, i, row_sq).
+    select(x) -> (t, raw, i, row, beta, row_sq).
 
-    The chosen row is raw[0][i] with right-hand side raw[1][i] and squared
-    norm row_sq, and t is its residual.  raw is the step's drawn system
-    in SketchedSystem's field order (M, r, z, shift, factor), and
-    (A, b, None, 0, None) for kaczmarz and motzkin; kaczmarz computes no
-    residual and returns t = _NO_RESIDUAL.  A row of A (no factor) reads
-    row_sq from LinearSystem.row_norms_sq; a sketched row computes its own.
-    kaczmarz uniforms and skm block indices are drawn _CHUNK at a time.
+    The chosen row is row with right-hand side beta and squared norm
+    row_sq, and t is its residual.  raw is the step's drawn system in
+    SketchedSystem's field order (M, r, z, shift, factor), with row =
+    M[i] and beta = r[i]: (A, b, None, 0, None) for kaczmarz and motzkin,
+    a block of A for skm.  For gsm and sgsm, i is None and raw is the
+    winner's (row, beta, z, shift, column), whose record is
+    _one_row_sketch(raw) with i = 0.  kaczmarz computes no residual and
+    returns t = _NO_RESIDUAL.  A row of A reads row_sq from
+    LinearSystem.row_norms_sq; a sketched row computes its own.  kaczmarz
+    uniforms and skm and sgsm block indices are drawn _CHUNK at a time.
     (method, s, m) is checked before any draw.  The Kaczmarz sampling
     table is read at the first draw, so building a selector never fails
     on an all-zero A.
@@ -361,24 +376,20 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return recorded[1]
         return Aa @ xa - ba
 
-    def chosen(t, raw, i):
-        if raw[4] is None:
-            return t, raw, i, norms[raw[3] + i]
-        row = raw[0][i]
-        return t, raw, i, float(row @ row)
-
     if method == "kaczmarz":
         rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k))
 
         def select(xa):
             i = rows()
-            return _NO_RESIDUAL, whole, i, norms[i]
+            return _NO_RESIDUAL, whole, i, Aa[i], ba[i], norms[i]
 
         return select
     if method == "gsm":
+        normals = _normal_draws(gen, s, m)
+        everything = (Aa, ba, None, None, None)
 
         def select(xa):
-            return chosen(*_gaussian_winner_raw(Aa, ba, residual(xa), s, gen))
+            return _gaussian_winner_raw(everything, residual(xa), *normals())
 
         return select
     if method == "motzkin":
@@ -386,20 +397,24 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         def select(xa):
             t = residual(xa)
             i = int((t * t).argmax())
-            return t[i], whole, i, norms[i]
+            return t[i], whole, i, Aa[i], ba[i], norms[i]
 
         return select
-    if method == "skm":
-        blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
-        draw = lambda: _build_raw(Aa, ba, s, blocks())
-    else:
-        draw = lambda: _build_raw(Aa, ba, s, int(gen.integers(blocks_total)), gen)
+    blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
+    if method == "sgsm":
+        normals = _normal_draws(gen, s, s)
+
+        def select(xa):
+            block = _build_raw(Aa, ba, s, blocks())
+            return _gaussian_winner_raw(block, block[0].dot(xa) - block[1], *normals())
+
+        return select
 
     def select(xa):
-        raw = draw()
-        t = raw[0] @ xa - raw[1]
+        raw = Ab, bb, _, shift, _ = _build_raw(Aa, ba, s, blocks())
+        t = Ab @ xa - bb
         i = int((t * t).argmax())
-        return chosen(t[i], raw, i)
+        return t[i], raw, i, Ab[i], bb[i], norms[shift + i]
 
     return select
 
@@ -413,11 +428,11 @@ def _step(select, xa, gate):
     second such row raises ZeroRowError.
     """
     for _ in (0, 1):
-        t, raw, i, row_sq = select(xa)
+        t, raw, i, row, beta, row_sq = select(xa)
         if t == 0.0:
             return xa, raw, i
         if row_sq > gate:
-            return _project_raw(xa, raw[0][i], raw[1][i], row_sq), raw, i
+            return _project_raw(xa, row, beta, row_sq), raw, i
     raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 
@@ -438,8 +453,9 @@ class Stepper:
     SketchedSystem, sketch.M[i] with right-hand side sketch.r[i] (x_next
     is x when that row's residual is zero), so a step can be replayed
     exactly.  For kaczmarz and motzkin the drawn system is A itself:
-    sketch.M is system.A.a, sketch.r is system.b.a and shift is 0.
-    Stepping by hand from x0 reproduces run(system, config, x0)'s
+    sketch.M is system.A.a, sketch.r is system.b.a and shift is 0.  For
+    gsm and sgsm it is the one-row sketch of the winning column, and i is
+    0.  Stepping by hand from x0 reproduces run(system, config, x0)'s
     iterates bit for bit.  Not thread-safe.
     """
 
@@ -451,6 +467,8 @@ class Stepper:
 
     def step(self, x):
         xa, raw, i = _step(self._select, _iterate(self._system, x), self._gate)
+        if i is None:  # a Gaussian winner: its row is the whole drawn system
+            return RealVector(_own(xa)), _one_row_sketch(raw), 0
         return RealVector(_own(xa)), SketchedSystem._make(raw), i
 
 

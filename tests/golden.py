@@ -3,10 +3,11 @@ CLI compare CSV.
 
     PYTHONPATH=src python3 tests/golden.py
 
-rewrites tests/golden.json from the current tree; tests/test_golden.py
-recomputes every digest and compares.  A change that alters a random
-stream or a rounding on purpose regenerates the file and names the
-changed cells in CHANGES.md; every other cell must stay equal.
+rewrites tests/golden.json from the current tree, after printing the
+digests that differ from the old file; tests/test_golden.py recomputes
+every digest and compares.  A change that alters a random stream or a
+rounding on purpose regenerates the file and names the changed cells
+(the printed list) in CHANGES.md; every other cell must stay equal.
 
 A cell is (system, method, s, seed): 1000 steps at tol 1e-10 with the
 squared error recorded, every step up to 500 and every 7th after that,
@@ -91,6 +92,22 @@ def digests() -> dict:
     return {"cells": cell_digests(), "compare_csv": compare_digest()}
 
 
+def differences(old: dict, new: dict) -> list:
+    """The cells whose digests differ between two digest sets (a cell in
+    only one of them counts), then "compare_csv" if the CSV digest does."""
+    cells = old["cells"].keys() | new["cells"].keys()
+    changed = sorted(cell for cell in cells if old["cells"].get(cell) != new["cells"].get(cell))
+    return changed + ["compare_csv"] * (old["compare_csv"] != new["compare_csv"])
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({**stamp(), **digests()}, indent=1, sort_keys=True) + "\n")
+    new = {**stamp(), **digests()}
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text())
+        made_on = {key: old[key] for key in stamp()}
+        if made_on != stamp():
+            print(f"the old file was made on another build: {made_on}", file=sys.stderr)
+        changed = differences(old, new)
+        print(f"{len(changed)} digests differ from the old file: {' '.join(changed)}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
