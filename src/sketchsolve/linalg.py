@@ -34,10 +34,7 @@ def _own(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _checked(values, ndim, name):
-    """values as a float64 array, checked as a container checks it (ndim,
-    non-empty, finite) but neither copied nor frozen: for a call that
-    reads values and keeps nothing."""
+def _validated(values, ndim, name):
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
@@ -47,11 +44,7 @@ def _checked(values, ndim, name):
     # as the check itself on the small vectors a step wraps.
     if not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite (found NaN or Inf)")
-    return arr
-
-
-def _validated(values, ndim, name):
-    arr = np.ascontiguousarray(_checked(values, ndim, name))
+    arr = np.ascontiguousarray(arr)
     if arr.flags.writeable:
         if arr is values:
             # Caller keeps a writeable handle; snapshot it instead of aliasing.

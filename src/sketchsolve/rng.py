@@ -12,17 +12,18 @@ Stream-consumption conventions (they matter for replay):
     indices in chunks of solvers._CHUNK.  On PCG64, random(k) and
     integers(n, size=k) return exactly k scalar draws (tests/test_rng.py
     guards this), so kaczmarz and skm trajectories equal those of one
-    draw per step (sgsm interleaves its index chunks with its normal
+    draw per step (sgsm interleaves its index chunks with its factor
     chunks, so its stream is its own); the stepper owns its generator,
     so the unused tail of its last chunk is never seen;
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
-  * a gsm or sgsm solver step draws, per attempt, s normals u first (the
-    winner is argmax u^2), then one normal g per drawn row (m for gsm, s
-    for sgsm) for the winning column; it never draws the whole sketch or
-    factor.  Attempts come a chunk at a time, as one standard_normal
-    fill, which equals the same normals drawn one attempt at a time (see
-    sketch.py);
+  * a gsm solver step draws, per attempt, s normals u first (the winner
+    is argmax u^2), then m normals g for the winning sketch column; it
+    never draws the m-by-s sketch.  An sgsm solver step draws, per
+    attempt, its block index, then its s-by-s factor in row-major order.
+    Both take their normals a chunk of attempts at a time, as one
+    standard_normal fill, which equals the same normals drawn one attempt
+    at a time (see sketch.py);
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws

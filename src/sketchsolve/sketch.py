@@ -26,15 +26,16 @@ already build, in that field order.  For kaczmarz and motzkin the drawn
 system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
 
 A max-residual step on a Gaussian sketch only ever uses the winning
-column of S (of X for sgsm), so the gsm and sgsm steps draw that column
-alone from its conditional law, through one kernel
-(_gaussian_winner_raw) over the drawn rows: all m of A for gsm, at
-Theta(m*n + m + s) per step instead of Theta(m*s*n); one block for sgsm,
-at Theta(s*n + s) instead of Theta(s^2*n).  Per attempt the step draws u
-(s normals), then g (one normal per drawn row), a chunk of attempts at
-a time (_normal_draws); an sgsm attempt draws its block index first,
-from a chunk of _CHUNK indices as skm does.  The record of such a step
-is a one-row sketch whose factor is the winning column.
+row of S^T A.  The gsm step draws the winning column of S alone from its
+conditional law (_gaussian_winner_raw), at Theta(m*n + m + s) per step
+instead of Theta(m*s*n): per attempt s normals u, then m normals g, a
+chunk of attempts at a time (_normal_draws).  The sgsm step draws the
+whole s-by-s factor X, a chunk of factors at a time (_factor_draws),
+after its block index (from a chunk of _CHUNK indices, as skm does),
+and builds only the winning row of X^T A_block (_sparse_winner_raw):
+s^2 normals and Theta(s*n + s^2) multiplies instead of Theta(s^2*n).
+The record of either step is a one-row sketch whose factor is the
+winning column.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class SketchedSystem(NamedTuple):
     sparse one).  Enough to rematerialize the sketch exactly.  A gsm or
     sgsm step's record is the one-row sketch of its winning column: M is
     1-by-n, r has one entry, and the factor is that column (m-by-1 for
-    gsm, s-by-1 for sgsm).
+    gsm, s-by-1 of X for sgsm).
 
     The fields are plain numpy arrays, built from an already validated
     A and b and not checked again.  A block's M and r are read-only views
@@ -88,8 +89,9 @@ class SketchedSystem(NamedTuple):
     factor: np.ndarray | None = None
 
 
-# Normals per fill of a winner's normal source (_normal_draws): 2**14
-# doubles (128 KiB), or one attempt's worth when an attempt needs more.
+# Normals per fill of a step's normal source (_normal_draws,
+# _factor_draws): 2**14 doubles (128 KiB), or one attempt's worth when an
+# attempt needs more.
 _NORMALS = 2**14
 
 
@@ -115,32 +117,49 @@ def _normal_draws(gen, s, rows):
     normals u (ties to the first), and g is the next `rows` normals, a 1-D
     view into the chunk.
 
-    Attempts come K = max(1, _NORMALS // (s + rows)) per standard_normal
-    fill, row k holding attempt k's (u, g), so the stream is that of one
-    attempt at a time; one argmax takes the K winners.
+    Attempts come k = max(1, _NORMALS // (s + rows)) per standard_normal
+    fill, row j holding attempt j's (u, g), so the stream is that of one
+    attempt at a time; one argmax takes the k winners.
     """
     k = max(1, _NORMALS // (s + rows))
-    stars, tail = [], None  # the chunk's unused winners and its g rows, last attempt first
+    Z = stars = None
+    j = k  # the chunk row of the next attempt; k when the chunk is used up
 
     def take():
-        nonlocal tail
-        if not stars:
+        nonlocal Z, stars, j
+        if j == k:
             Z = gen.standard_normal((k, s + rows))
             U = Z[:, :s]
-            stars[:] = U[np.arange(k), (U * U).argmax(axis=1)].tolist()[::-1]
-            tail = Z[::-1, s:]
-        u_star = stars.pop()
-        return u_star, tail[len(stars)]
+            stars, j = U[np.arange(k), (U * U).argmax(axis=1)].tolist(), 0
+        j += 1
+        return stars[j - 1], Z[j - 1, s:]
 
     return take
 
 
-def _gaussian_winner_raw(block, res, u_star, g):
-    """The max-residual row of a Gaussian mix S^T of a drawn block, without S.
+def _factor_draws(gen, s):
+    """A function returning one s-by-s N(0, 1) factor per call, a view into
+    a chunk of k = max(1, _NORMALS // s**2) factors drawn by one
+    standard_normal fill, which equals k (s, s) fills in turn."""
+    k = max(1, _NORMALS // (s * s))
+    Z = None
+    j = k  # the chunk's next factor; k when the chunk is used up
 
-    block is (Ab, bb, z, shift, None): all of (A, b) for gsm, one aligned
-    s-row block for sgsm; S has one iid N(0, 1) column per sketch row, and
-    res = Ab x - bb.  With rhat = res / ||res||, column j splits as
+    def take():
+        nonlocal Z, j
+        if j == k:
+            Z, j = gen.standard_normal((k, s, s)), 0
+        j += 1
+        return Z[j - 1]
+
+    return take
+
+
+def _gaussian_winner_raw(Aa, ba, res, u_star, g):
+    """The max-residual row of a fresh m-by-s N(0, 1) sketch S^T (A, b),
+    without S.
+
+    With res = A x - b and rhat = res / ||res||, column j of S splits as
     S_j = u_j rhat + P g_j, P the projection off rhat, u_j ~ N(0, 1)
     independent of P g_j.  Row j's sketched residual is u_j ||res||, so
     the winner j* = argmax u_j^2 depends on u alone, and w = u_j* rhat +
@@ -148,18 +167,38 @@ def _gaussian_winner_raw(block, res, u_star, g):
     winning column.  When res is zero, w = g.
 
     Returns select(x)'s shape (t, raw, None, row, beta, row_sq): t =
-    u_j* ||res|| is the winner's residual, row = w^T Ab, beta = w^T bb,
-    and raw = (row, beta, z, shift, w), the record _one_row_sketch
+    u_j* ||res|| is the winner's residual, row = w^T A, beta = w^T b,
+    and raw = (row, beta, None, None, w), the record _one_row_sketch
     builds.  Each product is a 1-D .dot, numpy's cheapest call for it.
     """
-    Ab, bb, z, shift, _ = block
     res_sq = res.dot(res)
     t = 0.0
     if res_sq > 0.0:
         t = u_star * math.sqrt(res_sq)
         g += ((t - g.dot(res)) / res_sq) * res
-    row, beta = g.dot(Ab), g.dot(bb)
-    return t, (row, beta, z, shift, g), None, row, beta, float(row.dot(row))
+    row, beta = g.dot(Aa), g.dot(ba)
+    return t, (row, beta, None, None, g), None, row, beta, float(row.dot(row))
+
+
+def _sparse_winner_raw(block, X, xa):
+    """The max-residual row of the sparse sketch X^T (Ab, bb) of a drawn
+    block, forming only that row.
+
+    Row j's sketched residual is (X^T (Ab x - bb))_j, so one s-by-s
+    product with the block residual gives every row's residual, and the
+    winner j* (ties to the first) is its only row built: w = X[:, j*],
+    row = w^T Ab, beta = w^T bb.  Theta(s*n + s^2) multiplies instead of
+    the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
+
+    Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
+    (row, beta, z, shift, w), as _gaussian_winner_raw does for gsm.
+    """
+    Ab, bb, z, shift, _ = block
+    t = (Ab.dot(xa) - bb).dot(X)
+    j = int((t * t).argmax())
+    w = X[:, j]
+    row, beta = w.dot(Ab), w.dot(bb)
+    return t[j], (row, beta, z, shift, w), None, row, beta, float(row.dot(row))
 
 
 def _one_row_sketch(raw) -> SketchedSystem:
@@ -198,8 +237,8 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
 
     Equals the dense sketch whose S is zero outside the block, at
     Theta(s^2*n) multiplies instead of Theta(m*s*n).  This is the
-    materialized reference; the sgsm solver step draws only the winning
-    column of X (see _gaussian_winner_raw).
+    materialized reference; the sgsm solver step draws X the same way but
+    builds only the winning row of X^T A_block (see _sparse_winner_raw).
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))

@@ -15,9 +15,9 @@ selection rule (_selector):
               then m normals g for the winning column alone, so a step
               costs Theta(m*n + m + s) (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
-              Gaussian mix of one random block), drawn the same way on
-              the block: s normals u, then s normals g for the winning
-              column of the factor, so a step costs Theta(s*n + s).
+              Gaussian mix X of one random block): the step draws all of
+              X but builds only the winning row of X^T A_block, so it
+              costs s^2 normals and Theta(s*n + s^2) multiplies.
 
 The step (_step) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
@@ -28,9 +28,9 @@ ZeroRowError.
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed), draws kaczmarz
 uniforms and skm and sgsm block indices _CHUNK at a time, and draws the
-gsm and sgsm normals a chunk of attempts at a time (sketch.py).  run()
-iterates its selector through _step, so run() is bit for bit the
-iteration of the public stepper.
+gsm normals and the sgsm factors a chunk of attempts at a time
+(sketch.py).  run() iterates its selector through _step, so run() is
+bit for bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
 steps that project onto a row of A (kaczmarz, motzkin, skm) read its
@@ -62,16 +62,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, ZeroRowError, _index, _real
-from .linalg import DenseMatrix, RealVector, _checked, _own, as_matrix, as_vector
+from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _check_seed, _pick_from_cumulative
 from .sketch import (
     SketchedSystem,
     _block_count,
     _build_raw,
     _check_sketch,
+    _factor_draws,
     _gaussian_winner_raw,
     _normal_draws,
     _one_row_sketch,
+    _sparse_winner_raw,
 )
 
 __all__ = [
@@ -315,14 +317,13 @@ def project_row(x, a, beta: float) -> RealVector:
 
 def select_max_residual(M, r, x) -> int:
     """Index of the largest squared residual (M x - r)_i^2; ties take the
-    lowest index.  Arrays are checked in place, never copied: nothing is
-    kept."""
-    M = M.a if isinstance(M, DenseMatrix) else _checked(M, 2, "matrix")
-    r = r.a if isinstance(r, RealVector) else _checked(r, 1, "vector")
-    x = x.a if isinstance(x, RealVector) else _checked(x, 1, "vector")
-    if r.shape[0] != M.shape[0] or x.shape[0] != M.shape[1]:
+    lowest index."""
+    M = as_matrix(M)
+    r = as_vector(r)
+    x = as_vector(x)
+    if len(r) != M.rows or len(x) != M.cols:
         raise InputError("select_max_residual: shapes disagree")
-    t = M @ x - r
+    t = M.a @ x.a - r.a
     return int(np.argmax(t * t))
 
 
@@ -386,10 +387,9 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return select
     if method == "gsm":
         normals = _normal_draws(gen, s, m)
-        everything = (Aa, ba, None, None, None)
 
         def select(xa):
-            return _gaussian_winner_raw(everything, residual(xa), *normals())
+            return _gaussian_winner_raw(Aa, ba, residual(xa), *normals())
 
         return select
     if method == "motzkin":
@@ -402,11 +402,10 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return select
     blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
     if method == "sgsm":
-        normals = _normal_draws(gen, s, s)
+        factors = _factor_draws(gen, s)
 
         def select(xa):
-            block = _build_raw(Aa, ba, s, blocks())
-            return _gaussian_winner_raw(block, block[0].dot(xa) - block[1], *normals())
+            return _sparse_winner_raw(_build_raw(Aa, ba, s, blocks()), factors(), xa)
 
         return select
 

@@ -60,13 +60,17 @@ def test_chunked_draws_equal_scalar_draws(chunk):
     want = [scalar.random() for _ in range(total)]
     got = np.concatenate([chunked.random(chunk) for _ in range(-(-total // chunk))])
     assert got[:total].tolist() == want
-    # gsm and sgsm fill a chunk of attempts' normals at once: a
-    # (chunk, s + rows) fill, row by row, is one attempt's s normals u then
-    # its `rows` normals g, attempt after attempt.
+    # gsm fills a chunk of attempts' normals at once: a (chunk, s + rows)
+    # fill, row by row, is one attempt's s normals u then its `rows`
+    # normals g, attempt after attempt.  sgsm fills a chunk of s-by-s
+    # factors: a (chunk, s, s) fill is chunk (s, s) fills in turn.
     s, rows = 3, 5
     scalar, chunked = RngState(7).gen, RngState(7).gen
     want = [v for _ in range(chunk) for size in (s, rows) for v in scalar.standard_normal(size).tolist()]
     assert chunked.standard_normal((chunk, s + rows)).ravel().tolist() == want
+    scalar, chunked = RngState(8).gen, RngState(8).gen
+    want = [scalar.standard_normal((s, s)).tolist() for _ in range(chunk)]
+    assert chunked.standard_normal((chunk, s, s)).tolist() == want
 
 
 # --------------------------------------------------------- weighted index

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sketchsolve import solvers
+from sketchsolve import sketch, solvers
 from sketchsolve import (
     CONVERGED,
     MAX_ITERS,
@@ -177,25 +177,6 @@ def test_select_max_residual_shape_checks():
         select_max_residual(DenseMatrix(np.eye(3)), RealVector([1.0, 2.0]), RealVector([0.0] * 3))
 
 
-def test_select_max_residual_keeps_no_copy():
-    # It reads M, r and x and keeps none of them, so a writeable M is
-    # checked in place, not snapshot; the finiteness check's boolean mask
-    # is an eighth of M.
-    gen = np.random.default_rng(32)
-    m_arr = gen.standard_normal((2000, 1000))
-    r_arr, x_arr = gen.standard_normal(2000), gen.standard_normal(1000)
-    tracemalloc.start()
-    try:
-        got = select_max_residual(m_arr, r_arr, x_arr)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < m_arr.nbytes / 4
-    assert got == int(np.argmax((m_arr @ x_arr - r_arr) ** 2))
-    with pytest.raises(InputError, match="finite"):
-        select_max_residual(m_arr, np.full(2000, np.nan), x_arr)
-
-
 # ---------------------------------------------------------------- kaczmarz
 
 def test_kaczmarz_solution_is_fixed_point():
@@ -348,13 +329,31 @@ def test_sketched_solution_is_fixed_point():
 
 
 def test_sparse_step_matches_materialized_oracle():
-    # The sgsm step draws only the winning column of its s-by-s factor,
-    # from its law given the block residual, so it can match the
-    # materialized path (sparse_gaussian_sketch, max-residual row,
-    # project_row) only in law, not draw for draw: the materialized path
-    # draws s^2 factor entries where the step draws 2s normals.  Same test
-    # and bound as the gsm one below.
-    assert step_drops_ks("sgsm", 5, sparse_gaussian_sketch, seed=80) <= 0.028
+    # The sgsm step draws its block indices _CHUNK at a time (as skm does),
+    # then its s-by-s factors X a chunk at a time, and builds only the
+    # winning row of X^T A_block.  Replaying those draws through the
+    # materialized sketch picks the same row and takes the same step.
+    m, s = 15, 3
+    sy = make_system(m, 4, seed=10)
+    x = RealVector(np.random.default_rng(2).standard_normal(4))
+    stepper = Stepper(sy, SolverConfig("sgsm", s=s, seed=11))
+    gen = RngState(11).gen
+    blocks = gen.integers(m // s, size=solvers._CHUNK)
+    factors = gen.standard_normal((sketch._NORMALS // s**2, s, s))
+    for k in range(3):
+        got, sk, chosen = stepper.step(x)
+        shift = s * int(blocks[k])
+        m_arr = factors[k].T @ sy.A.a[shift:shift + s]
+        r_arr = factors[k].T @ sy.b.a[shift:shift + s]
+        i = scan_max_index(m_arr, r_arr, x.a)
+        assert (sk.z, sk.shift, chosen) == (blocks[k], shift, 0)
+        assert np.array_equal(sk.factor, factors[k][:, i:i + 1])
+        assert np.allclose(sk.M, m_arr[i:i + 1], rtol=1e-13, atol=0.0)
+        assert np.allclose(sk.r, r_arr[i:i + 1], rtol=1e-13, atol=0.0)
+        row = m_arr[i]
+        want = x.a + (r_arr[i] - row @ x.a) / (row @ row) * row
+        assert np.max(np.abs(got.a - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        x = got
 
 
 def test_sketched_provenance_is_replayable():
@@ -366,13 +365,14 @@ def test_sketched_provenance_is_replayable():
     assert np.array_equal(got.a, replay.a)
 
 
-def step_drops_ks(method, s, build, seed):
-    """Two-sample Kolmogorov-Smirnov statistic between the one-step
-    squared-error drops of 10^4 `method` stepper steps from a fixed x and
-    those of 10^4 materialized steps: `build`'s sketch, its max-residual
-    row, then project_row.  The 0.1% critical value for 10^4 draws a side
-    is 1.95 * sqrt(2 / 10^4) = 0.028."""
-    sy = make_system(30, 5, seed=seed)
+def test_gsm_step_matches_materialized_oracle_in_law():
+    # The gsm step draws only the winning sketch column, from its law given
+    # the residual.  At a fixed x, its one-step squared-error drops must
+    # follow the law of the materialized path (full m-by-s sketch, then
+    # max-residual row, then projection).  Two-sample Kolmogorov-Smirnov
+    # statistic over 10^4 draws a side, against the 0.1% critical value
+    # 1.95 * sqrt(2 / 10^4) = 0.028.
+    sy = make_system(30, 5, seed=81)
     x = RealVector(np.random.default_rng(4).standard_normal(5))
     e0 = x.a - sy.x_star.a
     draws = 10_000
@@ -381,25 +381,18 @@ def step_drops_ks(method, s, build, seed):
         e1 = x1.a - sy.x_star.a
         return float(e0 @ e0 - e1 @ e1)
 
-    stepper = Stepper(sy, SolverConfig(method, s=s, seed=5))
+    stepper = Stepper(sy, SolverConfig("gsm", s=4, seed=5))
     conditional = [drop(stepper.step(x)[0]) for _ in range(draws)]
     rng = RngState(6)
     materialized = []
     for _ in range(draws):
-        sk = build(sy, s, rng)
+        sk = gaussian_sketch(sy, 4, rng)
         i = select_max_residual(sk.M, sk.r, x)
         materialized.append(drop(project_row(x, sk.M[i], float(sk.r[i]))))
     a, b = np.sort(conditional), np.sort(materialized)
     grid = np.concatenate([a, b])
-    return np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
-
-
-def test_gsm_step_matches_materialized_oracle_in_law():
-    # The gsm step draws only the winning sketch column, from its law given
-    # the residual.  At a fixed x, its one-step squared-error drops must
-    # follow the law of the materialized path (full m-by-s sketch, then
-    # max-residual row, then projection).
-    assert step_drops_ks("gsm", 4, gaussian_sketch, seed=81) <= 0.028
+    ks = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
+    assert ks <= 0.028
 
 
 def test_gsm_step_never_materializes_the_sketch():
@@ -433,46 +426,19 @@ def test_gsm_step_draws_u_then_the_winning_column():
     assert np.allclose(column[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
-def test_sgsm_step_never_materializes_the_factor():
-    # At s = m = 2000 the s-by-s factor alone is 32 MB.
-    m = s = 2000
-    sy = make_system(m, 20, seed=86)
-    x = RealVector(np.zeros(20))
+def test_sgsm_step_never_forms_the_sketched_block():
+    # At s = 100, n = 1000 the sketched block X^T A_block alone is
+    # 800 KB; the factor X the step draws is 80 KB.
+    m, n, s = 2000, 1000, 100
+    sy = make_system(m, n, seed=86)
+    x = RealVector(np.zeros(n))
     tracemalloc.start()
     try:
         Stepper(sy, SolverConfig("sgsm", s=s)).step(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.1 * 8 * s * s
-
-
-def test_sgsm_step_draws_block_then_u_then_the_winning_column():
-    # Block indices come _CHUNK at a time, as for skm.  Per attempt, s
-    # normals u pick the winner j* = argmax u_j^2 and s normals g give its
-    # column u_j* rhat + (g - (g . rhat) rhat), with rhat the unit block
-    # residual; attempts are drawn a chunk at a time after the indices, so
-    # two steps read the first two indices and the first 4s normals.
-    m, s = 12, 4
-    sy = make_system(m, 3, seed=85)
-    x = RealVector(np.random.default_rng(7).standard_normal(3))
-    stepper = Stepper(sy, SolverConfig("sgsm", s=s, seed=23))
-    gen = RngState(23).gen
-    blocks = gen.integers(m // s, size=solvers._CHUNK)
-    for k in range(2):
-        x1, sk, i = stepper.step(x)
-        u = gen.standard_normal(s)
-        g = gen.standard_normal(s)
-        shift = s * int(blocks[k])
-        block, rhs = sy.A.a[shift:shift + s], sy.b.a[shift:shift + s]
-        res = block @ x.a - rhs
-        rhat = res / np.linalg.norm(res)
-        want = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
-        assert (sk.z, sk.shift, i) == (blocks[k], shift, 0)
-        assert sk.factor.shape == (s, 1) and sk.M.shape == (1, 3) and sk.r.shape == (1,)
-        assert np.allclose(sk.factor[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
-        assert np.array_equal(sk.M, sk.factor.T @ block) and np.array_equal(sk.r, sk.factor.T @ rhs)
-        x = x1
+    assert peak < 0.25 * 8 * s * n
 
 
 def test_gsm_step_zero_residual_and_zero_rows():
