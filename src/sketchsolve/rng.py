@@ -8,26 +8,28 @@ across reruns, not across machines or library upgrades.
 Stream-consumption conventions (they matter for replay):
   * matrix fills consume entries in row-major order;
   * a weighted or uniform index draw consumes exactly one variate;
-  * a solver stepper draws kaczmarz uniforms and skm and sgsm block
-    indices in chunks of solvers._CHUNK.  On PCG64, random(k) and
-    integers(n, size=k) return exactly k scalar draws (tests/test_rng.py
-    guards this), so kaczmarz and skm trajectories equal those of one
-    draw per step (sgsm interleaves its index chunks with its factor
-    chunks, so its stream is its own); the stepper owns its generator,
-    so the unused tail of its last chunk is never seen;
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
   * a gsm solver step draws, per attempt, s normals u first (the winner
     is argmax u^2), then m normals g for the winning sketch column; it
     never draws the m-by-s sketch.  An sgsm solver step draws, per
-    attempt, its block index, then its s-by-s factor in row-major order.
-    Both take their normals a chunk of attempts at a time, as one
-    standard_normal fill, which equals the same normals drawn one attempt
-    at a time (see sketch.py);
+    attempt, its block index, then its s-by-s factor in row-major order;
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing); it is the next draw of the chunk.
+    nothing); it is the next item of its chunked source.
+
+The chunk rule.  A solver stepper takes each kind of draw from its own
+_chunked source: kaczmarz uniforms and skm and sgsm block indices
+solvers._CHUNK at a time, gsm attempts (u then g) and sgsm factors as
+many per standard_normal fill as fit in sketch._NORMALS normals (at
+least one).  On PCG64 a fill of k draws, row-major, equals the same k
+draws made one at a time (tests/test_rng.py guards this), so a stream
+with one kind of draw does not depend on its chunk size: kaczmarz, skm
+and gsm trajectories equal those of one draw per step.  sgsm interleaves
+its index chunks with its factor chunks, so its stream depends on both
+sizes.  The stepper owns its generator, so the unused tail of its last
+chunk is never seen.
 """
 
 from __future__ import annotations
@@ -63,3 +65,22 @@ def _pick_from_cumulative(gen: np.random.Generator, cum: np.ndarray, k: int) -> 
     proportional to cum[i] - cum[i - 1].  A zero-weight index is never hit,
     because its cumulative value equals the previous one."""
     return np.searchsorted(cum, gen.random(k) * cum[-1], side="right")
+
+
+def _chunked(fill):
+    """take() handing out the items of fill(), fill(), ... one per call.
+
+    fill runs at the first call and again each time its chunk is used up.
+    A fill that raises leaves nothing behind, so the next call fills again
+    (a chain of iter(fill, None) would stay exhausted after it).
+    """
+    items = iter(())
+
+    def take():
+        nonlocal items
+        for item in items:
+            return item
+        items = iter(fill())
+        return next(items)
+
+    return take

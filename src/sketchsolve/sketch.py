@@ -28,14 +28,13 @@ system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
 A max-residual step on a Gaussian sketch only ever uses the winning
 row of S^T A.  The gsm step draws the winning column of S alone from its
 conditional law (_gaussian_winner_raw), at Theta(m*n + m + s) per step
-instead of Theta(m*s*n): per attempt s normals u, then m normals g, a
-chunk of attempts at a time (_normal_draws).  The sgsm step draws the
-whole s-by-s factor X, a chunk of factors at a time (_factor_draws),
-after its block index (from a chunk of _CHUNK indices, as skm does),
-and builds only the winning row of X^T A_block (_sparse_winner_raw):
-s^2 normals and Theta(s*n + s^2) multiplies instead of Theta(s^2*n).
-The record of either step is a one-row sketch whose factor is the
-winning column.
+instead of Theta(m*s*n): per attempt s normals u, then m normals g
+(_gaussian_fill).  The sgsm step draws the whole s-by-s factor X
+(_factor_fill) after its block index, and builds only the winning row of
+X^T A_block (_sparse_winner_raw): s^2 normals and Theta(s*n + s^2)
+multiplies instead of Theta(s^2*n).  Both steps take these draws in
+chunks, by the chunk rule in rng.py.  The record of either step is a
+one-row sketch whose factor is the winning column.
 """
 
 from __future__ import annotations
@@ -89,9 +88,8 @@ class SketchedSystem(NamedTuple):
     factor: np.ndarray | None = None
 
 
-# Normals per fill of a step's normal source (_normal_draws,
-# _factor_draws): 2**14 doubles (128 KiB), or one attempt's worth when an
-# attempt needs more.
+# Normals per fill of a step's normal source (_gaussian_fill, _factor_fill):
+# 2**14 doubles (128 KiB), or one attempt's worth when an attempt needs more.
 _NORMALS = 2**14
 
 
@@ -104,55 +102,31 @@ def _build_raw(Aa, ba, s, z):
     """The block sketch of block z as raw arrays: (Ma, ra, z, shift, None),
     read-only views of rows [shift, shift + s) of A and b.
 
-    Shared by block_sketch, sparse_gaussian_sketch and the skm and sgsm
-    steps; every caller draws z from its stream before calling.
+    Shared by block_sketch and the skm and sgsm steps; every caller draws
+    z from its stream before calling.
     """
     shift = min(s * z, Aa.shape[0] - s)
     return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
 
 
-def _normal_draws(gen, s, rows):
-    """A function returning one attempt's (u*, g) per call for a Gaussian
-    winner over `rows` rows: u* is the entry of largest square among s
-    normals u (ties to the first), and g is the next `rows` normals, a 1-D
-    view into the chunk.
-
-    Attempts come k = max(1, _NORMALS // (s + rows)) per standard_normal
-    fill, row j holding attempt j's (u, g), so the stream is that of one
-    attempt at a time; one argmax takes the k winners.
+def _gaussian_fill(gen, s, rows):
+    """One chunk of a Gaussian winner's attempts over `rows` rows, as (u*, g)
+    pairs from one (k, s + rows) standard_normal fill, k = max(1, _NORMALS
+    // (s + rows)): row j holds attempt j's s normals u, then its `rows`
+    normals g (a 1-D view), and u* is the u of largest square (ties to the
+    first).  See the chunk rule in rng.py.
     """
     k = max(1, _NORMALS // (s + rows))
-    Z = stars = None
-    j = k  # the chunk row of the next attempt; k when the chunk is used up
-
-    def take():
-        nonlocal Z, stars, j
-        if j == k:
-            Z = gen.standard_normal((k, s + rows))
-            U = Z[:, :s]
-            stars, j = U[np.arange(k), (U * U).argmax(axis=1)].tolist(), 0
-        j += 1
-        return stars[j - 1], Z[j - 1, s:]
-
-    return take
+    Z = gen.standard_normal((k, s + rows))
+    U = Z[:, :s]
+    return zip(U[np.arange(k), (U * U).argmax(axis=1)].tolist(), Z[:, s:])
 
 
-def _factor_draws(gen, s):
-    """A function returning one s-by-s N(0, 1) factor per call, a view into
-    a chunk of k = max(1, _NORMALS // s**2) factors drawn by one
-    standard_normal fill, which equals k (s, s) fills in turn."""
-    k = max(1, _NORMALS // (s * s))
-    Z = None
-    j = k  # the chunk's next factor; k when the chunk is used up
-
-    def take():
-        nonlocal Z, j
-        if j == k:
-            Z, j = gen.standard_normal((k, s, s)), 0
-        j += 1
-        return Z[j - 1]
-
-    return take
+def _factor_fill(gen, s):
+    """One chunk of s-by-s N(0, 1) factors: a (k, s, s) standard_normal
+    fill, k = max(1, _NORMALS // s**2), whose iteration yields the factors
+    as views.  See the chunk rule in rng.py."""
+    return gen.standard_normal((max(1, _NORMALS // (s * s)), s, s))
 
 
 def _gaussian_winner_raw(Aa, ba, res, u_star, g):
@@ -240,9 +214,7 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     materialized reference; the sgsm solver step draws X the same way but
     builds only the winning row of X^T A_block (see _sparse_winner_raw).
     """
-    _check_sketch(s, system.A.rows)
-    z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    Ab, bb, z, shift, _ = _build_raw(system.A.a, system.b.a, s, z)
+    Ab, bb, z, shift, _ = block_sketch(system, s, rng)
     X = rng.gen.standard_normal((s, s))
     return SketchedSystem(X.T @ Ab, X.T @ bb, z, shift, X)
 

@@ -26,11 +26,9 @@ reselected once, with fresh draws, and a second such row raises
 ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
-checks (method, s, m), owns RngState(config.seed), draws kaczmarz
-uniforms and skm and sgsm block indices _CHUNK at a time, and draws the
-gsm normals and the sgsm factors a chunk of attempts at a time
-(sketch.py).  run() iterates its selector through _step, so run() is
-bit for bit the iteration of the public stepper.
+checks (method, s, m), owns RngState(config.seed) and takes its draws in
+chunks (the chunk rule in rng.py).  run() iterates its selector through
+_step, so run() is bit for bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
 steps that project onto a row of A (kaczmarz, motzkin, skm) read its
@@ -63,15 +61,15 @@ import numpy as np
 
 from .errors import InputError, NumericalError, ZeroRowError, _index, _real
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
-from .rng import RngState, _check_seed, _pick_from_cumulative
+from .rng import RngState, _check_seed, _chunked, _pick_from_cumulative
 from .sketch import (
     SketchedSystem,
     _block_count,
     _build_raw,
     _check_sketch,
-    _factor_draws,
+    _factor_fill,
+    _gaussian_fill,
     _gaussian_winner_raw,
-    _normal_draws,
     _one_row_sketch,
     _sparse_winner_raw,
 )
@@ -105,10 +103,10 @@ ZERO_ROW_GATE = 1e-14
 # never equals 0.0, so the step never takes it for a solved row.
 _NO_RESIDUAL = float("nan")
 
-# Draws per chunk of a stepper's kaczmarz uniforms and skm block indices.
-# A chunk costs about as much as ten single draws (about 25 us for 1000
-# kaczmarz rows), so a refill is cheap per step and so is the unused tail
-# of a short run's last chunk.
+# Draws per chunk of a stepper's kaczmarz uniforms and skm and sgsm block
+# indices.  A chunk costs about as much as ten single draws (about 25 us
+# for 1000 kaczmarz rows), so a refill is cheap per step and so is the
+# unused tail of a short run's last chunk.
 _CHUNK = 1024
 
 # Consistency slack for a planted solution: ||A x* - b|| <= slack * ||b||.
@@ -327,21 +325,6 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _draws(draw):
-    """A function returning the values of draw(_CHUNK), draw(_CHUNK), ...
-    one per call, as Python scalars; draw is first called at the first
-    call.  A draw that raises leaves nothing behind, so the next call
-    draws again."""
-    buf = []
-
-    def take():
-        if not buf:
-            buf[:] = draw(_CHUNK).tolist()[::-1]
-        return buf.pop()
-
-    return take
-
-
 def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     """The row-selection rule of one method, as
     select(x) -> (t, raw, i, row, beta, row_sq).
@@ -354,8 +337,8 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     winner's (row, beta, z, shift, column), whose record is
     _one_row_sketch(raw) with i = 0.  kaczmarz computes no residual and
     returns t = _NO_RESIDUAL.  A row of A reads row_sq from
-    LinearSystem.row_norms_sq; a sketched row computes its own.  kaczmarz
-    uniforms and skm and sgsm block indices are drawn _CHUNK at a time.
+    LinearSystem.row_norms_sq; a sketched row computes its own.  Each kind
+    of draw comes from its own _chunked source (the chunk rule in rng.py).
     (method, s, m) is checked before any draw.  The Kaczmarz sampling
     table is read at the first draw, so building a selector never fails
     on an all-zero A.
@@ -378,7 +361,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return Aa @ xa - ba
 
     if method == "kaczmarz":
-        rows = _draws(lambda k: _pick_from_cumulative(gen, system.cum_row_weights, k))
+        rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
 
         def select(xa):
             i = rows()
@@ -386,7 +369,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
 
         return select
     if method == "gsm":
-        normals = _normal_draws(gen, s, m)
+        normals = _chunked(lambda: _gaussian_fill(gen, s, m))
 
         def select(xa):
             return _gaussian_winner_raw(Aa, ba, residual(xa), *normals())
@@ -400,9 +383,9 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return t[i], whole, i, Aa[i], ba[i], norms[i]
 
         return select
-    blocks = _draws(lambda k: gen.integers(blocks_total, size=k))
+    blocks = _chunked(lambda: gen.integers(blocks_total, size=_CHUNK).tolist())
     if method == "sgsm":
-        factors = _factor_draws(gen, s)
+        factors = _chunked(lambda: _factor_fill(gen, s))
 
         def select(xa):
             return _sparse_winner_raw(_build_raw(Aa, ba, s, blocks()), factors(), xa)

@@ -6,11 +6,13 @@ practice.  The sampling laws of the solver steps themselves are checked
 in tests/test_solvers.py and by c09 in tests/test_acceptance.py.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from sketchsolve import InputError, RngState
-from sketchsolve.rng import _pick_from_cumulative
+from sketchsolve import InputError, RngState, sketch
+from sketchsolve.rng import _chunked, _pick_from_cumulative
 
 
 # ------------------------------------------------------------ determinism
@@ -41,36 +43,66 @@ def test_seed_validation():
 
 # ------------------------------------------------------------ chunked draws
 
+def drain(total, fill):
+    """The first `total` items of the _chunked source over fill."""
+    take = _chunked(fill)
+    return [take() for _ in range(total)]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
-def test_chunked_draws_equal_scalar_draws(chunk):
-    # A solver stepper draws kaczmarz uniforms and skm block indices in
-    # chunks of solvers._CHUNK.  Because k batched draws are the k scalar
-    # draws, its trajectories match those of earlier builds, which drew one
-    # value per step, and one-at-a-time predictions of its draws hold
-    # (predict_block_draws in tests/test_solvers.py, c09's seed).  2500 is
-    # a multiple of none of the chunk sizes above 1, so the last chunk is
-    # cut short.
+def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
+    # A solver stepper takes each kind of draw from a _chunked source of
+    # `chunk` draws per fill (the chunk rule in rng.py).  Because a fill of
+    # k draws is the k draws made one at a time, its trajectories match
+    # those of earlier builds, which drew one value per step, and
+    # one-at-a-time predictions of its draws hold (predict_block_draws in
+    # tests/test_solvers.py, c09's seed).  Each source is taken 2500
+    # times, about 2.5 chunks at the largest size, so every size but 1 cuts
+    # a chunk short and crosses refills.
     total = 2500
     for n in (2, 3, 40, 1000, 10**6):
         scalar, chunked = RngState(5).gen, RngState(5).gen
         want = [int(scalar.integers(n)) for _ in range(total)]
-        got = np.concatenate([chunked.integers(n, size=chunk) for _ in range(-(-total // chunk))])
-        assert got[:total].tolist() == want, n
+        assert drain(total, lambda: chunked.integers(n, size=chunk).tolist()) == want, n
+    cum = np.cumsum([1.0, 0.0, 3.0, 2.5])
     scalar, chunked = RngState(6).gen, RngState(6).gen
-    want = [scalar.random() for _ in range(total)]
-    got = np.concatenate([chunked.random(chunk) for _ in range(-(-total // chunk))])
-    assert got[:total].tolist() == want
-    # gsm fills a chunk of attempts' normals at once: a (chunk, s + rows)
-    # fill, row by row, is one attempt's s normals u then its `rows`
-    # normals g, attempt after attempt.  sgsm fills a chunk of s-by-s
-    # factors: a (chunk, s, s) fill is chunk (s, s) fills in turn.
+    want = [int(_pick_from_cumulative(scalar, cum, 1)[0]) for _ in range(total)]
+    assert drain(total, lambda: _pick_from_cumulative(chunked, cum, chunk).tolist()) == want
+    # gsm: per attempt s normals u, then `rows` normals g; u* is the u of
+    # largest square.  sgsm: one (s, s) factor per attempt.  The normal
+    # budget is set so that a fill holds `chunk` attempts.
     s, rows = 3, 5
+    monkeypatch.setattr(sketch, "_NORMALS", chunk * (s + rows))
     scalar, chunked = RngState(7).gen, RngState(7).gen
-    want = [v for _ in range(chunk) for size in (s, rows) for v in scalar.standard_normal(size).tolist()]
-    assert chunked.standard_normal((chunk, s + rows)).ravel().tolist() == want
+    got = drain(total, lambda: sketch._gaussian_fill(chunked, s, rows))
+    for u_star, g in got:
+        u = scalar.standard_normal(s)
+        assert u_star == u[np.argmax(u * u)]
+        assert g.tolist() == scalar.standard_normal(rows).tolist()
+    monkeypatch.setattr(sketch, "_NORMALS", chunk * s * s)
     scalar, chunked = RngState(8).gen, RngState(8).gen
-    want = [scalar.standard_normal((s, s)).tolist() for _ in range(chunk)]
-    assert chunked.standard_normal((chunk, s, s)).tolist() == want
+    got = drain(total, lambda: sketch._factor_fill(chunked, s))
+    assert [X.tolist() for X in got] == [scalar.standard_normal((s, s)).tolist() for _ in range(total)]
+
+
+def test_chunked_refills_after_a_fill_that_raises():
+    # A fill that raises leaves nothing behind: the next take() starts a
+    # fresh fill, at the first call and after a chunk is used up alike.
+    calls = itertools.count(1)
+
+    def fill():
+        n = next(calls)
+        if n in (1, 3):
+            raise RuntimeError(f"fill {n}")
+        return [(n, 0), (n, 1)]
+
+    take = _chunked(fill)
+    with pytest.raises(RuntimeError, match="fill 1"):
+        take()
+    assert [take(), take()] == [(2, 0), (2, 1)]
+    with pytest.raises(RuntimeError, match="fill 3"):
+        take()
+    assert [take(), take(), take()] == [(4, 0), (4, 1), (5, 0)]
 
 
 # --------------------------------------------------------- weighted index

@@ -689,6 +689,24 @@ def test_run_matches_manual_step_composition():
                 assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
+@pytest.mark.parametrize("method, s", [("kaczmarz", 1), ("skm", 7), ("gsm", 7)])
+def test_run_does_not_depend_on_chunk_sizes(monkeypatch, method, s):
+    # A stream with one kind of chunked draw is that of one draw per step,
+    # so chunks of one draw (or one gsm attempt) give the default run bit
+    # for bit, over more than one default chunk.  sgsm is left out: its
+    # block-index chunks and factor chunks interleave in one stream, so its
+    # stream depends on both sizes; tests/golden.json pins it.
+    sy = generate_system(ModelSpec("coherent", 60, 6, 73))
+    cfg = SolverConfig(method, s=s, tol=0.0, max_iters=solvers._CHUNK + 100, seed=8, record_error=True)
+    want_x, want = run(sy, cfg)
+    monkeypatch.setattr(solvers, "_CHUNK", 1)
+    monkeypatch.setattr(sketch, "_NORMALS", 1)
+    got_x, got = run(sy, cfg)
+    assert want.status == got.status == MAX_ITERS
+    assert np.array_equal(got_x.a, want_x.a)
+    assert [r[:3] for r in got.records] == [r[:3] for r in want.records]  # (iter, error_sq, residual_norm)
+
+
 def zero_block_fault(draws):
     """The step at which skm:2 on ZERO_BLOCK_SYSTEM draws its all-zero block
     0 twice, given the block draws, and the stream positions of the draws
