@@ -155,7 +155,7 @@ def dynamic_range(A, x, x_star) -> float:
     x_star = as_vector(x_star)
     if len(x) != A.cols or len(x_star) != A.cols:
         raise InputError("x and x_star must have length cols(A)")
-    r = A.a @ x.a - A.a @ x_star.a
+    r = A.a @ (x.a - x_star.a)
     peak = float(np.max(np.abs(r)))
     if peak == 0.0:
         raise InputError("residual A(x - x_star) is zero; dynamic range undefined")

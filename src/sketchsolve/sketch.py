@@ -143,14 +143,15 @@ def _gaussian_winner_raw(Aa, ba, res, u_star, g):
     Returns select(x)'s shape (t, raw, None, row, beta, row_sq): t =
     u_j* ||res|| is the winner's residual, row = w^T A, beta = w^T b,
     and raw = (row, beta, None, None, w), the record _one_row_sketch
-    builds.  Each product is a 1-D .dot, numpy's cheapest call for it.
+    builds.  Each product is a 1-D .dot, numpy's cheapest call for it,
+    and each scalar a Python float (the cost rules in solvers.py).
     """
-    res_sq = res.dot(res)
+    res_sq = float(res.dot(res))
     t = 0.0
     if res_sq > 0.0:
         t = u_star * math.sqrt(res_sq)
-        g += ((t - g.dot(res)) / res_sq) * res
-    row, beta = g.dot(Aa), g.dot(ba)
+        g += ((t - float(g.dot(res))) / res_sq) * res
+    row, beta = g.dot(Aa), float(g.dot(ba))
     return t, (row, beta, None, None, g), None, row, beta, float(row.dot(row))
 
 
@@ -171,7 +172,7 @@ def _sparse_winner_raw(block, X, xa):
     t = (Ab.dot(xa) - bb).dot(X)
     j = int((t * t).argmax())
     w = X[:, j]
-    row, beta = w.dot(Ab), w.dot(bb)
+    row, beta = w.dot(Ab), float(w.dot(bb))
     return t[j], (row, beta, z, shift, w), None, row, beta, float(row.dot(row))
 
 

@@ -31,15 +31,19 @@ chunks (the chunk rule in rng.py).  run() iterates its selector through
 _step, so run() is bit for bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy calls, so the
-steps that project onto a row of A (kaczmarz, motzkin, skm) read its
-||a_i||^2 from LinearSystem.row_norms_sq, the one row-norm table, which
-equals the row's own dot product with itself bit for bit; only gsm and
-sgsm compute the norm of their sketched row.  The stepper owns one
-residual cell that run()'s trace recorder fills: each record writes
-A x - b into it, and motzkin and gsm, whose selection needs that same
-residual, read it back when they select at the iterate just recorded,
-so a recorded step of theirs costs one A x product, not two.  Recording
-never changes an iterate.
+step and the recorder keep two rules, neither of which changes a value.
+Scalars are Python floats: a numpy scalar costs more per operation.  The
+steps that project onto a row of A (kaczmarz, motzkin, skm) read b_i and
+||a_i||^2 from Python-float copies of b and LinearSystem.row_norms_sq
+(the one row-norm table, equal bit for bit to each row's dot product
+with itself), made once per stepper; gsm and sgsm return w^T b and
+their row's norm as floats.  Products are ndarray.dot, which rounds as
+@ does, without its ufunc dispatch.  The stepper owns one residual cell
+that run()'s trace recorder fills: each record puts A x - b in it, and
+motzkin and gsm, whose selection needs that same residual, read it back
+when they select at the iterate just recorded, so a recorded step of
+theirs costs one A x product, not two.  Recording never changes an
+iterate.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -307,7 +311,7 @@ def project_row(x, a, beta: float) -> RealVector:
     beta = _real(beta, "beta")
     if not math.isfinite(beta):
         raise InputError("beta must be finite")
-    row_sq = float(a.a @ a.a)
+    row_sq = float(a.a.dot(a.a))
     if row_sq == 0.0:
         raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
     return RealVector(_own(_project_raw(x.a, a.a, beta, row_sq)))
@@ -336,12 +340,12 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     a block of A for skm.  For gsm and sgsm, i is None and raw is the
     winner's (row, beta, z, shift, column), whose record is
     _one_row_sketch(raw) with i = 0.  kaczmarz computes no residual and
-    returns t = _NO_RESIDUAL.  A row of A reads row_sq from
-    LinearSystem.row_norms_sq; a sketched row computes its own.  Each kind
-    of draw comes from its own _chunked source (the chunk rule in rng.py).
-    (method, s, m) is checked before any draw.  The Kaczmarz sampling
-    table is read at the first draw, so building a selector never fails
-    on an all-zero A.
+    returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
+    of A reads them from float copies of b and LinearSystem.row_norms_sq;
+    a sketched row computes its own.  Each kind of draw comes from its
+    own _chunked source (the chunk rule in rng.py).  (method, s, m) is
+    checked before any draw.  The Kaczmarz sampling table is read at the
+    first draw, so building a selector never fails on an all-zero A.
 
     recorded is the one-slot cell [x, res] that run()'s recorder fills
     with res = A x - b for the iterate x it recorded last: motzkin and
@@ -351,23 +355,12 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     m = system.A.rows
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
-    norms = system.row_norms_sq
-    whole = (Aa, ba, None, 0, None)
-    blocks_total = _block_count(m, s)
 
     def residual(xa):
         if recorded[0] is xa:
             return recorded[1]
-        return Aa @ xa - ba
+        return Aa.dot(xa) - ba
 
-    if method == "kaczmarz":
-        rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
-
-        def select(xa):
-            i = rows()
-            return _NO_RESIDUAL, whole, i, Aa[i], ba[i], norms[i]
-
-        return select
     if method == "gsm":
         normals = _chunked(lambda: _gaussian_fill(gen, s, m))
 
@@ -375,15 +368,8 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return _gaussian_winner_raw(Aa, ba, residual(xa), *normals())
 
         return select
-    if method == "motzkin":
-
-        def select(xa):
-            t = residual(xa)
-            i = int((t * t).argmax())
-            return t[i], whole, i, Aa[i], ba[i], norms[i]
-
-        return select
-    blocks = _chunked(lambda: gen.integers(blocks_total, size=_CHUNK).tolist())
+    if method in ("skm", "sgsm"):
+        blocks = _chunked(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
     if method == "sgsm":
         factors = _chunked(lambda: _factor_fill(gen, s))
 
@@ -391,12 +377,31 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return _sparse_winner_raw(_build_raw(Aa, ba, s, blocks()), factors(), xa)
 
         return select
+    # Rows of A: beta and row_sq as Python floats (the module docstring's cost rules).
+    bl, norms = ba.tolist(), system.row_norms_sq.tolist()
+    whole = (Aa, ba, None, 0, None)
+    if method == "kaczmarz":
+        rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
+
+        def select(xa):
+            i = rows()
+            return _NO_RESIDUAL, whole, i, Aa[i], bl[i], norms[i]
+
+        return select
+    if method == "motzkin":
+
+        def select(xa):
+            t = residual(xa)
+            i = int((t * t).argmax())
+            return t[i], whole, i, Aa[i], bl[i], norms[i]
+
+        return select
 
     def select(xa):
         raw = Ab, bb, _, shift, _ = _build_raw(Aa, ba, s, blocks())
-        t = Ab @ xa - bb
+        t = Ab.dot(xa) - bb
         i = int((t * t).argmax())
-        return t[i], raw, i, Ab[i], bb[i], norms[shift + i]
+        return t[i], raw, i, Ab[i], bl[shift + i], norms[shift + i]
 
     return select
 
@@ -443,7 +448,7 @@ class Stepper:
 
     def __init__(self, system: LinearSystem, config: SolverConfig):
         self._system = system
-        self._recorded = [None, np.empty(system.A.rows)]  # run()'s recorder fills it (see _selector)
+        self._recorded = [None, None]  # run()'s recorder fills it (see _selector)
         self._select = _selector(system, config.method, config.s, RngState(config.seed).gen, self._recorded)
         self._gate = system.zero_row_gate
 
@@ -468,11 +473,10 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
     """
-    # The recorder writes A x - b into the stepper's cell, which motzkin
-    # and gsm read back (see _selector), and x - x* into diff.
+    # The recorder puts A x - b in the stepper's cell, which motzkin and
+    # gsm read back (see _selector).
     stepper = Stepper(system, config)
     select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
-    res, diff = recorded[1], np.empty(system.A.cols)
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     Aa, ba = system.A.a, system.b.a
@@ -488,14 +492,13 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     def snapshot(k, xa):
         nonlocal prev, slack
-        np.matmul(Aa, xa, out=res)
-        np.subtract(res, ba, out=res)
+        res = recorded[1] = Aa.dot(xa) - ba
         recorded[0] = xa
         residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
         err = None
         if xs is not None:
-            np.subtract(xa, xs, out=diff)
-            err = float(diff @ diff)
+            d = xa - xs
+            err = float(d.dot(d))
             if prev is None:
                 slack = MONOTONE_SLACK * err
             elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
@@ -504,20 +507,20 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
         records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
         return residual <= threshold or (error_stop is not None and err <= error_stop)
 
-    status = MAX_ITERS
-    if snapshot(0, xa):
-        status = CONVERGED
-    else:
-        dense, stride = config.record_dense_limit, config.record_stride
-        for k in range(1, config.max_iters + 1):
-            try:
+    status = CONVERGED if snapshot(0, xa) else MAX_ITERS
+    k, last = 0, config.max_iters
+    dense, stride = config.record_dense_limit, config.record_stride
+    try:
+        while status == MAX_ITERS and k < last:
+            # Step to the next record point: each step up to dense, then
+            # each stride-th, and the last.
+            point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
+            for k in range(k + 1, point + 1):
                 xa = _step(select, xa, gate)[0]
-            except ZeroRowError as exc:
-                raise ZeroRowError(f"iteration {k}: {exc}") from exc
-            if k <= dense or k % stride == 0 or k == config.max_iters:
-                if snapshot(k, xa):
-                    status = CONVERGED
-                    break
+            if snapshot(k, xa):
+                status = CONVERGED
+    except ZeroRowError as exc:
+        raise ZeroRowError(f"iteration {k}: {exc}") from exc
     return RealVector(_own(xa)), RunTrace(tuple(records), status)
 
 

@@ -7,6 +7,7 @@ cyclic Jacobi eigensolver run on the Gram matrix.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,20 @@ def test_dynamic_range_matches_direct_formula():
     r = loop_matvec(a, x) - loop_matvec(a, x_star)
     want = sum_of_squares(r) / max(float(v) * float(v) for v in r)
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_dynamic_range_accurate_near_solution():
+    # Near x*, A x - A x* cancels almost every digit of each product (a
+    # relative error of about 5e-4 at a distance of 1e-12); A (x - x*) does
+    # not, and x - x* itself is exact there.  Exact rational reference.
+    system = generate_system(ModelSpec("gaussian", 200, 20, 0))
+    x_star = system.x_star.a
+    x = x_star + 1e-12 * np.random.default_rng(5).standard_normal(20)
+    d = [Fraction(u) - Fraction(v) for u, v in zip(x.tolist(), x_star.tolist())]
+    r = [sum(Fraction(a) * e for a, e in zip(row, d)) for row in system.A.a.tolist()]
+    want = sum(v * v for v in r) / max(v * v for v in r)
+    got = dynamic_range(system.A, RealVector(x), system.x_star)
+    assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 
 
 def test_dynamic_range_bounds():

@@ -775,6 +775,59 @@ def test_run_final_iteration_always_recorded():
     assert [r.iter for r in trace.records][-3:] == [49, 50, 55]
 
 
+@pytest.mark.parametrize("max_iters, dense, stride", [
+    (30, 0, 7),    # no dense stretch; 30 is not a multiple of 7
+    (30, 4, 1),    # every step recorded
+    (30, 3, 45),   # stride past max_iters: only the dense steps and the last
+    (30, 30, 4),   # dense to max_iters
+    (30, 50, 4),   # dense past max_iters
+    (31, 5, 7),    # max_iters not a multiple of stride
+])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_run_records_exactly_the_schedule(method, max_iters, dense, stride):
+    # run() steps from one record point to the next; the points are the
+    # iterations k <= dense, each stride-th and the last, and the final x
+    # is a hand stepper's.
+    sy = generate_system(ModelSpec("coherent", 24, 5, 72))
+    cfg = SolverConfig(method, s=4, tol=0.0, max_iters=max_iters, seed=5,
+                       record_dense_limit=dense, record_stride=stride)
+    got, trace = run(sy, cfg)
+    assert trace.status == MAX_ITERS
+    want = [k for k in range(max_iters + 1) if k <= dense or k % stride == 0 or k == max_iters]
+    assert [rec.iter for rec in trace.records] == want
+    stepper, x = Stepper(sy, SolverConfig(method, s=4, seed=5)), RealVector(np.zeros(5))
+    for _ in range(max_iters):
+        x = stepper.step(x)[0]
+    assert np.array_equal(got.a, x.a)
+
+
+def test_run_zero_row_error_names_iteration_between_records():
+    # The failing step falls strictly between two thinned record points.
+    for seed in range(1000):
+        fault, _ = zero_block_fault(predict_block_draws(seed, 2, 200))
+        if fault > 3:
+            break
+    cfg = SolverConfig("skm", s=2, tol=0.0, max_iters=fault + 10, seed=seed,
+                       record_dense_limit=1, record_stride=fault + 1)
+    with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
+        run(ZERO_BLOCK_SYSTEM, cfg)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_selected_row_scalars_are_python_floats(method):
+    # The projection multiplies a row by (beta - <row, x>) / row_sq; a
+    # numpy scalar there costs more per step than a Python float and
+    # changes no value, so only this test would see it come back.
+    sy = make_system(40, 4, seed=81)
+    select = solvers._selector(sy, method, 4, RngState(0).gen, [None, None])
+    for x in (np.zeros(4), sy.x_star.a, np.ones(4)):
+        beta, row_sq = select(x)[4:]
+        assert (type(beta), type(row_sq)) == (float, float)
+    if method in ("gsm", "sgsm"):
+        sketched = Stepper(sy, SolverConfig(method, s=4)).step(np.ones(4))[1]
+        assert (sketched.r.dtype, sketched.r.shape) == (np.float64, (1,))
+
+
 def test_run_error_stop_halts_on_squared_error():
     sy = make_system(80, 5, seed=75)
     err0 = float(sy.x_star.a @ sy.x_star.a)
