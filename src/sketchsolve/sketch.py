@@ -26,15 +26,21 @@ already build, in that field order.  For kaczmarz and motzkin the drawn
 system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
 
 A max-residual step on a Gaussian sketch only ever uses the winning
-row of S^T A.  The gsm step draws the winning column of S alone from its
-conditional law (_gaussian_winner_raw), at Theta(m*n + m + s) per step
-instead of Theta(m*s*n): per attempt s normals u, then m normals g
-(_gaussian_fill).  The sgsm step draws the whole s-by-s factor X
-(_factor_fill) after its block index, and builds only the winning row of
-X^T A_block (_sparse_winner_raw): s^2 normals and Theta(s*n + s^2)
-multiplies instead of Theta(s^2*n).  Both steps take these draws in
-chunks, by the chunk rule in rng.py.  The record of either step is a
-one-row sketch whose factor is the winning column.
+row of S^T A.  The gsm step draws that row, (w^T A, w^T b) for the
+winning column w of S, from its exact law in the (n+1)-dimensional row
+space of [A b] (_gaussian_row_raw): S is rotation invariant, so the
+row depends on (A, b) only through A^T A, the least-squares point x_ls
+and ||b - A x_ls||, which LinearSystem factors once per system
+(LinearSystem._row_space, Theta(m*n^2)).  Per attempt it takes s normals
+u, then n normals z_A, then one normal z_b (_winner_fill), and a step
+costs Theta(n^2 + s), flat in m.  The sgsm
+step draws the whole s-by-s factor X (_factor_fill) after its block
+index, and builds only the winning row of X^T A_block
+(_sparse_winner_raw): s^2 normals and Theta(s*n + s^2) multiplies
+instead of Theta(s^2*n).  Both steps take these draws in chunks, by the
+chunk rule in rng.py.  The record of either step is a one-row sketch;
+sgsm's factor is the winning column of X, and gsm's is None, since no
+column of S is ever formed.
 """
 
 from __future__ import annotations
@@ -71,14 +77,15 @@ class SketchedSystem(NamedTuple):
     it: the block index z and row shift min(s*z, m - s) (block and sparse
     sketches), and the Gaussian factor (S of a Gaussian sketch, X of a
     sparse one).  Enough to rematerialize the sketch exactly.  A gsm or
-    sgsm step's record is the one-row sketch of its winning column: M is
-    1-by-n, r has one entry, and the factor is that column (m-by-1 for
-    gsm, s-by-1 of X for sgsm).
+    sgsm step's record is the one-row sketch of its winning row: M is
+    1-by-n and r has one entry.  An sgsm record's factor is the winning
+    s-by-1 column of X; a gsm record has none, because the gsm step draws
+    its row in the row space of [A b] and never forms a column of S.
 
     The fields are plain numpy arrays, built from an already validated
     A and b and not checked again.  A block's M and r are read-only views
-    of A and b; a mixed sketch's arrays share no memory with them (a
-    step's winning column is a view of the normals it drew).
+    of A and b; a mixed sketch's arrays share no memory with them (an
+    sgsm step's winning column is a view of the factor it drew).
     """
 
     M: np.ndarray
@@ -88,7 +95,7 @@ class SketchedSystem(NamedTuple):
     factor: np.ndarray | None = None
 
 
-# Normals per fill of a step's normal source (_gaussian_fill, _factor_fill):
+# Normals per fill of a step's normal source (_winner_fill, _factor_fill):
 # 2**14 doubles (128 KiB), or one attempt's worth when an attempt needs more.
 _NORMALS = 2**14
 
@@ -109,17 +116,18 @@ def _build_raw(Aa, ba, s, z):
     return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
 
 
-def _gaussian_fill(gen, s, rows):
-    """One chunk of a Gaussian winner's attempts over `rows` rows, as (u*, g)
-    pairs from one (k, s + rows) standard_normal fill, k = max(1, _NORMALS
-    // (s + rows)): row j holds attempt j's s normals u, then its `rows`
-    normals g (a 1-D view), and u* is the u of largest square (ties to the
-    first).  See the chunk rule in rng.py.
+def _winner_fill(gen, s, n):
+    """One chunk of gsm attempts on an n-column system, as (u*, z_A, z_b)
+    triples from one (k, s + n + 1) standard_normal fill, k = max(1,
+    _NORMALS // (s + n + 1)): row j holds attempt j's s normals u, then
+    its n normals z_A (a 1-D view), then its one normal z_b (a Python
+    float), and u* is the u of largest square (ties to the first).  See
+    the chunk rule in rng.py.
     """
-    k = max(1, _NORMALS // (s + rows))
-    Z = gen.standard_normal((k, s + rows))
+    k = max(1, _NORMALS // (s + n + 1))
+    Z = gen.standard_normal((k, s + n + 1))
     U = Z[:, :s]
-    return zip(U[np.arange(k), (U * U).argmax(axis=1)].tolist(), Z[:, s:])
+    return zip(U[np.arange(k), (U * U).argmax(axis=1)].tolist(), Z[:, s:-1], Z[:, -1].tolist())
 
 
 def _factor_fill(gen, s):
@@ -129,30 +137,46 @@ def _factor_fill(gen, s):
     return gen.standard_normal((max(1, _NORMALS // (s * s)), s, s))
 
 
-def _gaussian_winner_raw(Aa, ba, res, u_star, g):
+def _gaussian_row_raw(space, xa, u_star, z_a, z_b):
     """The max-residual row of a fresh m-by-s N(0, 1) sketch S^T (A, b),
-    without S.
+    drawn in the row space of [A b], without S or any m-vector.
 
     With res = A x - b and rhat = res / ||res||, column j of S splits as
     S_j = u_j rhat + P g_j, P the projection off rhat, u_j ~ N(0, 1)
     independent of P g_j.  Row j's sketched residual is u_j ||res||, so
-    the winner j* = argmax u_j^2 depends on u alone, and w = u_j* rhat +
-    P g, formed in place from u* and a fresh g, has the law of the
-    winning column.  When res is zero, w = g.
+    the winner j* = argmax u_j^2 depends on u alone, and its column is w =
+    g + coef res, coef = (t - g.res) / ||res||^2, t = u_j* ||res||, for a
+    fresh g ~ N(0, I_m).  Only [A b]^T w is needed.  space = (G, R, x_ls,
+    rho) is LinearSystem._row_space; with e = x - x_ls and b = A x_ls +
+    r_ls, r_ls orthogonal to range(A) with norm rho:
+      res = A e - r_ls, so ||res||^2 = e.Ge + rho^2;
+      A^T g and r_ls.g are independent, with covariance G and variance
+      rho^2, so they are drawn as R^T z_A and rho z_b, and g.res =
+      (R^T z_A).e - rho z_b;
+      row = w^T A = R^T z_A + coef Ge, beta = w^T b = row.x_ls + rho z_b -
+      coef rho^2.
+    This is the winning row's law on consistent and inconsistent systems
+    alike, at Theta(n^2) per step.  When ||res||^2 computes as zero, w = g
+    (coef = 0) and t = 0.
 
-    Returns select(x)'s shape (t, raw, None, row, beta, row_sq): t =
-    u_j* ||res|| is the winner's residual, row = w^T A, beta = w^T b,
-    and raw = (row, beta, None, None, w), the record _one_row_sketch
-    builds.  Each product is a 1-D .dot, numpy's cheapest call for it,
-    and each scalar a Python float (the cost rules in solvers.py).
+    Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
+    (row, beta, None, None, None), the record _one_row_sketch builds.
+    Each product is a 1-D .dot, numpy's cheapest call for it, and each
+    scalar a Python float (the cost rules in solvers.py).
     """
-    res_sq = float(res.dot(res))
-    t = 0.0
+    G, R, x_ls, rho = space
+    e = xa - x_ls
+    ge = G.dot(e)
+    rho_sq = rho * rho
+    res_sq = float(e.dot(ge)) + rho_sq
+    y_a = z_a.dot(R)
+    t = coef = 0.0
     if res_sq > 0.0:
         t = u_star * math.sqrt(res_sq)
-        g += ((t - float(g.dot(res))) / res_sq) * res
-    row, beta = g.dot(Aa), float(g.dot(ba))
-    return t, (row, beta, None, None, g), None, row, beta, float(row.dot(row))
+        coef = (t - (float(y_a.dot(e)) - rho * z_b)) / res_sq
+    row = y_a + coef * ge
+    beta = float(row.dot(x_ls)) + rho * z_b - coef * rho_sq
+    return t, (row, beta, None, None, None), None, row, beta, float(row.dot(row))
 
 
 def _sparse_winner_raw(block, X, xa):
@@ -166,7 +190,7 @@ def _sparse_winner_raw(block, X, xa):
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
     Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
-    (row, beta, z, shift, w), as _gaussian_winner_raw does for gsm.
+    (row, beta, z, shift, w), as _gaussian_row_raw does for gsm.
     """
     Ab, bb, z, shift, _ = block
     t = (Ab.dot(xa) - bb).dot(X)
@@ -177,11 +201,11 @@ def _sparse_winner_raw(block, X, xa):
 
 
 def _one_row_sketch(raw) -> SketchedSystem:
-    """The record of a Gaussian winner's raw (row, beta, z, shift, w): the
-    one-row sketch M = w^T Ab (1-by-n), r = (w^T bb,), factor = w as a
-    k-by-1 column."""
+    """The record of a winner's raw (row, beta, z, shift, w): the one-row
+    sketch M = row (1-by-n), r = (beta,), factor = w as a k-by-1 column
+    (sgsm), or None when no column was formed (gsm)."""
     row, beta, z, shift, w = raw
-    return SketchedSystem(row[None], np.array([beta]), z, shift, w[:, None])
+    return SketchedSystem(row[None], np.array([beta]), z, shift, None if w is None else w[:, None])
 
 
 def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -200,7 +224,8 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
 
     s may exceed the row count; the sketch is then overcomplete.  This is
     the Theta(m*s*n) materialized reference; the gsm solver step draws
-    only the winning column of S (see _gaussian_winner_raw).
+    only the winning row, in the row space of [A b] (see
+    _gaussian_row_raw).
     """
     _check_sketch(s)
     S = rng.gen.standard_normal((system.A.rows, s))

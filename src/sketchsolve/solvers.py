@@ -10,10 +10,11 @@ selection rule (_selector):
   * motzkin:  the row with the largest squared residual (deterministic);
   * skm:      max-residual row within a random block of s rows of A;
   * gsm:      max-residual row of a fresh dense Gaussian sketch S^T A,
-              drawn without materializing S: each attempt draws s
-              normals u (the sketched residuals over ||A x - b||) first,
-              then m normals g for the winning column alone, so a step
-              costs Theta(m*n + m + s) (see sketch.py);
+              drawn without S, in the row space of [A b]: each attempt
+              draws s normals u (the sketched residuals over
+              ||A x - b||) first, then n + 1 normals for the winning row
+              alone, so a step costs Theta(n^2 + s) after a Theta(m*n^2)
+              factorization made once per system (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
               Gaussian mix X of one random block): the step draws all of
               X but builds only the winning row of X^T A_block, so it
@@ -40,10 +41,9 @@ with itself), made once per stepper; gsm and sgsm return w^T b and
 their row's norm as floats.  Products are ndarray.dot, which rounds as
 @ does, without its ufunc dispatch.  The stepper owns one residual cell
 that run()'s trace recorder fills: each record puts A x - b in it, and
-motzkin and gsm, whose selection needs that same residual, read it back
-when they select at the iterate just recorded, so a recorded step of
-theirs costs one A x product, not two.  Recording never changes an
-iterate.
+motzkin, whose selection needs that same residual, reads it back when
+it selects at the iterate just recorded, so a recorded motzkin step
+costs one A x product, not two.  Recording never changes an iterate.
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -72,10 +72,10 @@ from .sketch import (
     _build_raw,
     _check_sketch,
     _factor_fill,
-    _gaussian_fill,
-    _gaussian_winner_raw,
+    _gaussian_row_raw,
     _one_row_sketch,
     _sparse_winner_raw,
+    _winner_fill,
 )
 
 __all__ = [
@@ -192,6 +192,19 @@ class LinearSystem:
     @cached_property
     def b_norm(self) -> float:
         return float(np.linalg.norm(self.b.a))
+
+    @cached_property
+    def _row_space(self):
+        """(G, R, x_ls, rho): G = A^T A, R with R^T R = G (from a QR of A),
+        the minimum-norm least-squares point x_ls (rank-deficient A
+        included) and rho = ||b - A x_ls||.  The gsm step draws its row
+        from these alone (sketch._gaussian_row_raw).  Theta(m*n^2), made
+        at the first gsm stepper on the system and by no other method;
+        its temporaries (about one copy of A at a time) are freed."""
+        a, b = self.A.a, self.b.a
+        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+        r_ls = b - a.dot(x_ls)
+        return a.T @ a, np.linalg.qr(a, mode="r"), x_ls, math.sqrt(r_ls.dot(r_ls))
 
     def __repr__(self):
         planted = self.x_star is not None
@@ -339,8 +352,8 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     M[i] and beta = r[i]: (A, b, None, 0, None) for kaczmarz and motzkin,
     a block of A for skm.  For gsm and sgsm, i is None and raw is the
     winner's (row, beta, z, shift, column), whose record is
-    _one_row_sketch(raw) with i = 0.  kaczmarz computes no residual and
-    returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
+    _one_row_sketch(raw) with i = 0; gsm forms no column, so its column
+    is None.  kaczmarz computes no residual and returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
     of A reads them from float copies of b and LinearSystem.row_norms_sq;
     a sketched row computes its own.  Each kind of draw comes from its
     own _chunked source (the chunk rule in rng.py).  (method, s, m) is
@@ -348,24 +361,21 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     first draw, so building a selector never fails on an all-zero A.
 
     recorded is the one-slot cell [x, res] that run()'s recorder fills
-    with res = A x - b for the iterate x it recorded last: motzkin and
-    gsm read res instead of recomputing it when they select at that same
-    array x.
+    with res = A x - b for the iterate x it recorded last: motzkin reads
+    res instead of recomputing it when it selects at that same array x.
+    gsm reads the system's cached row-space factorization
+    (LinearSystem._row_space), which a selector of any other method
+    leaves uncomputed.
     """
     m = system.A.rows
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
-
-    def residual(xa):
-        if recorded[0] is xa:
-            return recorded[1]
-        return Aa.dot(xa) - ba
-
     if method == "gsm":
-        normals = _chunked(lambda: _gaussian_fill(gen, s, m))
+        space = system._row_space
+        attempts = _chunked(lambda: _winner_fill(gen, s, system.A.cols))
 
         def select(xa):
-            return _gaussian_winner_raw(Aa, ba, residual(xa), *normals())
+            return _gaussian_row_raw(space, xa, *attempts())
 
         return select
     if method in ("skm", "sgsm"):
@@ -391,7 +401,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     if method == "motzkin":
 
         def select(xa):
-            t = residual(xa)
+            t = recorded[1] if recorded[0] is xa else Aa.dot(xa) - ba
             i = int((t * t).argmax())
             return t[i], whole, i, Aa[i], bl[i], norms[i]
 
@@ -441,9 +451,10 @@ class Stepper:
     is x when that row's residual is zero), so a step can be replayed
     exactly.  For kaczmarz and motzkin the drawn system is A itself:
     sketch.M is system.A.a, sketch.r is system.b.a and shift is 0.  For
-    gsm and sgsm it is the one-row sketch of the winning column, and i is
-    0.  Stepping by hand from x0 reproduces run(system, config, x0)'s
-    iterates bit for bit.  Not thread-safe.
+    gsm and sgsm it is the one-row sketch of the winning row, and i is 0;
+    its factor is the winning column of X for sgsm and None for gsm, whose
+    step never forms a column of S.  Stepping by hand from x0 reproduces
+    run(system, config, x0)'s iterates bit for bit.  Not thread-safe.
     """
 
     def __init__(self, system: LinearSystem, config: SolverConfig):
@@ -473,8 +484,8 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
     """
-    # The recorder puts A x - b in the stepper's cell, which motzkin and
-    # gsm read back (see _selector).
+    # The recorder puts A x - b in the stepper's cell, which motzkin reads
+    # back (see _selector).
     stepper = Stepper(system, config)
     select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
     if config.record_error and system.x_star is None:

@@ -68,17 +68,18 @@ def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
     scalar, chunked = RngState(6).gen, RngState(6).gen
     want = [int(_pick_from_cumulative(scalar, cum, 1)[0]) for _ in range(total)]
     assert drain(total, lambda: _pick_from_cumulative(chunked, cum, chunk).tolist()) == want
-    # gsm: per attempt s normals u, then `rows` normals g; u* is the u of
-    # largest square.  sgsm: one (s, s) factor per attempt.  The normal
-    # budget is set so that a fill holds `chunk` attempts.
-    s, rows = 3, 5
-    monkeypatch.setattr(sketch, "_NORMALS", chunk * (s + rows))
+    # gsm: per attempt s normals u, then n normals z_A and one normal z_b;
+    # u* is the u of largest square.  sgsm: one (s, s) factor per attempt.
+    # The normal budget is set so that a fill holds `chunk` attempts.
+    s, n = 3, 5
+    monkeypatch.setattr(sketch, "_NORMALS", chunk * (s + n + 1))
     scalar, chunked = RngState(7).gen, RngState(7).gen
-    got = drain(total, lambda: sketch._gaussian_fill(chunked, s, rows))
-    for u_star, g in got:
+    got = drain(total, lambda: sketch._winner_fill(chunked, s, n))
+    for u_star, z_a, z_b in got:
         u = scalar.standard_normal(s)
         assert u_star == u[np.argmax(u * u)]
-        assert g.tolist() == scalar.standard_normal(rows).tolist()
+        assert z_a.tolist() == scalar.standard_normal(n).tolist()
+        assert z_b == scalar.standard_normal()
     monkeypatch.setattr(sketch, "_NORMALS", chunk * s * s)
     scalar, chunked = RngState(8).gen, RngState(8).gen
     got = drain(total, lambda: sketch._factor_fill(chunked, s))

@@ -360,7 +360,9 @@ def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
     got, sk, i = Stepper(sy, SolverConfig("gsm", s=4, seed=13)).step(x)
-    assert np.array_equal(sk.M, sk.factor.T @ sy.A.a)
+    # The gsm step draws its row in the row space of [A b]: the record is
+    # the row and its right-hand side, with no column of S behind it.
+    assert (sk.M.shape, sk.r.shape, sk.factor, i) == ((1, 3), (1,), None, 0)
     replay = project_row(x, sk.M[i], float(sk.r[i]))
     assert np.array_equal(got.a, replay.a)
 
@@ -409,21 +411,93 @@ def test_gsm_step_never_materializes_the_sketch():
     assert peak < 0.1 * 8 * m * s
 
 
-def test_gsm_step_draws_u_then_the_winning_column():
-    # Per attempt: s normals u pick the winner j* = argmax u_j^2, then m
-    # normals g give its column u_j* rhat + (g - (g . rhat) rhat).
-    sy = make_system(12, 3, seed=83)
-    x = RealVector(np.random.default_rng(5).standard_normal(3))
-    _, sk, i = Stepper(sy, SolverConfig("gsm", s=6, seed=17)).step(x)
-    gen = RngState(17).gen
-    u = gen.standard_normal(6)
-    g = gen.standard_normal(12)
-    res = sy.A.a @ x.a - sy.b.a
+def test_gsm_step_draws_u_then_the_winning_row():
+    # Per attempt: s normals u pick the winner j* = argmax u_j^2, then n
+    # normals z_A and one normal z_b give its row.  Replayed here in m
+    # dimensions from a full QR A = Q R: g = Q z_A + q_b z_b, with q_b the
+    # unit least-squares residual, has A^T g = R^T z_A and q_b.g = z_b, and
+    # the winning column is u_j* rhat + (g - (g . rhat) rhat).  b is off
+    # range(A), so the least-squares residual term is exercised too.
+    gen = np.random.default_rng(83)
+    a = gen.standard_normal((12, 3))
+    b = a @ gen.standard_normal(3) + gen.standard_normal(12)
+    sy = LinearSystem(DenseMatrix(a), RealVector(b))
+    x = gen.standard_normal(3)
+    _, sk, i = Stepper(sy, SolverConfig("gsm", s=6, seed=17)).step(RealVector(x))
+    draws = RngState(17).gen
+    u = draws.standard_normal(6)
+    z_a = draws.standard_normal(3)
+    z_b = draws.standard_normal()
+    q, _ = np.linalg.qr(a)
+    r_ls = b - q @ (q.T @ b)
+    g = q @ z_a + r_ls / np.linalg.norm(r_ls) * z_b
+    res = a @ x - b
     rhat = res / np.linalg.norm(res)
-    want = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
-    column = sk.factor
-    assert column.shape == (12, 1) and i == 0
-    assert np.allclose(column[:, 0], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    w = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
+    want_row, want_beta = w @ a, w @ b
+    assert sk.factor is None and i == 0
+    assert np.allclose(sk.M[0], want_row, rtol=0.0, atol=1e-12 * np.max(np.abs(want_row)))
+    assert abs(sk.r[0] - want_beta) <= 1e-12 * max(abs(want_beta), np.max(np.abs(want_row)))
+
+
+def test_gsm_step_matches_materialized_oracle_on_inconsistent_system():
+    # On an inconsistent system the residual never vanishes and the row
+    # space of [A b] has a direction off range(A).  Here the least-squares
+    # residual is most of ||A x - b||, so dropping any term that carries
+    # it moves the law well past the bound.  At a fixed x, the squared
+    # residual after one gsm step must follow the law of the materialized
+    # path (full m-by-s sketch, then max-residual row, then projection).
+    # Two-sample Kolmogorov-Smirnov statistic over 10^4 draws a side,
+    # against the 0.1% critical value 0.028.
+    gen = np.random.default_rng(87)
+    a = gen.standard_normal((30, 5))
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ gen.standard_normal(5) + 10.0 * gen.standard_normal(30)))
+    x = RealVector(gen.standard_normal(5))
+    draws = 10_000
+
+    def res_sq(x1):
+        r = sy.A.a @ x1.a - sy.b.a
+        return float(r @ r)
+
+    stepper = Stepper(sy, SolverConfig("gsm", s=4, seed=7))
+    row_space = [res_sq(stepper.step(x)[0]) for _ in range(draws)]
+    rng = RngState(8)
+    materialized = []
+    for _ in range(draws):
+        sk = gaussian_sketch(sy, 4, rng)
+        i = select_max_residual(sk.M, sk.r, x)
+        materialized.append(res_sq(project_row(x, sk.M[i], float(sk.r[i]))))
+    a, b = np.sort(row_space), np.sort(materialized)
+    grid = np.concatenate([a, b])
+    ks = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / draws
+    assert ks <= 0.028
+
+
+def test_gsm_step_is_flat_in_m_and_its_factorization_lazy():
+    # The gsm step works in the n + 1 dimensions of [A b]'s row space: at
+    # m = 200,000, an m-vector is 1.6 MB, and neither the cached
+    # factorization nor 50 steps may hold a quarter of one.  Steppers of
+    # the other methods never compute the factorization.
+    m, n = 200_000, 5
+    sy = make_system(m, n, seed=88)
+    x = RealVector(np.random.default_rng(6).standard_normal(n))
+    for method in ("kaczmarz", "motzkin", "skm", "sgsm"):
+        Stepper(sy, SolverConfig(method, s=4)).step(x)
+    assert "_row_space" not in vars(sy)
+    tracemalloc.start()
+    try:
+        stepper = Stepper(sy, SolverConfig("gsm", s=4))
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            x = stepper.step(x)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "_row_space" in vars(sy)
+    assert kept < 0.25 * 8 * m
+    assert peak - base < 0.25 * 8 * m
 
 
 def test_sgsm_step_never_forms_the_sketched_block():
@@ -442,11 +516,13 @@ def test_sgsm_step_never_forms_the_sketched_block():
 
 
 def test_gsm_step_zero_residual_and_zero_rows():
-    # A zero residual leaves x untouched; a zero sketched row is resampled
-    # once and then raises.
+    # At x* the residual is zero, so the step moves x by roundoff only:
+    # the gsm step measures the residual from the least-squares point,
+    # which is x* to roundoff, not bit for bit.  A zero sketched row is
+    # resampled once and then raises.
     x_star = INTEGER_SYSTEM.x_star
     x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("gsm", s=3, seed=3)).step(x_star)
-    assert np.array_equal(x1.a, x_star.a)
+    assert np.linalg.norm(x1.a - x_star.a) <= 1e-14 * np.linalg.norm(x_star.a)
     zero = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0, 1.0, 1.0]))
     with pytest.raises(ZeroRowError, match="resample"):
         Stepper(zero, SolverConfig("gsm", s=3)).step(RealVector(np.zeros(2)))
