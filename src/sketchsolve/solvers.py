@@ -39,11 +39,12 @@ steps that project onto a row of A (kaczmarz, motzkin, skm) read b_i and
 (the one row-norm table, equal bit for bit to each row's dot product
 with itself), made once per stepper; gsm and sgsm return w^T b and
 their row's norm as floats.  Products are ndarray.dot, which rounds as
-@ does, without its ufunc dispatch.  The stepper owns one residual cell
-that run()'s trace recorder fills: each record puts A x - b in it, and
-motzkin, whose selection needs that same residual, reads it back when
-it selects at the iterate just recorded, so a recorded motzkin step
-costs one A x product, not two.  Recording never changes an iterate.
+@ does, without its ufunc dispatch.  Recording never changes an iterate.
+A motzkin record computes A x - b and puts it in the stepper's residual
+cell, which motzkin's selection reads back when it selects at the
+iterate just recorded, so a recorded motzkin step costs one A x product,
+not two.  The other methods' records cost Theta(n^2), not Theta(m*n):
+they read ||A x - b|| from one cached QR of [A b] (see run()).
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -123,6 +124,17 @@ CONSISTENCY_TOL = 1e-10
 # raises NumericalError.
 MONOTONE_SLACK = 1e-9
 MONOTONE_ROUNDOFF = 2.0**20
+
+# A record's factored ||R_A x - r_b|| and the direct ||A x - b|| differ by at
+# most RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).  The computed QR is exact
+# for [A b] + dC with ||dc_j|| <= g ||c_j|| per column (Higham, Accuracy and
+# Stability of Numerical Algorithms, Thm 19.4), so by Cauchy-Schwarz the
+# factored value is ||A x - b|| to within g * (||A||_F ||x|| + ||b||); both
+# matrix-vector products add roundoff of the same form.  The theorem's g
+# grows with m*n in the worst case, which rounding does not attain: the gap
+# measured from 120x8 to 1e5x50, kappa up to 1e14, stays under 2 units of
+# eps * (||A||_F ||x|| + ||b||), so 2**10 units leave a margin of 500.
+RESIDUAL_WINDOW = 2.0**10 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +218,19 @@ class LinearSystem:
         r_ls = b - a.dot(x_ls)
         return a.T @ a, np.linalg.qr(a, mode="r"), x_ls, math.sqrt(r_ls.dot(r_ls))
 
+    @cached_property
+    def _residual_factor(self):
+        """(R_A, r_b): the min(m, n+1)-by-(n+1) triangular factor
+        [R_A r_b] of one Householder QR [A b] = Q [R_A r_b].  Q has
+        orthonormal columns, so ||A x - b|| = ||R_A x - r_b|| for every x,
+        whatever the rank of A and whether or not b is consistent.  run()'s
+        trace records read it (see RESIDUAL_WINDOW).  Theta(m*n^2), made
+        before the clock of the first kaczmarz, skm, gsm or sgsm run on the
+        system; a Stepper and a motzkin run leave it uncomputed.  Its
+        temporaries (about two copies of [A b]) are freed."""
+        r = np.linalg.qr(np.column_stack([self.A.a, self.b.a]), mode="r")
+        return np.ascontiguousarray(r[:, :-1]), np.ascontiguousarray(r[:, -1])
+
     def __repr__(self):
         planted = self.x_star is not None
         return f"LinearSystem(rows={self.A.rows}, cols={self.A.cols}, planted={planted})"
@@ -270,7 +295,11 @@ class SolverConfig:
 
 
 class TraceRecord(NamedTuple):
-    """State snapshot after `iter` completed steps (iter 0 is the start)."""
+    """State snapshot after `iter` completed steps (iter 0 is the start).
+
+    residual_norm is ||A x - b||_2: computed directly for motzkin, and
+    for the other methods from a QR of [A b], to within RESIDUAL_WINDOW *
+    (||A||_F ||x|| + ||b||) of the direct value (see run())."""
 
     iter: int
     error_sq: float | None
@@ -360,9 +389,10 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     checked before any draw.  The Kaczmarz sampling table is read at the
     first draw, so building a selector never fails on an all-zero A.
 
-    recorded is the one-slot cell [x, res] that run()'s recorder fills
-    with res = A x - b for the iterate x it recorded last: motzkin reads
-    res instead of recomputing it when it selects at that same array x.
+    recorded is the one-slot cell [x, res] that run()'s motzkin recorder
+    fills with res = A x - b for the iterate x it recorded last: motzkin
+    reads res instead of recomputing it when it selects at that same array
+    x.  The other methods' records leave the cell empty.
     gsm reads the system's cached row-space factorization
     (LinearSystem._row_space), which a selector of any other method
     leaves uncomputed.
@@ -483,9 +513,18 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
+
+    A motzkin record computes A x - b, which the next motzkin selection
+    reads back.  The other methods' records compute ||A x - b|| in n
+    dimensions, from a QR of [A b] (LinearSystem._residual_factor), and
+    recompute it directly when that value lies within RESIDUAL_WINDOW of
+    the threshold.  So every stop is decided on the direct residual, and
+    the iterates, stops and error_sq are those of direct records; only the
+    last bits of residual_norm can differ.
+
+    elapsed_ns starts after the one-time factorizations, gsm's row space
+    (LinearSystem._row_space) and the records' QR, so it leaves them out.
     """
-    # The recorder puts A x - b in the stepper's cell, which motzkin reads
-    # back (see _selector).
     stepper = Stepper(system, config)
     select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
     if config.record_error and system.x_star is None:
@@ -496,6 +535,12 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 
     threshold = config.tol * system.b_norm
+    factored = config.method != "motzkin"
+    if factored:
+        RA, rb = system._residual_factor
+        # The window is wx * ||x|| + wb: RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).
+        wx = RESIDUAL_WINDOW * math.sqrt(float(system.row_norms_sq.sum()))
+        wb = RESIDUAL_WINDOW * system.b_norm
     error_stop = config.error_stop
     records = []
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
@@ -503,9 +548,16 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     def snapshot(k, xa):
         nonlocal prev, slack
-        res = recorded[1] = Aa.dot(xa) - ba
-        recorded[0] = xa
-        residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
+        if factored:
+            v = RA.dot(xa) - rb
+            residual = math.sqrt(v.dot(v))
+            if abs(residual - threshold) <= wx * math.sqrt(xa.dot(xa)) + wb:
+                res = Aa.dot(xa) - ba
+                residual = math.sqrt(res.dot(res))
+        else:
+            res = recorded[1] = Aa.dot(xa) - ba
+            recorded[0] = xa
+            residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
         err = None
         if xs is not None:
             d = xa - xs

@@ -1,4 +1,4 @@
-"""Golden trajectories: one SHA-256 digest per solver cell, and one of a
+"""Golden trajectories: two SHA-256 digests per solver cell, and two of a
 CLI compare CSV.
 
     PYTHONPATH=src python3 tests/golden.py
@@ -6,15 +6,24 @@ CLI compare CSV.
 rewrites tests/golden.json from the current tree, after printing the
 digests that differ from the old file; tests/test_golden.py recomputes
 every digest and compares.  A change that alters a random stream or a
-rounding on purpose regenerates the file and names the changed cells
-(the printed list) in CHANGES.md; every other cell must stay equal.
+rounding on purpose regenerates the file and names the changed digests
+(the printed list) in CHANGES.md; every other digest must stay equal.
 
 A cell is (system, method, s, seed): 1000 steps at tol 1e-10 with the
 squared error recorded, every step up to 500 and every 7th after that,
 so both the dense and the thinned stretch of the trace are covered (and
-the gaussian runs stop on the residual rule before the end).  Its digest
-hashes the final iterate's bytes, the status and every record's
-(iter, error_sq, residual_norm); wall times are left out.
+the gaussian runs stop on the residual rule before the end).  Each cell
+has two digests, wall times left out of both:
+
+  * trajectory: the final iterate's bytes, the status and every
+    record's (iter, error_sq);
+  * residual: every record's residual_norm.
+
+So a change to how a record measures ||A x - b|| shows in the residual
+digests alone, and a trajectory digest moves only when an iterate, a stop
+or an error_sq does.  The compare CSV is split the same way, on its
+columns: its residual_norm column, and every other column but
+elapsed_ns.
 
 The digests hold for one build: another numpy, BLAS or CPU kernel may
 round a matrix-vector product differently.  The file therefore stamps
@@ -39,6 +48,7 @@ from sketchsolve import ModelSpec, SolverConfig, generate_system, run
 from sketchsolve.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+PARTS = ("trajectory", "residual")
 
 SYSTEMS = (("gaussian", 200, 20, 11), ("coherent", 1000, 50, 12))
 METHOD_CELLS = (("kaczmarz", 1), ("motzkin", 1), *((m, s) for m in ("skm", "gsm", "sgsm") for s in (1, 7, 25)))
@@ -64,16 +74,20 @@ def cell_digests() -> dict:
         for method, s in METHOD_CELLS:
             for seed in SEEDS:
                 x, trace = run(system, SolverConfig(method, s=s, seed=seed, **RUN))
-                h = hashlib.sha256(x.a.tobytes())
-                h.update(trace.status.encode())
+                trajectory = hashlib.sha256(x.a.tobytes())
+                trajectory.update(trace.status.encode())
+                residual = hashlib.sha256()
                 for rec in trace.records:
-                    h.update(struct.pack("<qdd", rec.iter, rec.error_sq, rec.residual_norm))
-                digests[f"{kind}-{m}x{n}/{method}/s{s}/seed{seed}"] = h.hexdigest()
+                    trajectory.update(struct.pack("<qd", rec.iter, rec.error_sq))
+                    residual.update(struct.pack("<d", rec.residual_norm))
+                digests[f"{kind}-{m}x{n}/{method}/s{s}/seed{seed}"] = {
+                    "trajectory": trajectory.hexdigest(), "residual": residual.hexdigest()}
     return digests
 
 
-def compare_digest() -> str:
-    """Digest of the compare CSV without its elapsed_ns column."""
+def compare_digests() -> dict:
+    """Digests of the compare CSV: its residual_norm column, and its other
+    columns without elapsed_ns."""
     with tempfile.TemporaryDirectory() as tmp:
         system, out = str(Path(tmp) / "system.bin"), str(Path(tmp) / "compare.csv")
         campaign = (["generate", *COMPARE_SYSTEM, "--out", system], ["compare", "--system", system, *COMPARE, "--out", out])
@@ -83,21 +97,27 @@ def compare_digest() -> str:
                     raise RuntimeError(f"golden campaign step failed: {argv}")
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
-    drop = rows[0].index("elapsed_ns")
-    text = "\n".join(",".join(v for j, v in enumerate(row) if j != drop) for row in rows)
-    return hashlib.sha256(text.encode()).hexdigest()
+    drop, residual = rows[0].index("elapsed_ns"), rows[0].index("residual_norm")
+
+    def digest(keep):
+        text = "\n".join(",".join(v for j, v in enumerate(row) if keep(j)) for row in rows)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return {"trajectory": digest(lambda j: j not in (drop, residual)), "residual": digest(lambda j: j == residual)}
 
 
 def digests() -> dict:
-    return {"cells": cell_digests(), "compare_csv": compare_digest()}
+    return {"cells": cell_digests(), "compare_csv": compare_digests()}
 
 
 def differences(old: dict, new: dict) -> list:
-    """The cells whose digests differ between two digest sets (a cell in
-    only one of them counts), then "compare_csv" if the CSV digest does."""
-    cells = old["cells"].keys() | new["cells"].keys()
-    changed = sorted(cell for cell in cells if old["cells"].get(cell) != new["cells"].get(cell))
-    return changed + ["compare_csv"] * (old["compare_csv"] != new["compare_csv"])
+    """The digests that differ between two digest sets, as "<cell>
+    <part>" with part "trajectory" or "residual" (a cell in only one of
+    them counts for both), then "compare_csv <part>" for the CSV's."""
+    named = [(cell, old["cells"].get(cell, {}), new["cells"].get(cell, {}))
+             for cell in sorted(old["cells"].keys() | new["cells"].keys())]
+    named.append(("compare_csv", old["compare_csv"], new["compare_csv"]))
+    return [f"{name} {part}" for name, was, now in named for part in PARTS if was.get(part) != now.get(part)]
 
 
 if __name__ == "__main__":

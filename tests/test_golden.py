@@ -1,5 +1,6 @@
-"""Golden trajectories: every solver cell and one compare CSV hash as
-recorded in tests/golden.json (see tests/golden.py for what is hashed).
+"""Golden trajectories: both digests of every solver cell and of one
+compare CSV, the trajectory and the residual digest, as recorded in
+tests/golden.json (see tests/golden.py for what each hashes).
 
 The determinism contract holds within one build, so the digests are
 checked only on the numpy version and BLAS stamped in the file; on any
@@ -7,7 +8,7 @@ other build the test skips and says which build the file was made on.
 Regenerate it there with `PYTHONPATH=src python3 tests/golden.py` to
 get a baseline for that build.  A mismatch on the stamped build means a
 random stream or a rounding changed: a change that means it regenerates
-the file and names the changed cells in CHANGES.md.
+the file and names the changed digests in CHANGES.md.
 """
 
 import json
@@ -23,4 +24,4 @@ def test_trajectories_match_golden_digests():
     if made_on != stamp():
         pytest.skip(f"golden digests were made on {made_on}, this build is {stamp()}")
     changed = differences(golden, digests())
-    assert not changed, f"trajectories changed in {len(changed)} digests: {changed}"
+    assert not changed, f"{len(changed)} digests changed: {changed}"

@@ -6,10 +6,12 @@ iteration, and closed-form projections on integer-valued systems (where
 the arithmetic is exact, so unchanged iterates can be compared bitwise).
 """
 
+import dataclasses
 import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +54,32 @@ def make_system(m, n, seed=0, planted=True):
     x_star = gen.standard_normal(n)
     b = a @ x_star
     return LinearSystem(DenseMatrix(a), RealVector(b), RealVector(x_star) if planted else None)
+
+
+def residual_window(sy, x):
+    """The documented gap between a factored record and ||A x - b||:
+    RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||)."""
+    fro = math.sqrt(float(sy.row_norms_sq.sum()))
+    return solvers.RESIDUAL_WINDOW * (fro * float(np.linalg.norm(x)) + sy.b_norm)
+
+
+def exact_residual_sq(sy, x) -> Fraction:
+    """||A x - b||^2 in exact arithmetic.  A double is an integer over a
+    power of two, so over one denominator per array (A, x, b) the residual
+    is a vector of integers."""
+
+    def integers(values):
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(q for _, q in ratios)
+        return [p * (den // q) for p, q in ratios], den
+
+    (a, da), (xs, dx), (bs, db) = (integers(v.ravel().tolist()) for v in (sy.A.a, x, sy.b.a))
+    n = len(xs)
+    total = 0
+    for i, beta in enumerate(bs):
+        t = sum(map(int.__mul__, a[i * n:(i + 1) * n], xs)) * db - beta * da * dx
+        total += t * t
+    return Fraction(total, (da * dx * db) ** 2)
 
 
 INTEGER_SYSTEM = LinearSystem(
@@ -736,11 +764,14 @@ def test_run_matches_manual_step_composition():
     # x0)'s iterates, from a zero and a nonzero start.  The run crosses two
     # chunk refills of the kaczmarz and skm draws.  On coherent rows no
     # method reaches a zero residual that soon, so every run goes the
-    # whole way.  motzkin and gsm read back the residual the trace recorded
-    # at an iterate, so the run is checked with every step recorded and
-    # with a thinned schedule (dense to 5, then every 7th), where they
-    # select at recorded and unrecorded iterates alike; each record holds
-    # what a fresh computation at the hand-stepped iterate gives, bit for bit.
+    # whole way.  motzkin reads back the residual the trace recorded at an
+    # iterate, so the run is checked with every step recorded and with a
+    # thinned schedule (dense to 5, then every 7th), where it selects at
+    # recorded and unrecorded iterates alike.  Each record's error_sq is
+    # what a fresh computation at the hand-stepped iterate gives, bit for
+    # bit, and so is motzkin's residual_norm; the other methods record
+    # ||A x - b|| from a QR of [A b], within the documented window of the
+    # fresh value.
     sy = generate_system(ModelSpec("coherent", 24, 5, 72))
     steps = 2 * solvers._CHUNK + 37
     starts = (np.zeros(5), np.random.default_rng(72).standard_normal(5))
@@ -761,8 +792,119 @@ def test_run_matches_manual_step_composition():
             for rec in trace.records:
                 x = iterates[rec.iter].a
                 d = x - sy.x_star.a
-                assert rec.residual_norm == float(np.linalg.norm(sy.A.a @ x - sy.b.a)), (method, rec.iter)
+                direct = float(np.linalg.norm(sy.A.a @ x - sy.b.a))
+                if method == "motzkin":
+                    assert rec.residual_norm == direct, (method, rec.iter)
+                else:
+                    assert abs(rec.residual_norm - direct) <= residual_window(sy, x), (method, rec.iter)
                 assert rec.error_sq == float(d @ d), (method, rec.iter)
+
+
+def accuracy_systems():
+    """120x8 (A, b, x*) triples for the factored records: planted systems
+    with kappa from 1e2 to 1e14, a rank-3 A, an inconsistent b (no x*) and
+    b = 0."""
+    gen = np.random.default_rng(91)
+    m, n = 120, 8
+    u = np.linalg.qr(gen.standard_normal((m, n)))[0]
+    v = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    x_star = gen.standard_normal(n)
+    cases = {}
+    for kappa in (1e2, 1e6, 1e10, 1e14):
+        a = (u * np.logspace(0.0, -math.log10(kappa), n)) @ v.T
+        cases[f"kappa {kappa:g}"] = (a, a @ x_star, x_star)
+    a = u[:, :3] @ gen.standard_normal((3, n))
+    cases["rank 3"] = (a, a @ x_star, x_star)
+    a = gen.standard_normal((m, n))
+    cases["inconsistent"] = (a, gen.standard_normal(m), None)
+    cases["b = 0"] = (a, np.zeros(m), np.zeros(n))
+    return cases
+
+
+@pytest.mark.parametrize("case", accuracy_systems())
+@pytest.mark.parametrize("scale", [1.0, 2.0**300, 2.0**-300], ids=["1", "2^300", "2^-300"])
+def test_factored_records_are_within_the_window_of_the_exact_residual(case, scale):
+    # A non-motzkin record measures ||A x - b|| from a QR of [A b]; at every
+    # record it is within RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||) of the
+    # exact residual of the iterate, whatever the conditioning, rank or
+    # consistency of the system and at scales 2^+-300.  tol = 0 keeps every
+    # run going to max_iters.
+    a, b, x_star = accuracy_systems()[case]
+    sy = LinearSystem(DenseMatrix(scale * a), RealVector(scale * b), None if x_star is None else RealVector(x_star))
+    x0 = RealVector(np.random.default_rng(92).standard_normal(8))
+    for method in ("kaczmarz", "skm", "gsm", "sgsm"):
+        cfg = SolverConfig(method, s=4, tol=0.0, max_iters=200, seed=5, record_dense_limit=3, record_stride=25)
+        _, trace = run(sy, cfg, x0)
+        stepper, iterates = Stepper(sy, cfg), [x0]
+        for _ in range(cfg.max_iters):
+            iterates.append(stepper.step(iterates[-1])[0])
+        for rec in trace.records:
+            x = iterates[rec.iter].a
+            got, window = Fraction(rec.residual_norm), Fraction(residual_window(sy, x))
+            assert max(got - window, 0) ** 2 <= exact_residual_sq(sy, x) <= (got + window) ** 2, (method, rec.iter)
+
+
+def direct_stop(sy, iterates, cfg):
+    """(status, final iteration) that the stopping rule gives when every
+    record point's ||A x - b|| is computed directly from the iterates."""
+    threshold = cfg.tol * sy.b_norm
+    last, dense, stride = cfg.max_iters, cfg.record_dense_limit, cfg.record_stride
+    for k in range(last + 1):
+        if (k <= dense or k % stride == 0 or k == last) and np.linalg.norm(sy.A.a @ iterates[k].a - sy.b.a) <= threshold:
+            return CONVERGED, k
+    return MAX_ITERS, last
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_run_stops_where_the_direct_residual_does(method):
+    # Every stop is decided on ||A x - b|| computed directly.  A threshold
+    # placed on a record's direct residual, or an ulp of tol either side of
+    # it, lies within roundoff of the factored value, which could fall on
+    # either side of it; the run must still stop where the direct rule
+    # applied to the hand-stepped iterates stops.
+    sy = generate_system(ModelSpec("coherent", 60, 6, 74))
+    base = SolverConfig(method, s=4, seed=3, max_iters=300, record_dense_limit=20, record_stride=10)
+    stepper, iterates = Stepper(sy, base), [RealVector(np.zeros(6))]
+    for _ in range(base.max_iters):
+        iterates.append(stepper.step(iterates[-1])[0])
+    for k in (1, 2, 5, 13, 20, 70, 150, 300):
+        tol = float(np.linalg.norm(sy.A.a @ iterates[k].a - sy.b.a)) / sy.b_norm
+        for t in (math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)):
+            cfg = dataclasses.replace(base, tol=t)
+            _, trace = run(sy, cfg)
+            assert (trace.status, trace.final.iter) == direct_stop(sy, iterates, cfg), (k, t)
+
+
+def test_run_with_tol_zero_stops_at_an_exactly_zero_residual():
+    # With tol = 0 only a directly computed ||A x - b|| of exactly 0 stops a
+    # run; the factored value at the same iterate is roundoff above 0.  On
+    # orthogonal integer rows, kaczmarz, motzkin and skm reach x* exactly;
+    # every method stops where the direct rule does.
+    sy = LinearSystem(DenseMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), RealVector([3.0, 5.0, 3.0, 5.0]))
+    for method in METHOD_NAMES:
+        cfg = SolverConfig(method, s=2, tol=0.0, max_iters=40, seed=6)
+        stepper, iterates = Stepper(sy, cfg), [RealVector(np.zeros(2))]
+        for _ in range(cfg.max_iters):
+            iterates.append(stepper.step(iterates[-1])[0])
+        _, trace = run(sy, cfg)
+        assert (trace.status, trace.final.iter) == direct_stop(sy, iterates, cfg), method
+        if method in ("kaczmarz", "motzkin", "skm"):
+            assert trace.status == CONVERGED and trace.final.residual_norm == 0.0, method
+
+
+def test_records_qr_is_made_by_factored_runs_only():
+    # A Stepper of any method and a motzkin run leave the records' QR
+    # uncomputed; a run of any other method makes it.
+    sy = make_system(40, 4, seed=75)
+    x = RealVector(np.ones(4))
+    for method in METHOD_NAMES:
+        Stepper(sy, SolverConfig(method, s=4)).step(x)
+    run(sy, SolverConfig("motzkin", max_iters=50))
+    assert "_residual_factor" not in vars(sy)
+    for method in ("kaczmarz", "skm", "gsm", "sgsm"):
+        fresh = make_system(40, 4, seed=75)
+        run(fresh, SolverConfig(method, s=4, max_iters=5))
+        assert "_residual_factor" in vars(fresh), method
 
 
 @pytest.mark.parametrize("method, s", [("kaczmarz", 1), ("skm", 7), ("gsm", 7)])
