@@ -11,11 +11,10 @@ Stream-consumption conventions (they matter for replay):
   * sketch construction draws its block index first, then the Gaussian
     factor entries (see sketch.py);
   * a gsm solver step draws, per attempt, s normals u first (the winner
-    is argmax u^2), then n normals z_A and one normal z_b for the winning
-    sketched row, drawn in the row space of [A b] (see sketch.py); it
-    never draws the m-by-s sketch or any column of it.  An sgsm solver
-    step draws, per attempt, its block index, then its s-by-s factor in
-    row-major order;
+    is argmax u^2), then n + 1 normals z for the winning sketched row,
+    drawn in the row space of [A b] (see sketch.py); it never draws the
+    m-by-s sketch or any column of it.  An sgsm solver step draws, per
+    attempt, its block index, then its s-by-s factor in row-major order;
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
@@ -23,8 +22,8 @@ Stream-consumption conventions (they matter for replay):
 
 The chunk rule.  A solver stepper takes each kind of draw from its own
 _chunked source: kaczmarz uniforms and skm and sgsm block indices
-solvers._CHUNK at a time, gsm attempts (u, z_A, z_b) and sgsm factors
-as many per standard_normal fill as fit in sketch._NORMALS normals (at
+solvers._CHUNK at a time, gsm attempts (u, z) and sgsm factors as
+many per standard_normal fill as fit in sketch._NORMALS normals (at
 least one).  On PCG64 a fill of k draws, row-major, equals the same k
 draws made one at a time (tests/test_rng.py guards this), so a stream
 with one kind of draw does not depend on its chunk size: kaczmarz, skm

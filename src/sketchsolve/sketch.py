@@ -29,11 +29,11 @@ A max-residual step on a Gaussian sketch only ever uses the winning
 row of S^T A.  The gsm step draws that row, (w^T A, w^T b) for the
 winning column w of S, from its exact law in the (n+1)-dimensional row
 space of [A b] (_gaussian_row_raw): S is rotation invariant, so the
-row depends on (A, b) only through A^T A, the least-squares point x_ls
-and ||b - A x_ls||, which LinearSystem factors once per system
-(LinearSystem._row_space, Theta(m*n^2)).  Per attempt it takes s normals
-u, then n normals z_A, then one normal z_b (_winner_fill), and a step
-costs Theta(n^2 + s), flat in m.  The sgsm
+row depends on (A, b) only through the triangular factor [R_A r_b] of
+a QR [A b] = Q [R_A r_b], which LinearSystem makes once per system
+(LinearSystem._residual_factor, Theta(m*n^2), the factor run()'s trace
+records read).  Per attempt it takes s normals u, then n + 1 normals z
+(_winner_fill), and a step costs Theta(n^2 + s), flat in m.  The sgsm
 step draws the whole s-by-s factor X (_factor_fill) after its block
 index, and builds only the winning row of X^T A_block
 (_sparse_winner_raw): s^2 normals and Theta(s*n + s^2) multiplies
@@ -117,17 +117,16 @@ def _build_raw(Aa, ba, s, z):
 
 
 def _winner_fill(gen, s, n):
-    """One chunk of gsm attempts on an n-column system, as (u*, z_A, z_b)
-    triples from one (k, s + n + 1) standard_normal fill, k = max(1,
-    _NORMALS // (s + n + 1)): row j holds attempt j's s normals u, then
-    its n normals z_A (a 1-D view), then its one normal z_b (a Python
-    float), and u* is the u of largest square (ties to the first).  See
-    the chunk rule in rng.py.
+    """One chunk of gsm attempts on an n-column system, as (u*, z) pairs
+    from one (k, s + n + 1) standard_normal fill, k = max(1, _NORMALS //
+    (s + n + 1)): row j holds attempt j's s normals u, then its n + 1
+    normals z (a 1-D view), and u* is the u of largest square (ties to
+    the first).  See the chunk rule in rng.py.
     """
     k = max(1, _NORMALS // (s + n + 1))
     Z = gen.standard_normal((k, s + n + 1))
     U = Z[:, :s]
-    return zip(U[np.arange(k), (U * U).argmax(axis=1)].tolist(), Z[:, s:-1], Z[:, -1].tolist())
+    return zip(U[np.arange(k), (U * U).argmax(axis=1)].tolist(), Z[:, s:])
 
 
 def _factor_fill(gen, s):
@@ -137,7 +136,7 @@ def _factor_fill(gen, s):
     return gen.standard_normal((max(1, _NORMALS // (s * s)), s, s))
 
 
-def _gaussian_row_raw(space, xa, u_star, z_a, z_b):
+def _gaussian_row_raw(factor, xa, u_star, z):
     """The max-residual row of a fresh m-by-s N(0, 1) sketch S^T (A, b),
     drawn in the row space of [A b], without S or any m-vector.
 
@@ -146,36 +145,31 @@ def _gaussian_row_raw(space, xa, u_star, z_a, z_b):
     independent of P g_j.  Row j's sketched residual is u_j ||res||, so
     the winner j* = argmax u_j^2 depends on u alone, and its column is w =
     g + coef res, coef = (t - g.res) / ||res||^2, t = u_j* ||res||, for a
-    fresh g ~ N(0, I_m).  Only [A b]^T w is needed.  space = (G, R, x_ls,
-    rho) is LinearSystem._row_space; with e = x - x_ls and b = A x_ls +
-    r_ls, r_ls orthogonal to range(A) with norm rho:
-      res = A e - r_ls, so ||res||^2 = e.Ge + rho^2;
-      A^T g and r_ls.g are independent, with covariance G and variance
-      rho^2, so they are drawn as R^T z_A and rho z_b, and g.res =
-      (R^T z_A).e - rho z_b;
-      row = w^T A = R^T z_A + coef Ge, beta = w^T b = row.x_ls + rho z_b -
-      coef rho^2.
-    This is the winning row's law on consistent and inconsistent systems
-    alike, at Theta(n^2) per step.  When ||res||^2 computes as zero, w = g
-    (coef = 0) and t = 0.
+    fresh g ~ N(0, I_m).  Only w^T [A b] is needed.  factor = (R_A, r_b)
+    is LinearSystem._residual_factor, [A b] = Q [R_A r_b] with Q's n + 1
+    columns orthonormal; with v = R_A x - r_b and z = Q^T g ~ N(0, I_{n+1}):
+      res = Q v, so ||res||^2 = v.v;
+      g.res = z.v;
+      w^T [A b] = c^T [R_A r_b], c = z + coef v.
+    This is the winning row's law whatever the rank of A and whether or
+    not b is consistent, at two (n+1)-by-n products per step.  When m = n
+    the factor's last row is zero, so z's last normal drops out.  When
+    ||res||^2 computes as zero, w = g (coef = 0) and t = 0.
 
     Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
     (row, beta, None, None, None), the record _one_row_sketch builds.
     Each product is a 1-D .dot, numpy's cheapest call for it, and each
     scalar a Python float (the cost rules in solvers.py).
     """
-    G, R, x_ls, rho = space
-    e = xa - x_ls
-    ge = G.dot(e)
-    rho_sq = rho * rho
-    res_sq = float(e.dot(ge)) + rho_sq
-    y_a = z_a.dot(R)
+    RA, rb = factor
+    v = RA.dot(xa) - rb
+    res_sq = float(v.dot(v))
     t = coef = 0.0
     if res_sq > 0.0:
         t = u_star * math.sqrt(res_sq)
-        coef = (t - (float(y_a.dot(e)) - rho * z_b)) / res_sq
-    row = y_a + coef * ge
-    beta = float(row.dot(x_ls)) + rho * z_b - coef * rho_sq
+        coef = (t - float(z.dot(v))) / res_sq
+    c = z + coef * v
+    row, beta = c.dot(RA), float(c.dot(rb))
     return t, (row, beta, None, None, None), None, row, beta, float(row.dot(row))
 
 

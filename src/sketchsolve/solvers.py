@@ -13,8 +13,9 @@ selection rule (_selector):
               drawn without S, in the row space of [A b]: each attempt
               draws s normals u (the sketched residuals over
               ||A x - b||) first, then n + 1 normals for the winning row
-              alone, so a step costs Theta(n^2 + s) after a Theta(m*n^2)
-              factorization made once per system (see sketch.py);
+              alone, so a step costs Theta(n^2 + s) after the one QR of
+              [A b] made once per system, which the trace records read
+              too (see sketch.py);
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
               Gaussian mix X of one random block): the step draws all of
               X but builds only the winning row of X^T A_block, so it
@@ -44,7 +45,8 @@ A motzkin record computes A x - b and puts it in the stepper's residual
 cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
 not two.  The other methods' records cost Theta(n^2), not Theta(m*n):
-they read ||A x - b|| from one cached QR of [A b] (see run()).
+they read ||A x - b|| from one cached QR of [A b], the factor the gsm
+step draws its row from (see run()).
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -139,7 +141,7 @@ RESIDUAL_WINDOW = 2.0**10 * np.finfo(float).eps
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """A consistent m-by-n system A x = b with m >= n.
+    """An m-by-n system A x = b with m >= n, consistent or not.
 
     x_star, when present, is a planted solution and must satisfy
     ||A x_star - b||_2 <= 1e-10 * ||b||_2, a rule that scaling (A, b)
@@ -206,29 +208,20 @@ class LinearSystem:
         return float(np.linalg.norm(self.b.a))
 
     @cached_property
-    def _row_space(self):
-        """(G, R, x_ls, rho): G = A^T A, R with R^T R = G (from a QR of A),
-        the minimum-norm least-squares point x_ls (rank-deficient A
-        included) and rho = ||b - A x_ls||.  The gsm step draws its row
-        from these alone (sketch._gaussian_row_raw).  Theta(m*n^2), made
-        at the first gsm stepper on the system and by no other method;
-        its temporaries (about one copy of A at a time) are freed."""
-        a, b = self.A.a, self.b.a
-        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
-        r_ls = b - a.dot(x_ls)
-        return a.T @ a, np.linalg.qr(a, mode="r"), x_ls, math.sqrt(r_ls.dot(r_ls))
-
-    @cached_property
     def _residual_factor(self):
-        """(R_A, r_b): the min(m, n+1)-by-(n+1) triangular factor
-        [R_A r_b] of one Householder QR [A b] = Q [R_A r_b].  Q has
-        orthonormal columns, so ||A x - b|| = ||R_A x - r_b|| for every x,
-        whatever the rank of A and whether or not b is consistent.  run()'s
-        trace records read it (see RESIDUAL_WINDOW).  Theta(m*n^2), made
-        before the clock of the first kaczmarz, skm, gsm or sgsm run on the
-        system; a Stepper and a motzkin run leave it uncomputed.  Its
-        temporaries (about two copies of [A b]) are freed."""
+        """(R_A, r_b): the (n+1)-by-(n+1) triangular factor [R_A r_b] of
+        one Householder QR [A b] = Q [R_A r_b], padded with a zero row when
+        m = n (Q then has n columns).  Q has orthonormal columns, so
+        ||A x - b|| = ||R_A x - r_b|| for every x, whatever the rank of A
+        and whether or not b is consistent.  run()'s trace records read it
+        (see RESIDUAL_WINDOW), and the gsm step draws its row from it
+        (sketch._gaussian_row_raw).  Theta(m*n^2), made at the first gsm
+        Stepper on the system or before the clock of its first kaczmarz,
+        skm or sgsm run; Steppers of the other methods and a motzkin run
+        leave it uncomputed.  Its temporaries (about two copies of [A b])
+        are freed."""
         r = np.linalg.qr(np.column_stack([self.A.a, self.b.a]), mode="r")
+        r = np.vstack([r, np.zeros((self.A.cols + 1 - len(r), self.A.cols + 1))])
         return np.ascontiguousarray(r[:, :-1]), np.ascontiguousarray(r[:, -1])
 
     def __repr__(self):
@@ -393,19 +386,19 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     fills with res = A x - b for the iterate x it recorded last: motzkin
     reads res instead of recomputing it when it selects at that same array
     x.  The other methods' records leave the cell empty.
-    gsm reads the system's cached row-space factorization
-    (LinearSystem._row_space), which a selector of any other method
+    gsm reads the system's cached QR factor of [A b]
+    (LinearSystem._residual_factor), which a selector of any other method
     leaves uncomputed.
     """
     m = system.A.rows
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
     if method == "gsm":
-        space = system._row_space
+        factor = system._residual_factor
         attempts = _chunked(lambda: _winner_fill(gen, s, system.A.cols))
 
         def select(xa):
-            return _gaussian_row_raw(space, xa, *attempts())
+            return _gaussian_row_raw(factor, xa, *attempts())
 
         return select
     if method in ("skm", "sgsm"):
@@ -522,8 +515,9 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     the iterates, stops and error_sq are those of direct records; only the
     last bits of residual_norm can differ.
 
-    elapsed_ns starts after the one-time factorizations, gsm's row space
-    (LinearSystem._row_space) and the records' QR, so it leaves them out.
+    elapsed_ns starts after the one-time QR of [A b], which a gsm stepper
+    makes when it is built and the other non-motzkin runs make before the
+    clock, so it leaves it out.
     """
     stepper = Stepper(system, config)
     select, gate, recorded = stepper._select, stepper._gate, stepper._recorded

@@ -68,18 +68,17 @@ def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
     scalar, chunked = RngState(6).gen, RngState(6).gen
     want = [int(_pick_from_cumulative(scalar, cum, 1)[0]) for _ in range(total)]
     assert drain(total, lambda: _pick_from_cumulative(chunked, cum, chunk).tolist()) == want
-    # gsm: per attempt s normals u, then n normals z_A and one normal z_b;
-    # u* is the u of largest square.  sgsm: one (s, s) factor per attempt.
+    # gsm: per attempt s normals u, then n + 1 normals z; u* is the u of
+    # largest square.  sgsm: one (s, s) factor per attempt.
     # The normal budget is set so that a fill holds `chunk` attempts.
     s, n = 3, 5
     monkeypatch.setattr(sketch, "_NORMALS", chunk * (s + n + 1))
     scalar, chunked = RngState(7).gen, RngState(7).gen
     got = drain(total, lambda: sketch._winner_fill(chunked, s, n))
-    for u_star, z_a, z_b in got:
+    for u_star, z in got:
         u = scalar.standard_normal(s)
         assert u_star == u[np.argmax(u * u)]
-        assert z_a.tolist() == scalar.standard_normal(n).tolist()
-        assert z_b == scalar.standard_normal()
+        assert z.tolist() == scalar.standard_normal(n + 1).tolist()
     monkeypatch.setattr(sketch, "_NORMALS", chunk * s * s)
     scalar, chunked = RngState(8).gen, RngState(8).gen
     got = drain(total, lambda: sketch._factor_fill(chunked, s))

@@ -468,19 +468,25 @@ def test_gsm_step_draws_u_then_the_winning_row():
     assert abs(sk.r[0] - want_beta) <= 1e-12 * max(abs(want_beta), np.max(np.abs(want_row)))
 
 
-def test_gsm_step_matches_materialized_oracle_on_inconsistent_system():
+@pytest.mark.parametrize("m, n, rank", [(30, 5, 5), (6, 6, 6), (30, 8, 3)], ids=["30x5", "6x6", "30x8-rank3"])
+def test_gsm_step_matches_materialized_oracle_on_inconsistent_system(m, n, rank):
     # On an inconsistent system the residual never vanishes and the row
     # space of [A b] has a direction off range(A).  Here the least-squares
     # residual is most of ||A x - b||, so dropping any term that carries
-    # it moves the law well past the bound.  At a fixed x, the squared
-    # residual after one gsm step must follow the law of the materialized
-    # path (full m-by-s sketch, then max-residual row, then projection).
-    # Two-sample Kolmogorov-Smirnov statistic over 10^4 draws a side,
-    # against the 0.1% critical value 0.028.
+    # it moves the law well past the bound.  Two more systems cover the
+    # shapes a factored step could get wrong: a square one, whose QR
+    # factor of [A b] has only n rows, and an inconsistent one of rank 3
+    # in 8 columns.  At a fixed x, the squared residual after one gsm step
+    # must follow the law of the materialized path (full m-by-s sketch,
+    # then max-residual row, then projection).  Two-sample
+    # Kolmogorov-Smirnov statistic over 10^4 draws a side, against the
+    # 0.1% critical value 0.028.
     gen = np.random.default_rng(87)
-    a = gen.standard_normal((30, 5))
-    sy = LinearSystem(DenseMatrix(a), RealVector(a @ gen.standard_normal(5) + 10.0 * gen.standard_normal(30)))
-    x = RealVector(gen.standard_normal(5))
+    a = gen.standard_normal((m, rank))
+    if rank < n:
+        a = a @ gen.standard_normal((rank, n))
+    sy = LinearSystem(DenseMatrix(a), RealVector(a @ gen.standard_normal(n) + 10.0 * gen.standard_normal(m)))
+    x = RealVector(gen.standard_normal(n))
     draws = 10_000
 
     def res_sq(x1):
@@ -503,15 +509,15 @@ def test_gsm_step_matches_materialized_oracle_on_inconsistent_system():
 
 def test_gsm_step_is_flat_in_m_and_its_factorization_lazy():
     # The gsm step works in the n + 1 dimensions of [A b]'s row space: at
-    # m = 200,000, an m-vector is 1.6 MB, and neither the cached
-    # factorization nor 50 steps may hold a quarter of one.  Steppers of
-    # the other methods never compute the factorization.
+    # m = 200,000, an m-vector is 1.6 MB, and neither the cached QR factor
+    # of [A b] nor 50 steps may hold a quarter of one.  Steppers of the
+    # other methods never compute the factor.
     m, n = 200_000, 5
     sy = make_system(m, n, seed=88)
     x = RealVector(np.random.default_rng(6).standard_normal(n))
     for method in ("kaczmarz", "motzkin", "skm", "sgsm"):
         Stepper(sy, SolverConfig(method, s=4)).step(x)
-    assert "_row_space" not in vars(sy)
+    assert "_residual_factor" not in vars(sy)
     tracemalloc.start()
     try:
         stepper = Stepper(sy, SolverConfig("gsm", s=4))
@@ -523,7 +529,7 @@ def test_gsm_step_is_flat_in_m_and_its_factorization_lazy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "_row_space" in vars(sy)
+    assert "_residual_factor" in vars(sy)
     assert kept < 0.25 * 8 * m
     assert peak - base < 0.25 * 8 * m
 
@@ -545,9 +551,9 @@ def test_sgsm_step_never_forms_the_sketched_block():
 
 def test_gsm_step_zero_residual_and_zero_rows():
     # At x* the residual is zero, so the step moves x by roundoff only:
-    # the gsm step measures the residual from the least-squares point,
-    # which is x* to roundoff, not bit for bit.  A zero sketched row is
-    # resampled once and then raises.
+    # the gsm step measures the residual as R_A x - r_b from a QR of
+    # [A b], which vanishes at x* to roundoff, not bit for bit.  A zero
+    # sketched row is resampled once and then raises.
     x_star = INTEGER_SYSTEM.x_star
     x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("gsm", s=3, seed=3)).step(x_star)
     assert np.linalg.norm(x1.a - x_star.a) <= 1e-14 * np.linalg.norm(x_star.a)
@@ -893,14 +899,17 @@ def test_run_with_tol_zero_stops_at_an_exactly_zero_residual():
 
 
 def test_records_qr_is_made_by_factored_runs_only():
-    # A Stepper of any method and a motzkin run leave the records' QR
-    # uncomputed; a run of any other method makes it.
+    # kaczmarz, motzkin, skm and sgsm Steppers and a motzkin run leave the
+    # records' QR uncomputed; a gsm Stepper, which draws its row from it,
+    # and a run of any other method make it.
     sy = make_system(40, 4, seed=75)
     x = RealVector(np.ones(4))
-    for method in METHOD_NAMES:
+    for method in ("kaczmarz", "motzkin", "skm", "sgsm"):
         Stepper(sy, SolverConfig(method, s=4)).step(x)
     run(sy, SolverConfig("motzkin", max_iters=50))
     assert "_residual_factor" not in vars(sy)
+    Stepper(sy, SolverConfig("gsm", s=4))
+    assert "_residual_factor" in vars(sy)
     for method in ("kaczmarz", "skm", "gsm", "sgsm"):
         fresh = make_system(40, 4, seed=75)
         run(fresh, SolverConfig(method, s=4, max_iters=5))
