@@ -27,6 +27,10 @@ __all__ = [
 # s_min <= RANK_GATE * ||A||_F counts as numerically rank-deficient.
 RANK_GATE = 1e-12
 
+# At or below this fraction of the Gram matrix's largest eigenvalue its
+# smallest one is roundoff-limited, and s_min comes from an SVD of A.
+_GRAM_FLOOR = float(np.sqrt(np.finfo(float).eps))
+
 
 def _own(arr: np.ndarray) -> np.ndarray:
     """Mark a freshly allocated array read-only so wrapping it never copies."""
@@ -121,8 +125,9 @@ def condition_kappa_tilde(A) -> ConditionStats:
 
     A must be tall (rows >= cols).  s_min comes from the eigenvalues of
     the n-by-n Gram matrix A^T A, which is cheap at the column counts
-    this package targets; its accuracy degrades with the square of the
-    condition number, hence the rank gate below.
+    this package targets.  The Gram matrix cannot resolve an eigenvalue
+    below about eps * lambda_max, so when lambda_min <= sqrt(eps) *
+    lambda_max, s_min is read off the singular values of A instead.
 
     Raises
     ------
@@ -133,8 +138,11 @@ def condition_kappa_tilde(A) -> ConditionStats:
     if A.rows < A.cols:
         raise InputError(f"need rows >= cols, got {A.rows}x{A.cols}")
     fro_sq = float((A.a * A.a).sum())
-    lam = float(np.linalg.eigvalsh(A.a.T @ A.a)[0])
-    s_min = float(np.sqrt(lam)) if lam > 0.0 else 0.0
+    lam = np.linalg.eigvalsh(A.a.T @ A.a)
+    if lam[0] > _GRAM_FLOOR * lam[-1]:
+        s_min = float(np.sqrt(lam[0]))
+    else:
+        s_min = float(np.linalg.svd(A.a, compute_uv=False)[-1])
     if s_min <= RANK_GATE * np.sqrt(fro_sq):
         raise RankDeficientError(
             f"matrix is numerically rank-deficient: s_min={s_min:.6e} "

@@ -20,15 +20,13 @@ is [m - s, m), which overlaps its neighbour, so every row can be drawn.
 Draw order per public sketch: block index first (block and sparse
 sketches), then the Gaussian factor entries in row-major order.
 
-SketchedSystem(M, r, z, shift, factor) is the one record of a drawn
-system, for every method: a named tuple of the arrays the solver steps
-already build, in that field order.  For kaczmarz and motzkin the drawn
-system is A itself (M is A.a, r is b.a, z None, shift 0, no factor).
+Each sketch returns a SketchedSystem(M, r, z, shift, factor), a named
+tuple of plain arrays.
 
 A max-residual step on a Gaussian sketch only ever uses the winning
 row of S^T A.  The gsm step draws that row, (w^T A, w^T b) for the
 winning column w of S, from its exact law in the (n+1)-dimensional row
-space of [A b] (_gaussian_row_raw): S is rotation invariant, so the
+space of [A b] (_gaussian_row): S is rotation invariant, so the
 row depends on (A, b) only through the triangular factor [R_A r_b] of
 a QR [A b] = Q [R_A r_b], which LinearSystem makes once per system
 (LinearSystem._residual_factor, Theta(m*n^2), the factor run()'s trace
@@ -36,11 +34,10 @@ records read).  Per attempt it takes s normals u, then n + 1 normals z
 (_winner_fill), and a step costs Theta(n^2 + s), flat in m.  The sgsm
 step draws the whole s-by-s factor X (_factor_fill) after its block
 index, and builds only the winning row of X^T A_block
-(_sparse_winner_raw): s^2 normals and Theta(s*n + s^2) multiplies
-instead of Theta(s^2*n).  Both steps take these draws in chunks, by the
-chunk rule in rng.py.  The record of either step is a one-row sketch;
-sgsm's factor is the winning column of X, and gsm's is None, since no
-column of S is ever formed.
+(_sparse_winner): s^2 normals and Theta(s*n + s^2) multiplies instead
+of Theta(s^2*n).  Both steps take these draws in chunks, by the chunk
+rule in rng.py, and return only the winning row and its right-hand
+side.
 """
 
 from __future__ import annotations
@@ -76,16 +73,11 @@ class SketchedSystem(NamedTuple):
     """A drawn system (M, r) = (S^T A, S^T b) and the randomness that drew
     it: the block index z and row shift min(s*z, m - s) (block and sparse
     sketches), and the Gaussian factor (S of a Gaussian sketch, X of a
-    sparse one).  Enough to rematerialize the sketch exactly.  A gsm or
-    sgsm step's record is the one-row sketch of its winning row: M is
-    1-by-n and r has one entry.  An sgsm record's factor is the winning
-    s-by-1 column of X; a gsm record has none, because the gsm step draws
-    its row in the row space of [A b] and never forms a column of S.
+    sparse one).  Enough to rematerialize the sketch exactly.
 
     The fields are plain numpy arrays, built from an already validated
     A and b and not checked again.  A block's M and r are read-only views
-    of A and b; a mixed sketch's arrays share no memory with them (an
-    sgsm step's winning column is a view of the factor it drew).
+    of A and b; a mixed sketch's arrays share no memory with them.
     """
 
     M: np.ndarray
@@ -105,15 +97,15 @@ def _block_count(m: int, s: int) -> int:
     return -(-m // s)
 
 
-def _build_raw(Aa, ba, s, z):
-    """The block sketch of block z as raw arrays: (Ma, ra, z, shift, None),
-    read-only views of rows [shift, shift + s) of A and b.
+def _block(Aa, ba, s, z):
+    """Block z as (Ab, bb, shift): read-only views of rows [shift, shift
+    + s) of A and b.
 
     Shared by block_sketch and the skm and sgsm steps; every caller draws
     z from its stream before calling.
     """
     shift = min(s * z, Aa.shape[0] - s)
-    return Aa[shift:shift + s], ba[shift:shift + s], z, shift, None
+    return Aa[shift:shift + s], ba[shift:shift + s], shift
 
 
 def _winner_fill(gen, s, n):
@@ -136,7 +128,7 @@ def _factor_fill(gen, s):
     return gen.standard_normal((max(1, _NORMALS // (s * s)), s, s))
 
 
-def _gaussian_row_raw(factor, xa, u_star, z):
+def _gaussian_row(factor, xa, u_star, z):
     """The max-residual row of a fresh m-by-s N(0, 1) sketch S^T (A, b),
     drawn in the row space of [A b], without S or any m-vector.
 
@@ -156,10 +148,9 @@ def _gaussian_row_raw(factor, xa, u_star, z):
     the factor's last row is zero, so z's last normal drops out.  When
     ||res||^2 computes as zero, w = g (coef = 0) and t = 0.
 
-    Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
-    (row, beta, None, None, None), the record _one_row_sketch builds.
-    Each product is a 1-D .dot, numpy's cheapest call for it, and each
-    scalar a Python float (the cost rules in solvers.py).
+    Returns select(x)'s shape (t, row, beta, row_sq).  Each product is a
+    1-D .dot, numpy's cheapest call for it, and each scalar a Python float
+    (the cost rules in solvers.py).
     """
     RA, rb = factor
     v = RA.dot(xa) - rb
@@ -170,10 +161,10 @@ def _gaussian_row_raw(factor, xa, u_star, z):
         coef = (t - float(z.dot(v))) / res_sq
     c = z + coef * v
     row, beta = c.dot(RA), float(c.dot(rb))
-    return t, (row, beta, None, None, None), None, row, beta, float(row.dot(row))
+    return t, row, beta, float(row.dot(row))
 
 
-def _sparse_winner_raw(block, X, xa):
+def _sparse_winner(Ab, bb, X, xa):
     """The max-residual row of the sparse sketch X^T (Ab, bb) of a drawn
     block, forming only that row.
 
@@ -183,23 +174,14 @@ def _sparse_winner_raw(block, X, xa):
     row = w^T Ab, beta = w^T bb.  Theta(s*n + s^2) multiplies instead of
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
-    Returns select(x)'s shape (t, raw, None, row, beta, row_sq), raw =
-    (row, beta, z, shift, w), as _gaussian_row_raw does for gsm.
+    Returns select(x)'s shape (t, row, beta, row_sq), as _gaussian_row
+    does for gsm.
     """
-    Ab, bb, z, shift, _ = block
     t = (Ab.dot(xa) - bb).dot(X)
     j = int((t * t).argmax())
     w = X[:, j]
     row, beta = w.dot(Ab), float(w.dot(bb))
-    return t[j], (row, beta, z, shift, w), None, row, beta, float(row.dot(row))
-
-
-def _one_row_sketch(raw) -> SketchedSystem:
-    """The record of a winner's raw (row, beta, z, shift, w): the one-row
-    sketch M = row (1-by-n), r = (beta,), factor = w as a k-by-1 column
-    (sgsm), or None when no column was formed (gsm)."""
-    row, beta, z, shift, w = raw
-    return SketchedSystem(row[None], np.array([beta]), z, shift, None if w is None else w[:, None])
+    return t[j], row, beta, float(row.dot(row))
 
 
 def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -210,7 +192,8 @@ def block_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     """
     _check_sketch(s, system.A.rows)
     z = int(rng.gen.integers(_block_count(system.A.rows, s)))
-    return SketchedSystem._make(_build_raw(system.A.a, system.b.a, s, z))
+    Ab, bb, shift = _block(system.A.a, system.b.a, s, z)
+    return SketchedSystem(Ab, bb, z, shift, None)
 
 
 def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
@@ -219,7 +202,7 @@ def gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     s may exceed the row count; the sketch is then overcomplete.  This is
     the Theta(m*s*n) materialized reference; the gsm solver step draws
     only the winning row, in the row space of [A b] (see
-    _gaussian_row_raw).
+    _gaussian_row).
     """
     _check_sketch(s)
     S = rng.gen.standard_normal((system.A.rows, s))
@@ -232,7 +215,7 @@ def sparse_gaussian_sketch(system, s: int, rng: RngState) -> SketchedSystem:
     Equals the dense sketch whose S is zero outside the block, at
     Theta(s^2*n) multiplies instead of Theta(m*s*n).  This is the
     materialized reference; the sgsm solver step draws X the same way but
-    builds only the winning row of X^T A_block (see _sparse_winner_raw).
+    builds only the winning row of X^T A_block (see _sparse_winner).
     """
     Ab, bb, z, shift, _ = block_sketch(system, s, rng)
     X = rng.gen.standard_normal((s, s))

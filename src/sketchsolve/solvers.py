@@ -69,17 +69,7 @@ import numpy as np
 from .errors import InputError, NumericalError, ZeroRowError, _index, _real
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
 from .rng import RngState, _check_seed, _chunked, _pick_from_cumulative
-from .sketch import (
-    SketchedSystem,
-    _block_count,
-    _build_raw,
-    _check_sketch,
-    _factor_fill,
-    _gaussian_row_raw,
-    _one_row_sketch,
-    _sparse_winner_raw,
-    _winner_fill,
-)
+from .sketch import _block, _block_count, _check_sketch, _factor_fill, _gaussian_row, _sparse_winner, _winner_fill
 
 __all__ = [
     "METHODS",
@@ -215,7 +205,7 @@ class LinearSystem:
         ||A x - b|| = ||R_A x - r_b|| for every x, whatever the rank of A
         and whether or not b is consistent.  run()'s trace records read it
         (see RESIDUAL_WINDOW), and the gsm step draws its row from it
-        (sketch._gaussian_row_raw).  Theta(m*n^2), made at the first gsm
+        (sketch._gaussian_row).  Theta(m*n^2), made at the first gsm
         Stepper on the system or before the clock of its first kaczmarz,
         skm or sgsm run; Steppers of the other methods and a motzkin run
         leave it uncomputed.  Its temporaries (about two copies of [A b])
@@ -366,16 +356,13 @@ def select_max_residual(M, r, x) -> int:
 
 def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     """The row-selection rule of one method, as
-    select(x) -> (t, raw, i, row, beta, row_sq).
+    select(x) -> (t, row, beta, row_sq).
 
     The chosen row is row with right-hand side beta and squared norm
-    row_sq, and t is its residual.  raw is the step's drawn system in
-    SketchedSystem's field order (M, r, z, shift, factor), with row =
-    M[i] and beta = r[i]: (A, b, None, 0, None) for kaczmarz and motzkin,
-    a block of A for skm.  For gsm and sgsm, i is None and raw is the
-    winner's (row, beta, z, shift, column), whose record is
-    _one_row_sketch(raw) with i = 0; gsm forms no column, so its column
-    is None.  kaczmarz computes no residual and returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
+    row_sq, and t is its residual.  For kaczmarz, motzkin and skm, row is
+    a read-only view of a row of A; for gsm and sgsm it is the winning
+    sketched row, a fresh array.  kaczmarz computes no residual and
+    returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
     of A reads them from float copies of b and LinearSystem.row_norms_sq;
     a sketched row computes its own.  Each kind of draw comes from its
     own _chunked source (the chunk rule in rng.py).  (method, s, m) is
@@ -398,7 +385,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         attempts = _chunked(lambda: _winner_fill(gen, s, system.A.cols))
 
         def select(xa):
-            return _gaussian_row_raw(factor, xa, *attempts())
+            return _gaussian_row(factor, xa, *attempts())
 
         return select
     if method in ("skm", "sgsm"):
@@ -407,18 +394,18 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         factors = _chunked(lambda: _factor_fill(gen, s))
 
         def select(xa):
-            return _sparse_winner_raw(_build_raw(Aa, ba, s, blocks()), factors(), xa)
+            Ab, bb, _ = _block(Aa, ba, s, blocks())
+            return _sparse_winner(Ab, bb, factors(), xa)
 
         return select
     # Rows of A: beta and row_sq as Python floats (the module docstring's cost rules).
     bl, norms = ba.tolist(), system.row_norms_sq.tolist()
-    whole = (Aa, ba, None, 0, None)
     if method == "kaczmarz":
         rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
 
         def select(xa):
             i = rows()
-            return _NO_RESIDUAL, whole, i, Aa[i], bl[i], norms[i]
+            return _NO_RESIDUAL, Aa[i], bl[i], norms[i]
 
         return select
     if method == "motzkin":
@@ -426,33 +413,33 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         def select(xa):
             t = recorded[1] if recorded[0] is xa else Aa.dot(xa) - ba
             i = int((t * t).argmax())
-            return t[i], whole, i, Aa[i], bl[i], norms[i]
+            return t[i], Aa[i], bl[i], norms[i]
 
         return select
 
     def select(xa):
-        raw = Ab, bb, _, shift, _ = _build_raw(Aa, ba, s, blocks())
+        Ab, bb, shift = _block(Aa, ba, s, blocks())
         t = Ab.dot(xa) - bb
         i = int((t * t).argmax())
-        return t[i], raw, i, Ab[i], bl[shift + i], norms[shift + i]
+        return t[i], Ab[i], bl[shift + i], norms[shift + i]
 
     return select
 
 
 def _step(select, xa, gate):
-    """One select-then-project step: (x_next, raw, i) with the row of
-    select(x).
+    """One select-then-project step: (x_next, row, beta) with the row
+    and right-hand side of select(x).
 
     A zero residual returns x unchanged.  A row with ||row||^2 <= gate
     (gate = LinearSystem.zero_row_gate) gets exactly one reselection; a
     second such row raises ZeroRowError.
     """
     for _ in (0, 1):
-        t, raw, i, row, beta, row_sq = select(xa)
+        t, row, beta, row_sq = select(xa)
         if t == 0.0:
-            return xa, raw, i
+            return xa, row, beta
         if row_sq > gate:
-            return _project_raw(xa, row, beta, row_sq), raw, i
+            return _project_raw(xa, row, beta, row_sq), row, beta
     raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 
@@ -469,15 +456,12 @@ class Stepper:
 
     Building it checks (method, s, m) and starts the stepper's own stream
     RngState(config.seed); config's run controls are not read.  step(x)
-    returns (x_next, sketch, i): x_next projects x onto row i of the drawn
-    SketchedSystem, sketch.M[i] with right-hand side sketch.r[i] (x_next
-    is x when that row's residual is zero), so a step can be replayed
-    exactly.  For kaczmarz and motzkin the drawn system is A itself:
-    sketch.M is system.A.a, sketch.r is system.b.a and shift is 0.  For
-    gsm and sgsm it is the one-row sketch of the winning row, and i is 0;
-    its factor is the winning column of X for sgsm and None for gsm, whose
-    step never forms a column of S.  Stepping by hand from x0 reproduces
-    run(system, config, x0)'s iterates bit for bit.  Not thread-safe.
+    returns (x_next, row, beta): x_next is project_row(x, row, beta), bit
+    for bit, or x itself when the row's residual is zero.  For kaczmarz,
+    motzkin and skm, row is a read-only view of a row of A; for gsm and
+    sgsm it is the winning sketched row, which aliases neither A nor b.
+    Stepping by hand from x0 reproduces run(system, config, x0)'s iterates
+    bit for bit.  Not thread-safe.
     """
 
     def __init__(self, system: LinearSystem, config: SolverConfig):
@@ -487,10 +471,8 @@ class Stepper:
         self._gate = system.zero_row_gate
 
     def step(self, x):
-        xa, raw, i = _step(self._select, _iterate(self._system, x), self._gate)
-        if i is None:  # a Gaussian winner: its row is the whole drawn system
-            return RealVector(_own(xa)), _one_row_sketch(raw), 0
-        return RealVector(_own(xa)), SketchedSystem._make(raw), i
+        xa, row, beta = _step(self._select, _iterate(self._system, x), self._gate)
+        return RealVector(_own(xa)), row, beta
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):

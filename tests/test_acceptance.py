@@ -51,10 +51,11 @@ def coherent_1000x50():
     return generate_system(ModelSpec("coherent", 1000, 50, seed=0))
 
 
-def one_step(stepper, x):
-    """One step of `stepper`; returns (x1, selected row array, beta)."""
-    x1, sketch, i = stepper.step(x)
-    return x1, sketch.M[i], float(sketch.r[i])
+def row_index(system, row):
+    """The index i of a step's row when it is the view A[i] of system's A."""
+    i, offset = divmod(row.ctypes.data - system.A.a.ctypes.data, system.A.a.strides[0])
+    assert offset == 0 and 0 <= i < system.A.rows and row.base is not None
+    return i
 
 
 def iters_to_error_threshold(system, method, s, seed, frac, max_iters):
@@ -84,7 +85,7 @@ def test_c01_projection_geometry():
             xs = sy.x_star.a
             for _ in range(5):
                 x0 = RealVector(gen.standard_normal(n))
-                x1, row, beta = one_step(stepper, x0)
+                x1, row, beta = stepper.step(x0)
                 err0 = x0.a - xs
                 err1 = x1.a - xs
                 row_norm = math.sqrt(float(row @ row))
@@ -271,8 +272,8 @@ def test_c09_kaczmarz_sampling_law():
     counts = np.zeros(50)
     x = RealVector(np.zeros(5))
     for _ in range(100_000):
-        x, _, i = stepper.step(x)
-        counts[i] += 1
+        x, row, _ = stepper.step(x)
+        counts[row_index(sy, row)] += 1
     deviation = float(np.max(np.abs(counts / 100_000 - probs)))
     assert deviation <= 0.01
     report(9, f"max |frequency - probability| = {deviation:.4f} <= 0.01", started)

@@ -153,6 +153,17 @@ def test_generate_csv_saves_what_load_csv_matrix_reads(tmp_path, capsys, target)
     assert float(stdout_value(out, "kappa_tilde")) == condition_kappa_tilde(want.A).kappa_tilde
 
 
+def test_generate_csv_accepts_a_full_rank_matrix_of_kappa_1e10(tmp_path, capsys):
+    # s_min = 1e-10 is below what the Gram matrix resolves but well above
+    # the rank gate, so the import succeeds and prints the true s_min.
+    gen = np.random.default_rng(0)
+    u, _ = np.linalg.qr(gen.standard_normal((200, 20)))
+    v, _ = np.linalg.qr(gen.standard_normal((20, 20)))
+    a = (u * np.logspace(0, -10, 20)) @ v.T
+    import_csv(tmp_path, "".join(",".join(map(repr, row.tolist())) + "\n" for row in a), "--seed", "1")
+    assert float(stdout_value(capsys.readouterr().out, "s_min")) == pytest.approx(1e-10, rel=1e-4)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--csv", "m.csv", "--rows", "40"], "error: --rows cannot be used with --csv"),
     (["--csv", "m.csv", "--rows", "40", "--cols", "8"], "error: --rows, --cols cannot be used with --csv"),

@@ -249,6 +249,26 @@ def test_condition_rank_deficient_raises_and_names_floor():
         condition_kappa_tilde(DenseMatrix(a))
 
 
+def spectrum_matrix(singular_values, m=200, seed=0):
+    """U diag(singular_values) V^T with seeded orthonormal U (m-by-n) and V."""
+    gen = np.random.default_rng(seed)
+    n = len(singular_values)
+    u, _ = np.linalg.qr(gen.standard_normal((m, n)))
+    v, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return (u * singular_values) @ v.T
+
+
+def test_condition_resolves_full_rank_below_the_gram_roundoff():
+    # kappa = 1e10 is full rank (s_min = 1e-10, 100x the gate), but the
+    # Gram matrix's smallest eigenvalue 1e-20 is below its roundoff, so
+    # s_min comes from the singular values of A.  A matrix whose s_min is
+    # under the gate still raises.
+    stats = condition_kappa_tilde(DenseMatrix(spectrum_matrix(np.logspace(0, -10, 20))))
+    assert stats.s_min == pytest.approx(1e-10, rel=1e-4)
+    with pytest.raises(RankDeficientError, match="s_min"):
+        condition_kappa_tilde(DenseMatrix(spectrum_matrix(np.logspace(0, -14, 20))))
+
+
 def test_norm_lower_bound_invariant():
     gen = np.random.default_rng(77)
     a = gen.standard_normal((50, 7))

@@ -110,12 +110,11 @@ def reference_max_residual_iteration(a, b, x0, steps):
     return x
 
 
-def step_row_and_beta(stepper, x):
-    """Take one step of `stepper`, returning (x1, row projected on, beta).
-
-    The row comes back as a plain array."""
-    x1, sketch, i = stepper.step(x)
-    return x1, sketch.M[i], float(sketch.r[i])
+def row_index(system, row):
+    """The index i of a step's row when it is the view A[i] of system's A."""
+    i, offset = divmod(row.ctypes.data - system.A.a.ctypes.data, system.A.a.strides[0])
+    assert offset == 0 and 0 <= i < system.A.rows and row.base is not None
+    return i
 
 
 # -------------------------------------------------------------- projection
@@ -217,8 +216,8 @@ def test_kaczmarz_solution_is_fixed_point():
 
 def test_kaczmarz_single_row_solves_exactly():
     sy = LinearSystem(DenseMatrix([[2.0]]), RealVector([6.0]))
-    x1, _, i = Stepper(sy, SolverConfig("kaczmarz", seed=1)).step(RealVector([0.0]))
-    assert i == 0
+    x1, row, _ = Stepper(sy, SolverConfig("kaczmarz", seed=1)).step(RealVector([0.0]))
+    assert row_index(sy, row) == 0
     assert x1.a.tolist() == [3.0]
 
 
@@ -226,8 +225,8 @@ def test_kaczmarz_forced_selection_projects_correctly():
     # Find a seed whose first weighted draw picks the (1,1) row, then the
     # projection from the origin lands on the exact solution.
     for seed in range(100):
-        x1, _, i = Stepper(INTEGER_SYSTEM, SolverConfig("kaczmarz", seed=seed)).step(RealVector([0.0, 0.0]))
-        if i == 2:
+        x1, row, _ = Stepper(INTEGER_SYSTEM, SolverConfig("kaczmarz", seed=seed)).step(RealVector([0.0, 0.0]))
+        if row_index(INTEGER_SYSTEM, row) == 2:
             assert x1.a.tolist() == [1.0, 1.0]
             break
     else:
@@ -242,8 +241,8 @@ def test_kaczmarz_selection_tracks_row_weights():
     counts = np.zeros(12)
     x = RealVector(np.zeros(3))
     for _ in range(20_000):
-        x, _, i = stepper.step(x)
-        counts[i] += 1
+        x, row, _ = stepper.step(x)
+        counts[row_index(sy, row)] += 1
     assert np.max(np.abs(counts / 20_000 - probs)) <= 0.03
 
 
@@ -256,8 +255,8 @@ def test_kaczmarz_never_samples_zero_rows():
     x = RealVector(np.zeros(2))
     picked = set()
     for _ in range(10_000):
-        x, _, i = stepper.step(x)
-        picked.add(i)
+        x, row, _ = stepper.step(x)
+        picked.add(row_index(sy, row))
     assert picked == {1, 3, 4}
 
 
@@ -291,8 +290,8 @@ def script_uniforms(monkeypatch, values):
 def test_kaczmarz_near_zero_row_is_reselected_once(monkeypatch):
     # The first uniform (0.0) lands on row 0, the reselection (0.75) on row 2.
     script_uniforms(monkeypatch, [0.0, 0.75])
-    x1, _, i = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")).step(RealVector([0.0, 0.0]))
-    assert i == 2
+    x1, row, _ = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")).step(RealVector([0.0, 0.0]))
+    assert row_index(NEAR_ZERO_ROW_SYSTEM, row) == 2
     assert x1.a.tolist() == [0.0, 2.0]
 
 
@@ -339,9 +338,9 @@ def test_motzkin_zero_selected_row_raises():
 def test_skm_full_block_equals_motzkin():
     sy = make_system(8, 3, seed=9)
     x = RealVector(np.zeros(3))
-    got, _, i = Stepper(sy, SolverConfig("skm", s=8, seed=5)).step(x)
-    want, _, j = Stepper(sy, SolverConfig("motzkin")).step(x)
-    assert i == j
+    got, row, _ = Stepper(sy, SolverConfig("skm", s=8, seed=5)).step(x)
+    want, want_row, _ = Stepper(sy, SolverConfig("motzkin")).step(x)
+    assert row_index(sy, row) == row_index(sy, want_row)
     assert np.array_equal(got.a, want.a)
 
 
@@ -360,7 +359,9 @@ def test_sparse_step_matches_materialized_oracle():
     # The sgsm step draws its block indices _CHUNK at a time (as skm does),
     # then its s-by-s factors X a chunk at a time, and builds only the
     # winning row of X^T A_block.  Replaying those draws through the
-    # materialized sketch picks the same row and takes the same step.
+    # materialized sketch picks the same row and takes the same step; the
+    # step's row is w^T A_block, bit for bit, for the replayed block and
+    # the winning column w of the replayed factor.
     m, s = 15, 3
     sy = make_system(m, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
@@ -369,15 +370,16 @@ def test_sparse_step_matches_materialized_oracle():
     blocks = gen.integers(m // s, size=solvers._CHUNK)
     factors = gen.standard_normal((sketch._NORMALS // s**2, s, s))
     for k in range(3):
-        got, sk, chosen = stepper.step(x)
+        got, got_row, got_beta = stepper.step(x)
         shift = s * int(blocks[k])
         m_arr = factors[k].T @ sy.A.a[shift:shift + s]
         r_arr = factors[k].T @ sy.b.a[shift:shift + s]
         i = scan_max_index(m_arr, r_arr, x.a)
-        assert (sk.z, sk.shift, chosen) == (blocks[k], shift, 0)
-        assert np.array_equal(sk.factor, factors[k][:, i:i + 1])
-        assert np.allclose(sk.M, m_arr[i:i + 1], rtol=1e-13, atol=0.0)
-        assert np.allclose(sk.r, r_arr[i:i + 1], rtol=1e-13, atol=0.0)
+        w = factors[k][:, i]
+        assert np.array_equal(got_row, w.dot(sy.A.a[shift:shift + s]))
+        assert got_beta == float(w.dot(sy.b.a[shift:shift + s]))
+        assert np.allclose(got_row, m_arr[i], rtol=1e-13, atol=0.0)
+        assert np.isclose(got_beta, r_arr[i], rtol=1e-13, atol=0.0)
         row = m_arr[i]
         want = x.a + (r_arr[i] - row @ x.a) / (row @ row) * row
         assert np.max(np.abs(got.a - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -387,11 +389,11 @@ def test_sparse_step_matches_materialized_oracle():
 def test_sketched_provenance_is_replayable():
     sy = make_system(12, 3, seed=12)
     x = RealVector(np.random.default_rng(3).standard_normal(3))
-    got, sk, i = Stepper(sy, SolverConfig("gsm", s=4, seed=13)).step(x)
-    # The gsm step draws its row in the row space of [A b]: the record is
-    # the row and its right-hand side, with no column of S behind it.
-    assert (sk.M.shape, sk.r.shape, sk.factor, i) == ((1, 3), (1,), None, 0)
-    replay = project_row(x, sk.M[i], float(sk.r[i]))
+    got, row, beta = Stepper(sy, SolverConfig("gsm", s=4, seed=13)).step(x)
+    # The gsm step draws its row in the row space of [A b]: it returns the
+    # row and its right-hand side, with no column of S behind it.
+    assert (row.shape, type(beta)) == ((3,), float)
+    replay = project_row(x, row, beta)
     assert np.array_equal(got.a, replay.a)
 
 
@@ -451,7 +453,7 @@ def test_gsm_step_draws_u_then_the_winning_row():
     b = a @ gen.standard_normal(3) + gen.standard_normal(12)
     sy = LinearSystem(DenseMatrix(a), RealVector(b))
     x = gen.standard_normal(3)
-    _, sk, i = Stepper(sy, SolverConfig("gsm", s=6, seed=17)).step(RealVector(x))
+    _, row, beta = Stepper(sy, SolverConfig("gsm", s=6, seed=17)).step(RealVector(x))
     draws = RngState(17).gen
     u = draws.standard_normal(6)
     z_a = draws.standard_normal(3)
@@ -463,9 +465,8 @@ def test_gsm_step_draws_u_then_the_winning_row():
     rhat = res / np.linalg.norm(res)
     w = u[np.argmax(u * u)] * rhat + (g - (g @ rhat) * rhat)
     want_row, want_beta = w @ a, w @ b
-    assert sk.factor is None and i == 0
-    assert np.allclose(sk.M[0], want_row, rtol=0.0, atol=1e-12 * np.max(np.abs(want_row)))
-    assert abs(sk.r[0] - want_beta) <= 1e-12 * max(abs(want_beta), np.max(np.abs(want_row)))
+    assert np.allclose(row, want_row, rtol=0.0, atol=1e-12 * np.max(np.abs(want_row)))
+    assert abs(beta - want_beta) <= 1e-12 * max(abs(want_beta), np.max(np.abs(want_row)))
 
 
 @pytest.mark.parametrize("m, n, rank", [(30, 5, 5), (6, 6, 6), (30, 8, 3)], ids=["30x5", "6x6", "30x8-rank3"])
@@ -595,13 +596,14 @@ def predict_block_draws(seed, n_blocks, count):
 
 
 def test_sketched_zero_row_resample_then_succeed():
-    # First draw hits the all-zero block, the resample hits the good one.
+    # First draw hits the all-zero block, the resample hits the good one:
+    # the row projected on is a row of block 1 (rows 2 and 3).
     seed = next(
         s for s in range(200) if predict_block_draws(s, 2, 2) == [0, 1]
     )
     x = RealVector(np.zeros(2))
-    x1, sk, _ = Stepper(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, seed=seed)).step(x)
-    assert sk.z == 1
+    x1, row, _ = Stepper(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, seed=seed)).step(x)
+    assert row_index(ZERO_BLOCK_SYSTEM, row) in (2, 3)
     assert not np.array_equal(x1.a, x.a)
 
 
@@ -628,7 +630,7 @@ def test_step_orthogonality_and_pythagoras():
         xs = sy.x_star.a
         for _ in range(8):
             x0 = RealVector(gen.standard_normal(5))
-            x1, row, beta = step_row_and_beta(stepper, x0)
+            x1, row, beta = stepper.step(x0)
             row_norm = math.sqrt(float(row @ row))
             err0 = x0.a - xs
             err1 = x1.a - xs
@@ -643,7 +645,9 @@ def test_step_orthogonality_and_pythagoras():
 
 def test_selected_row_maximizes_decrease_on_equal_norm_rows():
     # With unit-norm rows the squared-residual argmax is also the argmax
-    # of error decrease, so no other row of the sketch can beat it.
+    # of error decrease, so no other row of the block can beat it.  The
+    # skm blocks are replayed from the stepper's stream: its first draw is
+    # a chunk of block indices.
     gen = np.random.default_rng(50)
     a = gen.standard_normal((20, 4))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -651,13 +655,17 @@ def test_selected_row_maximizes_decrease_on_equal_norm_rows():
     sy = LinearSystem(DenseMatrix(a), RealVector(a @ x_star), RealVector(x_star))
     for s in (1, 2, 4, 5, 10, 20):
         stepper = Stepper(sy, SolverConfig("skm", s=s, seed=51))
-        for _ in range(5):
+        blocks = RngState(51).gen.integers(-(-20 // s), size=solvers._CHUNK)
+        for k in range(5):
             x0 = RealVector(gen.standard_normal(4))
-            _, sk, i = stepper.step(x0)
-            t = sk.M @ x0.a - sk.r
-            norms = np.einsum("ij,ij->i", sk.M, sk.M)
+            _, row, beta = stepper.step(x0)
+            shift = min(s * int(blocks[k]), 20 - s)
+            assert shift <= row_index(sy, row) < shift + s
+            block, rhs = a[shift:shift + s], sy.b.a[shift:shift + s]
+            t = block @ x0.a - rhs
+            norms = np.einsum("ij,ij->i", block, block)
             decreases = t * t / norms
-            chosen = decreases[i]
+            chosen = (float(row @ x0.a) - beta) ** 2 / float(row @ row)
             assert np.all(decreases <= chosen + 1e-12 * max(1.0, chosen))
 
 
@@ -671,7 +679,7 @@ def test_step_error_never_increases():
         err = float((x.a - xs) @ (x.a - xs))
         slack = 1e-10 * err
         for _ in range(30):
-            x, _, _ = step_row_and_beta(stepper, x)
+            x, _, _ = stepper.step(x)
             nxt = float((x.a - xs) @ (x.a - xs))
             assert nxt <= err + slack
             err = nxt
@@ -684,25 +692,23 @@ def assert_no_writeable_alias(sketch, sy):
 
 
 def test_step_sketch_replays_every_method():
-    # project_row onto row i of the drawn system reproduces every method's
-    # step bit for bit; for kaczmarz and motzkin that system is A itself,
-    # not a copy, and skm's is a read-only view of A.  No record array is a
-    # writeable alias of A or b.
+    # project_row onto the step's (row, beta) reproduces every method's
+    # step bit for bit.  For kaczmarz, motzkin and skm the row is a
+    # read-only row of A, not a copy.  No row is a writeable alias of A or
+    # b, and neither is any array of the three materialized sketches.
     sy = make_system(30, 5, seed=84)
     for method in METHOD_NAMES:
         stepper = Stepper(sy, SolverConfig(method, s=4, seed=19))
         x = RealVector(np.random.default_rng(6).standard_normal(5))
         for _ in range(10):
-            x1, sketch, i = stepper.step(x)
-            assert type(sketch) is SketchedSystem, method
-            assert np.array_equal(project_row(x, sketch.M[i], sketch.r[i]).a, x1.a), method
-            whole = method in ("kaczmarz", "motzkin")
-            assert (sketch.M is sy.A.a, sketch.r is sy.b.a) == (whole, whole), method
-            if whole:
-                assert (sketch.z, sketch.shift, sketch.factor) == (None, 0, None)
-            if method == "skm":
-                assert not sketch.M.flags.writeable and np.shares_memory(sketch.M, sy.A.a)
-            assert_no_writeable_alias(sketch, sy)
+            x1, row, beta = stepper.step(x)
+            assert type(beta) is float, method
+            assert np.array_equal(project_row(x, row, beta).a, x1.a), method
+            if method in ("kaczmarz", "motzkin", "skm"):
+                assert not row.flags.writeable, method
+                assert np.array_equal(row, sy.A.a[row_index(sy, row)]), method
+            elif row.flags.writeable:
+                assert not np.shares_memory(row, sy.A.a) and not np.shares_memory(row, sy.b.a), method
             x = x1
     for build in (block_sketch, gaussian_sketch, sparse_gaussian_sketch):
         sketch = build(sy, 4, RngState(5))
@@ -1048,11 +1054,9 @@ def test_selected_row_scalars_are_python_floats(method):
     sy = make_system(40, 4, seed=81)
     select = solvers._selector(sy, method, 4, RngState(0).gen, [None, None])
     for x in (np.zeros(4), sy.x_star.a, np.ones(4)):
-        beta, row_sq = select(x)[4:]
+        beta, row_sq = select(x)[2:]
         assert (type(beta), type(row_sq)) == (float, float)
-    if method in ("gsm", "sgsm"):
-        sketched = Stepper(sy, SolverConfig(method, s=4)).step(np.ones(4))[1]
-        assert (sketched.r.dtype, sketched.r.shape) == (np.float64, (1,))
+    assert type(Stepper(sy, SolverConfig(method, s=4)).step(np.ones(4))[2]) is float
 
 
 def test_run_error_stop_halts_on_squared_error():
