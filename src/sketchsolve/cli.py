@@ -24,7 +24,6 @@ can be compared.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -69,18 +68,19 @@ def _run_cells(system, cells, trials, seed, **fields):
     return [traces[i:i + trials] for i in range(0, len(traces), trials)]
 
 
-def _trace_csv_rows(method, s, trial, trace):
-    """Raw trace rows; csv writes None as an empty field and a float as its repr."""
-    s = s if method in _SKETCHED else None
-    for rec in trace.records:
-        yield method, s, trial, *rec
+def _trace_lines(method, s, trial, trace):
+    """The trace's CSV lines: a float as its repr, None as an empty field."""
+    head = f"{method},{s if method in _SKETCHED else ''},{trial},"
+    for k, err, residual, ns in trace.records:
+        yield f"{head}{k},{'' if err is None else repr(err)},{residual!r},{ns}\r\n"
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, lines):
+    """Write the header and the preformatted lines: what csv.writer's excel
+    dialect writes, since no field of ours needs quoting."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(lines)
 
 
 def _median_text(values, as_int=False):
@@ -233,7 +233,7 @@ def cmd_solve(args) -> int:
     [[trace]] = _run_cells(system, [(args.method, args.s)], 1, args.seed, max_iters=args.max_iters, tol=args.tol,
                            record_dense_limit=args.record_dense, record_stride=args.record_stride)
     if args.trace:
-        _write_csv(args.trace, TRACE_HEADER, _trace_csv_rows(args.method, args.s, 0, trace))
+        _write_csv(args.trace, TRACE_HEADER, _trace_lines(args.method, args.s, 0, trace))
     final = trace.final
     print(f"status: {trace.status}")
     print(f"iterations: {final.iter}")
@@ -249,9 +249,9 @@ def cmd_compare(args) -> int:
     cells = _parse_methods(args.methods)
     by_cell = _run_cells(system, cells, args.trials, args.seed, max_iters=args.max_iters, tol=args.tol,
                          record_dense_limit=args.record_dense, record_stride=args.record_stride)
-    _write_csv(args.out, TRACE_HEADER, [row for (method, s), cell in zip(cells, by_cell)
+    _write_csv(args.out, TRACE_HEADER, (line for (method, s), cell in zip(cells, by_cell)
                                         for trial, trace in enumerate(cell)
-                                        for row in _trace_csv_rows(method, s, trial, trace)])
+                                        for line in _trace_lines(method, s, trial, trace)))
     for (method, s), cell in zip(cells, by_cell):
         done = [t.status == CONVERGED for t in cell]
         iters = [t.final.iter if ok else math.inf for t, ok in zip(cell, done)]
@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials, max_iters=args.max_iters, seed=args.seed,
         record_dense_limit=args.record_dense, record_stride=args.record_stride,
     )
-    _write_csv(args.out, SWEEP_HEADER, rows)
+    _write_csv(args.out, SWEEP_HEADER, [",".join(row) + "\r\n" for row in rows])
     for i, s in enumerate(s_values):  # rows are cell-major, so each entry's trials are contiguous
         iters = [math.inf if n == "DNF" else int(n) for _, _, n, _ in rows[i * args.trials:(i + 1) * args.trials]]
         print(f"s={s} trials={args.trials} median_iters_to_threshold={_median_text(iters, as_int=True)}")

@@ -46,7 +46,9 @@ cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
 not two.  The other methods' records cost Theta(n^2), not Theta(m*n):
 they read ||A x - b|| from one cached QR of [A b], the factor the gsm
-step draws its row from (see run()).
+step draws its row from, and over the dense stretch of the schedule
+run() measures them a block of iterates at a time, with stacked products
+that make the same BLAS calls as one iterate's (see run()).
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -59,6 +61,7 @@ trace; reruns with the same seed are bit-identical except wall times.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,6 +120,10 @@ CONSISTENCY_TOL = 1e-10
 MONOTONE_SLACK = 1e-9
 MONOTONE_ROUNDOFF = 2.0**20
 
+# run() steps through up to this many consecutive dense record points of a
+# kaczmarz, skm, gsm or sgsm run before it measures their records together.
+_RECORD_BLOCK = 32
+
 # A record's factored ||R_A x - r_b|| and the direct ||A x - b|| differ by at
 # most RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).  The computed QR is exact
 # for [A b] + dC with ||dc_j|| <= g ||c_j|| per column (Higham, Accuracy and
@@ -127,6 +134,12 @@ MONOTONE_ROUNDOFF = 2.0**20
 # measured from 120x8 to 1e5x50, kappa up to 1e14, stays under 2 units of
 # eps * (||A||_F ||x|| + ||b||), so 2**10 units leave a margin of 500.
 RESIDUAL_WINDOW = 2.0**10 * np.finfo(float).eps
+
+
+def _row_dots(M):
+    """Each row of M dotted with itself, bit for bit as its own .dot: a
+    batched matmul of 1-by-n and n-by-1 makes the same BLAS dot call."""
+    return (M[:, None, :] @ M[:, :, None]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +189,8 @@ class LinearSystem:
         exactly as the row's own dot product does, so a step that reads
         the table moves x bit for bit as one that recomputes the norm; a
         summed elementwise square rounds differently on most rows."""
-        a = self.A.a
         with np.errstate(over="ignore"):  # overflow is refused in __post_init__
-            return _own((a[:, None, :] @ a[:, :, None]).ravel())
+            return _own(_row_dots(self.A.a))
 
     @cached_property
     def zero_row_gate(self) -> float:
@@ -306,7 +318,7 @@ class RunTrace:
         iters = [rec.iter for rec in self.records]
         if iters[0] < 0:
             raise InputError("record iterations must be nonnegative")
-        if any(b <= a for a, b in zip(iters, iters[1:])):
+        if not all(map(operator.lt, iters, iters[1:])):
             raise InputError("records must be strictly ordered by iteration")
 
     @property
@@ -497,9 +509,21 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     the iterates, stops and error_sq are those of direct records; only the
     last bits of residual_norm can differ.
 
-    elapsed_ns starts after the one-time QR of [A b], which a gsm stepper
-    makes when it is built and the other non-motzkin runs make before the
-    clock, so it leaves it out.
+    Over the dense stretch of the schedule, kaczmarz, skm, gsm and sgsm
+    runs step through up to _RECORD_BLOCK record points before they
+    measure them, with stacked products, then record them in order: the
+    window recompute, the error_sq check and the stopping rules see the
+    records one at a time, as unblocked.  So a stop there can come after
+    up to _RECORD_BLOCK - 1 more steps, whose iterates are discarded; a
+    run never takes more than max_iters steps, and a step that finds no
+    usable row raises only when no record before it stops the run.  A
+    lone record point (each one past record_dense_limit, and each motzkin
+    one, whose A x - b its next selection reads) is measured at once.
+
+    elapsed_ns is read when the record's step returns, before the record
+    is measured.  It starts after the one-time QR of [A b], which a gsm
+    stepper makes when it is built and the other non-motzkin runs make
+    before the clock, so it leaves it out.
     """
     stepper = Stepper(system, config)
     select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
@@ -520,44 +544,80 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     error_stop = config.error_stop
     records = []
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
-    start = time.perf_counter_ns()
 
-    def snapshot(k, xa):
+    def snapshot(k, xa, ns, measured=None):
+        """Record iterate xa after k steps, stamped ns; return whether it
+        stops the run.  measured is its (residual, ||x||^2, error_sq) from
+        measure_block, or None to measure it here."""
         nonlocal prev, slack
-        if factored:
-            v = RA.dot(xa) - rb
-            residual = math.sqrt(v.dot(v))
-            if abs(residual - threshold) <= wx * math.sqrt(xa.dot(xa)) + wb:
-                res = Aa.dot(xa) - ba
-                residual = math.sqrt(res.dot(res))
+        if measured is not None:
+            residual, x_sq, err = measured
         else:
-            res = recorded[1] = Aa.dot(xa) - ba
-            recorded[0] = xa
-            residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
-        err = None
-        if xs is not None:
-            d = xa - xs
-            err = float(d.dot(d))
+            if factored:
+                v = RA.dot(xa) - rb
+                residual, x_sq = math.sqrt(v.dot(v)), xa.dot(xa)
+            else:
+                res = recorded[1] = Aa.dot(xa) - ba
+                recorded[0] = xa
+                residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
+            err = None
+            if xs is not None:
+                d = xa - xs
+                err = float(d.dot(d))
+        if factored and abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
+            res = Aa.dot(xa) - ba
+            residual = math.sqrt(res.dot(res))
+        if err is not None:
             if prev is None:
                 slack = MONOTONE_SLACK * err
             elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
                 raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
             prev = err
-        records.append(TraceRecord(k, err, residual, time.perf_counter_ns() - start))
+        records.append(TraceRecord(k, err, residual, ns))
         return residual <= threshold or (error_stop is not None and err <= error_stop)
 
-    status = CONVERGED if snapshot(0, xa) else MAX_ITERS
+    def measure_block(iterates):
+        """The residual, ||x||^2 and error_sq that snapshot() measures, of
+        each iterate, bit for bit: a stacked matmul makes the same BLAS call
+        per iterate as the iterate's own product.  There may be no iterate
+        (a block's first step failed)."""
+        X = np.array(iterates).reshape(len(iterates), system.A.cols)
+        V = (RA @ X[:, :, None])[:, :, 0] - rb
+        errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
+        return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
+
+    clock = time.perf_counter_ns
+    start = clock()
+    status = CONVERGED if snapshot(0, xa, clock() - start) else MAX_ITERS
     k, last = 0, config.max_iters
     dense, stride = config.record_dense_limit, config.record_stride
+    blocked = min(dense, last) if factored else 0  # the stretch recorded in blocks
     try:
         while status == MAX_ITERS and k < last:
-            # Step to the next record point: each step up to dense, then
-            # each stride-th, and the last.
-            point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
-            for k in range(k + 1, point + 1):
-                xa = _step(select, xa, gate)[0]
-            if snapshot(k, xa):
-                status = CONVERGED
+            if k + 1 < blocked:
+                # Step through up to _RECORD_BLOCK record points, then record
+                # them in order: a stop before a failed step ends the run.
+                reached, fault = [], None
+                try:
+                    for k in range(k + 1, min(k + _RECORD_BLOCK, blocked) + 1):
+                        xa = _step(select, xa, gate)[0]
+                        reached.append((k, xa, clock() - start))
+                except ZeroRowError as exc:
+                    fault = exc
+                for (j, x, ns), measured in zip(reached, measure_block([x for _, x, _ in reached])):
+                    if snapshot(j, x, ns, measured):
+                        k, xa, status, fault = j, x, CONVERGED, None
+                        break
+                if fault is not None:
+                    raise fault
+            else:
+                # Step to the next record point: each step up to dense, then
+                # each stride-th, and the last.
+                point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
+                for k in range(k + 1, point + 1):
+                    xa = _step(select, xa, gate)[0]
+                if snapshot(k, xa, clock() - start):
+                    status = CONVERGED
     except ZeroRowError as exc:
         raise ZeroRowError(f"iteration {k}: {exc}") from exc
     return RealVector(_own(xa)), RunTrace(tuple(records), status)

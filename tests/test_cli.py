@@ -6,6 +6,7 @@ output with the elapsed_ns column blanked.
 """
 
 import csv
+import io
 import os
 import re
 import subprocess
@@ -33,7 +34,7 @@ from sketchsolve import (
     run,
     save_system,
 )
-from sketchsolve.cli import TRACE_HEADER, main, run_sweep
+from sketchsolve.cli import SWEEP_HEADER, TRACE_HEADER, main, run_sweep
 
 # What each campaign needs beyond a system and an output path.
 CAMPAIGNS = {
@@ -88,6 +89,29 @@ def record_runs(monkeypatch):
 
     monkeypatch.setattr(sketchsolve.cli, "run", recording)
     return seen
+
+
+def capture(monkeypatch, name):
+    """Stand in for sketchsolve.cli's function `name`; returns a list of
+    what each call returned."""
+    results = []
+    real = getattr(sketchsolve.cli, name)
+
+    def capturing(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sketchsolve.cli, name, capturing)
+    return results
+
+
+def excel_csv(header, rows):
+    """What csv.writer's default (excel) dialect writes for these rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
 
 
 def make_binary(tmp_path, name="sys.bin", m=40, n=8, seed=3, kind="gaussian"):
@@ -334,6 +358,38 @@ def test_compare_single_cell_matches_solve(tmp_path):
                  "--seed", "7", "--tol", "1e-9", "--max-iters", "5000",
                  "--trace", str(solve_path)]) == 0
     assert without_elapsed(read_csv(cmp_path)) == without_elapsed(read_csv(solve_path))
+
+
+def test_output_files_are_what_csv_writer_writes(tmp_path, capsys, monkeypatch):
+    # The CLI writes its CSV lines as text; they must be csv.writer's bytes
+    # for the same rows, line endings included (golden.py parses the CSV,
+    # so its digests would not see a changed line ending).
+    traces = capture(monkeypatch, "run")
+    planted = make_binary(tmp_path, m=60, n=6, seed=4)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--system", planted, "--methods", "kaczmarz,motzkin,skm:4,gsm:4,sgsm:4",
+                 "--trials", "2", "--max-iters", "300", "--record-dense", "40", "--record-stride", "7",
+                 "--out", str(out)]) == 0
+    cells = [(method, s, trial) for method, s in (("kaczmarz", None), ("motzkin", None), ("skm", 4), ("gsm", 4),
+                                                  ("sgsm", 4)) for trial in range(2)]
+    assert len(traces) == len(cells)
+    rows = [(*cell, *rec) for cell, (_, trace) in zip(cells, traces) for rec in trace.records]
+    assert out.read_bytes() == excel_csv(TRACE_HEADER, rows)
+    traces.clear()
+    # No planted solution: the error_sq column is empty.
+    unplanted = import_csv(tmp_path, TARGET_CSV, "--target-column", "2")
+    assert main(["solve", "--system", unplanted, "--method", "kaczmarz", "--max-iters", "20",
+                 "--trace", str(out)]) == 0
+    [(_, trace)] = traces
+    assert trace.records[-1].error_sq is None
+    assert out.read_bytes() == excel_csv(TRACE_HEADER, [("kaczmarz", None, 0, *rec) for rec in trace.records])
+    sweeps = capture(monkeypatch, "run_sweep")
+    assert main(["sweep", "--system", planted, "--method", "sgsm", "--s-list", "1,6", "--threshold", "1e-4",
+                 "--trials", "2", "--max-iters", "30", "--out", str(out)]) == 0
+    [rows] = sweeps
+    assert {row[2] == "DNF" for row in rows} == {True, False}
+    assert out.read_bytes() == excel_csv(SWEEP_HEADER, rows)
+    capsys.readouterr()
 
 
 def test_compare_requires_methods(tmp_path, capsys, gauss_args):

@@ -1046,6 +1046,94 @@ def test_run_zero_row_error_names_iteration_between_records():
         run(ZERO_BLOCK_SYSTEM, cfg)
 
 
+def unblocked(config):
+    """config with every step recorded one record at a time: the run takes
+    no step past its stopping record."""
+    return dataclasses.replace(config, record_dense_limit=0, record_stride=1)
+
+
+def same_runs(got, want):
+    (x, trace), (x_want, trace_want) = got, want
+    assert np.array_equal(x.a, x_want.a)
+    assert trace.status == trace_want.status
+    assert [r[:3] for r in trace.records] == [r[:3] for r in trace_want.records]
+
+
+def test_stop_inside_a_record_block_beats_a_later_fault(monkeypatch):
+    # Scripted draws as in test_run_matches_step_composition_across_reselections:
+    # step 5 solves the system exactly, and step 6 draws the near-zero row
+    # twice.  A run that records in blocks has taken step 6 when it finds
+    # the stop at record 5, and must return what a run that never took
+    # step 6 returns.
+    planted = LinearSystem(NEAR_ZERO_ROW_SYSTEM.A, NEAR_ZERO_ROW_SYSTEM.b, RealVector([1.0, 2.0]))
+    uniforms = [0.9, 0.0, 0.9, 0.9, 0.9, 0.0, 0.3, 0.0, 0.0]
+    for system, record_error in ((NEAR_ZERO_ROW_SYSTEM, False), (planted, True)):
+        config = SolverConfig("kaczmarz", tol=0.0, max_iters=50, record_error=record_error)
+        script_uniforms(monkeypatch, uniforms)
+        want = run(system, unblocked(config))
+        script_uniforms(monkeypatch, uniforms)
+        got = run(system, config)
+        assert (got[1].status, got[1].final.iter, got[0].a.tolist()) == (CONVERGED, 5, [1.0, 2.0])
+        same_runs(got, want)
+    # Without a stop before it, the fault is raised at its own iteration.
+    for config in (SolverConfig("kaczmarz", tol=0.0, max_iters=50), unblocked(SolverConfig("kaczmarz", max_iters=50))):
+        script_uniforms(monkeypatch, [0.9, 0.9, 0.0, 0.0])
+        with pytest.raises(ZeroRowError, match="^iteration 3: "):
+            run(NEAR_ZERO_ROW_SYSTEM, config)
+
+
+def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
+    # Scripted steps halve the error, except step 7, which doubles it.
+    sy = make_system(12, 3, seed=79)
+    xs = sy.x_star.a
+
+    def script_steps():
+        factors = iter([0.5] * 6 + [2.0] + [0.5] * 100)
+        monkeypatch.setattr(solvers, "_step", lambda select, xa, gate: (xs + next(factors) * (xa - xs), None, 0))
+
+    config = SolverConfig("gsm", s=4, tol=0.0, max_iters=40, record_error=True)
+    messages = []
+    for cfg in (config, unblocked(config)):
+        script_steps()
+        with pytest.raises(NumericalError, match="squared error increased at iteration 7") as info:
+            run(sy, cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # An error_stop that fires at record 4 ends the run before the rise.
+    err0 = float(xs @ xs)
+    config = dataclasses.replace(config, error_stop=0.5**7 * err0)
+    script_steps()
+    want = run(sy, unblocked(config))
+    script_steps()
+    got = run(sy, config)
+    assert (got[1].status, got[1].final.iter) == (CONVERGED, 4)
+    same_runs(got, want)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method):
+    # Counted steps: a run recorded in blocks takes at most
+    # _RECORD_BLOCK - 1 steps past its stopping record (motzkin, recorded
+    # one step at a time, none) and never more than max_iters.
+    calls = []
+    real_step = solvers._step
+    monkeypatch.setattr(solvers, "_step", lambda *args: calls.append(1) or real_step(*args))
+    sy = make_system(60, 6, seed=82)
+    for tol, max_iters, dense in ((1e-6, 5000, 10_000), (1e-6, 5000, 45), (0.0, 70, 10_000), (0.0, 33, 33)):
+        calls.clear()
+        config = SolverConfig(method, s=4, tol=tol, max_iters=max_iters, record_dense_limit=dense, record_stride=3,
+                              record_error=True)
+        _, trace = run(sy, config)
+        assert len(calls) <= max_iters
+        if trace.status == MAX_ITERS:
+            assert len(calls) == trace.final.iter == max_iters
+        else:
+            assert trace.final.iter <= len(calls) < trace.final.iter + solvers._RECORD_BLOCK
+            assert method != "motzkin" or len(calls) == trace.final.iter
+        elapsed = [r.elapsed_ns for r in trace.records]
+        assert elapsed == sorted(elapsed)
+
+
 @pytest.mark.parametrize("method", METHOD_NAMES)
 def test_selected_row_scalars_are_python_floats(method):
     # The projection multiplies a row by (beta - <row, x>) / row_sq; a
