@@ -38,7 +38,25 @@ def _own(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _read_only(buffer) -> bool:
+    """Whether the object under an array's memory (its owner's base), if
+    any, is read-only: bytes are, a bytearray is not."""
+    if buffer is None:
+        return True
+    try:
+        return memoryview(buffer).readonly
+    except TypeError:  # no buffer protocol: it may be writeable
+        return False
+
+
 def _validated(values, ndim, name):
+    """values as a read-only C-contiguous float64 array, checked.
+
+    The one copy rule of the package: the array is wrapped without a copy
+    only when nothing writeable owns its memory, that is, when its owner
+    (arr.base when that is an array, else arr itself) is read-only and so
+    is the buffer under that owner, if any.  Anything else is copied once.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
@@ -48,12 +66,9 @@ def _validated(values, ndim, name):
     # as the check itself on the small vectors a step wraps.
     if not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite (found NaN or Inf)")
-    arr = np.ascontiguousarray(arr)
-    if arr.flags.writeable:
-        if arr is values:
-            # Caller keeps a writeable handle; snapshot it instead of aliasing.
-            arr = arr.copy()
-        arr.setflags(write=False)
+    owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+    if owner.flags.writeable or not arr.flags.c_contiguous or not _read_only(owner.base):
+        arr = _own(arr.copy())
     return arr
 
 
@@ -61,9 +76,9 @@ def _validated(values, ndim, name):
 class DenseMatrix:
     """Immutable dense real matrix, row-major, all entries finite.
 
-    Writeable input arrays are copied once at construction; read-only
-    arrays (including row slices of another DenseMatrix) are wrapped
-    without copying.
+    An array whose memory nothing writeable owns (a row slice of another
+    DenseMatrix, say) is wrapped without a copy; any other input is
+    copied once at construction (see _validated).
     """
 
     a: np.ndarray
@@ -103,8 +118,13 @@ def as_matrix(m) -> DenseMatrix:
     return m if isinstance(m, DenseMatrix) else DenseMatrix(m)
 
 
-def as_vector(v) -> RealVector:
-    return v if isinstance(v, RealVector) else RealVector(v)
+def as_vector(v, n=None, name="vector") -> RealVector:
+    """v as a RealVector, wrapped once, and of length n when n is given:
+    the one length check of a vector argument."""
+    v = v if isinstance(v, RealVector) else RealVector(v)
+    if n is not None and len(v) != n:
+        raise InputError(f"{name} has length {len(v)}, expected {n}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -159,11 +179,7 @@ def dynamic_range(A, x, x_star) -> float:
     residual must be nonzero.
     """
     A = as_matrix(A)
-    x = as_vector(x)
-    x_star = as_vector(x_star)
-    if len(x) != A.cols or len(x_star) != A.cols:
-        raise InputError("x and x_star must have length cols(A)")
-    r = A.a @ (x.a - x_star.a)
+    r = A.a @ (as_vector(x, A.cols, "x").a - as_vector(x_star, A.cols, "x_star").a)
     peak = float(np.max(np.abs(r)))
     if peak == 0.0:
         raise InputError("residual A(x - x_star) is zero; dynamic range undefined")

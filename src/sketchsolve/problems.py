@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InputError, _index
-from .linalg import DenseMatrix, RealVector, _own
+from .linalg import _own
 from .rng import RngState
 from .solvers import LinearSystem
 
@@ -62,14 +62,13 @@ class ModelSpec:
             raise InputError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 
 
-def _plant(A: DenseMatrix, rng: RngState):
+def _plant(A: np.ndarray, rng: RngState) -> LinearSystem:
     # Redraw on the (measure-zero) chance of an exactly zero solution.
     while True:
-        xs = rng.gen.standard_normal(A.cols)
+        xs = rng.gen.standard_normal(A.shape[1])
         if float(xs @ xs) > 0.0:
             break
-    b = A.a @ xs
-    return RealVector(_own(b)), RealVector(_own(xs))
+    return LinearSystem(A, _own(A @ xs), _own(xs))
 
 
 def generate_system(spec: ModelSpec) -> LinearSystem:
@@ -83,9 +82,7 @@ def generate_system(spec: ModelSpec) -> LinearSystem:
         arr = rng.gen.standard_normal((spec.m, spec.n))
     else:
         arr = 0.8 + 0.2 * rng.gen.random((spec.m, spec.n))
-    A = DenseMatrix(_own(arr))
-    b, xs = _plant(A, rng)
-    return LinearSystem(A, b, xs)
+    return _plant(_own(arr), rng)
 
 
 def load_csv_matrix(
@@ -149,11 +146,8 @@ def load_csv_matrix(
             raise InputError("target_column would leave an empty matrix")
         b = np.ascontiguousarray(full[:, target_column])
         A = np.ascontiguousarray(np.delete(full, target_column, axis=1))
-        return LinearSystem(DenseMatrix(_own(A)), RealVector(_own(b)), None)
-
-    A = DenseMatrix(_own(full))
-    b, xs = _plant(A, RngState(plant_seed))
-    return LinearSystem(A, b, xs)
+        return LinearSystem(_own(A), _own(b))
+    return _plant(_own(full), RngState(plant_seed))
 
 
 def _le_bytes(arr: np.ndarray) -> bytes:
@@ -194,10 +188,6 @@ def load_system(path) -> LinearSystem:
     offset += 8 * m
     xs = np.frombuffer(blob, "<f8", n, offset) if has_x_star else None
     try:
-        return LinearSystem(
-            DenseMatrix(A),
-            RealVector(b),
-            RealVector(xs) if xs is not None else None,
-        )
+        return LinearSystem(A, b, xs)
     except InputError as exc:
         raise FormatError(f"{path}: invalid system content: {exc}") from exc

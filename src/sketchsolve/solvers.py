@@ -152,7 +152,10 @@ class LinearSystem:
     can then track the true error per iteration.  Squares must stay in
     the range of a double: ||A||_F^2 and ||b|| finite (or the stopping
     threshold is inf), and a nonzero A's largest squared row norm not
-    subnormal.
+    subnormal.  A, b and x_star may be arrays or wrappers; each is wrapped
+    once, under linalg's copy rule (_validated), so nothing cached from
+    the system (the row-norm table, the Kaczmarz table, the zero-row gate,
+    the QR of [A b]) can go stale under it.
     """
 
     A: DenseMatrix
@@ -161,11 +164,9 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "A", as_matrix(self.A))
-        object.__setattr__(self, "b", as_vector(self.b))
         if self.A.rows < self.A.cols:
             raise InputError(f"system must have rows >= cols, got {self.A.rows}x{self.A.cols}")
-        if len(self.b) != self.A.rows:
-            raise InputError(f"b has length {len(self.b)}, expected {self.A.rows}")
+        object.__setattr__(self, "b", as_vector(self.b, self.A.rows, "b"))
         norms = self.row_norms_sq
         if not (math.isfinite(float(norms.sum())) and math.isfinite(self.b_norm)):
             raise InputError("||A||_F^2 or ||b|| overflows a double; rescale the system")
@@ -173,9 +174,7 @@ class LinearSystem:
         if top < np.finfo(float).tiny and np.any(self.A.a):
             raise InputError(f"largest squared row norm {top:.3e} is subnormal; rescale the system")
         if self.x_star is not None:
-            object.__setattr__(self, "x_star", as_vector(self.x_star))
-            if len(self.x_star) != self.A.cols:
-                raise InputError(f"x_star has length {len(self.x_star)}, expected {self.A.cols}")
+            object.__setattr__(self, "x_star", as_vector(self.x_star, self.A.cols, "x_star"))
             gap = float(np.linalg.norm(self.A.a @ self.x_star.a - self.b.a))
             bound = CONSISTENCY_TOL * self.b_norm
             if gap > bound:
@@ -342,9 +341,7 @@ def project_row(x, a, beta: float) -> RealVector:
     neither underflows nor overflows, |k| up to about 500 for unit rows.
     """
     x = as_vector(x)
-    a = as_vector(a)
-    if len(x) != len(a):
-        raise InputError(f"x and a must have equal length, got {len(x)} and {len(a)}")
+    a = as_vector(a, len(x), "a")
     beta = _real(beta, "beta")
     if not math.isfinite(beta):
         raise InputError("beta must be finite")
@@ -358,11 +355,7 @@ def select_max_residual(M, r, x) -> int:
     """Index of the largest squared residual (M x - r)_i^2; ties take the
     lowest index."""
     M = as_matrix(M)
-    r = as_vector(r)
-    x = as_vector(x)
-    if len(r) != M.rows or len(x) != M.cols:
-        raise InputError("select_max_residual: shapes disagree")
-    t = M.a @ x.a - r.a
+    t = M.a @ as_vector(x, M.cols, "x").a - as_vector(r, M.rows, "r").a
     return int(np.argmax(t * t))
 
 
@@ -455,14 +448,6 @@ def _step(select, xa, gate):
     raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
 
-def _iterate(system: LinearSystem, x, name="x") -> np.ndarray:
-    """The raw array of an iterate for system, checked for length."""
-    x = as_vector(x)
-    if len(x) != system.A.cols:
-        raise InputError(f"{name} has length {len(x)}, expected {system.A.cols}")
-    return x.a
-
-
 class Stepper:
     """The configured method's step on one system, built once.
 
@@ -483,7 +468,7 @@ class Stepper:
         self._gate = system.zero_row_gate
 
     def step(self, x):
-        xa, row, beta = _step(self._select, _iterate(self._system, x), self._gate)
+        xa, row, beta = _step(self._select, as_vector(x, self._system.A.cols, "x").a, self._gate)
         return RealVector(_own(xa)), row, beta
 
 
@@ -525,12 +510,13 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     stepper makes when it is built and the other non-motzkin runs make
     before the clock, so it leaves it out.
     """
-    stepper = Stepper(system, config)
-    select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
+    # The inputs are checked before a gsm Stepper computes the QR of [A b].
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
+    xa = np.zeros(system.A.cols) if x0 is None else as_vector(x0, system.A.cols, "x0").a
+    stepper = Stepper(system, config)
+    select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
     Aa, ba = system.A.a, system.b.a
-    xa = np.zeros(system.A.cols) if x0 is None else _iterate(system, x0, "x0")
     xs = system.x_star.a if config.record_error else None
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 

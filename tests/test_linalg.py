@@ -109,13 +109,51 @@ def test_matrix_rejects_bad_inputs():
         DenseMatrix([[1.0, np.inf], [0.0, 1.0]])
 
 
+def read_only_view(arr):
+    """A read-only view whose owner, arr, stays writeable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def test_matrix_is_immutable_and_snapshots_writeable_input():
-    src = np.ones((2, 2))
-    m = DenseMatrix(src)
-    src[0, 0] = 99.0
-    assert m.a[0, 0] == 1.0
-    with pytest.raises((ValueError, RuntimeError)):
-        m.a[0, 0] = 5.0
+    for wrap in (lambda src: src, read_only_view):
+        src = np.ones((2, 2))
+        m = DenseMatrix(wrap(src))
+        src[0, 0] = 99.0
+        assert m.a[0, 0] == 1.0
+        with pytest.raises((ValueError, RuntimeError)):
+            m.a[0, 0] = 5.0
+
+
+def test_system_tables_do_not_go_stale_through_a_read_only_view():
+    base = np.arange(1.0, 7.0).reshape(3, 2)
+    sy = LinearSystem(read_only_view(base), read_only_view(base @ [1.0, -1.0]))
+    base[0] *= 1e3
+    assert sy.A.a[0].tolist() == [1.0, 2.0] and sy.b.a[0] == -1.0
+    assert sy.row_norms_sq.tolist() == [5.0, 25.0, 61.0]
+    # A read-only array over a writeable buffer is copied too.
+    buffer = bytearray(np.arange(1.0, 7.0).tobytes())
+    frozen = np.frombuffer(buffer)
+    frozen.flags.writeable = False
+    sy = LinearSystem(frozen.reshape(3, 2), np.zeros(3))
+    buffer[:8] = np.float64(1e3).tobytes()
+    assert sy.A.a[0].tolist() == [1.0, 2.0] and sy.row_norms_sq[0] == 5.0
+
+
+def test_memory_nothing_writeable_owns_is_wrapped_without_a_copy():
+    fresh = np.ones((3, 2))
+    fresh.flags.writeable = False
+    blob = np.frombuffer(bytes(48)).reshape(3, 2)  # a file's bytes, as load_system reads them
+    for arr in (fresh, blob):
+        m = DenseMatrix(arr)
+        assert m.a is arr
+        row = m.a[1]
+        assert RealVector(row).a is row
+    # A row that is not contiguous cannot be a row-major view: it is copied.
+    column = fresh[:, 0]
+    copied = RealVector(column).a
+    assert copied is not column and copied.flags.c_contiguous
 
 
 def test_vector_basics_and_rejections():

@@ -38,6 +38,7 @@ from sketchsolve import (
     ZeroRowError,
     block_sketch,
     contraction_summary,
+    dynamic_range,
     gaussian_sketch,
     generate_system,
     load_csv_matrix,
@@ -1259,6 +1260,30 @@ def test_run_validation_errors():
         run(solved, SolverConfig("skm", s=11), x0=solved.x_star)
     with pytest.raises(InputError):
         run(sy, SolverConfig("motzkin"), x0=RealVector([1.0, 2.0, 3.0]))
+    # Refused inputs are refused before a gsm stepper factors [A b].
+    with pytest.raises(InputError):
+        run(sy, SolverConfig("gsm", record_error=True))
+    with pytest.raises(InputError):
+        run(solved, SolverConfig("gsm"), x0=RealVector([1.0, 2.0, 3.0]))
+    assert "_residual_factor" not in sy.__dict__ and "_residual_factor" not in solved.__dict__
+
+
+def test_every_vector_length_is_checked_alike():
+    sy = make_system(10, 2, seed=79)
+    short = [1.0, 2.0, 3.0]
+    for call in (
+        lambda: LinearSystem(sy.A, short),
+        lambda: LinearSystem(sy.A, sy.b, short),
+        lambda: Stepper(sy, SolverConfig("kaczmarz")).step(short),
+        lambda: run(sy, SolverConfig("kaczmarz"), x0=short),
+        lambda: project_row([1.0, 2.0], short, 0.0),
+        lambda: select_max_residual(sy.A, sy.b, short),
+        lambda: select_max_residual(sy.A, short, sy.x_star),
+        lambda: dynamic_range(sy.A, short, sy.x_star),
+        lambda: dynamic_range(sy.A, sy.x_star, short),
+    ):
+        with pytest.raises(InputError, match=r"^(b|x_star|x|x0|a|r) has length 3, expected (2|10)$"):
+            call()
 
 
 def test_solver_config_validation():
