@@ -101,8 +101,11 @@ def _block(Aa, ba, s, z):
     """Block z as (Ab, bb, shift): read-only views of rows [shift, shift
     + s) of A and b.
 
-    Shared by block_sketch and the skm and sgsm steps; every caller draws
-    z from its stream before calling.
+    The one definition of a block, shared by block_sketch and the skm and
+    sgsm steps; every caller draws z from its stream before calling.  A
+    step's selector keeps each block it has made in a table keyed by z
+    (solvers._selector), so a step calls this only the first time it
+    draws z.
     """
     shift = min(s * z, Aa.shape[0] - s)
     return Aa[shift:shift + s], ba[shift:shift + s], shift
@@ -174,11 +177,12 @@ def _sparse_winner(Ab, bb, X, xa):
     row = w^T Ab, beta = w^T bb.  Theta(s*n + s^2) multiplies instead of
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
-    Returns select(x)'s shape (t, row, beta, row_sq), as _gaussian_row
-    does for gsm.
+    A one-row block (s = 1) has one sketched row, so it wins without an
+    argmax.  Returns select(x)'s shape (t, row, beta, row_sq), as
+    _gaussian_row does for gsm.
     """
     t = (Ab.dot(xa) - bb).dot(X)
-    j = int((t * t).argmax())
+    j = int((t * t).argmax()) if len(t) > 1 else 0
     w = X[:, j]
     row, beta = w.dot(Ab), float(w.dot(bb))
     return t[j], row, beta, float(row.dot(row))

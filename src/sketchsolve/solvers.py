@@ -40,7 +40,11 @@ steps that project onto a row of A (kaczmarz, motzkin, skm) read b_i and
 (the one row-norm table, equal bit for bit to each row's dot product
 with itself), made once per stepper; gsm and sgsm return w^T b and
 their row's norm as floats.  Products are ndarray.dot, which rounds as
-@ does, without its ufunc dispatch.  Recording never changes an iterate.
+@ does, without its ufunc dispatch.  skm and sgsm read a drawn block's
+views from a table keyed by block index, filled the first time each
+index is drawn, so a step makes no slice after that and building a
+stepper costs nothing per block; at s = 1 the drawn row wins with no
+argmax.  Recording never changes an iterate.
 A motzkin record computes A x - b and puts it in the stepper's residual
 cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
@@ -123,6 +127,13 @@ MONOTONE_ROUNDOFF = 2.0**20
 # run() steps through up to this many consecutive dense record points of a
 # kaczmarz, skm, gsm or sgsm run before it measures their records together.
 _RECORD_BLOCK = 32
+
+# A record block ends where the residual's recent decay rate says the run
+# stops, stretched by this factor, so a run steps past its stop by a few
+# steps, not by up to _RECORD_BLOCK - 1.  A block ended short of the stop
+# needs another, at a fixed cost of about eight steps; a stretch of a fifth
+# kept the block count within 1% of fixed 32-step blocks on gaussian 1000x50.
+_STOP_MARGIN = 1.2
 
 # A record's factored ||R_A x - r_b|| and the direct ||A x - b|| differ by at
 # most RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).  The computed QR is exact
@@ -374,6 +385,13 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     checked before any draw.  The Kaczmarz sampling table is read at the
     first draw, so building a selector never fails on an all-zero A.
 
+    skm and sgsm keep a table of the blocks drawn so far: block z's
+    views, sketch._block(A, b, s, z), are made the first time z is drawn
+    and read back with one lookup after that.  The table starts empty,
+    so building a selector costs nothing per block, and it holds at most
+    ceil(m/s) entries of about 300 bytes each.  When s = 1 the drawn
+    row is the winner, so neither method searches for it.
+
     recorded is the one-slot cell [x, res] that run()'s motzkin recorder
     fills with res = A x - b for the iterate x it recorded last: motzkin
     reads res instead of recomputing it when it selects at that same array
@@ -395,11 +413,13 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return select
     if method in ("skm", "sgsm"):
         blocks = _chunked(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
+        table = {}  # block z's views, made when z is first drawn
     if method == "sgsm":
         factors = _chunked(lambda: _factor_fill(gen, s))
 
         def select(xa):
-            Ab, bb, _ = _block(Aa, ba, s, blocks())
+            z = blocks()
+            Ab, bb, _ = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
             return _sparse_winner(Ab, bb, factors(), xa)
 
         return select
@@ -423,9 +443,10 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         return select
 
     def select(xa):
-        Ab, bb, shift = _block(Aa, ba, s, blocks())
+        z = blocks()
+        Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
         t = Ab.dot(xa) - bb
-        i = int((t * t).argmax())
+        i = int((t * t).argmax()) if s > 1 else 0  # a one-row block's winner is its row
         return t[i], Ab[i], bl[shift + i], norms[shift + i]
 
     return select
@@ -499,11 +520,14 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     measure them, with stacked products, then record them in order: the
     window recompute, the error_sq check and the stopping rules see the
     records one at a time, as unblocked.  So a stop there can come after
-    up to _RECORD_BLOCK - 1 more steps, whose iterates are discarded; a
-    run never takes more than max_iters steps, and a step that finds no
-    usable row raises only when no record before it stops the run.  A
-    lone record point (each one past record_dense_limit, and each motzkin
-    one, whose A x - b its next selection reads) is measured at once.
+    up to _RECORD_BLOCK - 1 more steps, whose iterates are discarded.  To
+    discard fewer, a block ends where the residual's decay rate over the
+    latter half of the run predicts the residual rule fires, stretched by
+    _STOP_MARGIN (see block_size).  A run never takes more than max_iters
+    steps, and a step that finds no usable row raises only when no record
+    before it stops the run.  A lone record point (each one past
+    record_dense_limit, and each motzkin one, whose A x - b its next
+    selection reads) is measured at once.
 
     elapsed_ns is read when the record's step returns, before the record
     is measured.  It starts after the one-time QR of [A b], which a gsm
@@ -528,7 +552,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
         wx = RESIDUAL_WINDOW * math.sqrt(float(system.row_norms_sq.sum()))
         wb = RESIDUAL_WINDOW * system.b_norm
     error_stop = config.error_stop
-    records = []
+    records, new_record = [], tuple.__new__  # TraceRecord's own __new__ costs twice as much
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
 
     def snapshot(k, xa, ns, measured=None):
@@ -559,8 +583,20 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
             elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
                 raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
             prev = err
-        records.append(TraceRecord(k, err, residual, ns))
+        records.append(new_record(TraceRecord, (k, err, residual, ns)))
         return residual <= threshold or (error_stop is not None and err <= error_stop)
+
+    def block_size():
+        """Steps in the next record block: _STOP_MARGIN times the steps the
+        residual's decay rate over the latter half of the run so far says
+        the stopping rule needs, clamped to [1, _RECORD_BLOCK]."""
+        last, half = records[-1], records[len(records) // 2]
+        if threshold > 0.0 and last.residual_norm < half.residual_norm:
+            need = (_STOP_MARGIN * (last.iter - half.iter) * math.log(threshold / last.residual_norm)
+                    / math.log(last.residual_norm / half.residual_norm))
+            if need < _RECORD_BLOCK:
+                return max(1, math.ceil(need))
+        return _RECORD_BLOCK
 
     def measure_block(iterates):
         """The residual, ||x||^2 and error_sq that snapshot() measures, of
@@ -585,7 +621,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 # them in order: a stop before a failed step ends the run.
                 reached, fault = [], None
                 try:
-                    for k in range(k + 1, min(k + _RECORD_BLOCK, blocked) + 1):
+                    for k in range(k + 1, min(k + block_size(), blocked) + 1):
                         xa = _step(select, xa, gate)[0]
                         reached.append((k, xa, clock() - start))
                 except ZeroRowError as exc:

@@ -356,23 +356,26 @@ def test_sketched_solution_is_fixed_point():
         assert np.max(np.abs(x1.a - x_star.a)) <= 1e-12
 
 
-def test_sparse_step_matches_materialized_oracle():
+@pytest.mark.parametrize("m, s", [(15, 3), (16, 3), (15, 1)])
+def test_sparse_step_matches_materialized_oracle(m, s):
     # The sgsm step draws its block indices _CHUNK at a time (as skm does),
     # then its s-by-s factors X a chunk at a time, and builds only the
     # winning row of X^T A_block.  Replaying those draws through the
     # materialized sketch picks the same row and takes the same step; the
     # step's row is w^T A_block, bit for bit, for the replayed block and
-    # the winning column w of the replayed factor.
-    m, s = 15, 3
+    # the winning column w of the replayed factor.  The twelve steps draw
+    # some blocks twice (read back from the stepper's block table); at
+    # m = 16 they draw the last block [13, 16), which overlaps its
+    # neighbour; at s = 1 the winner is the drawn row, with no search.
     sy = make_system(m, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
     stepper = Stepper(sy, SolverConfig("sgsm", s=s, seed=11))
     gen = RngState(11).gen
-    blocks = gen.integers(m // s, size=solvers._CHUNK)
+    blocks = gen.integers(-(-m // s), size=solvers._CHUNK)
     factors = gen.standard_normal((sketch._NORMALS // s**2, s, s))
-    for k in range(3):
+    for k in range(12):
         got, got_row, got_beta = stepper.step(x)
-        shift = s * int(blocks[k])
+        shift = min(s * int(blocks[k]), m - s)
         m_arr = factors[k].T @ sy.A.a[shift:shift + s]
         r_arr = factors[k].T @ sy.b.a[shift:shift + s]
         i = scan_max_index(m_arr, r_arr, x.a)
@@ -534,6 +537,32 @@ def test_gsm_step_is_flat_in_m_and_its_factorization_lazy():
     assert "_residual_factor" in vars(sy)
     assert kept < 0.25 * 8 * m
     assert peak - base < 0.25 * 8 * m
+
+
+@pytest.mark.parametrize("method", ["skm", "sgsm"])
+def test_block_table_is_filled_lazily(method):
+    # skm and sgsm steps read block z's views from a table filled the first
+    # time z is drawn.  Built up front at s = 1, the table would hold m
+    # entries, about 300 bytes each: a stepper and a few steps must
+    # allocate under a quarter of that.  skm's float copies of b and the
+    # row norms, 64 bytes a row, are most of what it does allocate.
+    m = 20_000
+    sy = make_system(m, 2, seed=89)
+    tracemalloc.start()
+    try:
+        entries = [sketch._block(sy.A.a, sy.b.a, 1, z) for z in range(1000)]
+        entry = tracemalloc.get_traced_memory()[0] / len(entries)
+        del entries
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stepper = Stepper(sy, SolverConfig(method, s=1))
+        x = np.zeros(2)
+        for _ in range(5):
+            x = stepper.step(x)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.25 * m * entry
 
 
 def test_sgsm_step_never_forms_the_sketched_block():
