@@ -24,6 +24,7 @@ can be compared.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -73,6 +74,13 @@ def _trace_lines(method, s, trial, trace):
     head = f"{method},{s if method in _SKETCHED else ''},{trial},"
     for k, err, residual, ns in trace.records:
         yield f"{head}{k},{'' if err is None else repr(err)},{residual!r},{ns}\r\n"
+
+
+def _check_out_dir(path):
+    """Refuse an output path whose directory is missing, with the OSError
+    open() would raise (exit 5), before any solve is run for it."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_csv(path, header, lines):
@@ -229,6 +237,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.trace:
+        _check_out_dir(args.trace)
     system = load_system(args.system)
     [[trace]] = _run_cells(system, [(args.method, args.s)], 1, args.seed, max_iters=args.max_iters, tol=args.tol,
                            record_dense_limit=args.record_dense, record_stride=args.record_stride)
@@ -245,6 +255,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_out_dir(args.out)
     system = load_system(args.system)
     cells = _parse_methods(args.methods)
     by_cell = _run_cells(system, cells, args.trials, args.seed, max_iters=args.max_iters, tol=args.tol,
@@ -269,6 +280,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_out_dir(args.out)
     system = load_system(args.system)
     s_values = _parse_s_list(args.s_list)
     rows = run_sweep(

@@ -24,7 +24,8 @@ The chunk rule.  A solver stepper takes each kind of draw from its own
 _chunked source: kaczmarz uniforms and skm and sgsm block indices
 solvers._CHUNK at a time, gsm attempts (u, z) and sgsm factors as
 many per standard_normal fill as fit in sketch._NORMALS normals (at
-least one).  On PCG64 a fill of k draws, row-major, equals the same k
+least one; at s = 1 sgsm hands out its 1-by-1 factors from that same fill
+as Python floats).  On PCG64 a fill of k draws, row-major, equals the same k
 draws made one at a time (tests/test_rng.py guards this), so a stream
 with one kind of draw does not depend on its chunk size: kaczmarz, skm
 and gsm trajectories equal those of one draw per step.  sgsm interleaves

@@ -35,9 +35,12 @@ records read).  Per attempt it takes s normals u, then n + 1 normals z
 step draws the whole s-by-s factor X (_factor_fill) after its block
 index, and builds only the winning row of X^T A_block
 (_sparse_winner): s^2 normals and Theta(s*n + s^2) multiplies instead
-of Theta(s^2*n).  Both steps take these draws in chunks, by the chunk
-rule in rng.py, and return only the winning row and its right-hand
-side.
+of Theta(s^2*n).  At s = 1 the factor is one normal xi and every
+product of _sparse_winner is a single multiply, so the sgsm:1 step
+(solvers._selector) takes xi from the same fill as a Python float and
+forms xi a_z and xi b_z directly, bit for bit the same row.  Both steps
+take these draws in chunks, by the chunk rule in rng.py, and return
+only the winning row and its right-hand side.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ def _winner_fill(gen, s, n):
 def _factor_fill(gen, s):
     """One chunk of s-by-s N(0, 1) factors: a (k, s, s) standard_normal
     fill, k = max(1, _NORMALS // s**2), whose iteration yields the factors
-    as views.  See the chunk rule in rng.py."""
+    as views (the sgsm:1 step flattens a chunk of 1-by-1 factors to a list
+    of floats).  See the chunk rule in rng.py."""
     return gen.standard_normal((max(1, _NORMALS // (s * s)), s, s))
 
 
@@ -177,12 +181,13 @@ def _sparse_winner(Ab, bb, X, xa):
     row = w^T Ab, beta = w^T bb.  Theta(s*n + s^2) multiplies instead of
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
-    A one-row block (s = 1) has one sketched row, so it wins without an
-    argmax.  Returns select(x)'s shape (t, row, beta, row_sq), as
-    _gaussian_row does for gsm.
+    The sgsm step calls it for s >= 2: at s = 1 each of these products is
+    one multiply, which solvers._selector makes on Python floats.
+    Returns select(x)'s shape (t, row, beta, row_sq), as _gaussian_row
+    does for gsm.
     """
     t = (Ab.dot(xa) - bb).dot(X)
-    j = int((t * t).argmax()) if len(t) > 1 else 0
+    j = int((t * t).argmax())
     w = X[:, j]
     row, beta = w.dot(Ab), float(w.dot(bb))
     return t[j], row, beta, float(row.dot(row))

@@ -19,9 +19,10 @@ selection rule (_selector):
   * sgsm:     max-residual row of a sparse Gaussian sketch (an s-by-s
               Gaussian mix X of one random block): the step draws all of
               X but builds only the winning row of X^T A_block, so it
-              costs s^2 normals and Theta(s*n + s^2) multiplies.
+              costs s^2 normals and Theta(s*n + s^2) multiplies; at
+              s = 1 that row is row z of A times the one normal xi.
 
-The step (_step) applies one rule to every method: a zero selected
+The step loop (_steps) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
 system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
 reselected once, with fresh draws, and a second such row raises
@@ -29,22 +30,26 @@ ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed) and takes its draws in
-chunks (the chunk rule in rng.py).  run() iterates its selector through
-_step, so run() is bit for bit the iteration of the public stepper.
+chunks (the chunk rule in rng.py).  Stepper.step takes one step of
+_steps, and run() all the steps between two record points in one call,
+so run() is bit for bit the iteration of the public stepper.
 
-A step costs about as many microseconds as it makes numpy calls, so the
-step and the recorder keep two rules, neither of which changes a value.
-Scalars are Python floats: a numpy scalar costs more per operation.  The
-steps that project onto a row of A (kaczmarz, motzkin, skm) read b_i and
-||a_i||^2 from Python-float copies of b and LinearSystem.row_norms_sq
-(the one row-norm table, equal bit for bit to each row's dot product
-with itself), made once per stepper; gsm and sgsm return w^T b and
-their row's norm as floats.  Products are ndarray.dot, which rounds as
-@ does, without its ufunc dispatch.  skm and sgsm read a drawn block's
-views from a table keyed by block index, filled the first time each
-index is drawn, so a step makes no slice after that and building a
-stepper costs nothing per block; at s = 1 the drawn row wins with no
-argmax.  Recording never changes an iterate.
+A step costs about as many microseconds as it makes numpy and Python
+calls, so the step and the recorder keep three rules, none of which
+changes a value.  Scalars are Python floats: a numpy scalar costs more
+per operation.  The steps that project onto a row of A (kaczmarz,
+motzkin, skm) and the sgsm:1 step read b_i and ||a_i||^2 from
+Python-float copies of b and LinearSystem.row_norms_sq (the one row-norm
+table, equal bit for bit to each row's dot product with itself), made
+once per system; gsm and sgsm return w^T b and their row's norm as
+floats.  Products are ndarray.dot, which rounds as @ does, without its
+ufunc dispatch.  A step is one select call in the loop of _steps, which
+projects inline.  skm and sgsm read a drawn block's views from a table
+keyed by block index, filled the first time each index is drawn, so a
+step makes no slice after that and building a stepper costs nothing per
+block.  At s = 1 the drawn row wins with no argmax, and sgsm:1 scales
+it by its normal with plain multiplies.  Recording never changes an
+iterate.
 A motzkin record computes A x - b and puts it in the stepper's residual
 cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
@@ -165,8 +170,8 @@ class LinearSystem:
     threshold is inf), and a nonzero A's largest squared row norm not
     subnormal.  A, b and x_star may be arrays or wrappers; each is wrapped
     once, under linalg's copy rule (_validated), so nothing cached from
-    the system (the row-norm table, the Kaczmarz table, the zero-row gate,
-    the QR of [A b]) can go stale under it.
+    the system (the row-norm table and its float copy, the Kaczmarz
+    table, the zero-row gate, the QR of [A b]) can go stale under it.
     """
 
     A: DenseMatrix
@@ -201,6 +206,15 @@ class LinearSystem:
         summed elementwise square rounds differently on most rows."""
         with np.errstate(over="ignore"):  # overflow is refused in __post_init__
             return _own(_row_dots(self.A.a))
+
+    @cached_property
+    def _row_floats(self):
+        """(b.tolist(), row_norms_sq.tolist()): b_i and ||a_i||^2 as Python
+        floats, which the kaczmarz, motzkin, skm and sgsm:1 steps read (the
+        cost rules in the module docstring).  Made at the first Stepper of
+        one of those methods and shared by every later one; the two lists
+        hold 64 bytes a row (a pointer and a float object each)."""
+        return self.b.a.tolist(), self.row_norms_sq.tolist()
 
     @cached_property
     def zero_row_gate(self) -> float:
@@ -336,10 +350,6 @@ class RunTrace:
         return self.records[-1]
 
 
-def _project_raw(xa, row, beta, row_sq):
-    return xa + ((beta - float(row.dot(xa))) / row_sq) * row
-
-
 def project_row(x, a, beta: float) -> RealVector:
     """Orthogonal projection of x onto the hyperplane {y : <a, y> = beta}.
 
@@ -359,7 +369,7 @@ def project_row(x, a, beta: float) -> RealVector:
     row_sq = float(a.a.dot(a.a))
     if row_sq == 0.0:
         raise ZeroRowError(f"cannot project onto a (near-)zero row (||row||^2 = {row_sq:.3e})")
-    return RealVector(_own(_project_raw(x.a, a.a, beta, row_sq)))
+    return RealVector(_own(x.a + ((beta - float(a.a.dot(x.a))) / row_sq) * a.a))
 
 
 def select_max_residual(M, r, x) -> int:
@@ -379,18 +389,25 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     a read-only view of a row of A; for gsm and sgsm it is the winning
     sketched row, a fresh array.  kaczmarz computes no residual and
     returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
-    of A reads them from float copies of b and LinearSystem.row_norms_sq;
-    a sketched row computes its own.  Each kind of draw comes from its
-    own _chunked source (the chunk rule in rng.py).  (method, s, m) is
-    checked before any draw.  The Kaczmarz sampling table is read at the
-    first draw, so building a selector never fails on an all-zero A.
+    of A reads them from the system's float copies of b and
+    LinearSystem.row_norms_sq (LinearSystem._row_floats, made at the
+    first selector that reads them, so a selector makes no copy of its
+    own); a sketched row computes its own.  Each kind of draw comes from
+    its own _chunked source (the chunk rule in rng.py).  (method, s, m)
+    is checked before any draw.  The Kaczmarz sampling table is read at
+    the first draw, so building a selector never fails on an all-zero A.
 
     skm and sgsm keep a table of the blocks drawn so far: block z's
     views, sketch._block(A, b, s, z), are made the first time z is drawn
     and read back with one lookup after that.  The table starts empty,
     so building a selector costs nothing per block, and it holds at most
     ceil(m/s) entries of about 300 bytes each.  When s = 1 the drawn
-    row is the winner, so neither method searches for it.
+    row is the winner, so neither method searches for it.  sgsm at s = 1
+    takes its factor's one entry xi as a Python float, from the same
+    fill (sketch._factor_fill) flattened to a list, and returns t = (a_z.x
+    - b_z) xi, row = xi a_z, beta = xi b_z and row_sq = row.row: each a
+    one-term product, so equal bit for bit to _sparse_winner's.  It reads
+    row z of A directly (block z is row z).
 
     recorded is the one-slot cell [x, res] that run()'s motzkin recorder
     fills with res = A x - b for the iterate x it recorded last: motzkin
@@ -414,7 +431,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     if method in ("skm", "sgsm"):
         blocks = _chunked(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
         table = {}  # block z's views, made when z is first drawn
-    if method == "sgsm":
+    if method == "sgsm" and s > 1:
         factors = _chunked(lambda: _factor_fill(gen, s))
 
         def select(xa):
@@ -424,7 +441,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
 
         return select
     # Rows of A: beta and row_sq as Python floats (the module docstring's cost rules).
-    bl, norms = ba.tolist(), system.row_norms_sq.tolist()
+    bl, norms = system._row_floats
     if method == "kaczmarz":
         rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
 
@@ -441,6 +458,19 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return t[i], Aa[i], bl[i], norms[i]
 
         return select
+    if method == "sgsm":
+        # s = 1: the sketch is row z times one normal xi, a 1-by-1 factor
+        # handed out as a float from the same fill; each product of
+        # _sparse_winner is then a single multiply, and rounds as one.
+        factors = _chunked(lambda: _factor_fill(gen, 1).ravel().tolist())
+
+        def select(xa):
+            z = blocks()
+            xi, a = factors(), Aa[z]
+            row = xi * a
+            return (float(a.dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
+
+        return select
 
     def select(xa):
         z = blocks()
@@ -452,21 +482,31 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     return select
 
 
-def _step(select, xa, gate):
-    """One select-then-project step: (x_next, row, beta) with the row
-    and right-hand side of select(x).
+def _steps(select, xa, gate, k, done=None):
+    """k select-then-project steps from x: (x_k, row, beta), with the row
+    and right-hand side of the last step's select.
 
-    A zero residual returns x unchanged.  A row with ||row||^2 <= gate
-    (gate = LinearSystem.zero_row_gate) gets exactly one reselection; a
-    second such row raises ZeroRowError.
+    Each step leaves x unchanged when its residual is zero.  A row with
+    ||row||^2 <= gate (gate = LinearSystem.zero_row_gate) gets exactly one
+    reselection; a second such row raises ZeroRowError.  Given done, the
+    steps taken before x, a failing step's ZeroRowError (its own, or one
+    select raises) names its iteration: "iteration {done + i}: ...".
     """
-    for _ in (0, 1):
-        t, row, beta, row_sq = select(xa)
-        if t == 0.0:
-            return xa, row, beta
-        if row_sq > gate:
-            return _project_raw(xa, row, beta, row_sq), row, beta
-    raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
+    try:
+        for i in range(1, k + 1):
+            t, row, beta, row_sq = select(xa)
+            if row_sq <= gate and t != 0.0:
+                t, row, beta, row_sq = select(xa)
+                if row_sq <= gate and t != 0.0:
+                    raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) "
+                                       "after one resample")
+            if t != 0.0:  # NaN (kaczmarz's) included
+                xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
+    except ZeroRowError as exc:
+        if done is None:
+            raise
+        raise ZeroRowError(f"iteration {done + i}: {exc}") from exc
+    return xa, row, beta
 
 
 class Stepper:
@@ -489,7 +529,7 @@ class Stepper:
         self._gate = system.zero_row_gate
 
     def step(self, x):
-        xa, row, beta = _step(self._select, as_vector(x, self._system.A.cols, "x").a, self._gate)
+        xa, row, beta = _steps(self._select, as_vector(x, self._system.A.cols, "x").a, self._gate, 1)
         return RealVector(_own(xa)), row, beta
 
 
@@ -614,34 +654,30 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     k, last = 0, config.max_iters
     dense, stride = config.record_dense_limit, config.record_stride
     blocked = min(dense, last) if factored else 0  # the stretch recorded in blocks
-    try:
-        while status == MAX_ITERS and k < last:
-            if k + 1 < blocked:
-                # Step through up to _RECORD_BLOCK record points, then record
-                # them in order: a stop before a failed step ends the run.
-                reached, fault = [], None
-                try:
-                    for k in range(k + 1, min(k + block_size(), blocked) + 1):
-                        xa = _step(select, xa, gate)[0]
-                        reached.append((k, xa, clock() - start))
-                except ZeroRowError as exc:
-                    fault = exc
-                for (j, x, ns), measured in zip(reached, measure_block([x for _, x, _ in reached])):
-                    if snapshot(j, x, ns, measured):
-                        k, xa, status, fault = j, x, CONVERGED, None
-                        break
-                if fault is not None:
-                    raise fault
-            else:
-                # Step to the next record point: each step up to dense, then
-                # each stride-th, and the last.
-                point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
-                for k in range(k + 1, point + 1):
-                    xa = _step(select, xa, gate)[0]
-                if snapshot(k, xa, clock() - start):
-                    status = CONVERGED
-    except ZeroRowError as exc:
-        raise ZeroRowError(f"iteration {k}: {exc}") from exc
+    while status == MAX_ITERS and k < last:
+        if k + 1 < blocked:
+            # Step through up to _RECORD_BLOCK record points, then record
+            # them in order: a stop before a failed step ends the run.
+            reached, fault = [], None
+            try:
+                for k in range(k + 1, min(k + block_size(), blocked) + 1):
+                    xa = _steps(select, xa, gate, 1, k - 1)[0]
+                    reached.append((k, xa, clock() - start))
+            except ZeroRowError as exc:
+                fault = exc
+            for (j, x, ns), measured in zip(reached, measure_block([x for _, x, _ in reached])):
+                if snapshot(j, x, ns, measured):
+                    k, xa, status, fault = j, x, CONVERGED, None
+                    break
+            if fault is not None:
+                raise fault
+        else:
+            # Step to the next record point: each step up to dense, then
+            # each stride-th, and the last.
+            point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
+            xa, k = _steps(select, xa, gate, point - k, k)[0], point
+            if snapshot(k, xa, clock() - start):
+                status = CONVERGED
     return RealVector(_own(xa)), RunTrace(tuple(records), status)
 
 

@@ -798,6 +798,23 @@ def test_exit_code_missing_file(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep"])
+def test_exit_code_missing_output_directory_before_any_solve(tmp_path, monkeypatch, capsys, command):
+    # An output path in a missing directory fails with exit 5 before the
+    # first solve, not after the whole campaign has run.
+    system_path = make_binary(tmp_path)
+    out = tmp_path / "missing" / "out.csv"
+    solved = record_runs(monkeypatch)
+    if command == "solve":
+        argv = ["solve", "--system", system_path, "--method", "kaczmarz", "--trace", str(out)]
+    else:
+        argv = [command, "--system", system_path, *CAMPAIGNS[command], "--out", str(out)]
+    assert main(argv) == 5
+    assert "No such file or directory" in capsys.readouterr().err
+    assert solved == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.bin"]
+
+
 def test_exit_code_malformed_binary(tmp_path, capsys):
     path = tmp_path / "junk.bin"
     path.write_text("this is not a system file")
@@ -830,7 +847,7 @@ def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
     # A step that moves away from x* is a numerical failure, not a usage error.
     system_path = make_binary(tmp_path)
     xs = load_system(system_path).x_star.a
-    monkeypatch.setattr(sketchsolve.solvers, "_step", lambda select, xa, gate: (2.0 * xa - xs, None, 0))
+    monkeypatch.setattr(sketchsolve.solvers, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
     assert main(["solve", "--system", system_path, "--method", "kaczmarz"]) == 4
     assert "squared error increased at iteration 1" in capsys.readouterr().err
 

@@ -347,17 +347,20 @@ def test_skm_full_block_equals_motzkin():
 
 def test_sketched_solution_is_fixed_point():
     x_star = INTEGER_SYSTEM.x_star
-    # Block rows are rows of A, so integer arithmetic keeps this exact.
-    x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig("skm", s=2, seed=3)).step(x_star)
-    assert np.array_equal(x1.a, x_star.a)
+    # Block rows are rows of A, and an sgsm:1 row is a row of A times one
+    # normal, so integer arithmetic keeps the zero residual exact.
+    for method, s in (("skm", 2), ("sgsm", 1)):
+        x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig(method, s=s, seed=3)).step(x_star)
+        assert np.array_equal(x1.a, x_star.a)
     # Dense factors mix rows, so exactness is only up to roundoff.
     for method in ("gsm", "sgsm"):
         x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig(method, s=2, seed=3)).step(x_star)
         assert np.max(np.abs(x1.a - x_star.a)) <= 1e-12
 
 
-@pytest.mark.parametrize("m, s", [(15, 3), (16, 3), (15, 1)])
-def test_sparse_step_matches_materialized_oracle(m, s):
+@pytest.mark.parametrize("m, s, chunks", [(15, 3, None), (16, 3, None), (15, 1, None), (15, 1, (5, 7))],
+                         ids=["15-3", "16-3", "15-1", "15-1-refills"])
+def test_sparse_step_matches_materialized_oracle(monkeypatch, m, s, chunks):
     # The sgsm step draws its block indices _CHUNK at a time (as skm does),
     # then its s-by-s factors X a chunk at a time, and builds only the
     # winning row of X^T A_block.  Replaying those draws through the
@@ -366,20 +369,31 @@ def test_sparse_step_matches_materialized_oracle(m, s):
     # the winning column w of the replayed factor.  The twelve steps draw
     # some blocks twice (read back from the stepper's block table); at
     # m = 16 they draw the last block [13, 16), which overlaps its
-    # neighbour; at s = 1 the winner is the drawn row, with no search.
+    # neighbour; at s = 1 the winner is the drawn row, scaled by the
+    # factor's one entry, with no search.  With chunks (_CHUNK, _NORMALS)
+    # small, the steps cross refills of both sources, interleaved.
+    if chunks:
+        monkeypatch.setattr(solvers, "_CHUNK", chunks[0])
+        monkeypatch.setattr(sketch, "_NORMALS", chunks[1])
+    per_chunk, per_fill = solvers._CHUNK, max(1, sketch._NORMALS // s**2)
     sy = make_system(m, 4, seed=10)
     x = RealVector(np.random.default_rng(2).standard_normal(4))
     stepper = Stepper(sy, SolverConfig("sgsm", s=s, seed=11))
     gen = RngState(11).gen
-    blocks = gen.integers(-(-m // s), size=solvers._CHUNK)
-    factors = gen.standard_normal((sketch._NORMALS // s**2, s, s))
     for k in range(12):
         got, got_row, got_beta = stepper.step(x)
-        shift = min(s * int(blocks[k]), m - s)
-        m_arr = factors[k].T @ sy.A.a[shift:shift + s]
-        r_arr = factors[k].T @ sy.b.a[shift:shift + s]
+        # The step takes its block index, then its factor: each from its
+        # chunk, refilled when used up.
+        if k % per_chunk == 0:
+            blocks = gen.integers(-(-m // s), size=per_chunk)
+        if k % per_fill == 0:
+            factors = gen.standard_normal((per_fill, s, s))
+        shift = min(s * int(blocks[k % per_chunk]), m - s)
+        X = factors[k % per_fill]
+        m_arr = X.T @ sy.A.a[shift:shift + s]
+        r_arr = X.T @ sy.b.a[shift:shift + s]
         i = scan_max_index(m_arr, r_arr, x.a)
-        w = factors[k][:, i]
+        w = X[:, i]
         assert np.array_equal(got_row, w.dot(sy.A.a[shift:shift + s]))
         assert got_beta == float(w.dot(sy.b.a[shift:shift + s]))
         assert np.allclose(got_row, m_arr[i], rtol=1e-13, atol=0.0)
@@ -544,10 +558,12 @@ def test_block_table_is_filled_lazily(method):
     # skm and sgsm steps read block z's views from a table filled the first
     # time z is drawn.  Built up front at s = 1, the table would hold m
     # entries, about 300 bytes each: a stepper and a few steps must
-    # allocate under a quarter of that.  skm's float copies of b and the
-    # row norms, 64 bytes a row, are most of what it does allocate.
+    # allocate under a quarter of that.  The float copies of b and the row
+    # norms (64 bytes a row) belong to the system, made once for all its
+    # steppers, so they are made before the count starts.
     m = 20_000
     sy = make_system(m, 2, seed=89)
+    sy._row_floats
     tracemalloc.start()
     try:
         entries = [sketch._block(sy.A.a, sy.b.a, 1, z) for z in range(1000)]
@@ -1006,8 +1022,12 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
         stepper.step(x)
     got, _ = run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault - 1, seed=seed))
     assert np.array_equal(got.a, x.a)
-    with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
-        run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault, seed=seed))
+    # The fault names its step whether run takes one step per call (records
+    # in blocks) or every step to the next record point in one call.
+    for max_iters, dense in ((fault, 10_000), (fault + 3, 0)):
+        with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
+            run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=max_iters, seed=seed,
+                                                record_dense_limit=dense, record_stride=fault + 3))
     # kaczmarz: step 2 reselects within the first chunk (draws 1, 2) and
     # step 5 across the refill (draws 5, 6), where row 1 completes the solve.
     # A run that dropped the rest of a chunk at a reselection would reach
@@ -1119,7 +1139,7 @@ def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
 
     def script_steps():
         factors = iter([0.5] * 6 + [2.0] + [0.5] * 100)
-        monkeypatch.setattr(solvers, "_step", lambda select, xa, gate: (xs + next(factors) * (xa - xs), None, 0))
+        monkeypatch.setattr(solvers, "_steps", lambda select, xa, gate, *_: (xs + next(factors) * (xa - xs), None, 0))
 
     config = SolverConfig("gsm", s=4, tol=0.0, max_iters=40, record_error=True)
     messages = []
@@ -1146,8 +1166,8 @@ def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method
     # _RECORD_BLOCK - 1 steps past its stopping record (motzkin, recorded
     # one step at a time, none) and never more than max_iters.
     calls = []
-    real_step = solvers._step
-    monkeypatch.setattr(solvers, "_step", lambda *args: calls.append(1) or real_step(*args))
+    real_steps = solvers._steps
+    monkeypatch.setattr(solvers, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
     sy = make_system(60, 6, seed=82)
     for tol, max_iters, dense in ((1e-6, 5000, 10_000), (1e-6, 5000, 45), (0.0, 70, 10_000), (0.0, 33, 33)):
         calls.clear()
@@ -1164,17 +1184,35 @@ def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method
         assert elapsed == sorted(elapsed)
 
 
-@pytest.mark.parametrize("method", METHOD_NAMES)
-def test_selected_row_scalars_are_python_floats(method):
+@pytest.mark.parametrize("method, s", [(method, 4) for method in METHOD_NAMES] + [("sgsm", 1)],
+                         ids=[*METHOD_NAMES, "sgsm-s1"])
+def test_selected_row_scalars_are_python_floats(method, s):
     # The projection multiplies a row by (beta - <row, x>) / row_sq; a
     # numpy scalar there costs more per step than a Python float and
     # changes no value, so only this test would see it come back.
     sy = make_system(40, 4, seed=81)
-    select = solvers._selector(sy, method, 4, RngState(0).gen, [None, None])
+    select = solvers._selector(sy, method, s, RngState(0).gen, [None, None])
     for x in (np.zeros(4), sy.x_star.a, np.ones(4)):
         beta, row_sq = select(x)[2:]
         assert (type(beta), type(row_sq)) == (float, float)
-    assert type(Stepper(sy, SolverConfig(method, s=4)).step(np.ones(4))[2]) is float
+    assert type(Stepper(sy, SolverConfig(method, s=s)).step(np.ones(4))[2]) is float
+
+
+@pytest.mark.parametrize("method", ["kaczmarz", "motzkin", "skm", "sgsm"])
+def test_float_copies_are_made_once_per_system(method):
+    # The steps that read b_i and ||a_i||^2 as Python floats read them from
+    # lists the system makes once, 64 bytes a row: a second stepper on the
+    # system allocates well under that.
+    m = 20_000
+    sy = make_system(m, 2, seed=90)
+    Stepper(sy, SolverConfig(method, s=1))
+    tracemalloc.start()
+    try:
+        Stepper(sy, SolverConfig(method, s=1, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 64 * m
 
 
 def test_run_error_stop_halts_on_squared_error():
@@ -1443,7 +1481,7 @@ def test_trace_rejects_disorder_and_error_increase(monkeypatch):
     # from x* is rejected there.
     sy = make_system(12, 3, seed=79)
     xs = sy.x_star.a
-    monkeypatch.setattr(solvers, "_step", lambda select, xa, gate: (2.0 * xa - xs, None, 0))
+    monkeypatch.setattr(solvers, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
     with pytest.raises(NumericalError, match="squared error increased at iteration 1"):
         run(sy, SolverConfig("kaczmarz", tol=0.0, max_iters=5, record_error=True))
 
