@@ -35,10 +35,10 @@ records read).  Per attempt it takes s normals u, then n + 1 normals z
 step draws the whole s-by-s factor X (_factor_fill) after its block
 index, and builds only the winning row of X^T A_block
 (_sparse_winner): s^2 normals and Theta(s*n + s^2) multiplies instead
-of Theta(s^2*n).  At s = 1 the factor is one normal xi and every
-product of _sparse_winner is a single multiply, so the sgsm:1 step
-(solvers._selector) takes xi from the same fill as a Python float and
-forms xi a_z and xi b_z directly, bit for bit the same row.  Both steps
+of Theta(s^2*n).  At s = 1 the factor is one normal xi, and xi a_z has
+a_z's hyperplane, so the sgsm:1 step (solvers._selector) takes xi from
+the same fill as a Python float and projects onto row z of A itself,
+forming xi a_z only where the zero-row gate must read it.  Both steps
 take these draws in chunks, by the chunk rule in rng.py, and return
 only the winning row and its right-hand side.
 """
@@ -181,8 +181,8 @@ def _sparse_winner(Ab, bb, X, xa):
     row = w^T Ab, beta = w^T bb.  Theta(s*n + s^2) multiplies instead of
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
-    The sgsm step calls it for s >= 2: at s = 1 each of these products is
-    one multiply, which solvers._selector makes on Python floats.
+    The sgsm step calls it for s >= 2: at s = 1 it projects onto row z of
+    A, the sketched row's hyperplane (solvers._selector).
     Returns select(x)'s shape (t, row, beta, row_sq), as _gaussian_row
     does for gsm.
     """

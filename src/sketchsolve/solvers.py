@@ -20,7 +20,7 @@ selection rule (_selector):
               Gaussian mix X of one random block): the step draws all of
               X but builds only the winning row of X^T A_block, so it
               costs s^2 normals and Theta(s*n + s^2) multiplies; at
-              s = 1 that row is row z of A times the one normal xi.
+              s = 1 it projects onto a_z, the hyperplane of xi a_z.
 
 The step loop (_steps) applies one rule to every method: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
@@ -38,18 +38,17 @@ A step costs about as many microseconds as it makes numpy and Python
 calls, so the step and the recorder keep three rules, none of which
 changes a value.  Scalars are Python floats: a numpy scalar costs more
 per operation.  The steps that project onto a row of A (kaczmarz,
-motzkin, skm) and the sgsm:1 step read b_i and ||a_i||^2 from
-Python-float copies of b and LinearSystem.row_norms_sq (the one row-norm
-table, equal bit for bit to each row's dot product with itself), made
-once per system; gsm and sgsm return w^T b and their row's norm as
+motzkin, skm, sgsm at s = 1) read b_i and ||a_i||^2 from Python-float
+copies of b and LinearSystem.row_norms_sq (the one row-norm table, equal
+bit for bit to each row's dot product with itself), made once per
+system; gsm and sgsm at s >= 2 return w^T b and their row's norm as
 floats.  Products are ndarray.dot, which rounds as @ does, without its
 ufunc dispatch.  A step is one select call in the loop of _steps, which
 projects inline.  skm and sgsm read a drawn block's views from a table
 keyed by block index, filled the first time each index is drawn, so a
 step makes no slice after that and building a stepper costs nothing per
-block.  At s = 1 the drawn row wins with no argmax, and sgsm:1 scales
-it by its normal with plain multiplies.  Recording never changes an
-iterate.
+block.  At s = 1 a step is one dot, one scale and one add, as kaczmarz's.
+Recording never changes an iterate.
 A motzkin record computes A x - b and puts it in the stepper's residual
 cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
@@ -385,29 +384,29 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     select(x) -> (t, row, beta, row_sq).
 
     The chosen row is row with right-hand side beta and squared norm
-    row_sq, and t is its residual.  For kaczmarz, motzkin and skm, row is
-    a read-only view of a row of A; for gsm and sgsm it is the winning
-    sketched row, a fresh array.  kaczmarz computes no residual and
-    returns t = _NO_RESIDUAL.  beta and row_sq are Python floats: a row
-    of A reads them from the system's float copies of b and
-    LinearSystem.row_norms_sq (LinearSystem._row_floats, made at the
-    first selector that reads them, so a selector makes no copy of its
-    own); a sketched row computes its own.  Each kind of draw comes from
-    its own _chunked source (the chunk rule in rng.py).  (method, s, m)
-    is checked before any draw.  The Kaczmarz sampling table is read at
-    the first draw, so building a selector never fails on an all-zero A.
+    row_sq, and t is its residual.  For kaczmarz, motzkin, skm and sgsm
+    at s = 1, row is a read-only view of a row of A; for gsm and sgsm at
+    s >= 2 it is the winning sketched row, a fresh array.  kaczmarz and
+    the s = 1 steps compute no residual: t = _NO_RESIDUAL.  beta and
+    row_sq are Python floats: a row of A reads them from the system's
+    float copies of b and LinearSystem.row_norms_sq (_row_floats, made at
+    the first selector that reads them, so a selector makes no copy of
+    its own); a sketched row computes its own.  Each kind of draw comes
+    from its own _chunked source (the chunk rule in rng.py).  (method, s,
+    m) is checked before any draw.  The Kaczmarz sampling table is read
+    at the first draw: building a selector never fails on an all-zero A.
 
     skm and sgsm keep a table of the blocks drawn so far: block z's
     views, sketch._block(A, b, s, z), are made the first time z is drawn
     and read back with one lookup after that.  The table starts empty,
     so building a selector costs nothing per block, and it holds at most
-    ceil(m/s) entries of about 300 bytes each.  When s = 1 the drawn
-    row is the winner, so neither method searches for it.  sgsm at s = 1
-    takes its factor's one entry xi as a Python float, from the same
-    fill (sketch._factor_fill) flattened to a list, and returns t = (a_z.x
-    - b_z) xi, row = xi a_z, beta = xi b_z and row_sq = row.row: each a
-    one-term product, so equal bit for bit to _sparse_winner's.  It reads
-    row z of A directly (block z is row z).
+    ceil(m/s) entries of about 300 bytes each.  When s = 1 block z is
+    row z of A and the winner.  sgsm takes its one normal xi as a float
+    from the same fill (sketch._factor_fill, flattened) and returns row z
+    of A, whose hyperplane xi a_z shares, unless the zero-row gate may
+    tell them apart: when xi^2 ||a_z||^2 is within a factor 2 of the gate
+    (or of 2**-900, where its sum of squares may underflow), or ||a_z||^2
+    is under it, it returns _sparse_winner's xi a_z, xi b_z and t.
 
     recorded is the one-slot cell [x, res] that run()'s motzkin recorder
     fills with res = A x - b for the iterate x it recorded last: motzkin
@@ -458,17 +457,16 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
             return t[i], Aa[i], bl[i], norms[i]
 
         return select
-    if method == "sgsm":
-        # s = 1: the sketch is row z times one normal xi, a 1-by-1 factor
-        # handed out as a float from the same fill; each product of
-        # _sparse_winner is then a single multiply, and rounds as one.
-        factors = _chunked(lambda: _factor_fill(gen, 1).ravel().tolist())
+    if s == 1:
+        scales = _chunked(lambda: _factor_fill(gen, 1).ravel().tolist()) if method == "sgsm" else lambda: 1.0
+        gate, clear = system.zero_row_gate, max(2.0 * system.zero_row_gate, 2.0**-900)
 
         def select(xa):
-            z = blocks()
-            xi, a = factors(), Aa[z]
-            row = xi * a
-            return (float(a.dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
+            z, xi = blocks(), scales()
+            if norms[z] > gate and xi * xi * norms[z] > clear:
+                return _NO_RESIDUAL, Aa[z], bl[z], norms[z]
+            row = Aa[z] if xi == 1.0 else xi * Aa[z]  # skm's xi is 1: a view of A, as kaczmarz's
+            return (float(Aa[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
         return select
 
@@ -476,7 +474,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
         z = blocks()
         Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
         t = Ab.dot(xa) - bb
-        i = int((t * t).argmax()) if s > 1 else 0  # a one-row block's winner is its row
+        i = int((t * t).argmax())
         return t[i], Ab[i], bl[shift + i], norms[shift + i]
 
     return select
@@ -516,10 +514,11 @@ class Stepper:
     RngState(config.seed); config's run controls are not read.  step(x)
     returns (x_next, row, beta): x_next is project_row(x, row, beta), bit
     for bit, or x itself when the row's residual is zero.  For kaczmarz,
-    motzkin and skm, row is a read-only view of a row of A; for gsm and
-    sgsm it is the winning sketched row, which aliases neither A nor b.
-    Stepping by hand from x0 reproduces run(system, config, x0)'s iterates
-    bit for bit.  Not thread-safe.
+    motzkin, skm and sgsm at s = 1, row is a read-only view of a row of A
+    (xi a_z near the zero-row gate, see _selector); otherwise it is the
+    winning sketched row, which aliases neither A nor b.  Stepping by
+    hand from x0 reproduces run(system, config, x0)'s iterates bit for
+    bit.  Not thread-safe.
     """
 
     def __init__(self, system: LinearSystem, config: SolverConfig):

@@ -369,9 +369,11 @@ def test_sparse_step_matches_materialized_oracle(monkeypatch, m, s, chunks):
     # the winning column w of the replayed factor.  The twelve steps draw
     # some blocks twice (read back from the stepper's block table); at
     # m = 16 they draw the last block [13, 16), which overlaps its
-    # neighbour; at s = 1 the winner is the drawn row, scaled by the
-    # factor's one entry, with no search.  With chunks (_CHUNK, _NORMALS)
-    # small, the steps cross refills of both sources, interleaved.
+    # neighbour.  At s = 1 the sketched row is the drawn row scaled by the
+    # factor's one entry xi, whose hyperplane is the row's own, so the step
+    # returns row z of A itself (a read-only view) and b_z, and projects
+    # onto them.  With chunks (_CHUNK, _NORMALS) small, the steps cross
+    # refills of both sources, interleaved.
     if chunks:
         monkeypatch.setattr(solvers, "_CHUNK", chunks[0])
         monkeypatch.setattr(sketch, "_NORMALS", chunks[1])
@@ -394,14 +396,63 @@ def test_sparse_step_matches_materialized_oracle(monkeypatch, m, s, chunks):
         r_arr = X.T @ sy.b.a[shift:shift + s]
         i = scan_max_index(m_arr, r_arr, x.a)
         w = X[:, i]
-        assert np.array_equal(got_row, w.dot(sy.A.a[shift:shift + s]))
-        assert got_beta == float(w.dot(sy.b.a[shift:shift + s]))
-        assert np.allclose(got_row, m_arr[i], rtol=1e-13, atol=0.0)
-        assert np.isclose(got_beta, r_arr[i], rtol=1e-13, atol=0.0)
+        if s == 1:
+            assert not got_row.flags.writeable and np.shares_memory(got_row, sy.A.a)
+            assert np.array_equal(got_row, sy.A.a[shift]) and got_beta == float(sy.b.a[shift])
+        else:
+            assert np.array_equal(got_row, w.dot(sy.A.a[shift:shift + s]))
+            assert got_beta == float(w.dot(sy.b.a[shift:shift + s]))
+            assert np.allclose(got_row, m_arr[i], rtol=1e-13, atol=0.0)
+            assert np.isclose(got_beta, r_arr[i], rtol=1e-13, atol=0.0)
         row = m_arr[i]
         want = x.a + (r_arr[i] - row @ x.a) / (row @ row) * row
         assert np.max(np.abs(got.a - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         x = got
+
+
+# Row 2's ||a_2||^2 = 2.5e-15 is under the gate 1e-14 * max ||a_i||^2.
+TINY_ROW_SYSTEM = LinearSystem(
+    DenseMatrix([[1.0, 0.0], [0.0, 1.0], [5e-8, 0.0]]),
+    RealVector([1.0, 2.0, 5e-8]),
+)
+
+
+def test_sgsm_s1_reselection_is_keyed_on_the_sketched_row(monkeypatch):
+    # At s = 1 the sgsm step projects onto row z of A, but its zero-row
+    # gate reads the sketched row xi a_z, as at s >= 2: a draw (z, xi) is
+    # followed by a second one exactly when ||xi a_z||^2 <= gate, whatever
+    # ||a_z||^2 is.  The draws are scripted, the factors through
+    # _factor_fill; the second draw is (1, 1.0).  Around xi = 1e-7 on row
+    # 0 the computed ||xi a_0||^2 crosses the gate.
+    sy = TINY_ROW_SYSTEM
+    gate = sy.zero_row_gate
+    ladder = [1e-7]
+    for _ in range(3):
+        ladder = [math.nextafter(ladder[0], 0.0), *ladder, math.nextafter(ladder[-1], 1.0)]
+    cases = [(0, 1e-8), (0, 2e-7), (2, 1.0), (2, 4.0), (2, -4.0), *((0, xi) for xi in ladder)]
+    monkeypatch.setattr(solvers, "_CHUNK", 1)
+    seen = set()
+    for z, xi in cases:
+        draws, zs, xis = [], iter([z, 1]), iter([xi, 1.0])
+
+        def integers(high, size):
+            draws.append("z")
+            return np.array([next(zs)])
+
+        def factor_fill(gen, s):
+            draws.append("xi")
+            return np.array([[[next(xis)]]])
+
+        monkeypatch.setattr(solvers, "RngState", lambda seed: SimpleNamespace(gen=SimpleNamespace(integers=integers)))
+        monkeypatch.setattr(solvers, "_factor_fill", factor_fill)
+        x1 = Stepper(sy, SolverConfig("sgsm", s=1)).step(RealVector([0.0, 0.0]))[0]
+        sketched = xi * sy.A.a[z]
+        reselected = float(sketched.dot(sketched)) <= gate
+        seen.add(reselected)
+        assert draws == ["z", "xi"] * (2 if reselected else 1), (z, xi)
+        i = 1 if reselected else z
+        assert math.isclose(float(sy.A.a[i].dot(x1.a)), float(sy.b.a[i]), rel_tol=1e-12), (z, xi)
+    assert seen == {True, False}
 
 
 def test_sketched_provenance_is_replayable():
@@ -739,18 +790,19 @@ def assert_no_writeable_alias(sketch, sy):
 
 def test_step_sketch_replays_every_method():
     # project_row onto the step's (row, beta) reproduces every method's
-    # step bit for bit.  For kaczmarz, motzkin and skm the row is a
-    # read-only row of A, not a copy.  No row is a writeable alias of A or
-    # b, and neither is any array of the three materialized sketches.
+    # step bit for bit, and sgsm's at s = 1.  For kaczmarz, motzkin, skm
+    # and sgsm at s = 1 the row is a read-only row of A, not a copy.  No
+    # row is a writeable alias of A or b, and neither is any array of the
+    # three materialized sketches.
     sy = make_system(30, 5, seed=84)
-    for method in METHOD_NAMES:
-        stepper = Stepper(sy, SolverConfig(method, s=4, seed=19))
+    for method, s in [(method, 4) for method in METHOD_NAMES] + [("sgsm", 1)]:
+        stepper = Stepper(sy, SolverConfig(method, s=s, seed=19))
         x = RealVector(np.random.default_rng(6).standard_normal(5))
         for _ in range(10):
             x1, row, beta = stepper.step(x)
             assert type(beta) is float, method
             assert np.array_equal(project_row(x, row, beta).a, x1.a), method
-            if method in ("kaczmarz", "motzkin", "skm"):
+            if method in ("kaczmarz", "motzkin", "skm") or s == 1:
                 assert not row.flags.writeable, method
                 assert np.array_equal(row, sy.A.a[row_index(sy, row)]), method
             elif row.flags.writeable:
