@@ -54,9 +54,9 @@ cell, which motzkin's selection reads back when it selects at the
 iterate just recorded, so a recorded motzkin step costs one A x product,
 not two.  The other methods' records cost Theta(n^2), not Theta(m*n):
 they read ||A x - b|| from one cached QR of [A b], the factor the gsm
-step draws its row from, and over the dense stretch of the schedule
-run() measures them a block of iterates at a time, with stacked products
-that make the same BLAS calls as one iterate's (see run()).
+step draws its row from, and run() measures them a block of record
+points at a time, with stacked products that make the same BLAS calls
+as one iterate's (see run()).
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -128,15 +128,16 @@ CONSISTENCY_TOL = 1e-10
 MONOTONE_SLACK = 1e-9
 MONOTONE_ROUNDOFF = 2.0**20
 
-# run() steps through up to this many consecutive dense record points of a
+# run() steps through up to this many consecutive record points of a
 # kaczmarz, skm, gsm or sgsm run before it measures their records together.
 _RECORD_BLOCK = 32
 
-# A record block ends where the residual's recent decay rate says the run
-# stops, stretched by this factor, so a run steps past its stop by a few
-# steps, not by up to _RECORD_BLOCK - 1.  A block ended short of the stop
-# needs another, at a fixed cost of about eight steps; a stretch of a fifth
-# kept the block count within 1% of fixed 32-step blocks on gaussian 1000x50.
+# A record block ends where the recent decay rate of the residual (or of
+# error_sq, under error_stop) says the run stops, stretched by this factor,
+# so a run steps past its stop by a few steps, not by a whole block.  A
+# block ended short of the stop needs another, at a fixed cost of about
+# eight steps; a stretch of a fifth kept the block count within 1% of fixed
+# 32-step blocks on gaussian 1000x50.
 _STOP_MARGIN = 1.2
 
 # A record's factored ||R_A x - r_b|| and the direct ||A x - b|| differ by at
@@ -554,19 +555,15 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     the iterates, stops and error_sq are those of direct records; only the
     last bits of residual_norm can differ.
 
-    Over the dense stretch of the schedule, kaczmarz, skm, gsm and sgsm
-    runs step through up to _RECORD_BLOCK record points before they
-    measure them, with stacked products, then record them in order: the
-    window recompute, the error_sq check and the stopping rules see the
-    records one at a time, as unblocked.  So a stop there can come after
-    up to _RECORD_BLOCK - 1 more steps, whose iterates are discarded.  To
-    discard fewer, a block ends where the residual's decay rate over the
-    latter half of the run predicts the residual rule fires, stretched by
-    _STOP_MARGIN (see block_size).  A run never takes more than max_iters
+    One loop serves every method: it steps through a block of record
+    points, up to _RECORD_BLOCK of them (one for motzkin, whose next
+    selection reads its record's A x - b), measures them together, and
+    records them in order, so the window recompute, the error_sq check
+    and the stopping rules see one record at a time.  A stop discards the
+    steps its block took past it; to take fewer, a block ends at the
+    guessed stop (stop_guess).  A run never takes more than max_iters
     steps, and a step that finds no usable row raises only when no record
-    before it stops the run.  A lone record point (each one past
-    record_dense_limit, and each motzkin one, whose A x - b its next
-    selection reads) is measured at once.
+    before it stops the run.
 
     elapsed_ns is read when the record's step returns, before the record
     is measured.  It starts after the one-time QR of [A b], which a gsm
@@ -594,25 +591,11 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     records, new_record = [], tuple.__new__  # TraceRecord's own __new__ costs twice as much
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
 
-    def snapshot(k, xa, ns, measured=None):
-        """Record iterate xa after k steps, stamped ns; return whether it
-        stops the run.  measured is its (residual, ||x||^2, error_sq) from
-        measure_block, or None to measure it here."""
+    def snapshot(k, xa, ns, measured):
+        """Record iterate xa after k steps, stamped ns, from its measured
+        (residual, ||x||^2, error_sq); return whether it stops the run."""
         nonlocal prev, slack
-        if measured is not None:
-            residual, x_sq, err = measured
-        else:
-            if factored:
-                v = RA.dot(xa) - rb
-                residual, x_sq = math.sqrt(v.dot(v)), xa.dot(xa)
-            else:
-                res = recorded[1] = Aa.dot(xa) - ba
-                recorded[0] = xa
-                residual = math.sqrt(res.dot(res))  # np.linalg.norm's own arithmetic
-            err = None
-            if xs is not None:
-                d = xa - xs
-                err = float(d.dot(d))
+        residual, x_sq, err = measured
         if factored and abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
             res = Aa.dot(xa) - ba
             residual = math.sqrt(res.dot(res))
@@ -625,59 +608,63 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
         records.append(new_record(TraceRecord, (k, err, residual, ns)))
         return residual <= threshold or (error_stop is not None and err <= error_stop)
 
-    def block_size():
-        """Steps in the next record block: _STOP_MARGIN times the steps the
-        residual's decay rate over the latter half of the run so far says
-        the stopping rule needs, clamped to [1, _RECORD_BLOCK]."""
-        last, half = records[-1], records[len(records) // 2]
-        if threshold > 0.0 and last.residual_norm < half.residual_norm:
-            need = (_STOP_MARGIN * (last.iter - half.iter) * math.log(threshold / last.residual_norm)
-                    / math.log(last.residual_norm / half.residual_norm))
-            if need < _RECORD_BLOCK:
-                return max(1, math.ceil(need))
-        return _RECORD_BLOCK
+    def stop_guess():
+        """The iteration at which the next record block ends: _STOP_MARGIN
+        times the steps that the decay rate of the residual, or of error_sq
+        under error_stop, over the latter half of the run so far says its
+        rule needs (the nearer); max_iters when neither decays."""
+        now, then = records[-1], records[len(records) // 2]
+        guess = last
+        for goal, q, q_then in ((threshold, now.residual_norm, then.residual_norm),
+                                (error_stop or 0.0, now.error_sq, then.error_sq)):
+            if goal > 0.0 and q < q_then:
+                need = _STOP_MARGIN * (now.iter - then.iter) * math.log(goal / q) / math.log(q / q_then)
+                guess = min(guess, now.iter + math.ceil(need))
+        return guess
 
-    def measure_block(iterates):
-        """The residual, ||x||^2 and error_sq that snapshot() measures, of
-        each iterate, bit for bit: a stacked matmul makes the same BLAS call
-        per iterate as the iterate's own product.  There may be no iterate
-        (a block's first step failed)."""
-        X = np.array(iterates).reshape(len(iterates), system.A.cols)
-        V = (RA @ X[:, :, None])[:, :, 0] - rb
-        errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
-        return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
+    def measure(points):
+        """The (residual, ||x||^2, error_sq) that snapshot() reads, of each
+        point's iterate.  The other methods' points are measured together,
+        bit for bit as one at a time: a stacked matmul makes the same BLAS
+        call per iterate as the iterate's own product.  motzkin's point (it
+        has at most one) computes A x - b and leaves it in the stepper's
+        cell.  There may be no point (a block's first step failed)."""
+        if factored:
+            X = np.array([x for _, x, _ in points]).reshape(len(points), system.A.cols)
+            V = (RA @ X[:, :, None])[:, :, 0] - rb
+            errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
+            return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
+        if not points:
+            return ()
+        x = points[0][1]
+        res = recorded[1] = Aa.dot(x) - ba  # its norm below is np.linalg.norm's own arithmetic
+        recorded[0], d = x, None if xs is None else x - xs
+        return [(math.sqrt(res.dot(res)), None, None if d is None else float(d.dot(d)))]
 
     clock = time.perf_counter_ns
     start = clock()
-    status = CONVERGED if snapshot(0, xa, clock() - start) else MAX_ITERS
-    k, last = 0, config.max_iters
+    k, last, size = 0, config.max_iters, _RECORD_BLOCK if factored else 1
     dense, stride = config.record_dense_limit, config.record_stride
-    blocked = min(dense, last) if factored else 0  # the stretch recorded in blocks
-    while status == MAX_ITERS and k < last:
-        if k + 1 < blocked:
-            # Step through up to _RECORD_BLOCK record points, then record
-            # them in order: a stop before a failed step ends the run.
-            reached, fault = [], None
-            try:
-                for k in range(k + 1, min(k + block_size(), blocked) + 1):
-                    xa = _steps(select, xa, gate, 1, k - 1)[0]
-                    reached.append((k, xa, clock() - start))
-            except ZeroRowError as exc:
-                fault = exc
-            for (j, x, ns), measured in zip(reached, measure_block([x for _, x, _ in reached])):
-                if snapshot(j, x, ns, measured):
-                    k, xa, status, fault = j, x, CONVERGED, None
-                    break
-            if fault is not None:
-                raise fault
-        else:
-            # Step to the next record point: each step up to dense, then
-            # each stride-th, and the last.
-            point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
-            xa, k = _steps(select, xa, gate, point - k, k)[0], point
-            if snapshot(k, xa, clock() - start):
-                status = CONVERGED
-    return RealVector(_own(xa)), RunTrace(tuple(records), status)
+    reached, fault = [(0, xa, clock() - start)], None
+    while True:
+        # Record the points reached, in order: a stop before a failed step ends the run.
+        for (j, x, ns), measured in zip(reached, measure(reached)):
+            if snapshot(j, x, ns, measured):
+                return RealVector(_own(x)), RunTrace(tuple(records), CONVERGED)
+        if fault is not None:
+            raise fault
+        if k == last:
+            return RealVector(_own(xa)), RunTrace(tuple(records), MAX_ITERS)
+        # Step through up to size record points: each step up to dense,
+        # then each stride-th, and the last; a block ends at the guessed stop.
+        reached, end = [], stop_guess() if factored else last
+        try:
+            while len(reached) < size and k < end:
+                point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
+                xa, k = _steps(select, xa, gate, point - k, k)[0], point
+                reached.append((k, xa, clock() - start))
+        except ZeroRowError as exc:
+            fault = exc
 
 
 def contraction_summary(trace: RunTrace) -> float:

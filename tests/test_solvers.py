@@ -347,8 +347,8 @@ def test_skm_full_block_equals_motzkin():
 
 def test_sketched_solution_is_fixed_point():
     x_star = INTEGER_SYSTEM.x_star
-    # Block rows are rows of A, and an sgsm:1 row is a row of A times one
-    # normal, so integer arithmetic keeps the zero residual exact.
+    # Block rows are rows of A, and the sgsm:1 step projects onto row z of
+    # A itself, so integer arithmetic keeps the zero residual exact.
     for method, s in (("skm", 2), ("sgsm", 1)):
         x1, _, _ = Stepper(INTEGER_SYSTEM, SolverConfig(method, s=s, seed=3)).step(x_star)
         assert np.array_equal(x1.a, x_star.a)
@@ -1074,8 +1074,8 @@ def test_run_matches_step_composition_across_reselections(monkeypatch):
         stepper.step(x)
     got, _ = run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=fault - 1, seed=seed))
     assert np.array_equal(got.a, x.a)
-    # The fault names its step whether run takes one step per call (records
-    # in blocks) or every step to the next record point in one call.
+    # The fault names its step whether run takes one step per call (the
+    # dense stretch) or every step to the next record point in one call.
     for max_iters, dense in ((fault, 10_000), (fault + 3, 0)):
         with pytest.raises(ZeroRowError, match=f"iteration {fault}:"):
             run(ZERO_BLOCK_SYSTEM, SolverConfig("skm", s=2, tol=0.0, max_iters=max_iters, seed=seed,
@@ -1148,10 +1148,13 @@ def test_run_zero_row_error_names_iteration_between_records():
         run(ZERO_BLOCK_SYSTEM, cfg)
 
 
-def unblocked(config):
-    """config with every step recorded one record at a time: the run takes
-    no step past its stopping record."""
-    return dataclasses.replace(config, record_dense_limit=0, record_stride=1)
+def run_unblocked(monkeypatch, system, config):
+    """run() with record blocks of one point: each record is measured as
+    soon as its point is reached, so the run takes no step past its
+    stopping record."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_RECORD_BLOCK", 1)
+        return run(system, config)
 
 
 def same_runs(got, want):
@@ -1166,22 +1169,27 @@ def test_stop_inside_a_record_block_beats_a_later_fault(monkeypatch):
     # step 5 solves the system exactly, and step 6 draws the near-zero row
     # twice.  A run that records in blocks has taken step 6 when it finds
     # the stop at record 5, and must return what a run that never took
-    # step 6 returns.
+    # step 6 returns: in the dense stretch, and past it (record_dense_limit
+    # 2, so records 0, 1, 2, 5, 10, ..., where step 6 is a stride's first).
     planted = LinearSystem(NEAR_ZERO_ROW_SYSTEM.A, NEAR_ZERO_ROW_SYSTEM.b, RealVector([1.0, 2.0]))
     uniforms = [0.9, 0.0, 0.9, 0.9, 0.9, 0.0, 0.3, 0.0, 0.0]
-    for system, record_error in ((NEAR_ZERO_ROW_SYSTEM, False), (planted, True)):
-        config = SolverConfig("kaczmarz", tol=0.0, max_iters=50, record_error=record_error)
+    for system, record_error, dense in ((NEAR_ZERO_ROW_SYSTEM, False, 10_000), (planted, True, 10_000),
+                                        (NEAR_ZERO_ROW_SYSTEM, False, 2)):
+        config = SolverConfig("kaczmarz", tol=0.0, max_iters=50, record_error=record_error,
+                              record_dense_limit=dense, record_stride=5)
         script_uniforms(monkeypatch, uniforms)
-        want = run(system, unblocked(config))
+        want = run_unblocked(monkeypatch, system, config)
         script_uniforms(monkeypatch, uniforms)
         got = run(system, config)
         assert (got[1].status, got[1].final.iter, got[0].a.tolist()) == (CONVERGED, 5, [1.0, 2.0])
         same_runs(got, want)
     # Without a stop before it, the fault is raised at its own iteration.
-    for config in (SolverConfig("kaczmarz", tol=0.0, max_iters=50), unblocked(SolverConfig("kaczmarz", max_iters=50))):
+    configs = (SolverConfig("kaczmarz", tol=0.0, max_iters=50),
+               SolverConfig("kaczmarz", max_iters=50, record_dense_limit=0))
+    for runner, config in itertools.product((run, functools.partial(run_unblocked, monkeypatch)), configs):
         script_uniforms(monkeypatch, [0.9, 0.9, 0.0, 0.0])
         with pytest.raises(ZeroRowError, match="^iteration 3: "):
-            run(NEAR_ZERO_ROW_SYSTEM, config)
+            runner(NEAR_ZERO_ROW_SYSTEM, config)
 
 
 def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
@@ -1195,17 +1203,17 @@ def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
 
     config = SolverConfig("gsm", s=4, tol=0.0, max_iters=40, record_error=True)
     messages = []
-    for cfg in (config, unblocked(config)):
+    for runner in (run, functools.partial(run_unblocked, monkeypatch)):
         script_steps()
         with pytest.raises(NumericalError, match="squared error increased at iteration 7") as info:
-            run(sy, cfg)
+            runner(sy, config)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     # An error_stop that fires at record 4 ends the run before the rise.
     err0 = float(xs @ xs)
     config = dataclasses.replace(config, error_stop=0.5**7 * err0)
     script_steps()
-    want = run(sy, unblocked(config))
+    want = run_unblocked(monkeypatch, sy, config)
     script_steps()
     got = run(sy, config)
     assert (got[1].status, got[1].final.iter) == (CONVERGED, 4)
@@ -1234,6 +1242,25 @@ def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method
             assert method != "motzkin" or len(calls) == trace.final.iter
         elapsed = [r.elapsed_ns for r in trace.records]
         assert elapsed == sorted(elapsed)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_error_stop_in_the_strided_stretch_steps_past_it_by_less_than_a_record_block(monkeypatch, method):
+    # Counted steps, as in the test above: past record_dense_limit a block
+    # of _RECORD_BLOCK points spans _RECORD_BLOCK * record_stride steps, so
+    # without a guess at the error_stop a run could take up to 31 strides
+    # past its stop.  The guess keeps it within one dense block's steps.
+    calls = []
+    real_steps = solvers._steps
+    monkeypatch.setattr(solvers, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
+    sy = generate_system(ModelSpec("coherent", 100, 5, seed=1))
+    stride = 7
+    config = SolverConfig(method, s=4, tol=0.0, max_iters=10**5, record_dense_limit=20, record_stride=stride,
+                          record_error=True, error_stop=1e-10 * float(sy.x_star.a @ sy.x_star.a))
+    _, trace = run(sy, config)
+    assert trace.status == CONVERGED and trace.final.iter > 20
+    assert trace.final.iter <= len(calls) < trace.final.iter + solvers._RECORD_BLOCK * stride
+    assert len(calls) < trace.final.iter + solvers._RECORD_BLOCK
 
 
 @pytest.mark.parametrize("method, s", [(method, 4) for method in METHOD_NAMES] + [("sgsm", 1)],
