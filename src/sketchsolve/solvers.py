@@ -49,14 +49,11 @@ keyed by block index, filled the first time each index is drawn, so a
 step makes no slice after that and building a stepper costs nothing per
 block.  At s = 1 a step is one dot, one scale and one add, as kaczmarz's.
 Recording never changes an iterate.
-A motzkin record computes A x - b and puts it in the stepper's residual
-cell, which motzkin's selection reads back when it selects at the
-iterate just recorded, so a recorded motzkin step costs one A x product,
-not two.  The other methods' records cost Theta(n^2), not Theta(m*n):
-they read ||A x - b|| from one cached QR of [A b], the factor the gsm
-step draws its row from, and run() measures them a block of record
-points at a time, with stacked products that make the same BLAS calls
-as one iterate's (see run()).
+Every method's records cost Theta(n^2), not Theta(m*n): they read
+||A x - b|| from one cached QR of [A b], the factor the gsm step draws
+its row from, and run() measures them a block of record points at a
+time, with stacked products that make the same BLAS calls as one
+iterate's (see run()).
 
 The sketched methods project onto the selected *sketched* row, which
 keeps the one-step geometry exact: the error stays orthogonal to the
@@ -128,8 +125,8 @@ CONSISTENCY_TOL = 1e-10
 MONOTONE_SLACK = 1e-9
 MONOTONE_ROUNDOFF = 2.0**20
 
-# run() steps through up to this many consecutive record points of a
-# kaczmarz, skm, gsm or sgsm run before it measures their records together.
+# run() steps through up to this many consecutive record points before it
+# measures their records together.
 _RECORD_BLOCK = 32
 
 # A record block ends where the recent decay rate of the residual (or of
@@ -242,10 +239,9 @@ class LinearSystem:
         and whether or not b is consistent.  run()'s trace records read it
         (see RESIDUAL_WINDOW), and the gsm step draws its row from it
         (sketch._gaussian_row).  Theta(m*n^2), made at the first gsm
-        Stepper on the system or before the clock of its first kaczmarz,
-        skm or sgsm run; Steppers of the other methods and a motzkin run
-        leave it uncomputed.  Its temporaries (about two copies of [A b])
-        are freed."""
+        Stepper on the system or before the clock of its first run;
+        Steppers of the other methods leave it uncomputed.  Its
+        temporaries (about two copies of [A b]) are freed."""
         r = np.linalg.qr(np.column_stack([self.A.a, self.b.a]), mode="r")
         r = np.vstack([r, np.zeros((self.A.cols + 1 - len(r), self.A.cols + 1))])
         return np.ascontiguousarray(r[:, :-1]), np.ascontiguousarray(r[:, -1])
@@ -316,9 +312,9 @@ class SolverConfig:
 class TraceRecord(NamedTuple):
     """State snapshot after `iter` completed steps (iter 0 is the start).
 
-    residual_norm is ||A x - b||_2: computed directly for motzkin, and
-    for the other methods from a QR of [A b], to within RESIDUAL_WINDOW *
-    (||A||_F ||x|| + ||b||) of the direct value (see run())."""
+    residual_norm is ||A x - b||_2, from a QR of [A b], to within
+    RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||) of the direct value (see
+    run())."""
 
     iter: int
     error_sq: float | None
@@ -380,7 +376,7 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
+def _selector(system: LinearSystem, method: str, s: int, gen):
     """The row-selection rule of one method, as
     select(x) -> (t, row, beta, row_sq).
 
@@ -409,10 +405,6 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     (or of 2**-900, where its sum of squares may underflow), or ||a_z||^2
     is under it, it returns _sparse_winner's xi a_z, xi b_z and t.
 
-    recorded is the one-slot cell [x, res] that run()'s motzkin recorder
-    fills with res = A x - b for the iterate x it recorded last: motzkin
-    reads res instead of recomputing it when it selects at that same array
-    x.  The other methods' records leave the cell empty.
     gsm reads the system's cached QR factor of [A b]
     (LinearSystem._residual_factor), which a selector of any other method
     leaves uncomputed.
@@ -453,7 +445,7 @@ def _selector(system: LinearSystem, method: str, s: int, gen, recorded):
     if method == "motzkin":
 
         def select(xa):
-            t = recorded[1] if recorded[0] is xa else Aa.dot(xa) - ba
+            t = Aa.dot(xa) - ba
             i = int((t * t).argmax())
             return t[i], Aa[i], bl[i], norms[i]
 
@@ -519,13 +511,13 @@ class Stepper:
     (xi a_z near the zero-row gate, see _selector); otherwise it is the
     winning sketched row, which aliases neither A nor b.  Stepping by
     hand from x0 reproduces run(system, config, x0)'s iterates bit for
-    bit.  Not thread-safe.
+    bit: run() steps its selector and writes nothing to it.  Not
+    thread-safe.
     """
 
     def __init__(self, system: LinearSystem, config: SolverConfig):
         self._system = system
-        self._recorded = [None, None]  # run()'s recorder fills it (see _selector)
-        self._select = _selector(system, config.method, config.s, RngState(config.seed).gen, self._recorded)
+        self._select = _selector(system, config.method, config.s, RngState(config.seed).gen)
         self._gate = system.zero_row_gate
 
     def step(self, x):
@@ -547,17 +539,15 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     Returns (x_final, RunTrace).  Reruns with identical inputs produce
     identical traces except the elapsed_ns fields.
 
-    A motzkin record computes A x - b, which the next motzkin selection
-    reads back.  The other methods' records compute ||A x - b|| in n
-    dimensions, from a QR of [A b] (LinearSystem._residual_factor), and
-    recompute it directly when that value lies within RESIDUAL_WINDOW of
-    the threshold.  So every stop is decided on the direct residual, and
-    the iterates, stops and error_sq are those of direct records; only the
-    last bits of residual_norm can differ.
+    A record computes ||A x - b|| in n dimensions, from a QR of [A b]
+    (LinearSystem._residual_factor), and recomputes it directly when that
+    value lies within RESIDUAL_WINDOW of the threshold.  So every stop is
+    decided on the direct residual, and the iterates, stops and error_sq
+    are those of direct records; only the last bits of residual_norm can
+    differ.
 
     One loop serves every method: it steps through a block of record
-    points, up to _RECORD_BLOCK of them (one for motzkin, whose next
-    selection reads its record's A x - b), measures them together, and
+    points, up to _RECORD_BLOCK of them, measures them together, and
     records them in order, so the window recompute, the error_sq check
     and the stopping rules see one record at a time.  A stop discards the
     steps its block took past it; to take fewer, a block ends at the
@@ -567,26 +557,24 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     elapsed_ns is read when the record's step returns, before the record
     is measured.  It starts after the one-time QR of [A b], which a gsm
-    stepper makes when it is built and the other non-motzkin runs make
-    before the clock, so it leaves it out.
+    stepper makes when it is built and the other runs make before the
+    clock, so it leaves it out.
     """
     # The inputs are checked before a gsm Stepper computes the QR of [A b].
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     xa = np.zeros(system.A.cols) if x0 is None else as_vector(x0, system.A.cols, "x0").a
     stepper = Stepper(system, config)
-    select, gate, recorded = stepper._select, stepper._gate, stepper._recorded
+    select, gate = stepper._select, stepper._gate
     Aa, ba = system.A.a, system.b.a
     xs = system.x_star.a if config.record_error else None
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
 
     threshold = config.tol * system.b_norm
-    factored = config.method != "motzkin"
-    if factored:
-        RA, rb = system._residual_factor
-        # The window is wx * ||x|| + wb: RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).
-        wx = RESIDUAL_WINDOW * math.sqrt(float(system.row_norms_sq.sum()))
-        wb = RESIDUAL_WINDOW * system.b_norm
+    RA, rb = system._residual_factor
+    # The window is wx * ||x|| + wb: RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||).
+    wx = RESIDUAL_WINDOW * math.sqrt(float(system.row_norms_sq.sum()))
+    wb = RESIDUAL_WINDOW * system.b_norm
     error_stop = config.error_stop
     records, new_record = [], tuple.__new__  # TraceRecord's own __new__ costs twice as much
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
@@ -596,7 +584,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
         (residual, ||x||^2, error_sq); return whether it stops the run."""
         nonlocal prev, slack
         residual, x_sq, err = measured
-        if factored and abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
+        if abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
             res = Aa.dot(xa) - ba
             residual = math.sqrt(res.dot(res))
         if err is not None:
@@ -624,26 +612,18 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
 
     def measure(points):
         """The (residual, ||x||^2, error_sq) that snapshot() reads, of each
-        point's iterate.  The other methods' points are measured together,
-        bit for bit as one at a time: a stacked matmul makes the same BLAS
-        call per iterate as the iterate's own product.  motzkin's point (it
-        has at most one) computes A x - b and leaves it in the stepper's
-        cell.  There may be no point (a block's first step failed)."""
-        if factored:
-            X = np.array([x for _, x, _ in points]).reshape(len(points), system.A.cols)
-            V = (RA @ X[:, :, None])[:, :, 0] - rb
-            errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
-            return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
-        if not points:
-            return ()
-        x = points[0][1]
-        res = recorded[1] = Aa.dot(x) - ba  # its norm below is np.linalg.norm's own arithmetic
-        recorded[0], d = x, None if xs is None else x - xs
-        return [(math.sqrt(res.dot(res)), None, None if d is None else float(d.dot(d)))]
+        point's iterate, measured together bit for bit as one at a time: a
+        stacked matmul makes the same BLAS call per iterate as the
+        iterate's own product.  There may be no point (a block's first
+        step failed)."""
+        X = np.array([x for _, x, _ in points]).reshape(len(points), system.A.cols)
+        V = (RA @ X[:, :, None])[:, :, 0] - rb
+        errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
+        return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
 
     clock = time.perf_counter_ns
     start = clock()
-    k, last, size = 0, config.max_iters, _RECORD_BLOCK if factored else 1
+    k, last = 0, config.max_iters
     dense, stride = config.record_dense_limit, config.record_stride
     reached, fault = [(0, xa, clock() - start)], None
     while True:
@@ -655,11 +635,12 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
             raise fault
         if k == last:
             return RealVector(_own(xa)), RunTrace(tuple(records), MAX_ITERS)
-        # Step through up to size record points: each step up to dense,
-        # then each stride-th, and the last; a block ends at the guessed stop.
-        reached, end = [], stop_guess() if factored else last
+        # Step through up to _RECORD_BLOCK record points: each step up to
+        # dense, then each stride-th, and the last; a block ends at the
+        # guessed stop.
+        reached, end = [], stop_guess()
         try:
-            while len(reached) < size and k < end:
+            while len(reached) < _RECORD_BLOCK and k < end:
                 point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
                 xa, k = _steps(select, xa, gate, point - k, k)[0], point
                 reached.append((k, xa, clock() - start))

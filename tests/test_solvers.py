@@ -874,14 +874,11 @@ def test_run_matches_manual_step_composition():
     # x0)'s iterates, from a zero and a nonzero start.  The run crosses two
     # chunk refills of the kaczmarz and skm draws.  On coherent rows no
     # method reaches a zero residual that soon, so every run goes the
-    # whole way.  motzkin reads back the residual the trace recorded at an
-    # iterate, so the run is checked with every step recorded and with a
-    # thinned schedule (dense to 5, then every 7th), where it selects at
-    # recorded and unrecorded iterates alike.  Each record's error_sq is
-    # what a fresh computation at the hand-stepped iterate gives, bit for
-    # bit, and so is motzkin's residual_norm; the other methods record
-    # ||A x - b|| from a QR of [A b], within the documented window of the
-    # fresh value.
+    # whole way.  The run is checked with every step recorded and with a
+    # thinned schedule (dense to 5, then every 7th).  Each record's
+    # error_sq is what a fresh computation at the hand-stepped iterate
+    # gives, bit for bit; every method records ||A x - b|| from a QR of
+    # [A b], within the documented window of the fresh value.
     sy = generate_system(ModelSpec("coherent", 24, 5, 72))
     steps = 2 * solvers._CHUNK + 37
     starts = (np.zeros(5), np.random.default_rng(72).standard_normal(5))
@@ -903,10 +900,7 @@ def test_run_matches_manual_step_composition():
                 x = iterates[rec.iter].a
                 d = x - sy.x_star.a
                 direct = float(np.linalg.norm(sy.A.a @ x - sy.b.a))
-                if method == "motzkin":
-                    assert rec.residual_norm == direct, (method, rec.iter)
-                else:
-                    assert abs(rec.residual_norm - direct) <= residual_window(sy, x), (method, rec.iter)
+                assert abs(rec.residual_norm - direct) <= residual_window(sy, x), (method, rec.iter)
                 assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
@@ -934,7 +928,7 @@ def accuracy_systems():
 @pytest.mark.parametrize("case", accuracy_systems())
 @pytest.mark.parametrize("scale", [1.0, 2.0**300, 2.0**-300], ids=["1", "2^300", "2^-300"])
 def test_factored_records_are_within_the_window_of_the_exact_residual(case, scale):
-    # A non-motzkin record measures ||A x - b|| from a QR of [A b]; at every
+    # A record measures ||A x - b|| from a QR of [A b]; at every
     # record it is within RESIDUAL_WINDOW * (||A||_F ||x|| + ||b||) of the
     # exact residual of the iterate, whatever the conditioning, rank or
     # consistency of the system and at scales 2^+-300.  tol = 0 keeps every
@@ -942,7 +936,7 @@ def test_factored_records_are_within_the_window_of_the_exact_residual(case, scal
     a, b, x_star = accuracy_systems()[case]
     sy = LinearSystem(DenseMatrix(scale * a), RealVector(scale * b), None if x_star is None else RealVector(x_star))
     x0 = RealVector(np.random.default_rng(92).standard_normal(8))
-    for method in ("kaczmarz", "skm", "gsm", "sgsm"):
+    for method in ("kaczmarz", "motzkin", "skm", "gsm", "sgsm"):
         cfg = SolverConfig(method, s=4, tol=0.0, max_iters=200, seed=5, record_dense_limit=3, record_stride=25)
         _, trace = run(sy, cfg, x0)
         stepper, iterates = Stepper(sy, cfg), [x0]
@@ -1003,18 +997,17 @@ def test_run_with_tol_zero_stops_at_an_exactly_zero_residual():
 
 
 def test_records_qr_is_made_by_factored_runs_only():
-    # kaczmarz, motzkin, skm and sgsm Steppers and a motzkin run leave the
-    # records' QR uncomputed; a gsm Stepper, which draws its row from it,
-    # and a run of any other method make it.
+    # kaczmarz, motzkin, skm and sgsm Steppers leave the records' QR
+    # uncomputed; a gsm Stepper, which draws its row from it, and a run of
+    # any method make it.
     sy = make_system(40, 4, seed=75)
     x = RealVector(np.ones(4))
     for method in ("kaczmarz", "motzkin", "skm", "sgsm"):
         Stepper(sy, SolverConfig(method, s=4)).step(x)
-    run(sy, SolverConfig("motzkin", max_iters=50))
     assert "_residual_factor" not in vars(sy)
     Stepper(sy, SolverConfig("gsm", s=4))
     assert "_residual_factor" in vars(sy)
-    for method in ("kaczmarz", "skm", "gsm", "sgsm"):
+    for method in METHOD_NAMES:
         fresh = make_system(40, 4, seed=75)
         run(fresh, SolverConfig(method, s=4, max_iters=5))
         assert "_residual_factor" in vars(fresh), method
@@ -1222,9 +1215,11 @@ def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
 
 @pytest.mark.parametrize("method", METHOD_NAMES)
 def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method):
-    # Counted steps: a run recorded in blocks takes at most
-    # _RECORD_BLOCK - 1 steps past its stopping record (motzkin, recorded
-    # one step at a time, none) and never more than max_iters.
+    # Counted steps: a run steps past its stopping record through at most
+    # the rest of its record block, _RECORD_BLOCK - 1 record points, and
+    # never takes more than max_iters steps.  A dense point is one step; the
+    # one strided stop here (dense 45, stride 3) comes after the stop guess
+    # has records to read, so every case stays within _RECORD_BLOCK steps.
     calls = []
     real_steps = solvers._steps
     monkeypatch.setattr(solvers, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
@@ -1239,7 +1234,6 @@ def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method
             assert len(calls) == trace.final.iter == max_iters
         else:
             assert trace.final.iter <= len(calls) < trace.final.iter + solvers._RECORD_BLOCK
-            assert method != "motzkin" or len(calls) == trace.final.iter
         elapsed = [r.elapsed_ns for r in trace.records]
         assert elapsed == sorted(elapsed)
 
@@ -1270,7 +1264,7 @@ def test_selected_row_scalars_are_python_floats(method, s):
     # numpy scalar there costs more per step than a Python float and
     # changes no value, so only this test would see it come back.
     sy = make_system(40, 4, seed=81)
-    select = solvers._selector(sy, method, s, RngState(0).gen, [None, None])
+    select = solvers._selector(sy, method, s, RngState(0).gen)
     for x in (np.zeros(4), sy.x_star.a, np.ones(4)):
         beta, row_sq = select(x)[2:]
         assert (type(beta), type(row_sq)) == (float, float)
