@@ -21,15 +21,22 @@ Stream-consumption conventions (they matter for replay):
     nothing); it is the next item of its chunked source.
 
 The chunk rule.  A solver stepper takes each kind of draw from its own
-_chunked source: kaczmarz uniforms and skm and sgsm block indices
-solvers._CHUNK at a time, gsm attempts (u, z) and sgsm factors as
-many per standard_normal fill as fit in sketch._NORMALS normals (at
-least one; at s = 1 sgsm hands out its 1-by-1 factors from that same fill
-as Python floats).  On PCG64 a fill of k draws, row-major, equals the same k
-draws made one at a time (tests/test_rng.py guards this), so a stream
-with one kind of draw does not depend on its chunk size: kaczmarz, skm
-and gsm trajectories equal those of one draw per step.  sgsm interleaves
-its index chunks with its factor chunks, so its stream depends on both
+chunked source, the items of fill(), fill(), ... in order: kaczmarz
+uniforms (as row indices) and skm and sgsm block indices solvers._CHUNK
+at a time, gsm attempts (u, z) and sgsm factors as many per
+standard_normal fill as fit in sketch._NORMALS normals (at least one; at
+s = 1 sgsm hands out its 1-by-1 factors from that same fill as Python
+floats).  The row loops (kaczmarz, skm, sgsm at s = 1) iterate a chunk
+directly and refill it where a step finds it used up (solvers._walker);
+gsm and sgsm at s >= 2 take one item per call from a _chunked source.
+Either way a fill runs at the first draw and again where a step needs a
+draw and the chunk is used up, and a fill that raises leaves nothing
+behind: the next draw fills again.  On PCG64 a fill of k draws,
+row-major, equals the same k draws made one at a time (tests/test_rng.py
+guards this), so a stream with one kind of draw does not depend on its
+chunk size: kaczmarz, skm and gsm trajectories equal those of one draw
+per step.  sgsm interleaves its index chunks with its factor chunks, the
+index's fill first when a step needs both, so its stream depends on both
 sizes.  The stepper owns its generator, so the unused tail of its last
 chunk is never seen.
 """

@@ -36,7 +36,7 @@ step draws the whole s-by-s factor X (_factor_fill) after its block
 index, and builds only the winning row of X^T A_block
 (_sparse_winner): s^2 normals and Theta(s*n + s^2) multiplies instead
 of Theta(s^2*n).  At s = 1 the factor is one normal xi, and xi a_z has
-a_z's hyperplane, so the sgsm:1 step (solvers._selector) takes xi from
+a_z's hyperplane, so the sgsm:1 step (solvers._walker) takes xi from
 the same fill as a Python float and projects onto row z of A itself,
 forming xi a_z only where the zero-row gate must read it.  Both steps
 take these draws in chunks, by the chunk rule in rng.py, and return
@@ -106,8 +106,8 @@ def _block(Aa, ba, s, z):
 
     The one definition of a block, shared by block_sketch and the skm and
     sgsm steps; every caller draws z from its stream before calling.  A
-    step's selector keeps each block it has made in a table keyed by z
-    (solvers._selector), so a step calls this only the first time it
+    step's loop keeps each block it has made in a table keyed by z
+    (solvers._walker), so a step calls this only the first time it
     draws z.
     """
     shift = min(s * z, Aa.shape[0] - s)
@@ -182,7 +182,7 @@ def _sparse_winner(Ab, bb, X, xa):
     the Theta(s^2*n) of X^T Ab, on the same factor and the same sketch.
 
     The sgsm step calls it for s >= 2: at s = 1 it projects onto row z of
-    A, the sketched row's hyperplane (solvers._selector).
+    A, the sketched row's hyperplane (solvers._walker).
     Returns select(x)'s shape (t, row, beta, row_sq), as _gaussian_row
     does for gsm.
     """

@@ -4,7 +4,7 @@ All five methods are one select-then-project step: draw a system (A
 itself, one row of A, a block of A, or a sketch of A), select one of its
 rows, and project the iterate onto that row's hyperplane,
 x <- x + ((b_i - <a_i, x>) / ||a_i||^2) a_i.  They differ only in the
-selection rule (_selector):
+selection rule (each method's loop in _walker):
 
   * kaczmarz: random row, probability proportional to ||a_i||^2;
   * motzkin:  the row with the largest squared residual (deterministic);
@@ -22,32 +22,41 @@ selection rule (_selector):
               costs s^2 normals and Theta(s*n + s^2) multiplies; at
               s = 1 it projects onto a_z, the hyperplane of xi a_z.
 
-The step loop (_steps) applies one rule to every method: a zero selected
+Every method's step loop (_walker) applies one rule: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
-system); a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
+system), except where no residual is computed (kaczmarz, and the s = 1
+steps away from the zero-row gate), and x is projected whatever it
+is; a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
 reselected once, with fresh draws, and a second such row raises
 ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed) and takes its draws in
-chunks (the chunk rule in rng.py).  Stepper.step takes one step of
-_steps, and run() all the steps between two record points in one call,
-so run() is bit for bit the iteration of the public stepper.
+chunks (the chunk rule in rng.py).  Stepper.step takes one step through
+Stepper._steps, and run() all the steps between two record points in
+one call to it, so run() is bit for bit the iteration of the public
+stepper.
 
 A step costs about as many microseconds as it makes numpy and Python
 calls, so the step and the recorder keep three rules, none of which
 changes a value.  Scalars are Python floats: a numpy scalar costs more
 per operation.  The steps that project onto a row of A (kaczmarz,
-motzkin, skm, sgsm at s = 1) read b_i and ||a_i||^2 from Python-float
-copies of b and LinearSystem.row_norms_sq (the one row-norm table, equal
-bit for bit to each row's dot product with itself), made once per
-system; gsm and sgsm at s >= 2 return w^T b and their row's norm as
+motzkin, skm, sgsm at s = 1) read the row, b_i and ||a_i||^2 from
+tables made once per system (LinearSystem._row_floats: row views, and
+Python-float copies of b and LinearSystem.row_norms_sq, the one
+row-norm table, equal bit for bit to each row's dot product with
+itself); gsm and sgsm at s >= 2 return w^T b and their row's norm as
 floats.  Products are ndarray.dot, which rounds as @ does, without its
-ufunc dispatch.  A step is one select call in the loop of _steps, which
-projects inline.  skm and sgsm read a drawn block's views from a table
-keyed by block index, filled the first time each index is drawn, so a
-step makes no slice after that and building a stepper costs nothing per
-block.  At s = 1 a step is one dot, one scale and one add, as kaczmarz's.
+ufunc dispatch.  Each of those four methods has one loop that takes k
+steps per call and iterates its draws straight off their chunks, so a
+step makes no Python call but its numpy ones: a kaczmarz step is one
+dot, one scale and one add, about 1.6 us on coherent 1000x50 (one BLAS
+thread, a 2-core x86-64 host), against 2.1 us through a per-step select
+call.  gsm and sgsm at s >= 2, whose steps take 8 to 145 us, call a
+select per step in one shared loop.  skm and sgsm read a drawn block's
+views from a table keyed by block index, filled the first time each
+index is drawn, so a step makes no slice after that and building a
+stepper costs nothing per block.
 Recording never changes an iterate.
 Every method's records cost Theta(n^2), not Theta(m*n): they read
 ||A x - b|| from one cached QR of [A b], the factor the gsm step draws
@@ -65,6 +74,7 @@ trace; reruns with the same seed are bit-identical except wall times.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
@@ -104,8 +114,8 @@ MAX_ITERS = "max_iters"
 # a threshold in the units of A alone (see LinearSystem.zero_row_gate).
 ZERO_ROW_GATE = 1e-14
 
-# The residual a selector reports when it computes none (kaczmarz): NaN
-# never equals 0.0, so the step never takes it for a solved row.
+# The residual an s = 1 step reports when it computes none (away from the
+# zero-row gate): NaN never equals 0.0, so it is never taken for a solved row.
 _NO_RESIDUAL = float("nan")
 
 # Draws per chunk of a stepper's kaczmarz uniforms and skm and sgsm block
@@ -206,12 +216,14 @@ class LinearSystem:
 
     @cached_property
     def _row_floats(self):
-        """(b.tolist(), row_norms_sq.tolist()): b_i and ||a_i||^2 as Python
-        floats, which the kaczmarz, motzkin, skm and sgsm:1 steps read (the
-        cost rules in the module docstring).  Made at the first Stepper of
-        one of those methods and shared by every later one; the two lists
-        hold 64 bytes a row (a pointer and a float object each)."""
-        return self.b.a.tolist(), self.row_norms_sq.tolist()
+        """(rows, b, norms): the rows of A as read-only views, and b_i and
+        ||a_i||^2 as Python floats (b.tolist(), row_norms_sq.tolist()),
+        which the kaczmarz, motzkin, skm and sgsm:1 steps read (the cost
+        rules in the module docstring).  Made at the first Stepper of one
+        of those methods and shared by every later one; the three lists
+        hold about 180 bytes a row (a pointer and a view or float object
+        each)."""
+        return list(self.A.a), self.b.a.tolist(), self.row_norms_sq.tolist()
 
     @cached_property
     def zero_row_gate(self) -> float:
@@ -376,128 +388,231 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _selector(system: LinearSystem, method: str, s: int, gen):
-    """The row-selection rule of one method, as
-    select(x) -> (t, row, beta, row_sq).
+def _zero_row(row_sq):
+    return ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
 
-    The chosen row is row with right-hand side beta and squared norm
-    row_sq, and t is its residual.  For kaczmarz, motzkin, skm and sgsm
-    at s = 1, row is a read-only view of a row of A; for gsm and sgsm at
-    s >= 2 it is the winning sketched row, a fresh array.  kaczmarz and
-    the s = 1 steps compute no residual: t = _NO_RESIDUAL.  beta and
-    row_sq are Python floats: a row of A reads them from the system's
-    float copies of b and LinearSystem.row_norms_sq (_row_floats, made at
-    the first selector that reads them, so a selector makes no copy of
-    its own); a sketched row computes its own.  Each kind of draw comes
-    from its own _chunked source (the chunk rule in rng.py).  (method, s,
-    m) is checked before any draw.  The Kaczmarz sampling table is read
-    at the first draw: building a selector never fails on an all-zero A.
+
+def _at(exc, done, i):
+    """ZeroRowError exc of step i of a walk, named "iteration {done + i}:
+    ..." when done, the steps taken before the walk, is given."""
+    if done is None:
+        return exc
+    named = ZeroRowError(f"iteration {done + i}: {exc}")
+    named.__cause__ = exc
+    return named
+
+
+def _next(chunk, fill):
+    """(item, chunk): the next item of chunk, or the first of a fresh
+    iter(fill()) when chunk is used up, with the chunk it came from."""
+    for item in chunk:
+        return item, chunk
+    chunk = iter(fill())
+    return next(chunk), chunk
+
+
+def _select_walk(select, gate):
+    """The walk of a method that selects a fresh sketched row each step
+    (gsm, sgsm at s >= 2): select(x) -> (t, row, beta, row_sq), and the
+    step rules of _walker."""
+
+    def walk(xa, done=None, k=1):
+        try:
+            for i in range(1, k + 1):
+                t, row, beta, row_sq = select(xa)
+                if row_sq <= gate and t != 0.0:
+                    t, row, beta, row_sq = select(xa)
+                    if row_sq <= gate and t != 0.0:
+                        raise _zero_row(row_sq)
+                if t != 0.0:
+                    xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
+        except ZeroRowError as exc:  # the select's own, or the second zero row
+            raise _at(exc, done, i)
+        return xa, row, beta, row_sq
+
+    return walk
+
+
+def _walker(system: LinearSystem, method: str, s: int, gen):
+    """The step loop of one method, walk(xa, done=None, k=1) -> (x_k, row,
+    beta, row_sq): k select-then-project steps from x, and the row the
+    last step selected, with its right-hand side beta and squared norm
+    row_sq (Python floats).
+
+    The step rules: a zero selected residual leaves x unchanged; a
+    selected row with row_sq <= LinearSystem.zero_row_gate gets exactly
+    one reselection, with fresh draws, and a second such row raises
+    ZeroRowError, named "iteration {done + i}: ..." at step i when done
+    is given.  kaczmarz, and the s = 1 steps away from the gate, compute
+    no residual and project whatever it is (pick's _NO_RESIDUAL).
+
+    kaczmarz, motzkin, skm and sgsm at s = 1 each have one loop of their
+    own, which projects onto a row of A, a read-only view, reading it,
+    b_i and ||a_i||^2 from the system's _row_floats.  The loops take
+    their draws straight off a chunk, iter(fill()) (the chunk rule in
+    rng.py): zip(range(...), chunk), the range first, so no draw is taken
+    past step k.  When the zip stops short, the chunk is used up, and the
+    next step's fill follows; a reselection that finds the chunk used up
+    fills it itself (_next), and the loop goes on with that chunk.  A fill
+    that raises leaves the chunk used up, so the next call fills again.
+    sgsm at s = 1 takes its block index from the loop and its xi from a
+    chunk of its own inside the step, so the index's fill comes first.
+    gsm and sgsm at s >= 2, whose steps take far longer than a loop's
+    overhead, call a select(x) per step in _select_walk, with draws from
+    _chunked sources.  (method, s, m) is checked before any draw.  The
+    Kaczmarz sampling table is read at the first draw: building a walk
+    never fails on an all-zero A.
 
     skm and sgsm keep a table of the blocks drawn so far: block z's
     views, sketch._block(A, b, s, z), are made the first time z is drawn
     and read back with one lookup after that.  The table starts empty,
-    so building a selector costs nothing per block, and it holds at most
-    ceil(m/s) entries of about 300 bytes each.  When s = 1 block z is
-    row z of A and the winner.  sgsm takes its one normal xi as a float
-    from the same fill (sketch._factor_fill, flattened) and returns row z
-    of A, whose hyperplane xi a_z shares, unless the zero-row gate may
-    tell them apart: when xi^2 ||a_z||^2 is within a factor 2 of the gate
-    (or of 2**-900, where its sum of squares may underflow), or ||a_z||^2
-    is under it, it returns _sparse_winner's xi a_z, xi b_z and t.
+    so building a walk costs nothing per block, and it holds at most
+    ceil(m/s) entries of about 300 bytes each.  At s = 1 block z is row z
+    of A and the winner.  sgsm takes its one normal xi as a float from
+    its fill (sketch._factor_fill, flattened) and projects onto row z of
+    A, whose hyperplane xi a_z shares, unless the zero-row gate may tell
+    them apart: when xi^2 ||a_z||^2 is within a factor 2 of the gate (or
+    of 2**-900, where its sum of squares may underflow), or ||a_z||^2 is
+    under it, the step selects _sparse_winner's xi a_z, xi b_z and t
+    (pick).  skm at s = 1 takes the same loop with xi = 1.
 
     gsm reads the system's cached QR factor of [A b]
-    (LinearSystem._residual_factor), which a selector of any other method
+    (LinearSystem._residual_factor), which a walk of any other method
     leaves uncomputed.
     """
     m = system.A.rows
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
+    gate = system.zero_row_gate
     if method == "gsm":
         factor = system._residual_factor
         attempts = _chunked(lambda: _winner_fill(gen, s, system.A.cols))
-
-        def select(xa):
-            return _gaussian_row(factor, xa, *attempts())
-
-        return select
+        return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate)
     if method in ("skm", "sgsm"):
-        blocks = _chunked(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
+        block_fill = lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist()  # noqa: E731
         table = {}  # block z's views, made when z is first drawn
     if method == "sgsm" and s > 1:
-        factors = _chunked(lambda: _factor_fill(gen, s))
+        blocks, factors = _chunked(block_fill), _chunked(lambda: _factor_fill(gen, s))
 
         def select(xa):
             z = blocks()
             Ab, bb, _ = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
             return _sparse_winner(Ab, bb, factors(), xa)
 
-        return select
+        return _select_walk(select, gate)
     # Rows of A: beta and row_sq as Python floats (the module docstring's cost rules).
-    bl, norms = system._row_floats
-    if method == "kaczmarz":
-        rows = _chunked(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
-
-        def select(xa):
-            i = rows()
-            return _NO_RESIDUAL, Aa[i], bl[i], norms[i]
-
-        return select
+    rows, bl, norms = system._row_floats
     if method == "motzkin":
 
-        def select(xa):
-            t = Aa.dot(xa) - ba
-            i = int((t * t).argmax())
-            return t[i], Aa[i], bl[i], norms[i]
+        def walk(xa, done=None, k=1):
+            for i in range(1, k + 1):
+                t = Aa.dot(xa) - ba
+                z = int((t * t).argmax())
+                if t[z] != 0.0:
+                    if norms[z] <= gate:  # a reselection selects row z again
+                        raise _at(_zero_row(norms[z]), done, i)
+                    a = rows[z]
+                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+            return xa, rows[z], bl[z], norms[z]
 
-        return select
-    if s == 1:
-        scales = _chunked(lambda: _factor_fill(gen, 1).ravel().tolist()) if method == "sgsm" else lambda: 1.0
-        gate, clear = system.zero_row_gate, max(2.0 * system.zero_row_gate, 2.0**-900)
+        return walk
+    if method == "kaczmarz":
+        draws = iter(())
+        fill = lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist()  # noqa: E731
 
-        def select(xa):
-            z, xi = blocks(), scales()
-            if norms[z] > gate and xi * xi * norms[z] > clear:
-                return _NO_RESIDUAL, Aa[z], bl[z], norms[z]
-            row = Aa[z] if xi == 1.0 else xi * Aa[z]  # skm's xi is 1: a view of A, as kaczmarz's
-            return (float(Aa[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
+        def walk(xa, done=None, k=1):
+            nonlocal draws
+            i = 0
+            while i < k:
+                chunk = draws
+                for i, z in zip(range(i + 1, k + 1), chunk):
+                    if norms[z] <= gate:
+                        z, draws = _next(draws, fill)
+                        if norms[z] <= gate:
+                            raise _at(_zero_row(norms[z]), done, i)
+                    a = rows[z]
+                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                if i < k and chunk is draws:
+                    try:
+                        draws = iter(fill())
+                    except ZeroRowError as exc:  # all rows of A are zero
+                        raise _at(exc, done, i + 1)
+            return xa, rows[z], bl[z], norms[z]
 
-        return select
+        return walk
+    draws = iter(())
+    if s > 1:
 
-    def select(xa):
-        z = blocks()
-        Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
-        t = Ab.dot(xa) - bb
-        i = int((t * t).argmax())
-        return t[i], Ab[i], bl[shift + i], norms[shift + i]
+        def pick(z, xa):
+            Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
+            t = Ab.dot(xa) - bb
+            j = int((t * t).argmax())
+            return t.item(j), shift + j
 
-    return select
+        def walk(xa, done=None, k=1):
+            nonlocal draws
+            i = 0
+            while i < k:
+                chunk = draws
+                for i, z in zip(range(i + 1, k + 1), chunk):
+                    Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
+                    t = Ab.dot(xa) - bb
+                    j = int((t * t).argmax())
+                    t, r = t.item(j), shift + j
+                    if norms[r] <= gate and t != 0.0:
+                        z, draws = _next(draws, block_fill)
+                        t, r = pick(z, xa)
+                        if norms[r] <= gate and t != 0.0:
+                            raise _at(_zero_row(norms[r]), done, i)
+                    if t != 0.0:
+                        a = rows[r]
+                        xa = xa + ((bl[r] - float(a.dot(xa))) / norms[r]) * a
+                if i < k and chunk is draws:
+                    draws = iter(block_fill())
+            return xa, rows[r], bl[r], norms[r]
 
+        return walk
+    scales = iter(()) if method == "sgsm" else itertools.repeat(1.0)
+    scale_fill = lambda: _factor_fill(gen, 1).ravel().tolist()  # noqa: E731
+    clear = max(2.0 * gate, 2.0**-900)
 
-def _steps(select, xa, gate, k, done=None):
-    """k select-then-project steps from x: (x_k, row, beta), with the row
-    and right-hand side of the last step's select.
+    def pick(z, xi, xa):
+        """(t, row, beta, row_sq) of draw (z, xi): row z of A, or xi a_z
+        where the gate may tell them apart."""
+        if norms[z] > gate and xi * xi * norms[z] > clear:
+            return _NO_RESIDUAL, rows[z], bl[z], norms[z]
+        row = rows[z] if xi == 1.0 else xi * rows[z]  # skm's xi is 1: a view of A, as kaczmarz's
+        return (float(rows[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
-    Each step leaves x unchanged when its residual is zero.  A row with
-    ||row||^2 <= gate (gate = LinearSystem.zero_row_gate) gets exactly one
-    reselection; a second such row raises ZeroRowError.  Given done, the
-    steps taken before x, a failing step's ZeroRowError (its own, or one
-    select raises) names its iteration: "iteration {done + i}: ...".
-    """
-    try:
-        for i in range(1, k + 1):
-            t, row, beta, row_sq = select(xa)
-            if row_sq <= gate and t != 0.0:
-                t, row, beta, row_sq = select(xa)
+    def walk(xa, done=None, k=1):
+        nonlocal draws, scales
+        i = 0
+        while i < k:
+            chunk = draws
+            for i, z in zip(range(i + 1, k + 1), chunk):
+                xi = next(scales, None)
+                if xi is None:
+                    xi, scales = _next(scales, scale_fill)
+                if norms[z] > gate and xi * xi * norms[z] > clear:
+                    a = rows[z]
+                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                    continue
+                t, row, beta, row_sq = pick(z, xi, xa)
                 if row_sq <= gate and t != 0.0:
-                    raise ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) "
-                                       "after one resample")
-            if t != 0.0:  # NaN (kaczmarz's) included
-                xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
-    except ZeroRowError as exc:
-        if done is None:
-            raise
-        raise ZeroRowError(f"iteration {done + i}: {exc}") from exc
-    return xa, row, beta
+                    z, draws = _next(draws, block_fill)
+                    xi, scales = _next(scales, scale_fill)
+                    t, row, beta, row_sq = pick(z, xi, xa)
+                    if row_sq <= gate and t != 0.0:
+                        raise _at(_zero_row(row_sq), done, i)
+                if t != 0.0:
+                    xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
+            if i < k and chunk is draws:
+                draws = iter(block_fill())
+        if norms[z] > gate and xi * xi * norms[z] > clear:
+            return xa, rows[z], bl[z], norms[z]
+        return (xa, *pick(z, xi, xa)[1:])
+
+    return walk
 
 
 class Stepper:
@@ -508,21 +623,26 @@ class Stepper:
     returns (x_next, row, beta): x_next is project_row(x, row, beta), bit
     for bit, or x itself when the row's residual is zero.  For kaczmarz,
     motzkin, skm and sgsm at s = 1, row is a read-only view of a row of A
-    (xi a_z near the zero-row gate, see _selector); otherwise it is the
+    (xi a_z near the zero-row gate, see _walker); otherwise it is the
     winning sketched row, which aliases neither A nor b.  Stepping by
     hand from x0 reproduces run(system, config, x0)'s iterates bit for
-    bit: run() steps its selector and writes nothing to it.  Not
-    thread-safe.
+    bit: both take their steps through _steps, step() one at a time and
+    run() up to the next record point per call.  Not thread-safe.
     """
 
     def __init__(self, system: LinearSystem, config: SolverConfig):
         self._system = system
-        self._select = _selector(system, config.method, config.s, RngState(config.seed).gen)
-        self._gate = system.zero_row_gate
+        self._walk = _walker(system, config.method, config.s, RngState(config.seed).gen)
 
     def step(self, x):
-        xa, row, beta = _steps(self._select, as_vector(x, self._system.A.cols, "x").a, self._gate, 1)
+        xa, row, beta, _ = self._steps(as_vector(x, self._system.A.cols, "x").a, None, 1)
         return RealVector(_own(xa)), row, beta
+
+    def _steps(self, xa, done, k):
+        """k steps from xa, the iterate after done steps (None: unnamed),
+        as _walker's walk: the one call through which step() and run()
+        step."""
+        return self._walk(xa, done, k)
 
 
 def run(system: LinearSystem, config: SolverConfig, x0=None):
@@ -564,8 +684,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     if config.record_error and system.x_star is None:
         raise InputError("record_error requires a system with a planted solution")
     xa = np.zeros(system.A.cols) if x0 is None else as_vector(x0, system.A.cols, "x0").a
-    stepper = Stepper(system, config)
-    select, gate = stepper._select, stepper._gate
+    steps = Stepper(system, config)._steps
     Aa, ba = system.A.a, system.b.a
     xs = system.x_star.a if config.record_error else None
     unit = 0.0 if xs is None else np.finfo(float).eps * float(np.linalg.norm(xs))
@@ -642,7 +761,7 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
         try:
             while len(reached) < _RECORD_BLOCK and k < end:
                 point = k + 1 if k < dense else min(last, (k // stride + 1) * stride)
-                xa, k = _steps(select, xa, gate, point - k, k)[0], point
+                xa, k = steps(xa, k, point - k)[0], point
                 reached.append((k, xa, clock() - start))
         except ZeroRowError as exc:
             fault = exc

@@ -847,7 +847,7 @@ def test_exit_code_error_rise(tmp_path, monkeypatch, capsys):
     # A step that moves away from x* is a numerical failure, not a usage error.
     system_path = make_binary(tmp_path)
     xs = load_system(system_path).x_star.a
-    monkeypatch.setattr(sketchsolve.solvers, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
+    monkeypatch.setattr(sketchsolve.solvers.Stepper, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
     assert main(["solve", "--system", system_path, "--method", "kaczmarz"]) == 4
     assert "squared error increased at iteration 1" in capsys.readouterr().err
 

@@ -609,9 +609,10 @@ def test_block_table_is_filled_lazily(method):
     # skm and sgsm steps read block z's views from a table filled the first
     # time z is drawn.  Built up front at s = 1, the table would hold m
     # entries, about 300 bytes each: a stepper and a few steps must
-    # allocate under a quarter of that.  The float copies of b and the row
-    # norms (64 bytes a row) belong to the system, made once for all its
-    # steppers, so they are made before the count starts.
+    # allocate under a quarter of that.  The row views and the float
+    # copies of b and the row norms (about 180 bytes a row) belong to the
+    # system, made once for all its steppers, so they are made before the
+    # count starts.
     m = 20_000
     sy = make_system(m, 2, seed=89)
     sy._row_floats
@@ -904,6 +905,65 @@ def test_run_matches_manual_step_composition():
                 assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
+def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
+    # The s = 1 loops (kaczmarz, skm:1, sgsm:1) iterate their draws off
+    # chunks and reselect in a branch of their own; run() must still be
+    # bit for bit the hand-stepped Stepper.  Row 0 is under the zero-row
+    # gate, and chunks of 3 indices or uniforms and 4 normals put refills
+    # every few steps.  kaczmarz draws scripted uniforms: a 0.0 lands on
+    # row 0 and is redrawn, three times at the end of a chunk, so the
+    # redraw refills inside the step.  skm and sgsm draw row 0 about one
+    # step in 41 and reselect while x is off its hyperplane.  Every fourth
+    # sgsm xi is 1.3e-7, so xi^2 ||a_z||^2 lies between the gate and twice
+    # it: the step projects onto xi a_z, a row outside A.  A second zero
+    # row in a row would raise, at the same iteration in run() and by hand.
+    monkeypatch.setattr(solvers, "_CHUNK", 3)
+    monkeypatch.setattr(sketch, "_NORMALS", 4)
+
+    def factor_fill(gen, s):
+        X = sketch._factor_fill(gen, s)
+        X[0] = 1.3e-7
+        return X
+
+    monkeypatch.setattr(solvers, "_factor_fill", factor_fill)
+    base = generate_system(ModelSpec("coherent", 40, 4, 7))
+    tiny = np.array([5e-8, 0.0, 0.0, 0.0])
+    sy = LinearSystem(DenseMatrix(np.vstack([tiny, base.A.a])), RealVector([tiny @ base.x_star.a, *base.b.a]),
+                      base.x_star)
+    gate, banded = sy.zero_row_gate, 1.3e-7**2 * sy.row_norms_sq[1:]
+    assert sy.row_norms_sq[0] <= gate < banded.min() and banded.max() <= 2 * gate
+    steps = 400
+    uniforms = np.random.default_rng(7).uniform(0.05, 1.0, steps + 10)
+    uniforms[[2, 7, 11, 30, 92]] = 0.0  # uniforms 2, 11 and 92 end a chunk
+    start = np.random.default_rng(8).standard_normal(4)
+    for method in ("skm", "sgsm", "kaczmarz"):  # kaczmarz last: its streams stay scripted
+        config = SolverConfig(method, s=1, tol=0.0, max_iters=steps, seed=13, record_error=True,
+                              record_dense_limit=50, record_stride=9)
+        if method == "kaczmarz":
+            script_uniforms(monkeypatch, uniforms)
+        stepper, iterates, rows, failed = Stepper(sy, config), [RealVector(start)], [], None
+        try:
+            for k in range(1, steps + 1):
+                x, row, _ = stepper.step(iterates[-1])
+                iterates.append(x)
+                rows.append(row)
+        except ZeroRowError:
+            failed = k
+        if method == "kaczmarz":
+            script_uniforms(monkeypatch, uniforms)
+        if failed is not None:
+            with pytest.raises(ZeroRowError, match=f"^iteration {failed}: "):
+                run(sy, config, x0=RealVector(start))
+            continue
+        got, trace = run(sy, config, x0=RealVector(start))
+        assert np.array_equal(got.a, iterates[-1].a), method
+        for rec in trace.records:
+            d = iterates[rec.iter].a - sy.x_star.a
+            assert rec.error_sq == float(d @ d), (method, rec.iter)
+        outside = [not np.shares_memory(row, sy.A.a) for row in rows]
+        assert any(outside) == (method == "sgsm"), method
+
+
 def accuracy_systems():
     """120x8 (A, b, x*) triples for the factored records: planted systems
     with kappa from 1e2 to 1e14, a rank-3 A, an inconsistent b (no x*) and
@@ -1192,7 +1252,7 @@ def test_error_rise_inside_a_record_block_raises_as_unblocked(monkeypatch):
 
     def script_steps():
         factors = iter([0.5] * 6 + [2.0] + [0.5] * 100)
-        monkeypatch.setattr(solvers, "_steps", lambda select, xa, gate, *_: (xs + next(factors) * (xa - xs), None, 0))
+        monkeypatch.setattr(solvers.Stepper, "_steps", lambda select, xa, gate, *_: (xs + next(factors) * (xa - xs), None, 0))
 
     config = SolverConfig("gsm", s=4, tol=0.0, max_iters=40, record_error=True)
     messages = []
@@ -1221,8 +1281,8 @@ def test_run_steps_past_its_stop_by_less_than_a_record_block(monkeypatch, method
     # one strided stop here (dense 45, stride 3) comes after the stop guess
     # has records to read, so every case stays within _RECORD_BLOCK steps.
     calls = []
-    real_steps = solvers._steps
-    monkeypatch.setattr(solvers, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
+    real_steps = solvers.Stepper._steps
+    monkeypatch.setattr(solvers.Stepper, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
     sy = make_system(60, 6, seed=82)
     for tol, max_iters, dense in ((1e-6, 5000, 10_000), (1e-6, 5000, 45), (0.0, 70, 10_000), (0.0, 33, 33)):
         calls.clear()
@@ -1245,8 +1305,8 @@ def test_error_stop_in_the_strided_stretch_steps_past_it_by_less_than_a_record_b
     # without a guess at the error_stop a run could take up to 31 strides
     # past its stop.  The guess keeps it within one dense block's steps.
     calls = []
-    real_steps = solvers._steps
-    monkeypatch.setattr(solvers, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
+    real_steps = solvers.Stepper._steps
+    monkeypatch.setattr(solvers.Stepper, "_steps", lambda *args: calls.extend([1] * args[3]) or real_steps(*args))
     sy = generate_system(ModelSpec("coherent", 100, 5, seed=1))
     stride = 7
     config = SolverConfig(method, s=4, tol=0.0, max_iters=10**5, record_dense_limit=20, record_stride=stride,
@@ -1264,7 +1324,7 @@ def test_selected_row_scalars_are_python_floats(method, s):
     # numpy scalar there costs more per step than a Python float and
     # changes no value, so only this test would see it come back.
     sy = make_system(40, 4, seed=81)
-    select = solvers._selector(sy, method, s, RngState(0).gen)
+    select = solvers._walker(sy, method, s, RngState(0).gen)
     for x in (np.zeros(4), sy.x_star.a, np.ones(4)):
         beta, row_sq = select(x)[2:]
         assert (type(beta), type(row_sq)) == (float, float)
@@ -1273,9 +1333,9 @@ def test_selected_row_scalars_are_python_floats(method, s):
 
 @pytest.mark.parametrize("method", ["kaczmarz", "motzkin", "skm", "sgsm"])
 def test_float_copies_are_made_once_per_system(method):
-    # The steps that read b_i and ||a_i||^2 as Python floats read them from
-    # lists the system makes once, 64 bytes a row: a second stepper on the
-    # system allocates well under that.
+    # The steps that read a_i, b_i and ||a_i||^2 from lists read lists the
+    # system makes once, about 180 bytes a row: a second stepper on the
+    # system allocates well under the 64 bytes a row of the float lists.
     m = 20_000
     sy = make_system(m, 2, seed=90)
     Stepper(sy, SolverConfig(method, s=1))
@@ -1554,7 +1614,7 @@ def test_trace_rejects_disorder_and_error_increase(monkeypatch):
     # from x* is rejected there.
     sy = make_system(12, 3, seed=79)
     xs = sy.x_star.a
-    monkeypatch.setattr(solvers, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
+    monkeypatch.setattr(solvers.Stepper, "_steps", lambda select, xa, gate, *_: (2.0 * xa - xs, None, 0))
     with pytest.raises(NumericalError, match="squared error increased at iteration 1"):
         run(sy, SolverConfig("kaczmarz", tol=0.0, max_iters=5, record_error=True))
 
