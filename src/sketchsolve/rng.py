@@ -18,30 +18,32 @@ Stream-consumption conventions (they matter for replay):
   * a solver step whose selected row has (near-)zero norm reselects once,
     and the reselection takes a second selection draw (one more uniform
     for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing); it is the next item of its chunked source.
+    nothing); it is the next item of its stream.
 
-The chunk rule.  A solver stepper takes each kind of draw from its own
-chunked source, the items of fill(), fill(), ... in order: kaczmarz
-uniforms (as row indices) and skm and sgsm block indices solvers._CHUNK
-at a time, gsm attempts (u, z) and sgsm factors as many per
-standard_normal fill as fit in sketch._NORMALS normals (at least one; at
-s = 1 sgsm hands out its 1-by-1 factors from that same fill as Python
-floats).  The row loops (kaczmarz, skm, sgsm at s = 1) iterate a chunk
-directly and refill it where a step finds it used up (solvers._walker);
-gsm and sgsm at s >= 2 take one item per call from a _chunked source.
-Either way a fill runs at the first draw and again where a step needs a
-draw and the chunk is used up, and a fill that raises leaves nothing
-behind: the next draw fills again.  On PCG64 a fill of k draws,
-row-major, equals the same k draws made one at a time (tests/test_rng.py
-guards this), so a stream with one kind of draw does not depend on its
-chunk size: kaczmarz, skm and gsm trajectories equal those of one draw
-per step.  sgsm interleaves its index chunks with its factor chunks, the
-index's fill first when a step needs both, so its stream depends on both
-sizes.  The stepper owns its generator, so the unused tail of its last
-chunk is never seen.
+The chunk rule.  A solver stepper takes each kind of draw from one
+stream of its own, _stream(fill): the items of fill(), fill(), ... in
+order, each fill run when the stream's next item is wanted.  The fills
+are kaczmarz uniforms (as row indices) and skm and sgsm block indices
+solvers._CHUNK at a time, and gsm attempts (u, z) and sgsm factors as
+many per standard_normal fill as fit in sketch._NORMALS normals (at
+least one; at s = 1 sgsm hands out its 1-by-1 factors from that same
+fill as Python floats).  A step takes its draws, reselection draws too,
+as the next items of its streams (solvers._walker), so a fill runs at
+the first draw and again where a step needs a draw and the last chunk
+is used up.  A fill that raises ends its stream, so a step loop whose
+fill may raise starts a fresh stream after it.  On PCG64 a fill of k
+draws, row-major, equals the same k draws made one at a time
+(tests/test_rng.py guards this), so a stream with one kind of draw does
+not depend on its chunk size: kaczmarz, skm and gsm trajectories equal
+those of one draw per step.  sgsm interleaves its index chunks with its
+factor chunks, the index's fill first when a step needs both, so its
+stream depends on both sizes.  The stepper owns its generator, so the
+unused tail of its last chunk is never seen.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -76,20 +78,10 @@ def _pick_from_cumulative(gen: np.random.Generator, cum: np.ndarray, k: int) -> 
     return np.searchsorted(cum, gen.random(k) * cum[-1], side="right")
 
 
-def _chunked(fill):
-    """take() handing out the items of fill(), fill(), ... one per call.
-
-    fill runs at the first call and again each time its chunk is used up.
-    A fill that raises leaves nothing behind, so the next call fills again
-    (a chain of iter(fill, None) would stay exhausted after it).
+def _stream(fill):
+    """One iterator over the items of fill(), fill(), ... in order; each
+    fill runs when the next item is wanted, and a fill that raises ends
+    the stream.  starmap, because iter(fill, None) compares an ndarray
+    fill with None elementwise and operator.call needs Python 3.11.
     """
-    items = iter(())
-
-    def take():
-        nonlocal items
-        for item in items:
-            return item
-        items = iter(fill())
-        return next(items)
-
-    return take
+    return itertools.chain.from_iterable(itertools.starmap(fill, itertools.repeat(())))

@@ -39,8 +39,9 @@ of Theta(s^2*n).  At s = 1 the factor is one normal xi, and xi a_z has
 a_z's hyperplane, so the sgsm:1 step (solvers._walker) takes xi from
 the same fill as a Python float and projects onto row z of A itself,
 forming xi a_z only where the zero-row gate must read it.  Both steps
-take these draws in chunks, by the chunk rule in rng.py, and return
-only the winning row and its right-hand side.
+take each kind of draw from one stream of chunked fills (rng._stream,
+the chunk rule in rng.py), and return only the winning row and its
+right-hand side.
 """
 
 from __future__ import annotations
@@ -105,10 +106,11 @@ def _block(Aa, ba, s, z):
     + s) of A and b.
 
     The one definition of a block, shared by block_sketch and the skm and
-    sgsm steps; every caller draws z from its stream before calling.  A
-    step's loop keeps each block it has made in a table keyed by z
-    (solvers._walker), so a step calls this only the first time it
-    draws z.
+    sgsm steps; every caller draws z from its stream before calling.  At
+    s >= 2 the skm and sgsm steps share one select, which keeps each
+    block it has made in a table keyed by z (solvers._walker), so a step
+    calls this only the first time it draws z; at s = 1 block z is row z
+    of A, and the steps read it from the system's row views.
     """
     shift = min(s * z, Aa.shape[0] - s)
     return Aa[shift:shift + s], ba[shift:shift + s], shift

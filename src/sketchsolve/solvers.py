@@ -31,11 +31,11 @@ reselected once, with fresh draws, and a second such row raises
 ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
-checks (method, s, m), owns RngState(config.seed) and takes its draws in
-chunks (the chunk rule in rng.py).  Stepper.step takes one step through
-Stepper._steps, and run() all the steps between two record points in
-one call to it, so run() is bit for bit the iteration of the public
-stepper.
+checks (method, s, m), owns RngState(config.seed) and takes each kind of
+draw from one stream of chunked fills (the chunk rule in rng.py).
+Stepper.step takes one step through Stepper._steps, and run() all the
+steps between two record points in one call to it, so run() is bit for
+bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy and Python
 calls, so the step and the recorder keep three rules, none of which
@@ -47,16 +47,18 @@ Python-float copies of b and LinearSystem.row_norms_sq, the one
 row-norm table, equal bit for bit to each row's dot product with
 itself); gsm and sgsm at s >= 2 return w^T b and their row's norm as
 floats.  Products are ndarray.dot, which rounds as @ does, without its
-ufunc dispatch.  Each of those four methods has one loop that takes k
-steps per call and iterates its draws straight off their chunks, so a
-step makes no Python call but its numpy ones: a kaczmarz step is one
-dot, one scale and one add, about 1.6 us on coherent 1000x50 (one BLAS
-thread, a 2-core x86-64 host), against 2.1 us through a per-step select
-call.  gsm and sgsm at s >= 2, whose steps take 8 to 145 us, call a
-select per step in one shared loop.  skm and sgsm read a drawn block's
+ufunc dispatch.  kaczmarz, motzkin and the s = 1 steps of skm and sgsm
+each have one loop that takes k steps per call and iterates its draw
+stream directly, so a step makes no Python call but its numpy ones: a
+kaczmarz step is one dot, one scale and one add, about 1.6 us on
+coherent 1000x50 (one BLAS thread, a 2-core x86-64 host), against 2.1 us
+through a per-step select call.  gsm, and skm and sgsm at s >= 2, whose
+steps take 4 to 145 us, call a select per step in one shared loop.  skm
+and sgsm at s >= 2 share one block select: it reads a drawn block's
 views from a table keyed by block index, filled the first time each
 index is drawn, so a step makes no slice after that and building a
-stepper costs nothing per block.
+stepper costs nothing per block; only the row taken from the block
+differs.
 Recording never changes an iterate.
 Every method's records cost Theta(n^2), not Theta(m*n): they read
 ||A x - b|| from one cached QR of [A b], the factor the gsm step draws
@@ -79,14 +81,14 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ZeroRowError, _index, _real
 from .linalg import DenseMatrix, RealVector, _own, as_matrix, as_vector
-from .rng import RngState, _check_seed, _chunked, _pick_from_cumulative
+from .rng import RngState, _check_seed, _pick_from_cumulative, _stream
 from .sketch import _block, _block_count, _check_sketch, _factor_fill, _gaussian_row, _sparse_winner, _winner_fill
 
 __all__ = [
@@ -402,19 +404,10 @@ def _at(exc, done, i):
     return named
 
 
-def _next(chunk, fill):
-    """(item, chunk): the next item of chunk, or the first of a fresh
-    iter(fill()) when chunk is used up, with the chunk it came from."""
-    for item in chunk:
-        return item, chunk
-    chunk = iter(fill())
-    return next(chunk), chunk
-
-
 def _select_walk(select, gate):
-    """The walk of a method that selects a fresh sketched row each step
-    (gsm, sgsm at s >= 2): select(x) -> (t, row, beta, row_sq), and the
-    step rules of _walker."""
+    """The walk of a method that selects a fresh sketched or block row
+    each step (gsm, and skm and sgsm at s >= 2): select(x) -> (t, row,
+    beta, row_sq), and the step rules of _walker."""
 
     def walk(xa, done=None, k=1):
         try:
@@ -446,35 +439,36 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     is given.  kaczmarz, and the s = 1 steps away from the gate, compute
     no residual and project whatever it is (pick's _NO_RESIDUAL).
 
-    kaczmarz, motzkin, skm and sgsm at s = 1 each have one loop of their
-    own, which projects onto a row of A, a read-only view, reading it,
-    b_i and ||a_i||^2 from the system's _row_floats.  The loops take
-    their draws straight off a chunk, iter(fill()) (the chunk rule in
-    rng.py): zip(range(...), chunk), the range first, so no draw is taken
-    past step k.  When the zip stops short, the chunk is used up, and the
-    next step's fill follows; a reselection that finds the chunk used up
-    fills it itself (_next), and the loop goes on with that chunk.  A fill
-    that raises leaves the chunk used up, so the next call fills again.
-    sgsm at s = 1 takes its block index from the loop and its xi from a
-    chunk of its own inside the step, so the index's fill comes first.
-    gsm and sgsm at s >= 2, whose steps take far longer than a loop's
-    overhead, call a select(x) per step in _select_walk, with draws from
-    _chunked sources.  (method, s, m) is checked before any draw.  The
-    Kaczmarz sampling table is read at the first draw: building a walk
-    never fails on an all-zero A.
+    Each kind of draw comes from one stream, rng._stream (the chunk rule
+    in rng.py), and a reselection takes the next item of each stream its
+    step draws from.  kaczmarz, motzkin and the s = 1 steps of skm and
+    sgsm each have one loop of their own, zip(range(1, k + 1), draws),
+    the range first, so no draw is taken past step k; they project onto
+    a row of A, a read-only view, reading it, b_i and ||a_i||^2 from the
+    system's _row_floats.  An all-zero A makes the kaczmarz fill raise,
+    which ends its stream, so the walk starts a fresh one and the next
+    call fails the same way.  gsm, and skm and sgsm at s >= 2, whose
+    steps take several times a loop's overhead, call a select(x) per
+    step in _select_walk.  (method, s, m) is checked before any draw.
+    The Kaczmarz sampling table is read at the first draw: building a
+    walk never fails on an all-zero A.
 
     skm and sgsm keep a table of the blocks drawn so far: block z's
     views, sketch._block(A, b, s, z), are made the first time z is drawn
     and read back with one lookup after that.  The table starts empty,
     so building a walk costs nothing per block, and it holds at most
-    ceil(m/s) entries of about 300 bytes each.  At s = 1 block z is row z
-    of A and the winner.  sgsm takes its one normal xi as a float from
-    its fill (sketch._factor_fill, flattened) and projects onto row z of
-    A, whose hyperplane xi a_z shares, unless the zero-row gate may tell
-    them apart: when xi^2 ||a_z||^2 is within a factor 2 of the gate (or
-    of 2**-900, where its sum of squares may underflow), or ||a_z||^2 is
-    under it, the step selects _sparse_winner's xi a_z, xi b_z and t
-    (pick).  skm at s = 1 takes the same loop with xi = 1.
+    ceil(m/s) entries of about 300 bytes each.  At s >= 2 both select
+    the same way: draw z, look up its block, and take the block's own
+    max-residual row of A (skm) or the winner of its sparse sketch
+    (sgsm, sketch._sparse_winner, after its factor's draw).  At s = 1
+    block z is row z of A and the winner.  sgsm takes its one normal xi
+    as a float from its stream (sketch._factor_fill, flattened) and
+    projects onto row z of A, whose hyperplane xi a_z shares, unless the
+    zero-row gate may tell them apart: when xi^2 ||a_z||^2 is within a
+    factor 2 of the gate (or of 2**-900, where its sum of squares may
+    underflow), or ||a_z||^2 is under it, the step selects
+    _sparse_winner's xi a_z, xi b_z and t (pick).  skm at s = 1 takes
+    the same loop with xi = 1.
 
     gsm reads the system's cached QR factor of [A b]
     (LinearSystem._residual_factor), which a walk of any other method
@@ -486,22 +480,28 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     gate = system.zero_row_gate
     if method == "gsm":
         factor = system._residual_factor
-        attempts = _chunked(lambda: _winner_fill(gen, s, system.A.cols))
+        attempts = _stream(lambda: _winner_fill(gen, s, system.A.cols)).__next__
         return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate)
     if method in ("skm", "sgsm"):
-        block_fill = lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist()  # noqa: E731
-        table = {}  # block z's views, made when z is first drawn
+        blocks = _stream(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
     if method == "sgsm" and s > 1:
-        blocks, factors = _chunked(block_fill), _chunked(lambda: _factor_fill(gen, s))
+        factors = _stream(lambda: _factor_fill(gen, s)).__next__
+        winner = lambda entry, xa: _sparse_winner(entry[0], entry[1], factors(), xa)  # noqa: E731
+    else:  # rows of A: beta and row_sq as Python floats (the module docstring's cost rules)
+        rows, bl, norms = system._row_floats
 
-        def select(xa):
-            z = blocks()
-            Ab, bb, _ = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
-            return _sparse_winner(Ab, bb, factors(), xa)
+        def winner(entry, xa):
+            """skm's select in a drawn block: its max-residual row of A."""
+            Ab, bb, shift = entry
+            t = Ab.dot(xa) - bb
+            j = int((t * t).argmax())
+            r = shift + j
+            return t.item(j), rows[r], bl[r], norms[r]
 
-        return _select_walk(select, gate)
-    # Rows of A: beta and row_sq as Python floats (the module docstring's cost rules).
-    rows, bl, norms = system._row_floats
+    if method in ("skm", "sgsm") and s > 1:
+        # Block z's views, made the first time z is drawn.
+        take, block = blocks.__next__, cache(partial(_block, Aa, ba, s))
+        return _select_walk(lambda xa: winner(block(take()), xa), gate)
     if method == "motzkin":
 
         def walk(xa, done=None, k=1):
@@ -517,63 +517,29 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
 
         return walk
     if method == "kaczmarz":
-        draws = iter(())
         fill = lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist()  # noqa: E731
+        draws = _stream(fill)
 
         def walk(xa, done=None, k=1):
             nonlocal draws
             i = 0
-            while i < k:
-                chunk = draws
-                for i, z in zip(range(i + 1, k + 1), chunk):
+            try:
+                for i, z in zip(range(1, k + 1), draws):
                     if norms[z] <= gate:
-                        z, draws = _next(draws, fill)
+                        z = next(draws)
                         if norms[z] <= gate:
-                            raise _at(_zero_row(norms[z]), done, i)
+                            break
                     a = rows[z]
                     xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
-                if i < k and chunk is draws:
-                    try:
-                        draws = iter(fill())
-                    except ZeroRowError as exc:  # all rows of A are zero
-                        raise _at(exc, done, i + 1)
-            return xa, rows[z], bl[z], norms[z]
+                else:
+                    return xa, rows[z], bl[z], norms[z]
+            except ZeroRowError as exc:  # all rows of A are zero: the fill raised and ended the stream
+                draws = _stream(fill)
+                raise _at(exc, done, i + 1)
+            raise _at(_zero_row(norms[z]), done, i)
 
         return walk
-    draws = iter(())
-    if s > 1:
-
-        def pick(z, xa):
-            Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
-            t = Ab.dot(xa) - bb
-            j = int((t * t).argmax())
-            return t.item(j), shift + j
-
-        def walk(xa, done=None, k=1):
-            nonlocal draws
-            i = 0
-            while i < k:
-                chunk = draws
-                for i, z in zip(range(i + 1, k + 1), chunk):
-                    Ab, bb, shift = table.get(z) or table.setdefault(z, _block(Aa, ba, s, z))
-                    t = Ab.dot(xa) - bb
-                    j = int((t * t).argmax())
-                    t, r = t.item(j), shift + j
-                    if norms[r] <= gate and t != 0.0:
-                        z, draws = _next(draws, block_fill)
-                        t, r = pick(z, xa)
-                        if norms[r] <= gate and t != 0.0:
-                            raise _at(_zero_row(norms[r]), done, i)
-                    if t != 0.0:
-                        a = rows[r]
-                        xa = xa + ((bl[r] - float(a.dot(xa))) / norms[r]) * a
-                if i < k and chunk is draws:
-                    draws = iter(block_fill())
-            return xa, rows[r], bl[r], norms[r]
-
-        return walk
-    scales = iter(()) if method == "sgsm" else itertools.repeat(1.0)
-    scale_fill = lambda: _factor_fill(gen, 1).ravel().tolist()  # noqa: E731
+    scales = _stream(lambda: _factor_fill(gen, 1).ravel().tolist()) if method == "sgsm" else itertools.repeat(1.0)
     clear = max(2.0 * gate, 2.0**-900)
 
     def pick(z, xi, xa):
@@ -585,29 +551,20 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         return (float(rows[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
     def walk(xa, done=None, k=1):
-        nonlocal draws, scales
-        i = 0
-        while i < k:
-            chunk = draws
-            for i, z in zip(range(i + 1, k + 1), chunk):
-                xi = next(scales, None)
-                if xi is None:
-                    xi, scales = _next(scales, scale_fill)
-                if norms[z] > gate and xi * xi * norms[z] > clear:
-                    a = rows[z]
-                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
-                    continue
+        for i, z in zip(range(1, k + 1), blocks):
+            xi = next(scales)
+            if norms[z] > gate and xi * xi * norms[z] > clear:
+                a = rows[z]
+                xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                continue
+            t, row, beta, row_sq = pick(z, xi, xa)
+            if row_sq <= gate and t != 0.0:
+                z, xi = next(blocks), next(scales)
                 t, row, beta, row_sq = pick(z, xi, xa)
                 if row_sq <= gate and t != 0.0:
-                    z, draws = _next(draws, block_fill)
-                    xi, scales = _next(scales, scale_fill)
-                    t, row, beta, row_sq = pick(z, xi, xa)
-                    if row_sq <= gate and t != 0.0:
-                        raise _at(_zero_row(row_sq), done, i)
-                if t != 0.0:
-                    xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
-            if i < k and chunk is draws:
-                draws = iter(block_fill())
+                    raise _at(_zero_row(row_sq), done, i)
+            if t != 0.0:
+                xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
         if norms[z] > gate and xi * xi * norms[z] > clear:
             return xa, rows[z], bl[z], norms[z]
         return (xa, *pick(z, xi, xa)[1:])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sketchsolve import InputError, RngState, sketch
-from sketchsolve.rng import _chunked, _pick_from_cumulative
+from sketchsolve.rng import _pick_from_cumulative, _stream
 
 
 # ------------------------------------------------------------ determinism
@@ -44,14 +44,14 @@ def test_seed_validation():
 # ------------------------------------------------------------ chunked draws
 
 def drain(total, fill):
-    """The first `total` items of the _chunked source over fill."""
-    take = _chunked(fill)
+    """The first `total` items of the _stream source over fill."""
+    take = _stream(fill).__next__
     return [take() for _ in range(total)]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
-    # A solver stepper takes each kind of draw from a _chunked source of
+    # A solver stepper takes each kind of draw from a _stream source of
     # `chunk` draws per fill (the chunk rule in rng.py).  Because a fill of
     # k draws is the k draws made one at a time, its trajectories match
     # those of earlier builds, which drew one value per step, and
@@ -69,7 +69,8 @@ def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
     want = [int(_pick_from_cumulative(scalar, cum, 1)[0]) for _ in range(total)]
     assert drain(total, lambda: _pick_from_cumulative(chunked, cum, chunk).tolist()) == want
     # gsm: per attempt s normals u, then n + 1 normals z; u* is the u of
-    # largest square.  sgsm: one (s, s) factor per attempt.
+    # largest square.  sgsm: one (s, s) factor per attempt, and at s = 1
+    # one float per attempt, from the flattened 1-by-1 factors.
     # The normal budget is set so that a fill holds `chunk` attempts.
     s, n = 3, 5
     monkeypatch.setattr(sketch, "_NORMALS", chunk * (s + n + 1))
@@ -83,26 +84,38 @@ def test_chunked_draws_equal_scalar_draws(monkeypatch, chunk):
     scalar, chunked = RngState(8).gen, RngState(8).gen
     got = drain(total, lambda: sketch._factor_fill(chunked, s))
     assert [X.tolist() for X in got] == [scalar.standard_normal((s, s)).tolist() for _ in range(total)]
+    monkeypatch.setattr(sketch, "_NORMALS", chunk)
+    scalar, chunked = RngState(9).gen, RngState(9).gen
+    got = drain(total, lambda: sketch._factor_fill(chunked, 1).ravel().tolist())
+    assert got == [float(scalar.standard_normal()) for _ in range(total)]
 
 
-def test_chunked_refills_after_a_fill_that_raises():
-    # A fill that raises leaves nothing behind: the next take() starts a
-    # fresh fill, at the first call and after a chunk is used up alike.
+def test_stream_fills_lazily_and_ends_at_a_fill_that_raises():
+    # _stream(fill) runs no fill until an item is wanted, and the next fill
+    # only once the last chunk is used up.  A fill that raises ends the
+    # stream: the raise reaches the caller once, and the stream then stops.
+    # So a step loop whose fill may raise starts a fresh stream after it
+    # (the kaczmarz walk on an all-zero A, test_kaczmarz_all_zero_rows_rejected).
     calls = itertools.count(1)
+    ran = []
 
     def fill():
         n = next(calls)
-        if n in (1, 3):
+        ran.append(n)
+        if n == 3:
             raise RuntimeError(f"fill {n}")
         return [(n, 0), (n, 1)]
 
-    take = _chunked(fill)
-    with pytest.raises(RuntimeError, match="fill 1"):
-        take()
-    assert [take(), take()] == [(2, 0), (2, 1)]
+    stream = _stream(fill)
+    assert ran == []
+    assert [next(stream), next(stream)] == [(1, 0), (1, 1)] and ran == [1]
+    assert next(stream) == (2, 0) and ran == [1, 2]
+    assert next(stream) == (2, 1) and ran == [1, 2]
     with pytest.raises(RuntimeError, match="fill 3"):
-        take()
-    assert [take(), take(), take()] == [(4, 0), (4, 1), (5, 0)]
+        next(stream)
+    assert next(stream, None) is None and ran == [1, 2, 3]
+    # A fresh stream fills again.
+    assert next(_stream(fill)) == (4, 0)
 
 
 # --------------------------------------------------------- weighted index

@@ -296,6 +296,23 @@ def test_kaczmarz_near_zero_row_is_reselected_once(monkeypatch):
     assert x1.a.tolist() == [0.0, 2.0]
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_kaczmarz_steps_on_after_a_second_zero_row(monkeypatch, chunk):
+    # Step 1 draws row 0 twice (0.0, 0.0) and raises; the fault drops no
+    # draw, so the stepper, stepped again, takes the next scripted uniforms
+    # (0.75 on row 2, then 0.25 on row 1), whichever chunk they sit in.
+    monkeypatch.setattr(solvers, "_CHUNK", chunk)
+    script_uniforms(monkeypatch, [0.0, 0.0, 0.75, 0.25])
+    stepper, x = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")), RealVector([0.0, 0.0])
+    with pytest.raises(ZeroRowError, match="after one resample"):
+        stepper.step(x)
+    rows = []
+    for _ in range(2):
+        x, row, _ = stepper.step(x)
+        rows.append(row_index(NEAR_ZERO_ROW_SYSTEM, row))
+    assert rows == [2, 1] and x.a.tolist() == [1.0, 2.0]
+
+
 # ----------------------------------------------------------------- motzkin
 
 def test_motzkin_identity_system_solves_in_dimension_steps():
@@ -905,6 +922,15 @@ def test_run_matches_manual_step_composition():
                 assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
+def tiny_row_coherent_system():
+    """Coherent 40x4 (seed 7) under a row 0 of squared norm 2.5e-15,
+    under the zero-row gate."""
+    base = generate_system(ModelSpec("coherent", 40, 4, 7))
+    tiny = np.array([5e-8, 0.0, 0.0, 0.0])
+    return LinearSystem(DenseMatrix(np.vstack([tiny, base.A.a])), RealVector([tiny @ base.x_star.a, *base.b.a]),
+                        base.x_star)
+
+
 def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
     # The s = 1 loops (kaczmarz, skm:1, sgsm:1) iterate their draws off
     # chunks and reselect in a branch of their own; run() must still be
@@ -926,10 +952,7 @@ def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
         return X
 
     monkeypatch.setattr(solvers, "_factor_fill", factor_fill)
-    base = generate_system(ModelSpec("coherent", 40, 4, 7))
-    tiny = np.array([5e-8, 0.0, 0.0, 0.0])
-    sy = LinearSystem(DenseMatrix(np.vstack([tiny, base.A.a])), RealVector([tiny @ base.x_star.a, *base.b.a]),
-                      base.x_star)
+    sy = tiny_row_coherent_system()
     gate, banded = sy.zero_row_gate, 1.3e-7**2 * sy.row_norms_sq[1:]
     assert sy.row_norms_sq[0] <= gate < banded.min() and banded.max() <= 2 * gate
     steps = 400
@@ -962,6 +985,42 @@ def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
             assert rec.error_sq == float(d @ d), (method, rec.iter)
         outside = [not np.shares_memory(row, sy.A.a) for row in rows]
         assert any(outside) == (method == "sgsm"), method
+
+
+def test_run_matches_hand_stepping_across_block_selects(monkeypatch):
+    # skm and sgsm at s = 2 select in one shared way: draw a block index,
+    # look up its block, then take the block's max-residual row of A (skm)
+    # or its sparse sketch's winner (sgsm, after drawing its factor).  With
+    # chunks of 3 indices and 3 factors, the steps cross refills of both
+    # streams, interleaved, within run()'s k-step calls too.  Each sgsm
+    # fill's last factor is scaled by 1e-9, which puts its sketched row
+    # under the zero-row gate, so sgsm reselects, with a fresh block index
+    # and the first factor of the next fill, about every other step.  run()
+    # must be bit for bit the hand-stepped Stepper.
+    monkeypatch.setattr(solvers, "_CHUNK", 3)
+    monkeypatch.setattr(sketch, "_NORMALS", 12)
+
+    def factor_fill(gen, s):
+        X = sketch._factor_fill(gen, s)
+        X[-1] *= 1e-9
+        return X
+
+    monkeypatch.setattr(solvers, "_factor_fill", factor_fill)
+    sy = tiny_row_coherent_system()
+    steps = 400
+    start = np.random.default_rng(8).standard_normal(4)
+    for method in ("skm", "sgsm"):
+        config = SolverConfig(method, s=2, tol=0.0, max_iters=steps, seed=13, record_error=True,
+                              record_dense_limit=50, record_stride=9)
+        stepper, iterates = Stepper(sy, config), [RealVector(start)]
+        for _ in range(steps):
+            iterates.append(stepper.step(iterates[-1])[0])
+        got, trace = run(sy, config, x0=RealVector(start))
+        assert trace.status == MAX_ITERS
+        assert np.array_equal(got.a, iterates[-1].a), method
+        for rec in trace.records:
+            d = iterates[rec.iter].a - sy.x_star.a
+            assert rec.error_sq == float(d @ d), (method, rec.iter)
 
 
 def accuracy_systems():
