@@ -38,7 +38,7 @@ steps between two record points in one call to it, so run() is bit for
 bit the iteration of the public stepper.
 
 A step costs about as many microseconds as it makes numpy and Python
-calls, so the step and the recorder keep three rules, none of which
+calls, so the step and the recorder keep four rules, none of which
 changes a value.  Scalars are Python floats: a numpy scalar costs more
 per operation.  The steps that project onto a row of A (kaczmarz,
 motzkin, skm, sgsm at s = 1) read the row, b_i and ||a_i||^2 from
@@ -49,12 +49,22 @@ itself); gsm and sgsm at s >= 2 return w^T b and their row's norm as
 floats.  Products are ndarray.dot, which rounds as @ does, without its
 ufunc dispatch.  kaczmarz, motzkin and the s = 1 steps of skm and sgsm
 each have one loop that takes k steps per call and iterates its draw
-stream directly, so a step makes no Python call but its numpy ones: a
-kaczmarz step is one dot, one scale and one add, about 1.6 us on
-coherent 1000x50 (one BLAS thread, a 2-core x86-64 host), against 2.1 us
-through a per-step select call.  gsm, and skm and sgsm at s >= 2, whose
-steps take 4 to 145 us, call a select per step in one shared loop.  skm
-and sgsm at s >= 2 share one block select: it reads a drawn block's
+stream directly, so a step makes no Python call but its numpy ones.
+Iterates are updated in place: a walk call's first projection allocates
+the new iterate and later ones write into it, with the coefficient in a
+0-d array and the scaled row in an n-vector, both owned by the walk and
+passed by position (out= costs more) to np.add and np.multiply, which
+the walk binds to local names (a global and an attribute lookup less
+per call); so no later step
+allocates a vector, no step converts a Python float to an array, and
+no walk writes the iterate it was given.  motzkin's residual goes into
+two m-vectors made at each walk call.  A kaczmarz step is then one dot,
+one scale and one add, about 1.4 us on coherent 1000x50 (one BLAS
+thread, a 2-core x86-64 host), against 1.65 us with a fresh scaled row
+and iterate per step and 2.1 us through a per-step select call.  gsm,
+and skm and sgsm at s >= 2, whose steps take 4 to 145 us, call a select
+per step in one shared loop.  skm and sgsm at s >= 2 share one block
+select: it reads a drawn block's
 views from a table keyed by block index, filled the first time each
 index is drawn, so a step makes no slice after that and building a
 stepper costs nothing per block; only the row taken from the block
@@ -404,12 +414,15 @@ def _at(exc, done, i):
     return named
 
 
-def _select_walk(select, gate):
+def _select_walk(select, gate, c, tmp):
     """The walk of a method that selects a fresh sketched or block row
     each step (gsm, and skm and sgsm at s >= 2): select(x) -> (t, row,
-    beta, row_sq), and the step rules of _walker."""
+    beta, row_sq), and the step rules of _walker, projecting through its
+    coefficient c and scratch row tmp."""
+    add, mul = np.add, np.multiply
 
     def walk(xa, done=None, k=1):
+        out = None
         try:
             for i in range(1, k + 1):
                 t, row, beta, row_sq = select(xa)
@@ -418,7 +431,8 @@ def _select_walk(select, gate):
                     if row_sq <= gate and t != 0.0:
                         raise _zero_row(row_sq)
                 if t != 0.0:
-                    xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
+                    c[()] = (beta - float(row.dot(xa))) / row_sq
+                    xa = out = add(xa, mul(c, row, tmp), out)
         except ZeroRowError as exc:  # the select's own, or the second zero row
             raise _at(exc, done, i)
         return xa, row, beta, row_sq
@@ -438,6 +452,12 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     ZeroRowError, named "iteration {done + i}: ..." at step i when done
     is given.  kaczmarz, and the s = 1 steps away from the gate, compute
     no residual and project whatever it is (pick's _NO_RESIDUAL).
+
+    A walk never writes the iterate it is given: its first projection
+    allocates x_k (np.add's out is None until then) and later ones
+    update it in place, through the walk's 0-d coefficient c and
+    n-vector scratch row tmp (the module docstring's cost rules).  A
+    walk that projects nothing returns the given iterate itself.
 
     Each kind of draw comes from one stream, rng._stream (the chunk rule
     in rng.py), and a reselection takes the next item of each stream its
@@ -478,10 +498,12 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     _check_method(method, s, m)
     Aa, ba = system.A.a, system.b.a
     gate = system.zero_row_gate
+    c, tmp = np.empty(()), np.empty(system.A.cols)
+    add, mul = np.add, np.multiply
     if method == "gsm":
         factor = system._residual_factor
         attempts = _stream(lambda: _winner_fill(gen, s, system.A.cols)).__next__
-        return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate)
+        return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate, c, tmp)
     if method in ("skm", "sgsm"):
         blocks = _stream(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
     if method == "sgsm" and s > 1:
@@ -501,18 +523,20 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     if method in ("skm", "sgsm") and s > 1:
         # Block z's views, made the first time z is drawn.
         take, block = blocks.__next__, cache(partial(_block, Aa, ba, s))
-        return _select_walk(lambda xa: winner(block(take()), xa), gate)
+        return _select_walk(lambda xa: winner(block(take()), xa), gate, c, tmp)
     if method == "motzkin":
 
         def walk(xa, done=None, k=1):
+            out, t, sq = None, np.empty(m), np.empty(m)
             for i in range(1, k + 1):
-                t = Aa.dot(xa) - ba
-                z = int((t * t).argmax())
+                np.subtract(Aa.dot(xa, t), ba, t)
+                z = int(np.multiply(t, t, sq).argmax())
                 if t[z] != 0.0:
                     if norms[z] <= gate:  # a reselection selects row z again
                         raise _at(_zero_row(norms[z]), done, i)
                     a = rows[z]
-                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                    c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
+                    xa = out = add(xa, mul(c, a, tmp), out)
             return xa, rows[z], bl[z], norms[z]
 
         return walk
@@ -522,7 +546,7 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
 
         def walk(xa, done=None, k=1):
             nonlocal draws
-            i = 0
+            i, out = 0, None
             try:
                 for i, z in zip(range(1, k + 1), draws):
                     if norms[z] <= gate:
@@ -530,7 +554,8 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
                         if norms[z] <= gate:
                             break
                     a = rows[z]
-                    xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                    c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
+                    xa = out = add(xa, mul(c, a, tmp), out)
                 else:
                     return xa, rows[z], bl[z], norms[z]
             except ZeroRowError as exc:  # all rows of A are zero: the fill raised and ended the stream
@@ -551,11 +576,13 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         return (float(rows[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
     def walk(xa, done=None, k=1):
+        out = None
         for i, z in zip(range(1, k + 1), blocks):
             xi = next(scales)
             if norms[z] > gate and xi * xi * norms[z] > clear:
                 a = rows[z]
-                xa = xa + ((bl[z] - float(a.dot(xa))) / norms[z]) * a
+                c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
+                xa = out = add(xa, mul(c, a, tmp), out)
                 continue
             t, row, beta, row_sq = pick(z, xi, xa)
             if row_sq <= gate and t != 0.0:
@@ -564,7 +591,8 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
                 if row_sq <= gate and t != 0.0:
                     raise _at(_zero_row(row_sq), done, i)
             if t != 0.0:
-                xa = xa + ((beta - float(row.dot(xa))) / row_sq) * row
+                c[()] = (beta - float(row.dot(xa))) / row_sq
+                xa = out = add(xa, mul(c, row, tmp), out)
         if norms[z] > gate and xi * xi * norms[z] > clear:
             return xa, rows[z], bl[z], norms[z]
         return (xa, *pick(z, xi, xa)[1:])

@@ -623,8 +623,8 @@ def test_gsm_step_is_flat_in_m_and_its_factorization_lazy():
 
 @pytest.mark.parametrize("method", ["skm", "sgsm"])
 def test_block_table_is_filled_lazily(method):
-    # skm and sgsm steps read block z's views from a table filled the first
-    # time z is drawn.  Built up front at s = 1, the table would hold m
+    # At s = 1 skm and sgsm keep no block table: their steps read row z of
+    # A from the system's row views.  A table of every block would hold m
     # entries, about 300 bytes each: a stepper and a few steps must
     # allocate under a quarter of that.  The row views and the float
     # copies of b and the row norms (about 180 bytes a row) belong to the
@@ -648,6 +648,57 @@ def test_block_table_is_filled_lazily(method):
     finally:
         tracemalloc.stop()
     assert peak - base < 0.25 * m * entry
+
+
+@pytest.mark.parametrize("method", ["skm", "sgsm"])
+def test_block_table_holds_only_the_blocks_drawn(method, monkeypatch):
+    # At s >= 2 skm and sgsm read block z's views from a table filled the
+    # first time z is drawn: building a stepper makes no block, and its
+    # steps make each block they draw once, in the order first drawn.
+    m, s, steps = 200, 2, 60
+    sy = make_system(m, 3, seed=91)
+    made = []
+    block = sketch._block
+    monkeypatch.setattr(solvers, "_block", lambda *args: made.append(args[-1]) or block(*args))
+    stepper = Stepper(sy, SolverConfig(method, s=s, seed=4))
+    assert made == []
+    x = np.zeros(3)
+    for _ in range(steps):
+        x = stepper.step(x)[0]
+    # The block indices are the stream's first draws (no step reselects here).
+    drawn = RngState(4).gen.integers(m // s, size=solvers._CHUNK).tolist()[:steps]
+    assert made == list(dict.fromkeys(drawn))
+    assert len(made) < steps  # a block drawn twice was made once
+
+
+@pytest.mark.parametrize("method, s", [
+    ("kaczmarz", 1), ("motzkin", 1), ("skm", 1), ("skm", 3), ("sgsm", 1), ("sgsm", 3), ("gsm", 3),
+])
+def test_steps_never_write_an_iterate_outside_the_walk(method, s):
+    # Each walk updates an iterate of its own in place (solvers._walker).
+    # The x0 given to run, the x given to a step, the writeable array run
+    # hands a walk, and every iterate a step returned before must read the
+    # same after later steps.
+    sy = make_system(60, 4, seed=92)
+    start = np.random.default_rng(7).standard_normal(4)
+    cfg = SolverConfig(method, s=s, max_iters=40, tol=0.0, record_dense_limit=5, record_stride=7)
+    stepper = Stepper(sy, cfg)
+    for k in (1, 5):
+        xa = start.copy()
+        stepper._steps(xa, None, k)
+        assert xa.tobytes() == start.tobytes()
+    given = [start.copy(), RealVector(start)]
+    for x0 in given:
+        run(sy, cfg, x0)
+    returned = [stepper.step(x0)[0] for x0 in given]
+    for _ in range(30):
+        returned.append(stepper.step(returned[-1])[0])
+    kept = [x.a.tobytes() for x in returned]
+    for _ in range(10):
+        returned.append(stepper.step(returned[-1])[0])
+    for x0 in given:
+        assert getattr(x0, "a", x0).tobytes() == start.tobytes()
+    assert [x.a.tobytes() for x in returned[:len(kept)]] == kept
 
 
 def test_sgsm_step_never_forms_the_sketched_block():
