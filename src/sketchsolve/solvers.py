@@ -24,11 +24,11 @@ selection rule (each method's loop in _walker):
 
 Every method's step loop (_walker) applies one rule: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
-system), except where no residual is computed (kaczmarz, and the s = 1
-steps away from the zero-row gate), and x is projected whatever it
-is; a selected row with ||row||^2 <= 1e-14 * max_i ||a_i||^2 is
-reselected once, with fresh draws, and a second such row raises
-ZeroRowError.
+system; for motzkin, the residual it keeps), except where no residual
+is computed (kaczmarz, and the s = 1 steps away from the zero-row
+gate), and x is projected whatever it is; a selected row with
+||row||^2 <= 1e-14 * max_i ||a_i||^2 is reselected once, with fresh
+draws, and a second such row raises ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed) and takes each kind of
@@ -57,9 +57,8 @@ passed by position (out= costs more) to np.add and np.multiply, which
 the walk binds to local names (a global and an attribute lookup less
 per call); so no later step
 allocates a vector, no step converts a Python float to an array, and
-no walk writes the iterate it was given.  motzkin's residual goes into
-two m-vectors made at each walk call.  A kaczmarz step is then one dot,
-one scale and one add, about 1.4 us on coherent 1000x50 (one BLAS
+no walk writes the iterate it was given.  A kaczmarz step is then one
+dot, one scale and one add, about 1.4 us on coherent 1000x50 (one BLAS
 thread, a 2-core x86-64 host), against 1.65 us with a fresh scaled row
 and iterate per step and 2.1 us through a per-step select call.  gsm,
 and skm and sgsm at s >= 2, whose steps take 4 to 145 us, call a select
@@ -69,6 +68,17 @@ views from a table keyed by block index, filled the first time each
 index is drawn, so a step makes no slice after that and building a
 stepper costs nothing per block; only the row taken from the block
 differs.
+motzkin keeps its residual between steps instead of forming A x - b at
+each one (Theta(m*n)): it selects argmax r*r from the r = A x - b its
+walk keeps (see _walker), and each projection still computes its
+coefficient (b_z - <a_z, x>) / ||a_z||^2 directly, so the iterates are
+bit for bit those of a direct r wherever the argmax agrees.  After a
+projection onto row z with coefficient c, r += c A a_z, Theta(m), from
+a column A a_z cached at z's second selection; r is formed directly
+instead at z's first selection (a row selected once never pays for a
+column), every m steps, and once the cached columns fill
+_COLUMN_BUDGET doubles (64 MB).  r and its square are two m-vectors
+made at the walk's first call.
 Recording never changes an iterate.
 Every method's records cost Theta(n^2), not Theta(m*n): they read
 ||A x - b|| from one cached QR of [A b], the factor the gsm step draws
@@ -135,6 +145,10 @@ _NO_RESIDUAL = float("nan")
 # for 1000 kaczmarz rows), so a refill is cheap per step and so is the
 # unused tail of a short run's last chunk.
 _CHUNK = 1024
+
+# Doubles of cached columns A a_z a motzkin walk may hold (64 MB): its kept
+# residual takes a step onto a row selected before in Theta(m), not Theta(m*n).
+_COLUMN_BUDGET = 2**23
 
 # Consistency slack for a planted solution: ||A x* - b|| <= slack * ||b||.
 CONSISTENCY_TOL = 1e-10
@@ -446,9 +460,10 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     last step selected, with its right-hand side beta and squared norm
     row_sq (Python floats).
 
-    The step rules: a zero selected residual leaves x unchanged; a
-    selected row with row_sq <= LinearSystem.zero_row_gate gets exactly
-    one reselection, with fresh draws, and a second such row raises
+    The step rules: a zero selected residual leaves x unchanged (for
+    motzkin, a zero in the residual it keeps, see below); a selected row
+    with row_sq <= LinearSystem.zero_row_gate gets exactly one
+    reselection, with fresh draws, and a second such row raises
     ZeroRowError, named "iteration {done + i}: ..." at step i when done
     is given.  kaczmarz, and the s = 1 steps away from the gate, compute
     no residual and project whatever it is (pick's _NO_RESIDUAL).
@@ -490,6 +505,14 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     _sparse_winner's xi a_z, xi b_z and t (pick).  skm at s = 1 takes
     the same loop with xi = 1.
 
+    motzkin keeps r = A x - b across calls for the iterate it returned
+    last (the module docstring's kept residual): a call given that very
+    array, read-only once returned through Stepper.step, continues from r;
+    a call given any other array forms r directly.  A ZeroRowError drops
+    r, so the next call forms it directly too.  The walk holds at most
+    _COLUMN_BUDGET // m cached columns, and builds nothing per row until
+    its first call.
+
     gsm reads the system's cached QR factor of [A b]
     (LinearSystem._residual_factor), which a walk of any other method
     leaves uncomputed.
@@ -525,18 +548,40 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         take, block = blocks.__next__, cache(partial(_block, Aa, ba, s))
         return _select_walk(lambda xa: winner(block(take()), xa), gate, c, tmp)
     if method == "motzkin":
+        # The kept residual r = A x - b of iterate key, its scratch square
+        # sq, the steps since r was last formed directly, the rows selected
+        # so far and the cached columns A a_z of rows selected twice.
+        r = sq = key = None
+        since, touched, cols, cap = 0, set(), {}, _COLUMN_BUDGET // m
 
         def walk(xa, done=None, k=1):
-            out, t, sq = None, np.empty(m), np.empty(m)
+            nonlocal r, sq, key, since
+            if r is None:
+                r, sq = np.empty(m), np.empty(m)
+            if xa is not key:
+                np.subtract(Aa.dot(xa, r), ba, r)
+                since = 0
+            key, out = None, None  # a raise drops r
             for i in range(1, k + 1):
-                np.subtract(Aa.dot(xa, t), ba, t)
-                z = int(np.multiply(t, t, sq).argmax())
-                if t[z] != 0.0:
+                z = int(mul(r, r, sq).argmax())
+                if r[z] != 0.0:
                     if norms[z] <= gate:  # a reselection selects row z again
                         raise _at(_zero_row(norms[z]), done, i)
                     a = rows[z]
                     c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
                     xa = out = add(xa, mul(c, a, tmp), out)
+                    g = cols.get(z)
+                    if g is None:
+                        if z in touched and len(cols) < cap:
+                            g = cols[z] = Aa.dot(a)
+                        touched.add(z)
+                    since += 1
+                    if g is None or since >= m:
+                        np.subtract(Aa.dot(xa, r), ba, r)
+                        since = 0
+                    else:
+                        add(r, mul(c, g, sq), r)
+            key = xa
             return xa, rows[z], bl[z], norms[z]
 
         return walk
@@ -606,7 +651,10 @@ class Stepper:
     Building it checks (method, s, m) and starts the stepper's own stream
     RngState(config.seed); config's run controls are not read.  step(x)
     returns (x_next, row, beta): x_next is project_row(x, row, beta), bit
-    for bit, or x itself when the row's residual is zero.  For kaczmarz,
+    for bit, or x itself when the row's residual is zero.  motzkin's
+    residual is the one its walk keeps (see _walker): step(x) continues
+    from it when x is the read-only iterate the last step returned, and
+    forms A x - b directly for any other x.  For kaczmarz,
     motzkin, skm and sgsm at s = 1, row is a read-only view of a row of A
     (xi a_z near the zero-row gate, see _walker); otherwise it is the
     winning sketched row, which aliases neither A nor b.  Stepping by

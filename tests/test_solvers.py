@@ -351,6 +351,82 @@ def test_motzkin_zero_selected_row_raises():
         Stepper(sy, SolverConfig("motzkin")).step(RealVector([0.0, 0.0]))
 
 
+def test_motzkin_forms_the_residual_of_an_iterate_it_did_not_return():
+    # The kept residual is keyed on the iterate the stepper returned last.
+    # A stepper given any other iterate, even an equal copy, forms A x - b
+    # directly, so its step is a fresh stepper's step bit for bit.
+    sy = generate_system(ModelSpec("coherent", 40, 4, 7))
+    stepper, x = Stepper(sy, SolverConfig("motzkin")), RealVector(np.zeros(4))
+    for _ in range(100):
+        x = stepper.step(x)[0]
+    for y in (RealVector(np.random.default_rng(3).standard_normal(4)), RealVector(x.a.copy()), x.a.copy()):
+        got, got_row, got_beta = stepper.step(y)
+        want, want_row, want_beta = Stepper(sy, SolverConfig("motzkin")).step(y)
+        assert np.array_equal(got.a, want.a)
+        assert row_index(sy, got_row) == row_index(sy, want_row) and got_beta == want_beta
+
+
+def test_motzkin_zero_row_error_drops_the_kept_residual():
+    # A walk that raises part way has moved its kept residual past the
+    # iterate it was given; it drops it, so a step from that iterate again
+    # forms A x - b directly and matches a fresh stepper's step.  Coherent
+    # 40x4 under a zero row 0 with b_0 at 1% of max |b|: motzkin from 0
+    # steps onto the other rows until their residuals fall under |b_0|,
+    # then selects row 0 and raises, at step 756.
+    base = generate_system(ModelSpec("coherent", 40, 4, 7))
+    b0 = 1e-2 * float(np.abs(base.b.a).max())
+    sy = LinearSystem(DenseMatrix(np.vstack([np.zeros(4), base.A.a])), RealVector([b0, *base.b.a]))
+    stepper, iterates = Stepper(sy, SolverConfig("motzkin")), [RealVector(np.zeros(4))]
+    with pytest.raises(ZeroRowError):
+        while True:
+            iterates.append(stepper.step(iterates[-1])[0])
+    assert len(iterates) == 756
+    stepper, x = Stepper(sy, SolverConfig("motzkin")), iterates[0]
+    for _ in range(len(iterates) - 4):
+        x = stepper.step(x)[0]
+    with pytest.raises(ZeroRowError):  # its fourth step selects row 0
+        stepper._steps(x.a, None, 5)
+    for y in (x, iterates[-2]):
+        got = stepper.step(y)[0]
+        assert np.array_equal(got.a, Stepper(sy, SolverConfig("motzkin")).step(y)[0].a)
+
+
+@pytest.mark.parametrize("columns", [0, 3])
+def test_motzkin_column_budget_moves_no_iterate(monkeypatch, columns):
+    # The column budget only decides how the kept residual is updated: with
+    # no columns (every step forms A x - b, the plain Motzkin step) or
+    # room for only 3, coherent 1000x50 stops where the full budget does,
+    # on the same iterates.
+    sy = generate_system(ModelSpec("coherent", 1000, 50, 3))
+    e0 = float(sy.x_star.a @ sy.x_star.a)
+    cfg = SolverConfig("motzkin", tol=0.0, max_iters=20_000, record_error=True, error_stop=1e-6 * e0,
+                       record_dense_limit=100, record_stride=10)
+    want_x, want = run(sy, cfg)
+    monkeypatch.setattr(solvers, "_COLUMN_BUDGET", columns * sy.A.rows)
+    got_x, got = run(sy, cfg)
+    assert want.status == got.status == CONVERGED
+    assert np.array_equal(got_x.a, want_x.a)
+    assert [r[:3] for r in got.records] == [r[:3] for r in want.records]
+
+
+def test_motzkin_holds_at_most_its_column_budget(monkeypatch):
+    # A walk caches columns A a_z (m doubles each) up to _COLUMN_BUDGET
+    # doubles.  Coherent 2000x5 selects 7 rows thrice or more in 300 steps;
+    # with room for 3 columns, what the walk keeps after its steps (the
+    # residual, its square and the columns) stays under 5 m-vectors.
+    m = 2000
+    sy = generate_system(ModelSpec("coherent", m, 5, 3))
+    monkeypatch.setattr(solvers, "_COLUMN_BUDGET", 3 * m)
+    stepper = Stepper(sy, SolverConfig("motzkin"))
+    tracemalloc.start()
+    try:
+        stepper._steps(np.zeros(5), None, 300)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 3 * 8 * m < kept < 5 * 8 * m + 4096
+
+
 # ---------------------------------------------------------------- sketched
 
 def test_skm_full_block_equals_motzkin():
@@ -947,16 +1023,24 @@ def test_run_matches_manual_step_composition():
     # thinned schedule (dense to 5, then every 7th).  Each record's
     # error_sq is what a fresh computation at the hand-stepped iterate
     # gives, bit for bit; every method records ||A x - b|| from a QR of
-    # [A b], within the documented window of the fresh value.
+    # [A b], within the documented window of the fresh value.  motzkin
+    # keeps A x - b across steps and calls: it forms it directly at a
+    # row's first selection and every m = 24 steps, and updates it from a
+    # cached column A a_z in between, so its trajectory crosses each path
+    # many times, under one step per call and under up to 7.
     sy = generate_system(ModelSpec("coherent", 24, 5, 72))
     steps = 2 * solvers._CHUNK + 37
     starts = (np.zeros(5), np.random.default_rng(72).standard_normal(5))
     schedules = ({}, {"record_dense_limit": 5, "record_stride": 7})
     for method, start in itertools.product(METHOD_NAMES, starts):
         stepper = Stepper(sy, SolverConfig(method, s=4, seed=99))
-        iterates = [RealVector(start)]
+        iterates, rows = [RealVector(start)], []
         for _ in range(steps):
-            iterates.append(stepper.step(iterates[-1])[0])
+            x, row, _ = stepper.step(iterates[-1])
+            iterates.append(x)
+            rows.append(row)
+        if method == "motzkin":
+            assert len({row_index(sy, row) for row in rows}) < steps // sy.A.rows
         for schedule in schedules:
             cfg = SolverConfig(method, s=4, tol=0.0, max_iters=steps, seed=99, record_error=True, **schedule)
             got, trace = run(sy, cfg, x0=RealVector(start))
