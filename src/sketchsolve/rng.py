@@ -15,10 +15,11 @@ Stream-consumption conventions (they matter for replay):
     drawn in the row space of [A b] (see sketch.py); it never draws the
     m-by-s sketch or any column of it.  An sgsm solver step draws, per
     attempt, its block index, then its s-by-s factor in row-major order;
-  * a solver step whose selected row has (near-)zero norm reselects once,
-    and the reselection takes a second selection draw (one more uniform
-    for kaczmarz, one more sketch for skm, gsm and sgsm; motzkin draws
-    nothing); it is the next item of its stream.
+  * a solver step whose selected row has (near-)zero norm and a nonzero
+    residual reselects once, and the reselection takes a second
+    selection draw (one more uniform for kaczmarz, one more sketch for
+    skm, gsm and sgsm; motzkin draws nothing); it is the next item of its
+    stream.
 
 The chunk rule.  A solver stepper takes each kind of draw from one
 stream of its own, _stream(fill): the items of fill(), fill(), ... in

@@ -25,10 +25,11 @@ selection rule (each method's loop in _walker):
 Every method's step loop (_walker) applies one rule: a zero selected
 residual leaves x unchanged (the iterate already solves the drawn
 system; for motzkin, the residual it keeps), except where no residual
-is computed (kaczmarz, and the s = 1 steps away from the zero-row
-gate), and x is projected whatever it is; a selected row with
-||row||^2 <= 1e-14 * max_i ||a_i||^2 is reselected once, with fresh
-draws, and a second such row raises ZeroRowError.
+is computed (the s = 1 steps, kaczmarz's among them, away from the
+zero-row gate), and x is projected whatever it is; a selected row with
+||row||^2 <= 1e-14 * max_i ||a_i||^2 and a nonzero residual is
+reselected once, with fresh draws, and a second such row raises
+ZeroRowError.
 
 Stepper(system, config) is the one stepping engine, built once: it
 checks (method, s, m), owns RngState(config.seed) and takes each kind of
@@ -47,9 +48,10 @@ Python-float copies of b and LinearSystem.row_norms_sq, the one
 row-norm table, equal bit for bit to each row's dot product with
 itself); gsm and sgsm at s >= 2 return w^T b and their row's norm as
 floats.  Products are ndarray.dot, which rounds as @ does, without its
-ufunc dispatch.  kaczmarz, motzkin and the s = 1 steps of skm and sgsm
-each have one loop that takes k steps per call and iterates its draw
-stream directly, so a step makes no Python call but its numpy ones.
+ufunc dispatch.  motzkin has one loop, and kaczmarz and the s = 1
+steps of skm and sgsm share another; each takes k steps per call and
+iterates its draw streams directly, so a step makes no Python call but
+its numpy ones.
 Iterates are updated in place: a walk call's first projection allocates
 the new iterate and later ones write into it, with the coefficient in a
 0-d array and the scaled row in an n-vector, both owned by the walk and
@@ -58,7 +60,7 @@ the walk binds to local names (a global and an attribute lookup less
 per call); so no later step
 allocates a vector, no step converts a Python float to an array, and
 no walk writes the iterate it was given.  A kaczmarz step is then one
-dot, one scale and one add, about 1.4 us on coherent 1000x50 (one BLAS
+dot, one scale and one add, about 1.5 us on coherent 1000x50 (one BLAS
 thread, a 2-core x86-64 host), against 1.65 us with a fresh scaled row
 and iterate per step and 2.1 us through a per-step select call.  gsm,
 and skm and sgsm at s >= 2, whose steps take 4 to 145 us, call a select
@@ -140,10 +142,10 @@ ZERO_ROW_GATE = 1e-14
 # zero-row gate): NaN never equals 0.0, so it is never taken for a solved row.
 _NO_RESIDUAL = float("nan")
 
-# Draws per chunk of a stepper's kaczmarz uniforms and skm and sgsm block
-# indices.  A chunk costs about as much as ten single draws (about 25 us
-# for 1000 kaczmarz rows), so a refill is cheap per step and so is the
-# unused tail of a short run's last chunk.
+# Draws per chunk of a stepper's index stream: kaczmarz's weighted rows, or
+# skm's and sgsm's uniform blocks.  A chunk costs about as much as ten
+# single draws (about 25 us for 1000 kaczmarz rows), so a refill is cheap
+# per step and so is the unused tail of a short run's last chunk.
 _CHUNK = 1024
 
 # Doubles of cached columns A a_z a motzkin walk may hold (64 MB): its kept
@@ -465,8 +467,9 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     with row_sq <= LinearSystem.zero_row_gate gets exactly one
     reselection, with fresh draws, and a second such row raises
     ZeroRowError, named "iteration {done + i}: ..." at step i when done
-    is given.  kaczmarz, and the s = 1 steps away from the gate, compute
-    no residual and project whatever it is (pick's _NO_RESIDUAL).
+    is given.  A row under the gate is reselected only when its residual
+    is nonzero.  The s = 1 steps away from the gate compute no residual
+    and project whatever it is (pick's _NO_RESIDUAL).
 
     A walk never writes the iterate it is given: its first projection
     allocates x_k (np.add's out is None until then) and later ones
@@ -476,13 +479,15 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
 
     Each kind of draw comes from one stream, rng._stream (the chunk rule
     in rng.py), and a reselection takes the next item of each stream its
-    step draws from.  kaczmarz, motzkin and the s = 1 steps of skm and
-    sgsm each have one loop of their own, zip(range(1, k + 1), draws),
-    the range first, so no draw is taken past step k; they project onto
-    a row of A, a read-only view, reading it, b_i and ||a_i||^2 from the
-    system's _row_floats.  An all-zero A makes the kaczmarz fill raise,
-    which ends its stream, so the walk starts a fresh one and the next
-    call fails the same way.  gsm, and skm and sgsm at s >= 2, whose
+    step draws from.  motzkin has one loop, and kaczmarz and the s = 1
+    steps of skm and sgsm share one, zip(range(1, k + 1), blocks,
+    scales), the range first, so no draw is taken past step k; they
+    project onto a row of A, a read-only view, reading it, b_i and
+    ||a_i||^2 from the system's _row_floats.  An all-zero A makes the
+    kaczmarz fill raise, which ends its stream, so the walk starts a
+    fresh one and the next call fails the same way; a second zero row
+    leaves the loop by its break, so that fault keeps the stream and
+    drops no draw.  gsm, and skm and sgsm at s >= 2, whose
     steps take several times a loop's overhead, call a select(x) per
     step in _select_walk.  (method, s, m) is checked before any draw.
     The Kaczmarz sampling table is read at the first draw: building a
@@ -503,7 +508,8 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     factor 2 of the gate (or of 2**-900, where its sum of squares may
     underflow), or ||a_z||^2 is under it, the step selects
     _sparse_winner's xi a_z, xi b_z and t (pick).  skm at s = 1 takes
-    the same loop with xi = 1.
+    the same loop with xi = 1, and so does kaczmarz, whose z is row z of
+    A drawn with probability ||a_z||^2 / ||A||_F^2.
 
     motzkin keeps r = A x - b across calls for the iterate it returned
     last (the module docstring's kept residual): a call given that very
@@ -527,8 +533,11 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         factor = system._residual_factor
         attempts = _stream(lambda: _winner_fill(gen, s, system.A.cols)).__next__
         return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate, c, tmp)
-    if method in ("skm", "sgsm"):
-        blocks = _stream(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
+    if method == "kaczmarz":  # row z with probability ||a_z||^2 / ||A||_F^2
+        fill = lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist()  # noqa: E731
+    else:  # skm and sgsm: a uniform block index (motzkin draws none)
+        fill = lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist()  # noqa: E731
+    blocks = _stream(fill)
     if method == "sgsm" and s > 1:
         factors = _stream(lambda: _factor_fill(gen, s)).__next__
         winner = lambda entry, xa: _sparse_winner(entry[0], entry[1], factors(), xa)  # noqa: E731
@@ -585,30 +594,6 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
             return xa, rows[z], bl[z], norms[z]
 
         return walk
-    if method == "kaczmarz":
-        fill = lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist()  # noqa: E731
-        draws = _stream(fill)
-
-        def walk(xa, done=None, k=1):
-            nonlocal draws
-            i, out = 0, None
-            try:
-                for i, z in zip(range(1, k + 1), draws):
-                    if norms[z] <= gate:
-                        z = next(draws)
-                        if norms[z] <= gate:
-                            break
-                    a = rows[z]
-                    c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
-                    xa = out = add(xa, mul(c, a, tmp), out)
-                else:
-                    return xa, rows[z], bl[z], norms[z]
-            except ZeroRowError as exc:  # all rows of A are zero: the fill raised and ended the stream
-                draws = _stream(fill)
-                raise _at(exc, done, i + 1)
-            raise _at(_zero_row(norms[z]), done, i)
-
-        return walk
     scales = _stream(lambda: _factor_fill(gen, 1).ravel().tolist()) if method == "sgsm" else itertools.repeat(1.0)
     clear = max(2.0 * gate, 2.0**-900)
 
@@ -617,30 +602,34 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         where the gate may tell them apart."""
         if norms[z] > gate and xi * xi * norms[z] > clear:
             return _NO_RESIDUAL, rows[z], bl[z], norms[z]
-        row = rows[z] if xi == 1.0 else xi * rows[z]  # skm's xi is 1: a view of A, as kaczmarz's
+        row = rows[z] if xi == 1.0 else xi * rows[z]  # kaczmarz's and skm's xi is 1: a view of A
         return (float(rows[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
     def walk(xa, done=None, k=1):
-        out = None
-        for i, z in zip(range(1, k + 1), blocks):
-            xi = next(scales)
-            if norms[z] > gate and xi * xi * norms[z] > clear:
-                a = rows[z]
-                c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
-                xa = out = add(xa, mul(c, a, tmp), out)
-                continue
-            t, row, beta, row_sq = pick(z, xi, xa)
-            if row_sq <= gate and t != 0.0:
-                z, xi = next(blocks), next(scales)
+        nonlocal blocks
+        i, out = 0, None
+        try:
+            for i, z, xi in zip(range(1, k + 1), blocks, scales):
+                if (q := norms[z]) > gate and xi * xi * q > clear:
+                    a = rows[z]
+                    c[()] = (bl[z] - float(a.dot(xa))) / q
+                    xa = out = add(xa, mul(c, a, tmp), out)
+                    continue
                 t, row, beta, row_sq = pick(z, xi, xa)
                 if row_sq <= gate and t != 0.0:
-                    raise _at(_zero_row(row_sq), done, i)
-            if t != 0.0:
-                c[()] = (beta - float(row.dot(xa))) / row_sq
-                xa = out = add(xa, mul(c, row, tmp), out)
-        if norms[z] > gate and xi * xi * norms[z] > clear:
-            return xa, rows[z], bl[z], norms[z]
-        return (xa, *pick(z, xi, xa)[1:])
+                    z, xi = next(blocks), next(scales)
+                    t, row, beta, row_sq = pick(z, xi, xa)
+                    if row_sq <= gate and t != 0.0:
+                        break
+                if t != 0.0:
+                    c[()] = (beta - float(row.dot(xa))) / row_sq
+                    xa = out = add(xa, mul(c, row, tmp), out)
+            else:
+                return (xa, *pick(z, xi, xa)[1:])
+        except ZeroRowError as exc:  # all rows of A are zero: kaczmarz's fill raised and ended the stream
+            blocks = _stream(fill)
+            raise _at(exc, done, i + 1)
+        raise _at(_zero_row(row_sq), done, i)
 
     return walk
 

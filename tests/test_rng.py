@@ -95,7 +95,8 @@ def test_stream_fills_lazily_and_ends_at_a_fill_that_raises():
     # only once the last chunk is used up.  A fill that raises ends the
     # stream: the raise reaches the caller once, and the stream then stops.
     # So a step loop whose fill may raise starts a fresh stream after it
-    # (the kaczmarz walk on an all-zero A, test_kaczmarz_all_zero_rows_rejected).
+    # (the s = 1 loop, whose kaczmarz fill raises on an all-zero A,
+    # test_kaczmarz_all_zero_rows_rejected).
     calls = itertools.count(1)
     ran = []
 

@@ -296,6 +296,22 @@ def test_kaczmarz_near_zero_row_is_reselected_once(monkeypatch):
     assert x1.a.tolist() == [0.0, 2.0]
 
 
+def test_kaczmarz_near_zero_row_with_zero_residual_is_kept(monkeypatch):
+    # The near-gate rule of every method: a row under the gate is
+    # reselected only when its residual is nonzero.  At x = [1, 0] row 0's
+    # residual is 0, so the first step keeps row 0 and leaves x as it is,
+    # taking no redraw: the second step draws the next uniform (0.75) and
+    # projects onto row 2.
+    script_uniforms(monkeypatch, [0.0, 0.75])
+    stepper, x0 = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")), RealVector([1.0, 0.0])
+    x1, row, _ = stepper.step(x0)
+    assert row_index(NEAR_ZERO_ROW_SYSTEM, row) == 0
+    assert x1.a.tolist() == [1.0, 0.0]
+    x2, row, _ = stepper.step(x1)
+    assert row_index(NEAR_ZERO_ROW_SYSTEM, row) == 2
+    assert x2.a.tolist() == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
 def test_kaczmarz_steps_on_after_a_second_zero_row(monkeypatch, chunk):
     # Step 1 draws row 0 twice (0.0, 0.0) and raises; the fault drops no
@@ -1067,14 +1083,14 @@ def tiny_row_coherent_system():
 
 
 def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
-    # The s = 1 loops (kaczmarz, skm:1, sgsm:1) iterate their draws off
-    # chunks and reselect in a branch of their own; run() must still be
+    # The s = 1 loop (kaczmarz, skm:1, sgsm:1) iterates its draws off
+    # chunks and reselects in a branch of its own; run() must still be
     # bit for bit the hand-stepped Stepper.  Row 0 is under the zero-row
     # gate, and chunks of 3 indices or uniforms and 4 normals put refills
     # every few steps.  kaczmarz draws scripted uniforms: a 0.0 lands on
-    # row 0 and is redrawn, three times at the end of a chunk, so the
-    # redraw refills inside the step.  skm and sgsm draw row 0 about one
-    # step in 41 and reselect while x is off its hyperplane.  Every fourth
+    # row 0, three times at the end of a chunk, so the redraw refills
+    # inside the step.  skm and sgsm draw row 0 about one step in 41.
+    # Every method reselects row 0 while x is off its hyperplane.  Every fourth
     # sgsm xi is 1.3e-7, so xi^2 ||a_z||^2 lies between the gate and twice
     # it: the step projects onto xi a_z, a row outside A.  A second zero
     # row in a row would raise, at the same iteration in run() and by hand.
