@@ -31,15 +31,15 @@ least one; at s = 1 sgsm hands out its 1-by-1 factors from that same
 fill as Python floats).  A step takes its draws, reselection draws too,
 as the next items of its streams (solvers._walker), so a fill runs at
 the first draw and again where a step needs a draw and the last chunk
-is used up.  A fill that raises ends its stream, so a step loop whose
-fill may raise starts a fresh stream after it.  On PCG64 a fill of k
-draws, row-major, equals the same k draws made one at a time
-(tests/test_rng.py guards this), so a stream with one kind of draw does
-not depend on its chunk size: kaczmarz, skm and gsm trajectories equal
-those of one draw per step.  sgsm interleaves its index chunks with its
-factor chunks, the index's fill first when a step needs both, so its
-stream depends on both sizes.  The stepper owns its generator, so the
-unused tail of its last chunk is never seen.
+is used up.  No solver fill raises: kaczmarz on an all-zero A draws
+nothing (solvers._walker).  On PCG64 a fill of k draws, row-major,
+equals the same k draws made one at a time (tests/test_rng.py guards
+this), so a stream with one kind of draw does not depend on its chunk
+size: kaczmarz, skm and gsm trajectories equal those of one draw per
+step.  sgsm interleaves its index chunks with its factor chunks, the
+index's fill first when a step needs both, so its stream depends on
+both sizes.  The stepper owns its generator, so the unused tail of its
+last chunk is never seen.
 """
 
 from __future__ import annotations

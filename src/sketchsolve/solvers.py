@@ -57,19 +57,16 @@ the new iterate and later ones write into it, with the coefficient in a
 0-d array and the scaled row in an n-vector, both owned by the walk and
 passed by position (out= costs more) to np.add and np.multiply, which
 the walk binds to local names (a global and an attribute lookup less
-per call); so no later step
-allocates a vector, no step converts a Python float to an array, and
-no walk writes the iterate it was given.  A kaczmarz step is then one
-dot, one scale and one add, about 1.5 us on coherent 1000x50 (one BLAS
-thread, a 2-core x86-64 host), against 1.65 us with a fresh scaled row
-and iterate per step and 2.1 us through a per-step select call.  gsm,
-and skm and sgsm at s >= 2, whose steps take 4 to 145 us, call a select
-per step in one shared loop.  skm and sgsm at s >= 2 share one block
-select: it reads a drawn block's
-views from a table keyed by block index, filled the first time each
-index is drawn, so a step makes no slice after that and building a
-stepper costs nothing per block; only the row taken from the block
-differs.
+per call); so no later step allocates a vector, no step converts a
+Python float to an array, and no walk writes the iterate it was given.
+A kaczmarz step is then one dot, one scale and one add, about 1.5 us on
+coherent 1000x50 (one BLAS thread, a 2-core x86-64 host).  gsm, and skm
+and sgsm at s >= 2, whose steps take 4 to 145 us, call a select per step
+in one shared loop.  skm and sgsm at s >= 2 share one block select: it
+reads a drawn block's views from a table keyed by block index, filled
+the first time each index is drawn, so a step makes no slice after that
+and building a stepper costs nothing per block; only the row taken from
+the block differs.
 motzkin keeps its residual between steps instead of forming A x - b at
 each one (Theta(m*n)): it selects argmax r*r from the r = A x - b its
 walk keeps (see _walker), and each projection still computes its
@@ -416,18 +413,14 @@ def select_max_residual(M, r, x) -> int:
     return int(np.argmax(t * t))
 
 
-def _zero_row(row_sq):
-    return ZeroRowError(f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
-
-
-def _at(exc, done, i):
-    """ZeroRowError exc of step i of a walk, named "iteration {done + i}:
-    ..." when done, the steps taken before the walk, is given."""
-    if done is None:
-        return exc
-    named = ZeroRowError(f"iteration {done + i}: {exc}")
-    named.__cause__ = exc
-    return named
+def _zero_row(done, i, row_sq=None):
+    """The ZeroRowError of step i of a walk: its selected row's (near-)zero
+    norm row_sq after the one reselection or, without row_sq, an all-zero
+    A; named "iteration {done + i}: ..." when done, the steps taken before
+    the walk, is given."""
+    what = ("all rows of A are zero; cannot sample a row" if row_sq is None
+            else f"selected row has (near-)zero norm (||row||^2 = {row_sq:.3e}) after one resample")
+    return ZeroRowError(what if done is None else f"iteration {done + i}: {what}")
 
 
 def _select_walk(select, gate, c, tmp):
@@ -439,18 +432,15 @@ def _select_walk(select, gate, c, tmp):
 
     def walk(xa, done=None, k=1):
         out = None
-        try:
-            for i in range(1, k + 1):
+        for i in range(1, k + 1):
+            t, row, beta, row_sq = select(xa)
+            if row_sq <= gate and t != 0.0:
                 t, row, beta, row_sq = select(xa)
                 if row_sq <= gate and t != 0.0:
-                    t, row, beta, row_sq = select(xa)
-                    if row_sq <= gate and t != 0.0:
-                        raise _zero_row(row_sq)
-                if t != 0.0:
-                    c[()] = (beta - float(row.dot(xa))) / row_sq
-                    xa = out = add(xa, mul(c, row, tmp), out)
-        except ZeroRowError as exc:  # the select's own, or the second zero row
-            raise _at(exc, done, i)
+                    raise _zero_row(done, i, row_sq)
+            if t != 0.0:
+                c[()] = (beta - float(row.dot(xa))) / row_sq
+                xa = out = add(xa, mul(c, row, tmp), out)
         return xa, row, beta, row_sq
 
     return walk
@@ -483,15 +473,15 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
     steps of skm and sgsm share one, zip(range(1, k + 1), blocks,
     scales), the range first, so no draw is taken past step k; they
     project onto a row of A, a read-only view, reading it, b_i and
-    ||a_i||^2 from the system's _row_floats.  An all-zero A makes the
-    kaczmarz fill raise, which ends its stream, so the walk starts a
-    fresh one and the next call fails the same way; a second zero row
-    leaves the loop by its break, so that fault keeps the stream and
-    drops no draw.  gsm, and skm and sgsm at s >= 2, whose
-    steps take several times a loop's overhead, call a select(x) per
-    step in _select_walk.  (method, s, m) is checked before any draw.
-    The Kaczmarz sampling table is read at the first draw: building a
-    walk never fails on an all-zero A.
+    ||a_i||^2 from the system's _row_floats.  Away from the gate and
+    near it alike, a step of that loop binds its row a, beta and
+    ||a||^2 and projects in one place.  gsm, and skm and sgsm at s >= 2,
+    whose steps take several times a loop's overhead, call a select(x)
+    per step in _select_walk.  A second zero row raises where it is
+    found, after its step's draws, so the fault drops no draw.  (method,
+    s, m) is checked before any draw.  On an all-zero A kaczmarz gets a
+    walk of its own, which draws nothing and raises at every call, so
+    building a walk never fails and no fill raises.
 
     skm and sgsm keep a table of the blocks drawn so far: block z's
     views, sketch._block(A, b, s, z), are made the first time z is drawn
@@ -533,11 +523,16 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         factor = system._residual_factor
         attempts = _stream(lambda: _winner_fill(gen, s, system.A.cols)).__next__
         return _select_walk(lambda xa: _gaussian_row(factor, xa, *attempts()), gate, c, tmp)
+    if method == "kaczmarz" and not system.row_norms_sq.any():  # no row to sample
+
+        def walk(xa, done=None, k=1):
+            raise _zero_row(done, 1)
+
+        return walk
     if method == "kaczmarz":  # row z with probability ||a_z||^2 / ||A||_F^2
-        fill = lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist()  # noqa: E731
+        blocks = _stream(lambda: _pick_from_cumulative(gen, system.cum_row_weights, _CHUNK).tolist())
     else:  # skm and sgsm: a uniform block index (motzkin draws none)
-        fill = lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist()  # noqa: E731
-    blocks = _stream(fill)
+        blocks = _stream(lambda: gen.integers(_block_count(m, s), size=_CHUNK).tolist())
     if method == "sgsm" and s > 1:
         factors = _stream(lambda: _factor_fill(gen, s)).__next__
         winner = lambda entry, xa: _sparse_winner(entry[0], entry[1], factors(), xa)  # noqa: E731
@@ -575,7 +570,7 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
                 z = int(mul(r, r, sq).argmax())
                 if r[z] != 0.0:
                     if norms[z] <= gate:  # a reselection selects row z again
-                        raise _at(_zero_row(norms[z]), done, i)
+                        raise _zero_row(done, i, norms[z])
                     a = rows[z]
                     c[()] = (bl[z] - float(a.dot(xa))) / norms[z]
                     xa = out = add(xa, mul(c, a, tmp), out)
@@ -606,30 +601,21 @@ def _walker(system: LinearSystem, method: str, s: int, gen):
         return (float(rows[z].dot(xa)) - bl[z]) * xi, row, xi * bl[z], float(row.dot(row))
 
     def walk(xa, done=None, k=1):
-        nonlocal blocks
-        i, out = 0, None
-        try:
-            for i, z, xi in zip(range(1, k + 1), blocks, scales):
-                if (q := norms[z]) > gate and xi * xi * q > clear:
-                    a = rows[z]
-                    c[()] = (bl[z] - float(a.dot(xa))) / q
-                    xa = out = add(xa, mul(c, a, tmp), out)
-                    continue
-                t, row, beta, row_sq = pick(z, xi, xa)
-                if row_sq <= gate and t != 0.0:
-                    z, xi = next(blocks), next(scales)
-                    t, row, beta, row_sq = pick(z, xi, xa)
-                    if row_sq <= gate and t != 0.0:
-                        break
-                if t != 0.0:
-                    c[()] = (beta - float(row.dot(xa))) / row_sq
-                    xa = out = add(xa, mul(c, row, tmp), out)
+        out = None
+        for i, z, xi in zip(range(1, k + 1), blocks, scales):
+            if (q := norms[z]) > gate and xi * xi * q > clear:
+                a, beta = rows[z], bl[z]
             else:
-                return (xa, *pick(z, xi, xa)[1:])
-        except ZeroRowError as exc:  # all rows of A are zero: kaczmarz's fill raised and ended the stream
-            blocks = _stream(fill)
-            raise _at(exc, done, i + 1)
-        raise _at(_zero_row(row_sq), done, i)
+                t, a, beta, q = pick(z, xi, xa)
+                if q <= gate and t != 0.0:
+                    t, a, beta, q = pick(next(blocks), next(scales), xa)
+                    if q <= gate and t != 0.0:
+                        raise _zero_row(done, i, q)
+                if t == 0.0:
+                    continue
+            c[()] = (beta - float(a.dot(xa))) / q
+            xa = out = add(xa, mul(c, a, tmp), out)
+        return xa, a, beta, q
 
     return walk
 
@@ -720,23 +706,6 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     records, new_record = [], tuple.__new__  # TraceRecord's own __new__ costs twice as much
     prev = slack = None  # the last recorded error_sq and MONOTONE_SLACK * e_0^2
 
-    def snapshot(k, xa, ns, measured):
-        """Record iterate xa after k steps, stamped ns, from its measured
-        (residual, ||x||^2, error_sq); return whether it stops the run."""
-        nonlocal prev, slack
-        residual, x_sq, err = measured
-        if abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
-            res = Aa.dot(xa) - ba
-            residual = math.sqrt(res.dot(res))
-        if err is not None:
-            if prev is None:
-                slack = MONOTONE_SLACK * err
-            elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
-                raise NumericalError(f"squared error increased at iteration {k}: {prev!r} -> {err!r}")
-            prev = err
-        records.append(new_record(TraceRecord, (k, err, residual, ns)))
-        return residual <= threshold or (error_stop is not None and err <= error_stop)
-
     def stop_guess():
         """The iteration at which the next record block ends: _STOP_MARGIN
         times the steps that the decay rate of the residual, or of error_sq
@@ -751,16 +720,31 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
                 guess = min(guess, now.iter + math.ceil(need))
         return guess
 
-    def measure(points):
-        """The (residual, ||x||^2, error_sq) that snapshot() reads, of each
-        point's iterate, measured together bit for bit as one at a time: a
-        stacked matmul makes the same BLAS call per iterate as the
-        iterate's own product.  There may be no point (a block's first
-        step failed)."""
+    def record(points):
+        """Record each point (j, x, ns), iterate x after j steps stamped ns,
+        in order; return the iterate of the first record that stops the
+        run, or None.  Their (residual, ||x||^2, error_sq) are measured
+        together, bit for bit as one at a time: a stacked matmul makes the
+        same BLAS call per iterate as the iterate's own product.  There may
+        be no point (a block's first step failed)."""
+        nonlocal prev, slack
         X = np.array([x for _, x, _ in points]).reshape(len(points), system.A.cols)
         V = (RA @ X[:, :, None])[:, :, 0] - rb
         errs = [None] * len(X) if xs is None else _row_dots(X - xs).tolist()
-        return zip(np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs)
+        for (j, x, ns), residual, x_sq, err in zip(points, np.sqrt(_row_dots(V)).tolist(), _row_dots(X).tolist(), errs):
+            if abs(residual - threshold) <= wx * math.sqrt(x_sq) + wb:
+                res = Aa.dot(x) - ba
+                residual = math.sqrt(res.dot(res))
+            if err is not None:
+                if prev is None:
+                    slack = MONOTONE_SLACK * err
+                elif err > prev + slack and err > prev + MONOTONE_ROUNDOFF * unit * (prev**0.5 + unit):
+                    raise NumericalError(f"squared error increased at iteration {j}: {prev!r} -> {err!r}")
+                prev = err
+            records.append(new_record(TraceRecord, (j, err, residual, ns)))
+            if residual <= threshold or (error_stop is not None and err <= error_stop):
+                return x
+        return None
 
     clock = time.perf_counter_ns
     start = clock()
@@ -769,9 +753,8 @@ def run(system: LinearSystem, config: SolverConfig, x0=None):
     reached, fault = [(0, xa, clock() - start)], None
     while True:
         # Record the points reached, in order: a stop before a failed step ends the run.
-        for (j, x, ns), measured in zip(reached, measure(reached)):
-            if snapshot(j, x, ns, measured):
-                return RealVector(_own(x)), RunTrace(tuple(records), CONVERGED)
+        if (x := record(reached)) is not None:
+            return RealVector(_own(x)), RunTrace(tuple(records), CONVERGED)
         if fault is not None:
             raise fault
         if k == last:

@@ -94,9 +94,8 @@ def test_stream_fills_lazily_and_ends_at_a_fill_that_raises():
     # _stream(fill) runs no fill until an item is wanted, and the next fill
     # only once the last chunk is used up.  A fill that raises ends the
     # stream: the raise reaches the caller once, and the stream then stops.
-    # So a step loop whose fill may raise starts a fresh stream after it
-    # (the s = 1 loop, whose kaczmarz fill raises on an all-zero A,
-    # test_kaczmarz_all_zero_rows_rejected).
+    # No solver fill raises: kaczmarz on an all-zero A gets a walk that
+    # draws nothing (test_kaczmarz_all_zero_rows_rejected).
     calls = itertools.count(1)
     ran = []
 

@@ -263,13 +263,18 @@ def test_kaczmarz_never_samples_zero_rows():
 
 def test_kaczmarz_all_zero_rows_rejected():
     # The zero-row failure every method reports, not a usage error, at the
-    # first draw: building the stepper reads no sampling table.
+    # first step: building the stepper never fails.
     sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([0.0] * 3))
     stepper = Stepper(sy, SolverConfig("kaczmarz"))
-    # A failed draw leaves the stepper usable: the next call fails the same way.
+    # A failed step leaves the stepper usable: the next call fails the same way.
     for _ in range(2):
         with pytest.raises(ZeroRowError, match="all rows of A are zero"):
             stepper.step(RealVector([0.0, 0.0]))
+    # A run's first walk call takes 5 steps (no dense stretch, stride 5) and
+    # names the first of them.
+    sy = LinearSystem(DenseMatrix(np.zeros((3, 2))), RealVector([1.0] * 3))
+    with pytest.raises(ZeroRowError, match="^iteration 1: all rows of A are zero"):
+        run(sy, SolverConfig("kaczmarz", record_dense_limit=0, record_stride=5))
 
 
 # ||a_0||^2 = 1e-16 is under the gate 1e-14 * max ||a_i||^2.  A uniform of
@@ -310,6 +315,15 @@ def test_kaczmarz_near_zero_row_with_zero_residual_is_kept(monkeypatch):
     x2, row, _ = stepper.step(x1)
     assert row_index(NEAR_ZERO_ROW_SYSTEM, row) == 2
     assert x2.a.tolist() == [1.0, 2.0]
+
+
+def test_kaczmarz_kept_zero_residual_returns_x_itself(monkeypatch):
+    # Stepper.step on a zero residual returns x itself, not a copy: the
+    # step above that keeps row 0.
+    script_uniforms(monkeypatch, [0.0])
+    x0 = RealVector([1.0, 0.0])
+    x1, row, _ = Stepper(NEAR_ZERO_ROW_SYSTEM, SolverConfig("kaczmarz")).step(x0)
+    assert row_index(NEAR_ZERO_ROW_SYSTEM, row) == 0 and x1.a is x0.a
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
@@ -1118,7 +1132,11 @@ def test_run_matches_hand_stepping_across_refills_and_reselections(monkeypatch):
         stepper, iterates, rows, failed = Stepper(sy, config), [RealVector(start)], [], None
         try:
             for k in range(1, steps + 1):
-                x, row, _ = stepper.step(iterates[-1])
+                x, row, beta = stepper.step(iterates[-1])
+                # Each path of the loop (off the gate, near it, reselected)
+                # projects as project_row does, or keeps x on a zero residual.
+                kept = x.a is iterates[-1].a
+                assert kept or np.array_equal(x.a, project_row(iterates[-1], row, beta).a), (method, k)
                 iterates.append(x)
                 rows.append(row)
         except ZeroRowError:
